@@ -3,14 +3,21 @@
 A delta operator is a shift-invariant operator Q = p(d/dt) whose
 series p has p(0) = 0 and p'(0) != 0.  Each one owns a basic sequence
 (q_n): polynomials with q_0 = 1, q_n(0) = 0 and Q q_n = n q_{n-1},
-necessarily of binomial type.  The whole sequence is generated in one
-stroke from the exponential generating identity
+necessarily of binomial type.  The sequence is built by Rota's
+recurrence
+
+    q_(n+1)(t)  =  t * r(d/dt) q_n(t),    r = 1/p',
+
+one series reciprocal and then one shift-invariant apply per degree,
+on plain integers for every rational operator.  The same family is
+described by the exponential generating identity
 
     sum_n q_n(t) u^n / n!  =  exp(t * pinv(u)),
 
 where pinv is the compositional inverse of p, so the coefficient of
-t^k in q_n is (n!/k!) [u^n] pinv(u)^k.  A slower route that solves
-Q q_n = n q_{n-1} degree by degree is kept as an independent check.
+t^k in q_n is (n!/k!) [u^n] pinv(u)^k; the tests check the recurrence
+against it.  A slower route that solves Q q_n = n q_{n-1} degree by
+degree is kept as an independent check.
 
 Built-in operators: the derivative itself, the forward difference
 exp(d)-1 (falling factorials), the backward difference 1-exp(-d)
@@ -36,6 +43,7 @@ from .series import (
     invert_scalar,
     seq_compose,
     seq_mul,
+    seq_reciprocal,
 )
 
 __all__ = [
@@ -204,39 +212,76 @@ class BasicSequence:
         return "BasicSequence(%s, depth=%d)" % (self.operator.tag, self.depth)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def basic_sequence_from_delta(Q, depth):
-    """Basic sequence of Q through the generating identity exp(t pinv(u)).
+    """Basic sequence of Q by Rota's recurrence q_(n+1) = t r(d) q_n.
 
-    The coefficient of t^k in q_n is (n!/k!) [u^n] pinv(u)^k, with pinv
-    the compositional inverse of Q's series; everything is exact.
+    Here r = 1/p' is the reciprocal of the Pincherle derivative of Q's
+    series, so the coefficients obey
+
+        beta(m+1, n+1) = sum_k k! r_k C(m+k, k) beta(m+k, n).
+
+    When every r_k is rational the recurrence runs on integers: with
+    a = denominator(r_0) and b chosen so that s_k = a k! b^k r_k are
+    all integers, gamma(j, n) = a^n b^(n-j) beta(j, n) satisfies the
+    same recurrence with weights s_k, and beta is recovered by one
+    division per coefficient.  Other fields (Gaussian rationals) run
+    the recurrence in their own exact arithmetic.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if Q.order < depth:
         raise ValueError("operator order too small for this depth")
-    pinv = compositional_inverse(Q.coeffs, depth)
-    polys = []
-    rows = []  # rows[k][n] = [u^n] pinv^k
-    power = (1,) + (0,) * depth
-    for k in range(depth + 1):
-        rows.append(power)
-        power = seq_mul(power, pinv, depth)
-    for n in range(depth + 1):
-        coeffs = [
-            Fraction(math.factorial(n), math.factorial(k)) * rows[k][n]
-            for k in range(n + 1)
+    top = max(depth, 1)
+    r = seq_reciprocal([k * Q.coeffs[k] for k in range(1, top + 1)], top - 1)
+    rational = all(isinstance(rk, (int, Fraction)) for rk in r)
+    if rational:
+        zero = 0
+        a = Fraction(r[0]).denominator
+        b = 1
+        for k in range(1, top):
+            b *= Fraction(a * math.factorial(k) * b ** k * r[k]).denominator
+        weights = [int(a * math.factorial(k) * b ** k * rk) for k, rk in enumerate(r)]
+    else:
+        # Sums start at Fraction(0) so that entries no term reaches are
+        # Fractions, like every other coefficient, rather than ints.
+        zero = Fraction(0)
+        weights = [math.factorial(k) * rk for k, rk in enumerate(r)]
+    nonzero = [(k, w) for k, w in enumerate(weights) if w != 0]
+    # steps[m]: the (k, weight * C(m+k, k)) feeding beta(m+1, .) from beta(m+k, .)
+    steps = [
+        [(k, w * math.comb(m + k, k)) for k, w in nonzero if m + k < depth]
+        for m in range(depth)
+    ]
+    rows = [[zero + 1]]
+    for n in range(depth):
+        prev = rows[-1]
+        row = [zero]
+        for m in range(n + 1):
+            acc = zero
+            for k, w in steps[m]:
+                if m + k > n:
+                    break
+                acc += w * prev[m + k]
+            row.append(acc)
+        rows.append(row)
+    if rational:
+        bpow = [b ** i for i in range(depth + 1)]
+        rows = [
+            [Fraction(g, a ** n * bpow[n - j]) for j, g in enumerate(row)]
+            for n, row in enumerate(rows)
         ]
-        polys.append(TPoly(coeffs))
-    return BasicSequence(Q, tuple(polys))
+    return BasicSequence(Q, tuple(TPoly(row) for row in rows))
 
 
 def basic_sequence_by_recurrence(Q, depth):
     """Independent construction solving Q q_n = n q_{n-1} degree by degree.
 
     Kept as a verification oracle for basic_sequence_from_delta; it
-    never touches the compositional inverse.
+    never touches the reciprocal of p'.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     if Q.order < depth:
         raise ValueError("operator order too small for this depth")
     p1 = Q.coeffs[1]

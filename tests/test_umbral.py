@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deltadyn.series import TPoly, seq_mul
+from deltadyn.scalars import GaussianRational, parse_scalar
+from deltadyn.series import TPoly, compositional_inverse, seq_mul
 from deltadyn.umbral import (
     DeltaOp,
     UmbralOperator,
@@ -139,6 +141,76 @@ def test_recurrence_oracle_agrees():
         a = basic_sequence_from_delta(Q, DEPTH)
         b = basic_sequence_by_recurrence(Q, DEPTH)
         assert a.polys == b.polys
+
+
+def generating_identity_matrix(Q, depth):
+    """beta(k, n) = (n!/k!) [u^n] pinv(u)^k, read off exp(t pinv(u))."""
+    pinv = compositional_inverse(Q.coeffs, depth)
+    powers = []
+    power = (1,) + (0,) * depth
+    for _ in range(depth + 1):
+        powers.append(power)
+        power = seq_mul(power, pinv, depth)
+    return [
+        [
+            Fraction(math.factorial(n), math.factorial(k)) * powers[k][n]
+            if k <= n else 0
+            for n in range(depth + 1)
+        ]
+        for k in range(depth + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "Q",
+    [derivative(24), forward(24), backward(24), abel(1, 24),
+     abel(Fraction(-3, 2), 24), touchard(24)],
+    ids=repr,
+)
+def test_basis_matches_generating_identity(Q):
+    basis = basic_sequence_from_delta(Q, 24)
+    assert basis.matrix() == generating_identity_matrix(Q, 24)
+    assert all(type(c) is Fraction for p in basis.polys for c in p.coeffs)
+
+
+def test_gaussian_abel_basis_matches_oracle():
+    alpha = parse_scalar("1/2+1/3*i", "Qi")
+    Q = abel(alpha, 12)
+    basis = basic_sequence_from_delta(Q, 12)
+    assert basis.polys == basic_sequence_by_recurrence(Q, 12).polys
+    assert isinstance(basis.beta(1, 2), GaussianRational)
+    assert list(basis.poly(5).coeffs) == abel_poly(5, alpha)
+
+
+SMALL_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def delta_series(draw):
+    depth = draw(st.integers(min_value=0, max_value=10))
+    p1 = draw(SMALL_RATIONALS.filter(lambda c: c != 0))
+    rest = draw(st.lists(SMALL_RATIONALS, min_size=max(depth - 1, 0),
+                         max_size=max(depth - 1, 0)))
+    return DeltaOp((0, p1) + tuple(rest)), depth
+
+
+@settings(max_examples=60, deadline=None)
+@given(delta_series())
+def test_random_delta_series_match_oracle(case):
+    Q, depth = case
+    a = basic_sequence_from_delta(Q, depth)
+    b = basic_sequence_by_recurrence(Q, depth)
+    assert a.polys == b.polys
+
+
+def test_negative_depth_rejected():
+    for build in (basic_sequence_from_delta, basic_sequence_by_recurrence):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            build(forward(4), -1)
+
+
+def test_basis_cache_is_bounded():
+    assert basic_sequence_from_delta.cache_info().maxsize == 64
 
 
 def test_binomial_type():
