@@ -1,8 +1,8 @@
 """Delta operators and their basic polynomial sequences.
 
 Each delta operator Q = p(d/dt) owns polynomials q_n with q_0 = 1,
-q_n(0) = 0 and Q q_n = n q_{n-1}, generated here from the identity
-sum q_n(t) u^n/n! = exp(t pinv(u)).  The script prints the classical
+q_n(0) = 0 and Q q_n = n q_{n-1}, generated by Rota's recurrence
+q_(n+1)(t) = t (1/p')(d/dt) q_n(t).  The script prints the classical
 families, their coefficient triangles, and the umbral composition
 group that ties them together.
 """
@@ -24,6 +24,12 @@ from deltadyn import (
 
 DEPTH = 6
 
+
+def in_t(q):
+    """A basic polynomial printed in its variable t (polynomials print in x)."""
+    return repr(q).replace("x", "t")
+
+
 print("== the classical basic sequences ==")
 for name, Q in (
     ("forward  (falling factorials)", forward(DEPTH)),
@@ -34,7 +40,7 @@ for name, Q in (
     basis = basic_sequence_from_delta(Q, DEPTH)
     print(name)
     for n in range(4):
-        print("   q_%d = %r" % (n, basis.poly(n)))
+        print("   q_%d = %s" % (n, in_t(basis.poly(n))))
 
 print()
 print("== the Touchard triangle is the Stirling-2 triangle ==")
@@ -60,7 +66,7 @@ print("  inverse of the falling factorials = Touchard family:",
 print("  compose(falling, inverse) == monomials:",
       umbral_compose(fwd, inv).polys == mono.polys)
 composed = umbral_compose(fwd, basic_sequence_from_delta(backward(2 * DEPTH), DEPTH))
-print("  falling after rising is NOT the monomials: r_3 =", composed.poly(3))
+print("  falling after rising is NOT the monomials: r_3 =", in_t(composed.poly(3)))
 
 print()
 print("== first expansion: the shift E^1 in forward-difference powers ==")

@@ -55,11 +55,11 @@ phi_fwd = delta_flow(f, forward(12), N)
 phi_tou = delta_flow(f, touchard(12), N)
 identity = classical_delta_flow(f, N)
 print("  Phi_fwd o identity == Phi_fwd:",
-      flow_compose(phi_fwd, identity).to_monomial_tseries()
-      == phi_fwd.to_monomial_tseries())
+      flow_compose(phi_fwd, identity).to_tseries()
+      == phi_fwd.to_tseries())
 print("  Phi_fwd o Phi_fwd^{-1} == identity:",
-      flow_compose(phi_fwd, flow_inverse(phi_fwd)).to_monomial_tseries()
-      == identity.to_monomial_tseries())
+      flow_compose(phi_fwd, flow_inverse(phi_fwd)).to_tseries()
+      == identity.to_tseries())
 
 print()
 print("== connection matrices reverse composition order ==")
@@ -74,5 +74,5 @@ print()
 print("== connection-matrix route equals the basis conversion ==")
 for name, Q in (("forward", forward(12)), ("touchard", touchard(12))):
     via_matrix = connection_flow(f, Q, N)
-    via_conversion = delta_flow(f, Q, N).flow.to_monomial()
+    via_conversion = delta_flow(f, Q, N).to_monomial()
     print("  Q = %-8s" % name, via_matrix.coeffs == via_conversion.coeffs)

@@ -53,7 +53,6 @@ from .umbral import (
     umbral_inverse,
 )
 from .deltaflow import (
-    DeltaFlow,
     classical_delta_flow,
     connection_flow,
     connection_matrix,

@@ -107,11 +107,11 @@ def aut_scale(a, F):
 
 
 def flow_from_autonomous(aut, basis=None, has_base=True):
-    """Flow with basis coefficient n equal to A_n / n!."""
+    """Flow of aut.generator with basis coefficient n equal to A_n / n!."""
     coeffs = tuple(
         t * Fraction(1, math.factorial(n + 1)) for n, t in enumerate(aut.terms)
     )
-    return Flow(coeffs, basis, has_base)
+    return Flow(coeffs, basis, has_base, aut.generator)
 
 
 def classical_flow(f, order):

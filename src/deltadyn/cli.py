@@ -12,7 +12,8 @@ Subcommands:
              Lambert W grid; exit 0 iff every sample is within
              tolerance.
 
-All output is deterministic: fixed orderings, no timestamps.
+All output is deterministic: fixed orderings, no timestamps.  An
+integer option below its minimum is a usage error (exit code 2).
 """
 
 import argparse
@@ -35,7 +36,7 @@ from .solver import (
     logistic_map,
     quadratic_map,
 )
-from .umbral import abel, backward, basic_sequence_from_delta, derivative, forward, touchard
+from .umbral import OPERATOR_NAMES, basic_sequence_from_delta, operator
 from .verifysuite import all_pass, run_checks
 
 __all__ = ["main", "cli_main"]
@@ -54,18 +55,17 @@ def _parse_map(spec, field):
     return corpus_map(spec)["g"]
 
 
-def _operator(name, alpha, order):
-    if name == "derivative":
-        return derivative(order)
-    if name == "forward":
-        return forward(order)
-    if name == "backward":
-        return backward(order)
-    if name == "abel":
-        return abel(alpha, order)
-    if name == "touchard":
-        return touchard(order)
-    raise ValueError("unknown operator %r" % name)
+def _int_at_least(low):
+    """argparse type: an int >= low, else a usage error (exit 2)."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be >= %d, got %d" % (low, value))
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
 
 
 def _emit(text):
@@ -109,12 +109,12 @@ def _cmd_solve(args):
 
 def _cmd_flow(args):
     f = XSeries([parse_scalar(c, args.field) for c in args.f.split(",")])
-    Q = _operator(args.op, parse_scalar(args.alpha, args.field), max(args.order, args.depth))
+    Q = operator(args.op, max(args.order, args.depth), parse_scalar(args.alpha, args.field))
     df = delta_flow(f, Q, args.order)
     basic = [["0"]] + [
         [format_scalar(c) for c in xs.coeffs] or ["0"] for xs in df.coeffs
     ]
-    mono_flow = df.flow.to_monomial()
+    mono_flow = df.to_monomial()
     mono = [["0"]] + [
         [format_scalar(c) for c in xs.coeffs] or ["0"] for xs in mono_flow.coeffs
     ]
@@ -136,7 +136,7 @@ def _cmd_flow(args):
 
 
 def _cmd_basis(args):
-    Q = _operator(args.op, parse_scalar(args.alpha, "Q"), max(args.depth, 1))
+    Q = operator(args.op, max(args.depth, 1), parse_scalar(args.alpha, "Q"))
     basis = basic_sequence_from_delta(Q, args.depth)
     matrix = [
         [format_scalar(basis.beta(k, n)) for n in range(args.depth + 1)]
@@ -219,7 +219,7 @@ def _build_parser():
     p = sub.add_parser("solve", help="closed form vs. iteration of a difference map")
     p.add_argument("--map", required=True, help="corpus name, logistic:MU, quadratic:C or poly:c0,c1,...")
     p.add_argument("--x0", required=True, help="initial value (exact rational string)")
-    p.add_argument("--steps", type=int, default=8)
+    p.add_argument("--steps", type=_int_at_least(0), default=8)
     p.add_argument("--field", choices=("Q", "Qi"), default="Q")
     p.add_argument("--mode", choices=("closed", "iterate", "both"), default="both")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
@@ -227,31 +227,32 @@ def _build_parser():
 
     p = sub.add_parser("flow", help="coefficients of a delta flow")
     p.add_argument("--f", required=True, help="generator coefficients c0,c1,...")
-    p.add_argument("--op", choices=("derivative", "forward", "backward", "abel", "touchard"), default="forward")
+    p.add_argument("--op", choices=OPERATOR_NAMES, default="forward")
     p.add_argument("--alpha", default="1")
-    p.add_argument("--order", type=int, default=10)
+    p.add_argument("--order", type=_int_at_least(1), default=10)
     p.add_argument("--depth", type=int, default=16)
     p.add_argument("--field", choices=("Q", "Qi"), default="Q")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_flow)
 
     p = sub.add_parser("basis", help="beta matrix of a basic sequence")
-    p.add_argument("--op", choices=("derivative", "forward", "backward", "abel", "touchard"), required=True)
+    p.add_argument("--op", choices=OPERATOR_NAMES, required=True)
     p.add_argument("--alpha", default="1")
-    p.add_argument("--depth", type=int, default=16)
+    p.add_argument("--depth", type=_int_at_least(0), default=16)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_basis)
 
     p = sub.add_parser("verify", help="run the exact invariant suite")
-    p.add_argument("--order", type=int, default=10)
-    p.add_argument("--depth", type=int, default=16)
+    p.add_argument("--order", type=_int_at_least(1), default=10)
+    # the shift-invariance check applies Q to a cubic
+    p.add_argument("--depth", type=_int_at_least(3), default=16)
     p.add_argument("--ops", default="all")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("numcheck", help="float checks of the closed forms")
     p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--depth", type=int, default=64)
+    p.add_argument("--depth", type=_int_at_least(1), default=64)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_numcheck)
 

@@ -5,7 +5,8 @@ polynomials of a delta operator Q,
 
     Phi_Q(t, x) = x + sum_n A_n(x) q_n(t) / n!,
 
-which is the umbral image L[Phi] of the classical flow.  Because L is
+a flows.Flow over the basis of Q that carries f as its generator.  It
+is the umbral image L[Phi] of the classical flow.  Because L is
 linear but not multiplicative, the right hand side f(Phi_Q) of the
 flow equation lives in the transported ring: the defining identity is
 
@@ -20,14 +21,17 @@ their connection matrices.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .autonomous import autonomous_sequence, classical_flow, h_sequence
+from .autonomous import (
+    autonomous_sequence,
+    classical_flow,
+    flow_from_autonomous,
+    h_sequence,
+)
 from .flows import Flow, TSeries, taylor_compose
 from .series import XSeries, rational_binomial
 from .umbral import (
-    BasicSequence,
     UmbralOperator,
     basic_sequence_from_delta,
     derivative,
@@ -36,7 +40,6 @@ from .umbral import (
 )
 
 __all__ = [
-    "DeltaFlow",
     "delta_flow",
     "classical_delta_flow",
     "rho_q",
@@ -58,40 +61,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DeltaFlow:
-    """A Flow in a basic-sequence basis together with its generator.
-
-    coeffs[n-1] multiplies q_n(t) and equals A_n(generator) / n!.
-    Evaluating at t = 0 returns the base point because q_n(0) = 0.
-    """
-
-    coeffs: tuple
-    basis: BasicSequence
-    generator: XSeries
-    has_base: bool = True
-
-    @property
-    def order(self):
-        return len(self.coeffs)
-
-    @property
-    def flow(self):
-        return Flow(self.coeffs, self.basis, self.has_base)
-
-    def coefficient(self, n):
-        return self.flow.coefficient(n)
-
-    def to_monomial_tseries(self):
-        return self.flow.to_tseries()
-
-    def evaluate(self, t_value, x_value):
-        return self.flow.evaluate(t_value, x_value)
-
-    def minus_base(self):
-        return DeltaFlow(self.coeffs, self.basis, self.generator, False)
-
-
 def _resolve_basis(Q, order, basis):
     if basis is None:
         basis = basic_sequence_from_delta(Q, order)
@@ -100,17 +69,10 @@ def _resolve_basis(Q, order, basis):
     return basis
 
 
-def _flow_coeffs(aut):
-    return tuple(
-        t * Fraction(1, math.factorial(n + 1)) for n, t in enumerate(aut.terms)
-    )
-
-
 def delta_flow(f, Q, order, basis=None):
     """Phi_Q for generator f: coefficients A_n(f)/n! against q_n(t)."""
     basis = _resolve_basis(Q, order, basis)
-    aut = autonomous_sequence(f, order)
-    return DeltaFlow(_flow_coeffs(aut), basis, f, True)
+    return flow_from_autonomous(autonomous_sequence(f, order), basis)
 
 
 def classical_delta_flow(f, order):
@@ -145,7 +107,7 @@ def rhoq_add(a, b):
         ca + cb + h * Fraction(1, math.factorial(n + 1))
         for n, (ca, cb, h) in enumerate(zip(a.coeffs, b.coeffs, H))
     )
-    return DeltaFlow(coeffs, a.basis, a.generator + b.generator, False)
+    return Flow(coeffs, a.basis, False, a.generator + b.generator)
 
 
 def rhoq_mul(a, b):
@@ -175,7 +137,7 @@ def verify_delta_ode(f, Q, order, basis=None):
     """
     basis = _resolve_basis(Q, order, basis)
     df = delta_flow(f, Q, order, basis)
-    lhs = Q.apply_tseries(df.to_monomial_tseries())
+    lhs = Q.apply_tseries(df.to_tseries())
     comp = taylor_compose(f, classical_flow(f, order))
     L = UmbralOperator(basis)
     rhs = L.apply_tseries(comp.truncate(max(order - 1, 0)))
@@ -211,13 +173,13 @@ def linear_semiflow_terms(a, b, Q, order, basis=None):
     gen = XSeries((b, a))
     if a == 0:
         coeffs = [XSeries.constant(b)] + [XSeries.zero()] * (order - 1)
-        return DeltaFlow(tuple(coeffs), basis, gen, False)
+        return Flow(coeffs, basis, False, gen)
     coeffs = []
     power = 1
     for n in range(1, order + 1):
         coeffs.append(gen * (power * Fraction(1, math.factorial(n))))
         power = power * a
-    return DeltaFlow(tuple(coeffs), basis, gen, False)
+    return Flow(coeffs, basis, False, gen)
 
 
 def _monomial_semiflow(a, k, Q, order, basis):
@@ -240,7 +202,7 @@ def monomial_power_identity(a, k, Q, order, basis=None):
     if order == 0:
         return TSeries.zero(0)
     basis = _resolve_basis(Q, order, basis)
-    lhs = _monomial_semiflow(a, k, Q, order, basis).to_monomial_tseries()
+    lhs = _monomial_semiflow(a, k, Q, order, basis).to_tseries()
 
     r = Fraction(-1, k - 1)
     scale = -(a * (k - 1))
@@ -317,13 +279,13 @@ def flow_compose(phi_a, phi_b):
     if phi_a.order != phi_b.order:
         raise ValueError("order mismatch")
     composed = umbral_compose(phi_a.basis, phi_b.basis)
-    return DeltaFlow(phi_a.coeffs, composed, phi_a.generator, phi_a.has_base)
+    return Flow(phi_a.coeffs, composed, phi_a.has_base, phi_a.generator)
 
 
 def flow_inverse(phi):
     """Inverse element: same coefficients over the inverse basis."""
-    return DeltaFlow(
-        phi.coeffs, umbral_inverse(phi.basis), phi.generator, phi.has_base
+    return Flow(
+        phi.coeffs, umbral_inverse(phi.basis), phi.has_base, phi.generator
     )
 
 
@@ -380,7 +342,7 @@ def delta_representation_residuals(df):
     differences (base term first).
     """
     Q = df.basis.operator
-    w = df.to_monomial_tseries()
+    w = df.to_tseries()
     values = []
     for _ in range(df.order + 1):
         values.append(w.coefficient(0))

@@ -4,8 +4,10 @@ TSeries is the workhorse: a polynomial in t, truncated at a fixed
 t-order, whose coefficients are XSeries in x.  Flow is the structured
 view used by the dynamical-system layers: a base point x plus basis
 coefficients, where the basis is either the monomials t^n or the basic
-polynomials q_n(t) of a delta operator.  A Flow converts losslessly
-between the two bases through the triangular change-of-basis matrix.
+polynomials q_n(t) of a delta operator, together with the generator f
+of the flow when it has one.  Classical flows and delta flows are both
+Flows.  A Flow converts losslessly between the two bases through the
+triangular change-of-basis matrix.
 """
 
 from fractions import Fraction
@@ -139,16 +141,20 @@ class Flow:
     coeffs[n-1] multiplies basis_n(t) for n = 1..N, where the basis is
     t^n when ``basis is None`` (monomial form) and q_n(t) of the given
     BasicSequence otherwise.  ``has_base`` distinguishes flows from
-    semiflows (which omit the leading x).  At t = 0 a flow with base
-    evaluates to x because every basis polynomial vanishes there.
+    semiflows (which omit the leading x).  ``generator`` is the f of
+    Q Phi = f(Phi) the coefficients were built from (A_n(f)/n!), or
+    None for a flow given by its coefficients alone; it survives every
+    change of basis.  At t = 0 a flow with base evaluates to x because
+    every basis polynomial vanishes there.
     """
 
-    __slots__ = ("coeffs", "basis", "has_base")
+    __slots__ = ("coeffs", "basis", "has_base", "generator")
 
-    def __init__(self, coeffs, basis=None, has_base=True):
+    def __init__(self, coeffs, basis=None, has_base=True, generator=None):
         self.coeffs = tuple(coeffs)
         self.basis = basis
         self.has_base = has_base
+        self.generator = generator
         if basis is not None and basis.depth < len(self.coeffs):
             raise ValueError("basis depth is smaller than the flow order")
 
@@ -163,10 +169,10 @@ class Flow:
         return self.coeffs[n - 1]
 
     def minus_base(self):
-        return Flow(self.coeffs, self.basis, has_base=False)
+        return Flow(self.coeffs, self.basis, False, self.generator)
 
     def with_base(self):
-        return Flow(self.coeffs, self.basis, has_base=True)
+        return Flow(self.coeffs, self.basis, True, self.generator)
 
     def to_monomial(self):
         """Expand the basis polynomials; lossless (triangular, unit-free)."""
@@ -183,7 +189,7 @@ class Flow:
                 b = q.coefficient(k)
                 if b != 0:
                     mono[k - 1] = mono[k - 1] + c * b
-        return Flow(mono, None, self.has_base)
+        return Flow(mono, None, self.has_base, self.generator)
 
     def to_basic(self, basis):
         """Inverse conversion: solve the triangular system against q_n."""
@@ -203,7 +209,7 @@ class Flow:
                     b = q.coefficient(k)
                     if b != 0:
                         rest[k - 1] = rest[k - 1] - c * b
-        return Flow(out, basis, self.has_base)
+        return Flow(out, basis, self.has_base, self.generator)
 
     def to_tseries(self):
         """Monomial TSeries including the base term (degree = order)."""
@@ -232,10 +238,11 @@ class Flow:
             self.coeffs == other.coeffs
             and self.basis == other.basis
             and self.has_base == other.has_base
+            and self.generator == other.generator
         )
 
     def __hash__(self):
-        return hash((self.coeffs, self.basis, self.has_base))
+        return hash((self.coeffs, self.basis, self.has_base, self.generator))
 
     def __repr__(self):
         kind = "monomial" if self.basis is None else "basic"

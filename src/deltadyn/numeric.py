@@ -21,7 +21,7 @@ SeriesDivergence rather than reporting a meaningless deviation.
 import math
 from dataclasses import dataclass, field
 
-from .umbral import abel, backward, basic_sequence_from_delta, forward, touchard
+from .umbral import basic_sequence_from_delta, operator
 
 __all__ = [
     "NumericConfig",
@@ -124,18 +124,6 @@ def _inverse_at(kind, a, alpha):
     raise ValueError("unknown kind %r" % kind)
 
 
-def _operator(kind, alpha, order):
-    if kind == "forward":
-        return forward(order)
-    if kind == "backward":
-        return backward(order)
-    if kind == "touchard":
-        return touchard(order)
-    if kind == "abel":
-        return abel(alpha, order)
-    raise ValueError("unknown kind %r" % kind)
-
-
 @dataclass(frozen=True)
 class ClosedFormReport:
     kind: str
@@ -159,8 +147,10 @@ def numeric_closed_form_check(kind, a, t, b=0.0, x=1.0, alpha=1.0, config=None):
         config = NumericConfig()
     if a == 0.0:
         return ClosedFormReport(kind, a, t, 0.0, 0.0, 0.0, 0)
+    if kind not in CLOSED_FORM_KINDS:
+        raise ValueError("unknown kind %r" % kind)
     basis = basic_sequence_from_delta(
-        _operator(kind, _to_exact(alpha), config.depth), config.depth
+        operator(kind, config.depth, _to_exact(alpha)), config.depth
     )
     prefactor = a * x + b
     total = 0.0

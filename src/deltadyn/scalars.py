@@ -173,15 +173,18 @@ def format_scalar(value):
 
 _RATIONAL = r"[+-]?\d+(?:/\d+)?"
 _RATIONAL_RE = re.compile(r"^(%s)$" % _RATIONAL)
-_COMPOSITE_RE = re.compile(r"^(%s)([+-]\d+(?:/\d+)?)\*i$" % _RATIONAL)
-_IMAGINARY_RE = re.compile(r"^(%s)\*i$" % _RATIONAL)
+# An imaginary part is a sign, an optional magnitude "c/d*" and "i".
+_IMAG = r"(?:(\d+(?:/\d+)?)\*)?i"
+_COMPOSITE_RE = re.compile(r"^(%s)([+-])%s$" % (_RATIONAL, _IMAG))
+_IMAGINARY_RE = re.compile(r"^([+-]?)%s$" % _IMAG)
 
 
 def parse_scalar(text, field="Q"):
     """Parse '-3', '5/7' or 'a/b+c/d*i' into an exact scalar.
 
     field 'Q' accepts rationals only and returns Fraction; field 'Qi'
-    also accepts composites and returns GaussianRational.
+    also accepts composites and returns GaussianRational.  A unit
+    imaginary part may omit its magnitude: 'i', '-i', 'a+i', 'a-i'.
     """
     s = text.strip().replace(" ", "")
     if field == "Q":
@@ -193,10 +196,12 @@ def parse_scalar(text, field="Q"):
         raise ValueError("unknown field %r (expected 'Q' or 'Qi')" % field)
     m = _COMPOSITE_RE.match(s)
     if m:
-        return GaussianRational(Fraction(m.group(1)), Fraction(m.group(2)))
+        real, sign, magnitude = m.groups()
+        return GaussianRational(Fraction(real), Fraction(sign + (magnitude or "1")))
     m = _IMAGINARY_RE.match(s)
     if m:
-        return GaussianRational(0, Fraction(m.group(1)))
+        sign, magnitude = m.groups()
+        return GaussianRational(0, Fraction(sign + (magnitude or "1")))
     m = _RATIONAL_RE.match(s)
     if m:
         return GaussianRational(Fraction(s))

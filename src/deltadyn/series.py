@@ -1,12 +1,14 @@
 """Exact univariate series and polynomial kernels.
 
-Three coefficient containers live here:
+Two coefficient containers live here:
 
-* XSeries      - polynomial or truncated power series in x.  Carries a
-                 truncation order (None means exact polynomial); every
-                 operation propagates the tightest valid order.
-* TPoly        - exact polynomial in t (basic polynomials, Stirling
-                 expansions and the like).
+* XSeries      - polynomial or truncated power series in one variable.
+                 Carries a truncation order (None means exact
+                 polynomial); every operation propagates the tightest
+                 valid order.  Exact XSeries also serve as the
+                 polynomials in t (basic polynomials and the like);
+                 TPoly is kept as an alias for them.  Printing always
+                 names the variable x.
 * DerivativeSequence - the tower (f, f', f'', ...) of x-derivatives,
                  with the binomial convolution as its product.
 
@@ -363,6 +365,18 @@ class XSeries:
             acc = acc * value + c
         return acc
 
+    def shift(self, a):
+        """p(x + a) for an exact polynomial, expanded exactly."""
+        if not self.is_exact:
+            raise ValueError("cannot shift a truncated series exactly")
+        out = []
+        for k, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            term = [c * math.comb(k, j) * a ** (k - j) for j in range(k + 1)]
+            out = _add_lists(out, term)
+        return XSeries(out)
+
     # -- comparison / misc ---------------------------------------------
     def agrees_with(self, other, through=None):
         """Mathematical equality up to the shared valid order."""
@@ -389,106 +403,8 @@ class XSeries:
         return "%s + O(x^%d)" % (body, self.order + 1)
 
 
-# ---------------------------------------------------------------------------
-# TPoly
-
-class TPoly:
-    """Exact polynomial in t over exact scalars."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        self.coeffs = tuple(_trim(list(coeffs)))
-
-    @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
-    def one(cls):
-        return cls((1,))
-
-    @classmethod
-    def t(cls):
-        return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, c, k):
-        return cls((0,) * k + (c,))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def coefficient(self, k):
-        return self.coeffs[k] if k < len(self.coeffs) else 0
-
-    def __add__(self, other):
-        if not isinstance(other, TPoly):
-            other = TPoly((other,))
-        return TPoly(_add_lists(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, TPoly) else TPoly((-other,)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return TPoly([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, TPoly):
-            return TPoly(_mul_lists(self.coeffs, other.coeffs))
-        return TPoly(_scale_list(self.coeffs, other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return self * invert_scalar(scalar)
-
-    def derivative(self):
-        return TPoly([i * c for i, c in enumerate(self.coeffs)][1:] or ())
-
-    def evaluate(self, value):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
-    def shift(self, a):
-        """p(t + a), expanded exactly."""
-        out = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            term = [c * math.comb(k, j) * a ** (k - j) for j in range(k + 1)]
-            out = _add_lists(out, term)
-        return TPoly(out)
-
-    def compose(self, inner):
-        """p(q(t)) for TPoly inner, exact."""
-        acc = TPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + TPoly((c,))
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return _poly_str(self.coeffs, "t")
+# Exact polynomials in t are exact XSeries; the name stays public.
+TPoly = XSeries
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +505,7 @@ def _poly_str(coeffs, var):
 
 
 def coeff_strings(obj):
-    """Coefficient list of an XSeries or TPoly as exact-rational strings."""
+    """Coefficient list of an XSeries as exact-rational strings."""
     from .scalars import format_scalar
 
     return [format_scalar(c) for c in obj.coeffs]

@@ -197,7 +197,7 @@ def backward_relation_check(f, order):
     factorials, the right by scaling the generator sequence by -1 and
     substituting t -> -t.  The difference vanishes identically.
     """
-    lhs = delta_flow(f, backward(order), order).to_monomial_tseries()
+    lhs = delta_flow(f, backward(order), order).to_tseries()
     aut = aut_scale(-1, autonomous_sequence(f, order))
     fwd_basis = basic_sequence_from_delta(forward(order), order)
     rhs = flow_from_autonomous(aut, fwd_basis).to_tseries().t_scale(-1)
@@ -214,7 +214,7 @@ def abel_scaling_check(alpha, a, f, order):
     aut = aut_scale(a, autonomous_sequence(f, order))
     lhs_basis = basic_sequence_from_delta(abel(alpha, order), order)
     lhs = flow_from_autonomous(aut, lhs_basis).to_tseries()
-    rhs = delta_flow(f, abel(a * alpha, order), order).to_monomial_tseries().t_scale(a)
+    rhs = delta_flow(f, abel(a * alpha, order), order).to_tseries().t_scale(a)
     return lhs - rhs
 
 

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .flows import TSeries
 from .series import (
-    TPoly,
+    XSeries,
     compositional_inverse,
     invert_scalar,
     seq_compose,
@@ -55,6 +55,8 @@ __all__ = [
     "backward",
     "abel",
     "touchard",
+    "OPERATOR_NAMES",
+    "operator",
     "DEFAULT_DEPTH",
     "basic_sequence_from_delta",
     "basic_sequence_by_recurrence",
@@ -125,8 +127,8 @@ class DeltaOp:
 
 
 def apply_delta_series(coeffs, p):
-    """Apply a shift-invariant series sum_k coeffs[k] d^k to a TPoly."""
-    out = TPoly.zero()
+    """Apply a shift-invariant series sum_k coeffs[k] d^k to a polynomial."""
+    out = XSeries.zero()
     dk = p
     for k in range(0, p.degree + 1):
         if k:
@@ -177,6 +179,24 @@ def touchard(order=DEFAULT_DEPTH):
     return DeltaOp(coeffs, tag="touchard")
 
 
+OPERATOR_NAMES = ("derivative", "forward", "backward", "abel", "touchard")
+
+
+def operator(name, order=DEFAULT_DEPTH, alpha=1):
+    """The built-in operator called name; alpha is read by abel only."""
+    if name == "abel":
+        return abel(alpha, order)
+    makers = {
+        "derivative": derivative,
+        "forward": forward,
+        "backward": backward,
+        "touchard": touchard,
+    }
+    if name not in makers:
+        raise ValueError("unknown operator %r" % name)
+    return makers[name](order)
+
+
 # ---------------------------------------------------------------------------
 # basic sequences
 
@@ -189,7 +209,7 @@ class BasicSequence:
     """
 
     operator: DeltaOp
-    polys: tuple  # TPoly, index n = 0 .. depth
+    polys: tuple  # exact XSeries in t, index n = 0 .. depth
 
     @property
     def depth(self):
@@ -271,7 +291,7 @@ def basic_sequence_from_delta(Q, depth):
             [Fraction(g, a ** n * bpow[n - j]) for j, g in enumerate(row)]
             for n, row in enumerate(rows)
         ]
-    return BasicSequence(Q, tuple(TPoly(row) for row in rows))
+    return BasicSequence(Q, tuple(XSeries(row) for row in rows))
 
 
 def basic_sequence_by_recurrence(Q, depth):
@@ -285,19 +305,19 @@ def basic_sequence_by_recurrence(Q, depth):
     if Q.order < depth:
         raise ValueError("operator order too small for this depth")
     p1 = Q.coeffs[1]
-    qt = [Q.apply_tpoly(TPoly.monomial(1, k)) for k in range(depth + 1)]
-    polys = [TPoly.one()]
+    qt = [Q.apply_tpoly(XSeries.monomial(1, k)) for k in range(depth + 1)]
+    polys = [XSeries.one()]
     for n in range(1, depth + 1):
         target = n * polys[n - 1]
         beta = [0] * (n + 1)
-        acc = TPoly.zero()
+        acc = XSeries.zero()
         for m in range(n - 1, -1, -1):
             need = target.coefficient(m) - acc.coefficient(m)
             bk = need * invert_scalar(p1 * (m + 1))
             beta[m + 1] = bk
             if bk != 0:
                 acc = acc + bk * qt[m + 1]
-        polys.append(TPoly(beta))
+        polys.append(XSeries(beta))
     return BasicSequence(Q, tuple(polys))
 
 
@@ -318,7 +338,7 @@ class UmbralOperator:
     def apply(self, p):
         if p.degree > self.basis.depth:
             raise ValueError("polynomial degree exceeds the basis depth")
-        out = TPoly.zero()
+        out = XSeries.zero()
         for k in range(p.degree + 1):
             c = p.coefficient(k)
             if c != 0:
@@ -341,7 +361,7 @@ class UmbralOperator:
 
 
 def umbral_apply(L, p):
-    """Apply an UmbralOperator (or a BasicSequence) to a TPoly."""
+    """Apply an UmbralOperator (or a BasicSequence) to a polynomial."""
     if isinstance(L, BasicSequence):
         L = UmbralOperator(L)
     return L.apply(p)

@@ -242,7 +242,7 @@ def test_criterion_09_connection_matrix():
         from deltadyn.deltaflow import connection_flow
 
         left = connection_flow(f, Q, ORDER)
-        right = delta_flow(f, Q, ORDER).flow.to_monomial()
+        right = delta_flow(f, Q, ORDER).to_monomial()
         ok = ok and left.coeffs == right.coeffs
     for QA, QB in ((forward(DEPTH), touchard(DEPTH)), (backward(DEPTH), abel(1, DEPTH))):
         A = basic_sequence_from_delta(QA, 8)

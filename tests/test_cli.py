@@ -128,6 +128,37 @@ def test_unknown_flags_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--map", "logistic:4", "--x0", "1/3", "--steps", "-1"],
+        ["flow", "--f", "0,1", "--order", "0"],
+        ["basis", "--op", "forward", "--depth", "-1"],
+        ["verify", "--order", "0"],
+        ["verify", "--depth", "2"],
+        ["numcheck", "--depth", "0"],
+    ],
+)
+def test_integer_below_minimum_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: deltadyn " + argv[0])
+    assert "must be >= " in err
+
+
+def test_integer_minimums_are_accepted(capsys):
+    code, out = run_cli(
+        capsys, "solve", "--map", "logistic:4", "--x0", "1/3", "--steps", "0"
+    )
+    assert code == 0 and out.strip().splitlines()[1] == "0,1/3,1/3,True"
+    code, out = run_cli(capsys, "basis", "--op", "forward", "--depth", "0")
+    assert code == 0 and json.loads(out)["coeffs"] == [["1"]]
+    code, out = run_cli(capsys, "verify", "--order", "1", "--depth", "3")
+    assert code == 0 and json.loads(out)["all_pass"] is True
+
+
 def test_bad_map_returns_error(capsys):
     code, _ = run_cli(capsys, "solve", "--map", "nope:1", "--x0", "0")
     assert code == 1

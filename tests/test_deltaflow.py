@@ -24,6 +24,7 @@ from deltadyn.deltaflow import (
     rhoq_unit,
     verify_delta_ode,
 )
+from deltadyn.flows import Flow
 from deltadyn.scalars import GaussianRational
 from deltadyn.series import XSeries
 from deltadyn.umbral import (
@@ -67,7 +68,28 @@ def corpus_generators():
 def test_delta_flow_over_derivative_is_classical():
     f = XSeries((0, 1, -1))
     df = delta_flow(f, derivative(N), N)
-    assert df.to_monomial_tseries() == classical_flow(f, N).to_tseries()
+    assert df.to_tseries() == classical_flow(f, N).to_tseries()
+
+
+def test_delta_flow_is_a_flow_carrying_its_generator():
+    f = XSeries((0, 1, -1))
+    df = delta_flow(f, forward(N), N)
+    assert isinstance(df, Flow)
+    assert df.generator == f
+    assert df.minus_base().generator == f
+    mono = df.to_monomial()
+    assert mono.basis is None and mono.generator == f
+    assert mono.to_basic(df.basis).generator == f
+
+
+def test_flows_differing_only_in_generator_are_unequal():
+    f = XSeries((0, 1, -1))
+    df = delta_flow(f, forward(N), N)
+    other = Flow(df.coeffs, df.basis, df.has_base, XSeries((0, 1)))
+    bare = Flow(df.coeffs, df.basis, df.has_base)
+    assert df == Flow(df.coeffs, df.basis, df.has_base, f)
+    assert df != other
+    assert df != bare
 
 
 def test_delta_flow_of_zero():
@@ -116,7 +138,7 @@ def test_umbral_image_is_linear_not_multiplicative():
     f = X * X
     Q = forward(12)
     df = delta_flow(f, Q, 8)
-    mono = df.to_monomial_tseries()
+    mono = df.to_tseries()
     applied = Q.apply_tseries(mono)
 
     transported = UmbralOperator(df.basis).apply_tseries(
@@ -211,7 +233,7 @@ def test_monomial_power_identity_square_classical():
     # k = 2 over the derivative: both sides are the geometric semiflow
     residual = monomial_power_identity(1, 2, derivative(N), N)
     assert residual.is_zero
-    psi = rho_q(X * X, derivative(N), N).to_monomial_tseries()
+    psi = rho_q(X * X, derivative(N), N).to_tseries()
     for n in range(1, N + 1):
         assert psi.coefficient(n) == XSeries.monomial(1, n + 1)
 
@@ -219,7 +241,7 @@ def test_monomial_power_identity_square_classical():
 def test_monomial_power_identity_cube_brute_force():
     # brute force: A_n(x^3) by the recursion, divided by n!
     aut = autonomous_sequence(XSeries((0, 0, 0, 1)), 8)
-    psi = rho_q(XSeries((0, 0, 0, 1)), derivative(8), 8).to_monomial_tseries()
+    psi = rho_q(XSeries((0, 0, 0, 1)), derivative(8), 8).to_tseries()
     for n in range(1, 9):
         assert psi.coefficient(n) == aut.term(n) * Fraction(1, math.factorial(n))
     assert monomial_power_identity(1, 3, derivative(8), 8).is_zero
@@ -302,7 +324,7 @@ def test_flow_compose_inverse_gives_classical():
         phi = delta_flow(f, Q, 8)
         round_trip = flow_compose(phi, flow_inverse(phi))
         classical = classical_delta_flow(f, 8)
-        assert round_trip.to_monomial_tseries() == classical.to_monomial_tseries()
+        assert round_trip.to_tseries() == classical.to_tseries()
 
 
 def test_flow_compose_associative():
@@ -313,7 +335,7 @@ def test_flow_compose_associative():
     left = flow_compose(flow_compose(a, b), c)
     right = flow_compose(a, flow_compose(b, c))
     assert left.basis.polys == right.basis.polys
-    assert left.to_monomial_tseries() == right.to_monomial_tseries()
+    assert left.to_tseries() == right.to_tseries()
 
 
 def test_flow_compose_generator_mismatch():
@@ -338,7 +360,7 @@ def test_connection_flow_matches_conversion():
     for Q in builtin_ops():
         for f in (X, XSeries((0, 3, -4))):
             left = connection_flow(f, Q, 8)
-            right = delta_flow(f, Q, 8).flow.to_monomial()
+            right = delta_flow(f, Q, 8).to_monomial()
             assert left.coeffs == right.coeffs
 
 
@@ -382,7 +404,7 @@ def test_forward_operator_application_matches_literal_shift():
     from math import comb
 
     f = XSeries((0, 3, -4))
-    mono = delta_flow(f, forward(12), 8).to_monomial_tseries()
+    mono = delta_flow(f, forward(12), 8).to_tseries()
     applied = forward(12).apply_tseries(mono)
     shifted = [XSeries.zero() for _ in range(8)]
     for k in range(9):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from deltadyn.scalars import (
     GaussianRational,
@@ -63,10 +64,23 @@ def test_equality_and_hash_with_fraction():
         ("1/2-3/4*i", "Qi", GaussianRational(Fraction(1, 2), Fraction(-3, 4))),
         ("-1*i", "Qi", GaussianRational(0, -1)),
         ("7", "Qi", GaussianRational(7, 0)),
+        ("i", "Qi", GaussianRational(0, 1)),
+        ("-i", "Qi", GaussianRational(0, -1)),
+        ("1/2+i", "Qi", GaussianRational(Fraction(1, 2), 1)),
+        ("-3-i", "Qi", GaussianRational(-3, -1)),
     ],
 )
 def test_parse(text, field, expected):
     assert parse_scalar(text, field) == expected
+
+
+RATIONALS = st.fractions(max_denominator=10 ** 6)
+
+
+@given(RATIONALS, RATIONALS)
+def test_format_parse_round_trip_gaussian(re, im):
+    z = GaussianRational(re, im)
+    assert parse_scalar(format_scalar(z), "Qi") == z
 
 
 def test_parse_errors():
@@ -76,6 +90,9 @@ def test_parse_errors():
         parse_scalar("abc", "Qi")
     with pytest.raises(ValueError):
         parse_scalar("1", "R")
+    for text in ("1/2+-i", "ii", "1/2+*i", "i*", "1/2i", "+-i"):
+        with pytest.raises(ValueError):
+            parse_scalar(text, "Qi")
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,14 @@ def test_evaluate_and_degree():
         XSeries((1, 2), order=3).evaluate(1)
 
 
+def test_shift_exact_and_truncated():
+    p = XSeries((1, -2, 0, 1))  # x^3 - 2x + 1
+    assert p.shift(1) == XSeries((0, 1, 3, 1))  # (x+1)^3 - 2(x+1) + 1
+    assert p.shift(1).shift(-1) == p
+    with pytest.raises(ValueError):
+        XSeries((1, 2), order=3).shift(1)
+
+
 def test_truncation_propagation():
     a = XSeries((1, 1, 1, 1), order=3)
     b = XSeries((1, 2))

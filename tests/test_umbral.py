@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from deltadyn.scalars import GaussianRational, parse_scalar
 from deltadyn.series import TPoly, compositional_inverse, seq_mul
 from deltadyn.umbral import (
+    OPERATOR_NAMES,
     DeltaOp,
     UmbralOperator,
     abel,
@@ -19,6 +20,7 @@ from deltadyn.umbral import (
     first_expansion,
     forward,
     monomial_basis,
+    operator,
     shift_operator,
     signed_stirling1,
     stirling2,
@@ -76,6 +78,22 @@ def test_abel_coefficients():
 def test_touchard_coefficients():
     Q = touchard(4)
     assert Q.coeffs == (0, 1, Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 4))
+
+
+@pytest.mark.parametrize("alpha", [1, Fraction(-3, 2)])
+def test_operator_registry_matches_constructors(alpha):
+    direct = {
+        "derivative": derivative(12),
+        "forward": forward(12),
+        "backward": backward(12),
+        "abel": abel(alpha, 12),
+        "touchard": touchard(12),
+    }
+    assert set(OPERATOR_NAMES) == set(direct)
+    for name in OPERATOR_NAMES:
+        assert operator(name, 12, alpha).coeffs == direct[name].coeffs
+    with pytest.raises(ValueError):
+        operator("shift", 12)
 
 
 def test_delta_op_invariants():
