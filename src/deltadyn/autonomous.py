@@ -9,6 +9,7 @@ product pulls back to the product of generators (A_1 recovers the
 generator exactly).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,11 +143,15 @@ def flow_factorize(factors, order):
 # ---------------------------------------------------------------------------
 # verification helpers for the classical flow properties
 
+@functools.lru_cache(maxsize=64)
+def _classical_composite(f, order):
+    """f(Phi) for the classical flow, through t-order N-1; free of Q."""
+    return taylor_compose(f, classical_flow(f, order)).truncate(order - 1)
+
+
 def pde_residual(f, order):
     """d/dt Phi - f(Phi), valid through t-order N-1; identically zero."""
-    phi = classical_flow(f, order)
-    ts = phi.to_tseries()
-    return ts.dt() - taylor_compose(f, phi).truncate(order - 1)
+    return classical_flow(f, order).to_tseries().dt() - _classical_composite(f, order)
 
 
 def group_law_residuals(f, order):
@@ -154,21 +159,30 @@ def group_law_residuals(f, order):
 
     Both sides are expanded as polynomials in (t, s) with XSeries
     coefficients and compared through total order N.  The right side is
-    generated by the Taylor recursion of phi' = f(phi) started at the
-    series base Phi(s, x), which is its exact composition with the
-    flow.  Returns the flat list of coefficient differences.
+    built from f alone by the Taylor recursion of phi' = f(phi) started
+    at the series base Phi(s, x), run online: it keeps the t-coefficients
+    P_k of the powers psi^k of the partial sum and, once rhs[m] is known,
+    adds only P_k[m] = sum_a P_(k-1)[a] rhs[m-a], so that
+    rhs[m+1] = [t^m] f(psi) / (m+1).  Total order N needs rhs[m] only
+    through s-order N - m.  Returns the (N+1)(N+2)/2 differences.
     """
+    if not f.is_exact:
+        raise ValueError("generator must be an exact polynomial here")
     N = order
     aut = autonomous_sequence(f, N)
-    phis = classical_flow(f, N).to_tseries()  # read the variable as s
-
-    # rhs[i] = coefficient of t^i, a TSeries in s
-    rhs = [phis]
+    # rhs[i] = coefficient of t^i, a TSeries in s; powers[k-1] holds P_k
+    rhs = [classical_flow(f, N).to_tseries()]
+    powers = [rhs] + [[] for _ in range(2, len(f.coeffs))]
     for m in range(N):
-        # f evaluated at the partial sum; only the t^m coefficient is new
-        fpsi = _poly_eval_biseries(f, rhs, N)
-        coef = fpsi[m] if m < len(fpsi) else TSeries.zero(N)
-        rhs.append(coef * Fraction(1, m + 1))
+        for low, high in zip(powers, powers[1:]):
+            terms = (low[a] * rhs[m - a] for a in range(m + 1))
+            high.append(sum(terms, TSeries.zero(N - m)))
+        c0 = f.coefficient(0) if m == 0 else 0
+        fm = TSeries.from_xseries(XSeries.constant(c0), N - m)
+        for power, c in zip(powers, f.coeffs[1:]):
+            if c != 0:
+                fm = fm + power[m] * c
+        rhs.append((fm * Fraction(1, m + 1)).truncate(N - m - 1))
 
     # lhs: Phi(t+s) has t^i s^j coefficient A_{i+j} C(i+j, i) / (i+j)!
     residuals = []
@@ -181,31 +195,3 @@ def group_law_residuals(f, order):
                 lhs = aut.term(n) * Fraction(math.comb(n, i), math.factorial(n))
             residuals.append(lhs - rhs[i].coefficient(j))
     return residuals
-
-
-def _poly_eval_biseries(f, psi, order):
-    """Horner evaluation of an exact polynomial f at a (t, s)-series.
-
-    psi is a list of TSeries-in-s, indexed by the power of t.  Returns
-    the same representation, truncated at t-order = order.
-    """
-    if not f.is_exact:
-        raise ValueError("generator must be an exact polynomial here")
-    acc = [TSeries.zero(order)]
-    for c in reversed(f.coeffs):
-        acc = _bi_mul(acc, psi, order)
-        acc[0] = acc[0] + TSeries.from_xseries(XSeries.constant(c), order)
-    return acc
-
-
-def _bi_mul(a, b, order):
-    out = [TSeries.zero(order) for _ in range(order + 1)]
-    for i, ai in enumerate(a):
-        if i > order or ai.is_zero:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            if not bj.is_zero:
-                out[i + j] = out[i + j] + ai * bj
-    return out

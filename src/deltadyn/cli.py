@@ -13,11 +13,13 @@ Subcommands:
              tolerance.
 
 All output is deterministic: fixed orderings, no timestamps.  An
-integer option below its minimum is a usage error (exit code 2).
+integer option below its minimum is a usage error (exit code 2); a
+reader closing stdout early gives a quiet exit with code 141.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .deltaflow import delta_flow
@@ -37,7 +39,7 @@ from .solver import (
     quadratic_map,
 )
 from .umbral import OPERATOR_NAMES, basic_sequence_from_delta, operator
-from .verifysuite import all_pass, run_checks
+from .verifysuite import GROUPS, all_pass, run_checks
 
 __all__ = ["main", "cli_main"]
 
@@ -230,7 +232,7 @@ def _build_parser():
     p.add_argument("--op", choices=OPERATOR_NAMES, default="forward")
     p.add_argument("--alpha", default="1")
     p.add_argument("--order", type=_int_at_least(1), default=10)
-    p.add_argument("--depth", type=int, default=16)
+    p.add_argument("--depth", type=_int_at_least(0), default=16)
     p.add_argument("--field", choices=("Q", "Qi"), default="Q")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_flow)
@@ -246,7 +248,7 @@ def _build_parser():
     p.add_argument("--order", type=_int_at_least(1), default=10)
     # the shift-invariance check applies Q to a cubic
     p.add_argument("--depth", type=_int_at_least(3), default=16)
-    p.add_argument("--ops", default="all")
+    p.add_argument("--ops", choices=("all",) + GROUPS, default="all")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_verify)
 
@@ -270,7 +272,15 @@ def cli_main(argv=None):
 
 
 def main():
-    raise SystemExit(cli_main())
+    try:
+        code = cli_main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`deltadyn verify | head`): point stdout at
+        # devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, as for a writer killed by the signal
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

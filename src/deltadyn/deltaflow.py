@@ -24,12 +24,12 @@ import math
 from fractions import Fraction
 
 from .autonomous import (
+    _classical_composite,
     autonomous_sequence,
-    classical_flow,
     flow_from_autonomous,
     h_sequence,
 )
-from .flows import Flow, TSeries, taylor_compose
+from .flows import Flow, TSeries
 from .series import XSeries, rational_binomial
 from .umbral import (
     UmbralOperator,
@@ -138,10 +138,7 @@ def verify_delta_ode(f, Q, order, basis=None):
     basis = _resolve_basis(Q, order, basis)
     df = delta_flow(f, Q, order, basis)
     lhs = Q.apply_tseries(df.to_tseries())
-    comp = taylor_compose(f, classical_flow(f, order))
-    L = UmbralOperator(basis)
-    rhs = L.apply_tseries(comp.truncate(max(order - 1, 0)))
-    return lhs - rhs
+    return lhs - UmbralOperator(basis).apply_tseries(_classical_composite(f, order))
 
 
 def delta_pde_identity_residuals(f, Q, order, basis=None):

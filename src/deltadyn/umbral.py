@@ -113,14 +113,16 @@ class DeltaOp:
         """Apply Q in the t variable of a TSeries."""
         if w.order > self.order:
             raise ValueError("operator order too small for this t-order")
-        out = TSeries.zero(max(w.order - 1, 0))
-        dk = w
-        for k in range(1, w.order + 1):
-            dk = dk.dt()
-            c = self.coeffs[k]
-            if c != 0:
-                out = out + TSeries(dk.coeffs, out.order) * c
-        return out
+        # out[m] = sum_k p_k (m+k)!/m! w[m+k], one sum per coefficient
+        out = []
+        for m in range(max(w.order, 1)):
+            acc, falling = XSeries.zero(), 1
+            for k in range(1, w.order - m + 1):
+                falling *= m + k
+                if self.coeffs[k] != 0:
+                    acc = acc + w.coeffs[m + k] * (self.coeffs[k] * falling)
+            out.append(acc)
+        return TSeries(out, max(w.order - 1, 0))
 
     def __repr__(self):
         return "DeltaOp(%s, order=%d)" % (self.tag, self.order)

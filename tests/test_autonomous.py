@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from deltadyn import autonomous, verifysuite
 from deltadyn.autonomous import (
+    AutonomousSequence,
     aut_add,
     aut_mul,
     aut_scale,
@@ -16,6 +18,7 @@ from deltadyn.autonomous import (
     pde_residual,
     semiflow,
 )
+from deltadyn.scalars import I
 from deltadyn.series import XSeries
 
 X = XSeries.x()
@@ -187,6 +190,49 @@ def test_group_law_bivariate():
     for f in (X, X * X, XSeries((0, 1, -1))):
         residuals = group_law_residuals(f, 8)
         assert all(r.is_zero for r in residuals)
+
+
+@pytest.mark.parametrize("order", [10, 12])
+@pytest.mark.parametrize(
+    "f",
+    [X, XSeries((0, 1, -1)), XSeries((0, 0, -1, 1)), XSeries((I, 0, 1))],
+    ids=["x", "x-x^2", "x^3-x^2", "i+x^2"],
+)
+def test_group_law_at_full_order(f, order):
+    residuals = group_law_residuals(f, order)
+    assert len(residuals) == (order + 1) * (order + 2) // 2
+    assert all(r.is_zero for r in residuals)
+
+
+def test_group_law_detects_a_wrong_autonomous_term(monkeypatch):
+    # the right side comes from f alone, so a wrong A_N must show
+    real = autonomous.autonomous_sequence
+
+    def perturbed(f, order):
+        aut = real(f, order)
+        terms = aut.terms[:-1] + (aut.terms[-1] + XSeries.one(),)
+        return AutonomousSequence(aut.generator, terms)
+
+    monkeypatch.setattr(autonomous, "autonomous_sequence", perturbed)
+    residuals = group_law_residuals(XSeries((0, 1, -1)), 6)
+    assert any(not r.is_zero for r in residuals)
+
+
+def test_verify_runs_the_group_law_at_the_requested_order(monkeypatch):
+    orders = []
+
+    def spy(f, order):
+        orders.append(order)
+        return []
+
+    monkeypatch.setattr(verifysuite, "group_law_residuals", spy)
+    assert verifysuite._check_group_law(10, 16) == 0
+    assert orders and set(orders) == {10}
+
+
+def test_group_law_needs_an_exact_generator():
+    with pytest.raises(ValueError):
+        group_law_residuals(XSeries((0, 1, -1), order=5), 4)
 
 
 def test_time_scaling():

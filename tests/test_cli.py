@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from deltadyn.cli import cli_main
 from deltadyn.umbral import stirling2
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(capsys, *argv):
@@ -137,6 +142,7 @@ def test_unknown_flags_exit_2():
         ["verify", "--order", "0"],
         ["verify", "--depth", "2"],
         ["numcheck", "--depth", "0"],
+        ["flow", "--f=0,1,-1", "--depth", "-1"],
     ],
 )
 def test_integer_below_minimum_is_usage_error(capsys, argv):
@@ -157,6 +163,33 @@ def test_integer_minimums_are_accepted(capsys):
     assert code == 0 and json.loads(out)["coeffs"] == [["1"]]
     code, out = run_cli(capsys, "verify", "--order", "1", "--depth", "3")
     assert code == 0 and json.loads(out)["all_pass"] is True
+
+
+def test_unknown_check_group_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["verify", "--ops", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: deltadyn verify")
+    assert "invalid choice: 'bogus'" in err
+
+
+def test_closed_pipe_exits_quietly():
+    # the reader goes away before verify writes: no traceback, exit 141
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "deltadyn.cli", "verify", "--ops", "core"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_bad_map_returns_error(capsys):

@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from deltadyn.autonomous import autonomous_sequence, classical_flow
+from deltadyn.autonomous import (
+    _classical_composite,
+    autonomous_sequence,
+    classical_flow,
+)
 from deltadyn.deltaflow import (
     classical_delta_flow,
     connection_flow,
@@ -24,10 +28,12 @@ from deltadyn.deltaflow import (
     rhoq_unit,
     verify_delta_ode,
 )
-from deltadyn.flows import Flow
+from deltadyn.flows import Flow, TSeries, taylor_compose
 from deltadyn.scalars import GaussianRational
 from deltadyn.series import XSeries
+from deltadyn.solver import corpus_map
 from deltadyn.umbral import (
+    UmbralOperator,
     abel,
     backward,
     basic_sequence_from_delta,
@@ -120,6 +126,43 @@ def test_verify_delta_ode_zero_everywhere():
         for Q in builtin_ops():
             assert verify_delta_ode(f, Q, N).is_zero
             assert all(r.is_zero for r in delta_pde_identity_residuals(f, Q, N))
+
+
+def _verify_delta_ode_oracle(f, Q, order, basis):
+    """The delta ODE residual as first written: Q applied one derivative
+    at a time, and f(Phi) recomputed on every call."""
+    w = delta_flow(f, Q, order, basis).to_tseries()
+    lhs = TSeries.zero(max(w.order - 1, 0))
+    dk = w
+    for k in range(1, w.order + 1):
+        dk = dk.dt()
+        if Q.coeffs[k] != 0:
+            lhs = lhs + TSeries(dk.coeffs, lhs.order) * Q.coeffs[k]
+    comp = taylor_compose(f, classical_flow(f, order)).truncate(order - 1)
+    return lhs - UmbralOperator(basis).apply_tseries(comp)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [XSeries((0, 3, -4)), corpus_map("quadratic-1/2")["g"] - X],
+    ids=["logistic-4", "quadratic-1/2 over Q(i)"],
+)
+def test_verify_delta_ode_matches_the_recomputing_oracle(f):
+    order = 8
+    ops = builtin_ops(order)
+    bases = [basic_sequence_from_delta(Q, order) for Q in ops]
+    nonzero = 0
+    for i, Q in enumerate(ops):
+        # the matching basis gives 0; the next operator's basis does not
+        for basis in (bases[i], bases[(i + 1) % len(ops)]):
+            got = verify_delta_ode(f, Q, order, basis)
+            assert got == _verify_delta_ode_oracle(f, Q, order, basis)
+            nonzero += not got.is_zero
+    assert nonzero > 0
+
+
+def test_classical_composite_cache_is_bounded():
+    assert _classical_composite.cache_info().maxsize is not None
 
 
 def test_verify_delta_ode_gaussian_field():

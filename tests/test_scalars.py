@@ -110,6 +110,20 @@ def test_format_round_trip(value, expected):
     assert parse_scalar(expected, "Qi") == to_gaussian(value)
 
 
+@pytest.mark.parametrize(
+    "parts,expected",
+    [
+        ((1, 2), (Fraction(1), Fraction(2))),
+        ((Fraction(1, 2), 3), (Fraction(1, 2), Fraction(3))),
+        ((0.5,), (Fraction(1, 2), Fraction(0))),
+    ],
+)
+def test_gaussian_parts_are_fractions(parts, expected):
+    z = GaussianRational(*parts)
+    assert (type(z.re), type(z.im)) == (Fraction, Fraction)
+    assert (z.re, z.im) == expected
+
+
 def test_rational_sqrt():
     assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert rational_sqrt(Fraction(1)) == 1
