@@ -12,12 +12,9 @@ from .series import (
     DerivativeSequence,
     TPoly,
     XSeries,
-    binomial_power,
     compositional_inverse,
     derivative_sequence,
     hurwitz_product,
-    series_exp,
-    series_log,
 )
 from .flows import Flow, TSeries, poly_substitute, taylor_compose
 from .autonomous import (
@@ -36,7 +33,6 @@ from .umbral import (
     DeltaOp,
     UmbralOperator,
     abel,
-    apply_delta_tpoly,
     backward,
     basic_sequence_by_recurrence,
     basic_sequence_from_delta,

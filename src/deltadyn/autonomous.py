@@ -49,19 +49,13 @@ class AutonomousSequence:
         return self.terms[n - 1]
 
 
-def _dx(f):
-    if not f.is_exact and f.order == 0:
-        return XSeries.zero()
-    return f.derivative()
-
-
 def autonomous_sequence(f, order):
     """A_1 = f and A_{n+1} = f * dA_n/dx, through A_order."""
     if order < 1:
         raise ValueError("order must be >= 1")
     terms = [f]
     for _ in range(order - 1):
-        terms.append(f * _dx(terms[-1]))
+        terms.append(f * terms[-1].derivative())
     return AutonomousSequence(f, tuple(terms))
 
 
@@ -76,7 +70,9 @@ def h_sequence(f, g, order):
     H = [XSeries.zero()]
     for n in range(1, order):
         H.append(
-            f * _dx(ag[n - 1]) + g * _dx(af[n - 1]) + (f + g) * _dx(H[-1])
+            f * ag[n - 1].derivative()
+            + g * af[n - 1].derivative()
+            + (f + g) * H[-1].derivative()
         )
     return tuple(H[:order])
 

@@ -22,7 +22,7 @@ import json
 import os
 import sys
 
-from .deltaflow import delta_flow
+from .deltaflow import connection_matrix, delta_flow
 from .numeric import (
     CLOSED_FORM_KINDS,
     NumericConfig,
@@ -140,10 +140,7 @@ def _cmd_flow(args):
 def _cmd_basis(args):
     Q = operator(args.op, max(args.depth, 1), parse_scalar(args.alpha, "Q"))
     basis = basic_sequence_from_delta(Q, args.depth)
-    matrix = [
-        [format_scalar(basis.beta(k, n)) for n in range(args.depth + 1)]
-        for k in range(args.depth + 1)
-    ]
+    matrix = [[format_scalar(b) for b in row] for row in connection_matrix(basis)]
     payload = {"basis": args.op, "order": args.depth, "coeffs": matrix}
     if args.format == "json":
         _emit(json.dumps(payload))

@@ -95,13 +95,7 @@ class TSeries:
 
     def dx(self):
         """Coefficient-wise x-derivative (same t-order)."""
-        out = []
-        for c in self.coeffs:
-            if not c.is_exact and c.order == 0:
-                out.append(XSeries.zero())
-            else:
-                out.append(c.derivative())
-        return TSeries(out, self.order)
+        return TSeries([c.derivative() for c in self.coeffs], self.order)
 
     def t_scale(self, a):
         """Substitute t -> a*t: coefficient m picks up a^m."""
@@ -171,24 +165,12 @@ class Flow:
     def minus_base(self):
         return Flow(self.coeffs, self.basis, False, self.generator)
 
-    def with_base(self):
-        return Flow(self.coeffs, self.basis, True, self.generator)
-
     def to_monomial(self):
         """Expand the basis polynomials; lossless (triangular, unit-free)."""
         if self.basis is None:
             return self
-        N = self.order
-        mono = [XSeries.zero() for _ in range(N)]
-        for n in range(1, N + 1):
-            c = self.coeffs[n - 1]
-            if c.is_zero:
-                continue
-            q = self.basis.poly(n)
-            for k in range(1, q.degree + 1):
-                b = q.coefficient(k)
-                if b != 0:
-                    mono[k - 1] = mono[k - 1] + c * b
+        zero = XSeries.zero()
+        mono = self.basis.expand((zero,) + self.coeffs, zero)[1:]
         return Flow(mono, None, self.has_base, self.generator)
 
     def to_basic(self, basis):
@@ -263,10 +245,11 @@ def _as_centered_tseries(w):
 def taylor_compose(f, w):
     """Compose f with a flow W centred at x: sum_k f^(k)(x)/k! (W-x)^k.
 
-    Exact when f is a polynomial; for a truncated f the x-order loss of
-    the repeated derivatives propagates into the coefficients.  W must
-    carry the base term x (its deviation W - x needs a strictly
-    positive t-order).
+    Exact when f is a polynomial.  A truncated f loses one x-order per
+    derivative, and that loss propagates into the coefficients; at
+    t-order N it must be known through x^N, since a derivative past its
+    truncation order raises ValueError.  W must carry the base term x
+    (its deviation W - x needs a strictly positive t-order).
     """
     ts = _as_centered_tseries(w)
     N = ts.order
@@ -277,12 +260,10 @@ def taylor_compose(f, w):
     k = 0
     kfact = 1
     while True:
-        if fk.is_zero:
+        if fk.is_zero and fk.is_exact:
             break
         out = out + power * (fk * Fraction(1, kfact))
         if k == N:
-            break
-        if not fk.is_exact and fk.order == 0:
             break
         fk = fk.derivative()
         k += 1

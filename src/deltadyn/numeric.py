@@ -20,6 +20,7 @@ SeriesDivergence rather than reporting a meaningless deviation.
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .umbral import basic_sequence_from_delta, operator
 
@@ -150,7 +151,7 @@ def numeric_closed_form_check(kind, a, t, b=0.0, x=1.0, alpha=1.0, config=None):
     if kind not in CLOSED_FORM_KINDS:
         raise ValueError("unknown kind %r" % kind)
     basis = basic_sequence_from_delta(
-        operator(kind, config.depth, _to_exact(alpha)), config.depth
+        operator(kind, config.depth, Fraction(alpha)), config.depth
     )
     prefactor = a * x + b
     total = 0.0
@@ -167,12 +168,6 @@ def numeric_closed_form_check(kind, a, t, b=0.0, x=1.0, alpha=1.0, config=None):
     return ClosedFormReport(
         kind, a, t, total, closed, abs(total - closed), len(terms)
     )
-
-
-def _to_exact(alpha):
-    from fractions import Fraction
-
-    return Fraction(alpha) if not isinstance(alpha, Fraction) else alpha
 
 
 def _float_eval(poly, t):

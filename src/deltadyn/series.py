@@ -13,9 +13,13 @@ Two coefficient containers live here:
                  with the binomial convolution as its product.
 
 Module level functions provide the formal-series kernels shared by the
-rest of the package: multiplication, reciprocal, composition, Lagrange
-inversion, exp/log and rational binomial powers on plain coefficient
-sequences (index = power, scalar entries).
+rest of the package: multiplication, reciprocal, composition and
+Lagrange inversion on plain coefficient sequences (index = power,
+scalar entries), plus the rational binomial coefficient.
+
+A series known only through x^0 has no known derivative, so
+differentiating it raises ValueError rather than claiming a zero; the
+derivative tower and every caller inherit that policy.
 """
 
 import math
@@ -31,9 +35,6 @@ __all__ = [
     "seq_reciprocal",
     "seq_compose",
     "compositional_inverse",
-    "series_exp",
-    "series_log",
-    "binomial_power",
     "rational_binomial",
     "invert_scalar",
 ]
@@ -159,45 +160,6 @@ def compositional_inverse(p, order):
     return tuple(out)
 
 
-def series_exp(u, order):
-    """exp of a sequence with zero constant term, through the order."""
-    u = list(u)
-    if u and u[0] != 0:
-        raise ValueError("series_exp requires constant term 0")
-    out = [0] * (order + 1)
-    power = [1]
-    fact = 1
-    for k in range(0, order + 1):
-        if k:
-            fact *= k
-        c = Fraction(1, fact)
-        for i, p in enumerate(power):
-            if i > order:
-                break
-            out[i] = out[i] + c * p
-        power = _mul_lists(power, u, cap=order)
-    return tuple(out)
-
-
-def series_log(v, order):
-    """log of a sequence with constant term 1, through the order."""
-    v = list(v)
-    if not v or v[0] != 1:
-        raise ValueError("series_log requires constant term 1")
-    w = v[:]
-    w[0] = 0
-    out = [0] * (order + 1)
-    power = [1]
-    for k in range(1, order + 1):
-        power = _mul_lists(power, w, cap=order)
-        c = Fraction((-1) ** (k - 1), k)
-        for i, p in enumerate(power):
-            if i > order:
-                break
-            out[i] = out[i] + c * p
-    return tuple(out)
-
-
 def rational_binomial(r, k):
     """Generalized binomial coefficient C(r, k) for rational r."""
     if k < 0:
@@ -207,28 +169,6 @@ def rational_binomial(r, k):
     for j in range(k):
         num *= r - j
     return num / math.factorial(k)
-
-
-def binomial_power(u, r, order):
-    """(1 + u)^r for a sequence u with zero constant term and rational r.
-
-    >>> binomial_power([0, 1], -1, 3)
-    (Fraction(1, 1), Fraction(-1, 1), Fraction(1, 1), Fraction(-1, 1))
-    """
-    u = list(u)
-    if u and u[0] != 0:
-        raise ValueError("binomial_power requires constant term 0")
-    out = [0] * (order + 1)
-    power = [1]
-    for k in range(0, order + 1):
-        c = rational_binomial(r, k)
-        if c != 0:
-            for i, p in enumerate(power):
-                if i > order:
-                    break
-                out[i] = out[i] + c * p
-        power = _mul_lists(power, u, cap=order)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +318,6 @@ class XSeries:
         return XSeries(out)
 
     # -- comparison / misc ---------------------------------------------
-    def agrees_with(self, other, through=None):
-        """Mathematical equality up to the shared valid order."""
-        limit = self._merge_order(self.order, other.order)
-        limit = self._merge_order(limit, through)
-        if limit is None:
-            return self.coeffs == other.coeffs
-        return all(
-            self.coefficient(k) == other.coefficient(k) for k in range(limit + 1)
-        )
-
     def __eq__(self, other):
         if not isinstance(other, XSeries):
             return NotImplemented
@@ -457,11 +387,7 @@ def derivative_sequence(f, length):
         raise ValueError("length must be >= 1")
     entries = [f]
     for _ in range(length - 1):
-        prev = entries[-1]
-        if not prev.is_exact and prev.order == 0:
-            entries.append(XSeries.zero())
-            continue
-        entries.append(prev.derivative())
+        entries.append(entries[-1].derivative())
     return DerivativeSequence(entries)
 
 

@@ -25,6 +25,13 @@ exp(d)-1 (falling factorials), the backward difference 1-exp(-d)
 t(t - n alpha)^(n-1)) and the Touchard operator log(1+d) (Stirling
 set polynomials).
 
+Two kernels carry the linear algebra.  The shift-invariant apply
+sum_k p_k d^k weights coefficient m+k by the falling factorial
+(m+k)!/m! and serves every operator, on polynomials and in the t
+variable of a TSeries.  BasicSequence.expand maps coordinates over
+(q_n) to monomial ones through the triangular matrix beta(k, n); the
+umbral operators and flows.Flow.to_monomial use it.
+
 Basic sequences compose umbrally (substitute one family into the
 monomial expansion of another) and form a group; the attached
 operators compose the opposite way, f(delta) then g(delta) giving
@@ -61,7 +68,6 @@ __all__ = [
     "basic_sequence_from_delta",
     "basic_sequence_by_recurrence",
     "monomial_basis",
-    "apply_delta_tpoly",
     "apply_delta_series",
     "umbral_apply",
     "umbral_compose",
@@ -113,36 +119,36 @@ class DeltaOp:
         """Apply Q in the t variable of a TSeries."""
         if w.order > self.order:
             raise ValueError("operator order too small for this t-order")
-        # out[m] = sum_k p_k (m+k)!/m! w[m+k], one sum per coefficient
-        out = []
-        for m in range(max(w.order, 1)):
-            acc, falling = XSeries.zero(), 1
-            for k in range(1, w.order - m + 1):
-                falling *= m + k
-                if self.coeffs[k] != 0:
-                    acc = acc + w.coeffs[m + k] * (self.coeffs[k] * falling)
-            out.append(acc)
+        out = _falling_apply(self.coeffs, w.coeffs, XSeries.zero())
         return TSeries(out, max(w.order - 1, 0))
 
     def __repr__(self):
         return "DeltaOp(%s, order=%d)" % (self.tag, self.order)
 
 
-def apply_delta_series(coeffs, p):
-    """Apply a shift-invariant series sum_k coeffs[k] d^k to a polynomial."""
-    out = XSeries.zero()
-    dk = p
-    for k in range(0, p.degree + 1):
-        if k:
-            dk = dk.derivative()
-        if k < len(coeffs) and coeffs[k] != 0:
-            out = out + dk * coeffs[k]
+def _falling_apply(coeffs, v, zero):
+    """sum_k coeffs[k] d^k on the coefficient list v (index = power).
+
+    Entry m is sum_k coeffs[k] (m+k)!/m! v[m+k], accumulated from zero;
+    the entries of v may be scalars or XSeries.
+    """
+    out = []
+    for m in range(len(v)):
+        acc, falling = zero, 1
+        for k in range(min(len(coeffs), len(v) - m)):
+            if k:
+                falling *= m + k
+            if coeffs[k] != 0:
+                acc = acc + v[m + k] * (coeffs[k] * falling)
+        out.append(acc)
     return out
 
 
-def apply_delta_tpoly(Q, p):
-    """Module-level alias for DeltaOp.apply_tpoly."""
-    return Q.apply_tpoly(p)
+def apply_delta_series(coeffs, p):
+    """Apply a shift-invariant series sum_k coeffs[k] d^k to a polynomial."""
+    if not p.is_exact:
+        raise ValueError("a shift-invariant operator needs an exact polynomial")
+    return XSeries(_falling_apply(coeffs, p.coeffs, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +231,18 @@ class BasicSequence:
     def beta(self, k, n):
         return self.poly(n).coefficient(k)
 
-    def matrix(self):
-        """Dense (depth+1)^2 matrix, rows = t-power, columns = n."""
-        d = self.depth
-        return [[self.beta(k, n) for n in range(d + 1)] for k in range(d + 1)]
+    def expand(self, coeffs, zero=0):
+        """Monomial coefficients of sum_n coeffs[n] q_n(t), index = power.
+
+        Sums start from zero and take a term for each nonzero beta(k, n)
+        only; coeffs may hold scalars or XSeries.
+        """
+        out = [zero] * len(coeffs)
+        for n, c in enumerate(coeffs):
+            for k, b in enumerate(self.poly(n).coeffs):
+                if b != 0:
+                    out[k] = out[k] + c * b
+        return out
 
     def __repr__(self):
         return "BasicSequence(%s, depth=%d)" % (self.operator.tag, self.depth)
@@ -340,26 +354,13 @@ class UmbralOperator:
     def apply(self, p):
         if p.degree > self.basis.depth:
             raise ValueError("polynomial degree exceeds the basis depth")
-        out = XSeries.zero()
-        for k in range(p.degree + 1):
-            c = p.coefficient(k)
-            if c != 0:
-                out = out + c * self.basis.poly(k)
-        return out
+        return XSeries(self.basis.expand(p.coeffs))
 
     def apply_tseries(self, w):
         """Map t^m to q_m(t) inside a TSeries; result is monomial."""
         if w.order > self.basis.depth:
             raise ValueError("t-order exceeds the basis depth")
-        out = TSeries.zero(w.order)
-        for m in range(w.order + 1):
-            c = w.coefficient(m)
-            if c.is_zero:
-                continue
-            q = self.basis.poly(m)
-            add = [c * q.coefficient(k) for k in range(q.degree + 1)]
-            out = out + TSeries(add, w.order)
-        return out
+        return TSeries(self.basis.expand(w.coeffs, XSeries.zero()), w.order)
 
 
 def umbral_apply(L, p):

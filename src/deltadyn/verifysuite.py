@@ -42,14 +42,10 @@ from .flows import TSeries, taylor_compose
 from .scalars import GaussianRational
 from .series import (
     XSeries,
-    binomial_power,
     compositional_inverse,
     derivative_sequence,
     hurwitz_product,
     seq_compose,
-    seq_mul,
-    series_exp,
-    series_log,
 )
 from .solver import (
     abel_scaling_check,
@@ -165,17 +161,6 @@ def _check_inverse_roundtrip(order, depth):
         expected = [0, 1] + [0] * (order - 1)
         worst = max(worst, _max_abs([a - b for a, b in zip(rt, expected)]))
     return worst
-
-
-def _check_exp_log(order, depth):
-    u = tuple([0, 1] + [0] * (order - 1))
-    e = series_exp(u, order)
-    lg = series_log(e, order)
-    worst = _max_abs([a - b for a, b in zip(lg, u)])
-    half = binomial_power(u, Fraction(-1, 2), order)
-    sq = seq_mul(seq_mul(half, half, order), (1, 1), order)
-    expected = (1,) + (0,) * order
-    return max(worst, _max_abs([a - b for a, b in zip(sq, expected)]))
 
 
 def _check_taylor_chain_rule(order, depth):
@@ -584,7 +569,6 @@ _CHECKS = (
     ("core", "ring-axioms", _check_ring_axioms),
     ("core", "hurwitz-isomorphism", _check_hurwitz),
     ("core", "compositional-inverse-roundtrip", _check_inverse_roundtrip),
-    ("core", "exp-log-binomial", _check_exp_log),
     ("core", "taylor-chain-rule", _check_taylor_chain_rule),
     ("autonomous", "sum-cross-terms", _check_h_cross),
     ("autonomous", "generator-scaling", _check_scaling),

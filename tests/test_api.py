@@ -1,0 +1,58 @@
+"""Guards on the public surface: the names that modules, the package and
+the benchmark tracer refer to must exist, so that removing a function
+fails here rather than at a later run of the benchmark."""
+
+import importlib
+import importlib.util
+import os
+import pkgutil
+import types
+
+import pytest
+
+import deltadyn
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MODULES = sorted(m.name for m in pkgutil.iter_modules(deltadyn.__path__))
+
+
+def load_tracer():
+    path = os.path.join(ROOT, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_resolves(name):
+    module = importlib.import_module("deltadyn." + name)
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_package_reexports_only_public_names():
+    exported = {}
+    for name in MODULES:
+        module = importlib.import_module("deltadyn." + name)
+        for attr in module.__all__:
+            exported.setdefault(attr, getattr(module, attr))
+    public = {
+        attr: value
+        for attr, value in vars(deltadyn).items()
+        if not attr.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public
+    stray = [attr for attr, value in public.items() if exported.get(attr) is not value]
+    assert stray == []
+
+
+def test_tracer_targets_exist():
+    tracer = load_tracer()
+    for modname, attr, _ in tracer.TARGETS:
+        assert callable(getattr(importlib.import_module(modname), attr)), (modname, attr)
+    from deltadyn.flows import Flow
+    from deltadyn.umbral import basic_sequence_from_delta
+
+    assert callable(Flow.to_monomial)
+    assert callable(basic_sequence_from_delta.cache_info)

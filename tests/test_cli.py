@@ -102,7 +102,7 @@ def test_verify_json_and_determinism(capsys):
     payload = json.loads(out1)
     assert payload["all_pass"] is True
     assert all(c["residual"] == "0" for c in payload["checks"])
-    assert len(payload["checks"]) == 32
+    assert len(payload["checks"]) == 31
 
 
 def test_verify_group_subset(capsys):

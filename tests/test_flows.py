@@ -120,3 +120,36 @@ def test_flow_coefficient_access():
     semi = phi.minus_base()
     assert not semi.has_base
     assert semi.to_tseries().coefficient(0) == XSeries.zero()
+
+
+def test_taylor_compose_raises_past_the_truncation_order():
+    # W = x + t: the t^2 coefficient is f''/2, which 1 + x + O(x^2) leaves
+    # open (the completions 1 + x + 5x^2 and 1 + x + 7x^2 give 5 and 7)
+    w = classical_flow(XSeries((1,)), 3)
+    for c in (5, 7):
+        assert taylor_compose(XSeries((1, 1, c)), w).coefficient(2) == XSeries((c,))
+    with pytest.raises(ValueError):
+        taylor_compose(XSeries((1, 1), order=1), w)
+    # a derivative that is a truncated zero is unknown too, not zero
+    with pytest.raises(ValueError):
+        taylor_compose(XSeries((1,), order=1), w)
+
+
+def test_taylor_compose_truncated_within_its_order():
+    w = classical_flow(XSeries((1,)), 3)
+    exact = XSeries((1, 1, 5, 2, 7))
+    got = taylor_compose(exact.truncate(3), w)
+    want = taylor_compose(exact, w)
+    for m in range(4):
+        c = got.coefficient(m)
+        assert c.order is not None
+        assert c == want.coefficient(m).truncate(c.order)
+
+
+def test_dx_raises_on_a_coefficient_known_only_to_x0():
+    w = TSeries((XSeries((0, 1), order=1), XSeries((2,), order=0)), 1)
+    with pytest.raises(ValueError):
+        w.dx()
+    assert TSeries((XSeries((0, 1), order=1),), 0).dx() == TSeries(
+        (XSeries((1,), order=0),), 0
+    )

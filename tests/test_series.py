@@ -2,22 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from deltadyn.scalars import GaussianRational
 from deltadyn.series import (
     DerivativeSequence,
     XSeries,
-    binomial_power,
     compositional_inverse,
     derivative_sequence,
     hurwitz_product,
     rational_binomial,
     seq_compose,
-    seq_mul,
-    series_exp,
-    series_log,
 )
 
-from oracle_utils import pmul
+from oracle_utils import padd, pmul
 
 X = XSeries.x()
 
@@ -73,6 +71,62 @@ def test_ring_axioms_sampled():
         assert a + b == b + a
 
 
+SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+SMALL_GAUSSIANS = st.builds(GaussianRational, SMALL_RATIONALS, SMALL_RATIONALS)
+
+
+@st.composite
+def series_triples(draw):
+    """Three series over one field (Q or Q(i)), each exact or truncated."""
+    scalars = draw(st.sampled_from((SMALL_RATIONALS, SMALL_GAUSSIANS)))
+
+    def one():
+        coeffs = draw(st.lists(scalars, max_size=5))
+        return XSeries(coeffs, draw(st.none() | st.integers(0, 5)))
+
+    return one(), one(), one()
+
+
+def tightest(*orders):
+    known = [o for o in orders if o is not None]
+    return min(known) if known else None
+
+
+def agree_through(series, coeffs):
+    """series matches the exact coefficient list through its order."""
+    top = len(coeffs) - 1 if series.order is None else series.order
+    return all(
+        series.coefficient(k) == (coeffs[k] if k < len(coeffs) else 0)
+        for k in range(max(top, len(series.coeffs) - 1) + 1)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_triples())
+def test_ring_axioms_with_truncation(triple):
+    a, b, c = triple
+    assert (a * b) * c == a * (b * c)
+    assert (a + b) + c == a + (b + c)
+    assert a * (b + c) == a * b + a * c
+    assert a * b == b * a
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_triples())
+def test_truncation_order_propagates(triple):
+    a, b, _ = triple
+    assert (a + b).order == tightest(a.order, b.order)
+    assert (a * b).order == tightest(a.order, b.order)
+    assert agree_through(a + b, padd(a.coeffs, b.coeffs))
+    assert agree_through(a * b, pmul(a.coeffs, b.coeffs))
+    if a.order == 0:
+        with pytest.raises(ValueError):
+            a.derivative()
+    else:
+        d = a.derivative()
+        assert d.order == (None if a.order is None else a.order - 1)
+
+
 def test_scalar_multiplication_promotes():
     from deltadyn.scalars import GaussianRational
 
@@ -119,6 +173,15 @@ def test_hurwitz_random_leibniz():
             derivative_sequence(f, 8), derivative_sequence(g, 8)
         )
         assert left == derivative_sequence(f * g, 8)
+
+
+def test_derivative_tower_stops_at_the_truncation_order():
+    # f = 1 + x + O(x^2) fixes f' = 1 + O(x) but not f'' (compare
+    # 1 + x + 5x^2), so the tower of length 3 is unknown and raises
+    f = XSeries((1, 1), order=1)
+    assert derivative_sequence(f, 2)[1] == XSeries((1,), order=0)
+    with pytest.raises(ValueError):
+        derivative_sequence(f, 3)
 
 
 def test_hurwitz_length_mismatch():
@@ -174,37 +237,7 @@ def test_inverse_preconditions():
         compositional_inverse((0, 0, 1), 4)
 
 
-# --- exp / log / binomial power --------------------------------------------
-
-def test_series_exp_frozen():
-    u = (0, 1, 0, 0)
-    assert series_exp(u, 3) == (1, 1, Fraction(1, 2), Fraction(1, 6))
-    with pytest.raises(ValueError):
-        series_exp((1, 1), 3)
-
-
-def test_series_log_round_trip():
-    u = (0, 1, Fraction(1, 2), -2, 0, 0)
-    assert series_log(series_exp(u, 5), 5) == u
-    with pytest.raises(ValueError):
-        series_log((0, 1), 3)
-
-
-def test_binomial_power_geometric():
-    u = (0, 1)
-    assert binomial_power(u, -1, 4) == (1, -1, 1, -1, 1)
-
-
-def test_binomial_power_sqrt_check():
-    u = (0, 1, 0, 0, 0, 0)
-    half = binomial_power(u, Fraction(-1, 2), 5)
-    assert half[:3] == (1, Fraction(-1, 2), Fraction(3, 8))
-    # oracle: square times (1+u) is 1
-    sq = seq_mul(seq_mul(half, half, 5), (1, 1), 5)
-    assert sq == (1, 0, 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        binomial_power((1, 1), Fraction(1, 2), 3)
-
+# --- rational binomial coefficients ----------------------------------------
 
 def test_rational_binomial():
     assert rational_binomial(Fraction(-1, 2), 2) == Fraction(3, 8)

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deltadyn.deltaflow import connection_matrix
+from deltadyn.flows import TSeries
 from deltadyn.scalars import GaussianRational, parse_scalar
 from deltadyn.series import TPoly, compositional_inverse, seq_mul
 from deltadyn.umbral import (
@@ -11,7 +13,7 @@ from deltadyn.umbral import (
     DeltaOp,
     UmbralOperator,
     abel,
-    apply_delta_tpoly,
+    apply_delta_series,
     backward,
     basic_sequence_by_recurrence,
     basic_sequence_from_delta,
@@ -187,7 +189,7 @@ def generating_identity_matrix(Q, depth):
 )
 def test_basis_matches_generating_identity(Q):
     basis = basic_sequence_from_delta(Q, 24)
-    assert basis.matrix() == generating_identity_matrix(Q, 24)
+    assert connection_matrix(basis) == generating_identity_matrix(Q, 24)
     assert all(type(c) is Fraction for p in basis.polys for c in p.coeffs)
 
 
@@ -201,15 +203,19 @@ def test_gaussian_abel_basis_matches_oracle():
 
 
 SMALL_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+SMALL_GAUSSIANS = st.builds(GaussianRational, SMALL_RATIONALS, SMALL_RATIONALS)
 
 
 @st.composite
-def delta_series(draw):
+def delta_series(draw, scalars=SMALL_RATIONALS):
     depth = draw(st.integers(min_value=0, max_value=10))
-    p1 = draw(SMALL_RATIONALS.filter(lambda c: c != 0))
-    rest = draw(st.lists(SMALL_RATIONALS, min_size=max(depth - 1, 0),
+    p1 = draw(scalars.filter(lambda c: c != 0))
+    rest = draw(st.lists(scalars, min_size=max(depth - 1, 0),
                          max_size=max(depth - 1, 0)))
     return DeltaOp((0, p1) + tuple(rest)), depth
+
+
+DELTA_SERIES_Q_QI = st.one_of(delta_series(), delta_series(SMALL_GAUSSIANS))
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,6 +225,64 @@ def test_random_delta_series_match_oracle(case):
     a = basic_sequence_from_delta(Q, depth)
     b = basic_sequence_by_recurrence(Q, depth)
     assert a.polys == b.polys
+
+
+def polys_in_t(draw, count, degree):
+    return [
+        TPoly(draw(st.lists(SMALL_RATIONALS, max_size=degree + 1)))
+        for _ in range(count)
+    ]
+
+
+def repeated_derivative_apply(coeffs, p):
+    """sum_k coeffs[k] d^k p, differentiating p once per term."""
+    out, dk = TPoly.zero(), p
+    for c in coeffs:
+        out = out + dk * c
+        dk = dk.derivative()
+    return out
+
+
+def repeated_dt_apply(coeffs, w):
+    """sum_k coeffs[k] (d/dt)^k w through t^(w.order - 1), one t-derivative
+    of w per term."""
+    out, dk = [TPoly.zero()] * max(w.order, 1), w
+    for c in coeffs[: w.order + 1]:
+        for m in range(min(dk.order + 1, len(out))):
+            out[m] = out[m] + dk.coefficient(m) * c
+        dk = dk.dt()
+    return TSeries(out, max(w.order - 1, 0))
+
+
+def per_power_umbral(basis, w):
+    """Map t^m to q_m(t) by adding one TSeries per power of t."""
+    out = TSeries.zero(w.order)
+    for m in range(w.order + 1):
+        c = w.coefficient(m)
+        if not c.is_zero:
+            out = out + TSeries([c * b for b in basis.poly(m).coeffs], w.order)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(DELTA_SERIES_Q_QI, st.data())
+def test_shift_invariant_apply_matches_repeated_derivatives(case, data):
+    Q, depth = case
+    (p,) = polys_in_t(data.draw, 1, depth + 2)
+    assert apply_delta_series(Q.coeffs, p) == repeated_derivative_apply(Q.coeffs, p)
+    order = data.draw(st.integers(0, depth))
+    w = TSeries(polys_in_t(data.draw, order + 1, 3), order)
+    assert Q.apply_tseries(w) == repeated_dt_apply(Q.coeffs, w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(DELTA_SERIES_Q_QI, st.data())
+def test_umbral_tseries_matches_per_power_sum(case, data):
+    Q, depth = case
+    basis = basic_sequence_from_delta(Q, depth)
+    order = data.draw(st.integers(0, depth))
+    w = TSeries(polys_in_t(data.draw, order + 1, 3), order)
+    assert UmbralOperator(basis).apply_tseries(w) == per_power_umbral(basis, w)
 
 
 def test_negative_depth_rejected():
@@ -263,7 +327,7 @@ def test_derivative_on_monomials():
     Q = derivative(8)
     for n in range(1, 8):
         assert Q.apply_tpoly(TPoly.monomial(1, n)) == TPoly.monomial(n, n - 1)
-    assert apply_delta_tpoly(Q, TPoly.one()) == TPoly.zero()
+    assert Q.apply_tpoly(TPoly.one()) == TPoly.zero()
 
 
 def test_operator_order_guard():
@@ -404,8 +468,6 @@ def test_shift_operator_values():
     E0 = shift_operator(0, 5)
     assert E0 == (1, 0, 0, 0, 0, 0)
     E1 = shift_operator(1, 6)
-    from deltadyn.umbral import apply_delta_series
-
     assert apply_delta_series(E1, TPoly((0, 0, 1))) == TPoly((1, 2, 1))
     a, b = Fraction(1, 3), Fraction(2)
     lhs = seq_mul(shift_operator(a, 8), shift_operator(b, 8), 8)
