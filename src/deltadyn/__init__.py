@@ -44,7 +44,6 @@ from .umbral import (
     signed_stirling1,
     stirling2,
     touchard,
-    umbral_apply,
     umbral_compose,
     umbral_inverse,
 )
@@ -65,14 +64,12 @@ from .deltaflow import (
     verify_delta_ode,
 )
 from .solver import (
-    DifferenceProblem,
     IterateTable,
     abel_scaling_check,
     backward_relation_check,
     iterate,
     iterate_table,
     load_corpus,
-    solve_backward_series,
     solve_forward,
     solve_logistic,
     solve_quadratic_map,

@@ -111,7 +111,7 @@ def _cmd_solve(args):
 
 def _cmd_flow(args):
     f = XSeries([parse_scalar(c, args.field) for c in args.f.split(",")])
-    Q = operator(args.op, max(args.order, args.depth), parse_scalar(args.alpha, args.field))
+    Q = operator(args.op, args.order, parse_scalar(args.alpha, args.field))
     df = delta_flow(f, Q, args.order)
     basic = [["0"]] + [
         [format_scalar(c) for c in xs.coeffs] or ["0"] for xs in df.coeffs
@@ -229,7 +229,6 @@ def _build_parser():
     p.add_argument("--op", choices=OPERATOR_NAMES, default="forward")
     p.add_argument("--alpha", default="1")
     p.add_argument("--order", type=_int_at_least(1), default=10)
-    p.add_argument("--depth", type=_int_at_least(0), default=16)
     p.add_argument("--field", choices=("Q", "Qi"), default="Q")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_flow)

@@ -289,13 +289,11 @@ def flow_inverse(phi):
 # ---------------------------------------------------------------------------
 # connection matrices
 
-def connection_matrix(basis, size=None):
+def connection_matrix(basis):
     """Upper-triangular change of basis: entry [n][i] extracts the
     t^n coefficient of q_i.  Multiplying it against the vector
     (A_i / i!) yields the monomial coefficients of the flow."""
-    d = basis.depth if size is None else size
-    if d > basis.depth:
-        raise ValueError("size exceeds the basis depth")
+    d = basis.depth
     return [[basis.beta(n, i) for i in range(d + 1)] for n in range(d + 1)]
 
 

@@ -72,11 +72,11 @@ class TSeries:
             out = [XSeries.zero() for _ in range(order + 1)]
             for i in range(min(self.order, order) + 1):
                 a = self.coeffs[i]
-                if a.is_zero:
+                if a.is_zero and a.is_exact:
                     continue
                 for j in range(min(other.order, order - i) + 1):
                     b = other.coeffs[j]
-                    if not b.is_zero:
+                    if not (b.is_zero and b.is_exact):
                         out[i + j] = out[i + j] + a * b
             return TSeries(out, order)
         # scalar or XSeries factor
@@ -186,7 +186,7 @@ class Flow:
             q = basis.poly(n)
             c = rest[n - 1] / q.coefficient(n)
             out[n - 1] = c
-            if not c.is_zero:
+            if not (c.is_zero and c.is_exact):
                 for k in range(1, n + 1):
                     b = q.coefficient(k)
                     if b != 0:

@@ -4,11 +4,12 @@ Two coefficient containers live here:
 
 * XSeries      - polynomial or truncated power series in one variable.
                  Carries a truncation order (None means exact
-                 polynomial); every operation propagates the tightest
-                 valid order.  Exact XSeries also serve as the
-                 polynomials in t (basic polynomials and the like);
-                 TPoly is kept as an alias for them.  Printing always
-                 names the variable x.
+                 polynomial); a result is valid through the smaller
+                 of its operands' orders, and a derivative loses one.
+                 Exact XSeries also serve as the polynomials in t
+                 (basic polynomials and the like); TPoly is kept as
+                 an alias for them.  Printing always names the
+                 variable x.
 * DerivativeSequence - the tower (f, f', f'', ...) of x-derivatives,
                  with the binomial convolution as its product.
 

@@ -29,34 +29,17 @@ from .series import XSeries
 from .umbral import abel, backward, basic_sequence_from_delta, forward
 
 __all__ = [
-    "DifferenceProblem",
     "IterateTable",
     "iterate",
     "solve_forward",
     "iterate_table",
-    "solve_problem",
     "solve_logistic",
     "solve_quadratic_map",
-    "solve_backward_series",
     "backward_relation_check",
     "abel_scaling_check",
     "load_corpus",
     "corpus_map",
 ]
-
-
-@dataclass(frozen=True)
-class DifferenceProblem:
-    """A map g with initial value and horizon; the generator is g - x."""
-
-    g: XSeries
-    x0: object
-    n_max: int
-    name: str = ""
-
-    @property
-    def f(self):
-        return self.g - XSeries.x()
 
 
 @dataclass(frozen=True)
@@ -108,11 +91,6 @@ def iterate_table(g, x0, n_max):
         closed = solve_forward(g, x0, n, aut)
         rows.append((n, closed, orbit[n], closed == orbit[n]))
     return IterateTable(tuple(rows))
-
-
-def solve_problem(problem):
-    """iterate_table for a DifferenceProblem."""
-    return iterate_table(problem.g, problem.x0, problem.n_max)
 
 
 def logistic_map(mu):
@@ -179,23 +157,17 @@ def solve_quadratic_map(c, z0, n, allow_fallback=True):
     return z0 + psi.evaluate(n, z0)
 
 
-def solve_backward_series(f, order):
-    """The backward flow over rising factorials, as a series object.
-
-    Rising factorials do not vanish at large integer arguments, so a
-    backward flow has no finite integer-time evaluation; it is
-    validated through the coefficient identity with the forward flow
-    (backward_relation_check) and numerically by partial sums.
-    """
-    return delta_flow(f, backward(order), order)
-
-
 def backward_relation_check(f, order):
     """Residual of Phi_bwd(t, x, f) = Phi_fwd(-t, x, -f).
 
     Both sides are expanded to monomial form: the left over rising
     factorials, the right by scaling the generator sequence by -1 and
     substituting t -> -t.  The difference vanishes identically.
+
+    Rising factorials do not vanish at large integer arguments, so a
+    backward flow has no finite integer-time evaluation; this
+    coefficient identity (and numerical partial sums) is how it is
+    validated.
     """
     lhs = delta_flow(f, backward(order), order).to_tseries()
     aut = aut_scale(-1, autonomous_sequence(f, order))

@@ -69,7 +69,6 @@ __all__ = [
     "basic_sequence_by_recurrence",
     "monomial_basis",
     "apply_delta_series",
-    "umbral_apply",
     "umbral_compose",
     "umbral_inverse",
     "first_expansion",
@@ -361,13 +360,6 @@ class UmbralOperator:
         if w.order > self.basis.depth:
             raise ValueError("t-order exceeds the basis depth")
         return TSeries(self.basis.expand(w.coeffs, XSeries.zero()), w.order)
-
-
-def umbral_apply(L, p):
-    """Apply an UmbralOperator (or a BasicSequence) to a polynomial."""
-    if isinstance(L, BasicSequence):
-        L = UmbralOperator(L)
-    return L.apply(p)
 
 
 def umbral_compose(A, B):

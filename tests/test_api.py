@@ -56,3 +56,50 @@ def test_tracer_targets_exist():
 
     assert callable(Flow.to_monomial)
     assert callable(basic_sequence_from_delta.cache_info)
+
+
+# The report order of `verify`: checks register themselves in definition
+# order, so moving a function moves its row.
+VERIFY_ROWS = [
+    ("core", "ring-axioms"),
+    ("core", "hurwitz-isomorphism"),
+    ("core", "compositional-inverse-roundtrip"),
+    ("core", "taylor-chain-rule"),
+    ("autonomous", "sum-cross-terms"),
+    ("autonomous", "generator-scaling"),
+    ("autonomous", "flow-pde"),
+    ("autonomous", "flow-group-law"),
+    ("autonomous", "flow-factorization"),
+    ("umbral", "basic-set-axioms"),
+    ("umbral", "recurrence-oracle"),
+    ("umbral", "binomial-type"),
+    ("umbral", "stirling-bases"),
+    ("umbral", "abel-closed-form"),
+    ("umbral", "composition-group"),
+    ("umbral", "shift-invariance"),
+    ("umbral", "first-expansion"),
+    ("deltaflow", "delta-ode"),
+    ("deltaflow", "basis-roundtrip"),
+    ("deltaflow", "connection-flow"),
+    ("deltaflow", "anti-isomorphism"),
+    ("deltaflow", "semiflow-ring"),
+    ("deltaflow", "poly-flow-routes"),
+    ("deltaflow", "power-identity"),
+    ("deltaflow", "flow-composition-group"),
+    ("deltaflow", "delta-representation"),
+    ("solver", "backward-relation"),
+    ("solver", "abel-scaling"),
+    ("solver", "logistic-fixed-points"),
+    ("solver", "affine-oracle"),
+    ("solver", "factored-vs-direct"),
+]
+
+
+def test_verify_rows_keep_their_order():
+    from deltadyn.verifysuite import GROUPS, run_checks
+
+    rows = [(r["group"], r["name"]) for r in run_checks(3, 3)]
+    assert rows == VERIFY_ROWS
+    names = [name for _, name in rows]
+    assert len(set(names)) == len(names)
+    assert {group for group, _ in rows} == set(GROUPS)

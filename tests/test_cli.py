@@ -114,6 +114,25 @@ def test_verify_group_subset(capsys):
     assert {c["group"] for c in payload["checks"]} == {"umbral"}
 
 
+def test_verify_fails_a_flow_that_loses_its_top_coefficient(capsys, monkeypatch):
+    from deltadyn import verifysuite
+    from deltadyn.flows import Flow
+
+    real = verifysuite.connection_flow
+
+    def truncated(*args, **kwargs):
+        flow = real(*args, **kwargs)
+        return Flow(flow.coeffs[:-1], flow.basis, flow.has_base, flow.generator)
+
+    monkeypatch.setattr(verifysuite, "connection_flow", truncated)
+    with pytest.raises(ValueError):
+        verifysuite.run_checks(6, 8, "deltaflow")
+    code = cli_main(["verify", "--order", "6", "--depth", "8", "--ops", "deltaflow"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: residual sides differ in length")
+
+
 def test_numcheck_reports_divergent_cell(capsys):
     code, out = run_cli(capsys, "numcheck")
     payload = json.loads(out)
@@ -127,9 +146,18 @@ def test_numcheck_reports_divergent_cell(capsys):
     assert code == 1
 
 
-def test_unknown_flags_exit_2():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--bogus", "1"],
+        # a flow of order N reads only N operator coefficients: no --depth
+        ["flow", "--f=0,1", "--depth", "16"],
+    ],
+    ids=["solve-bogus", "flow-depth"],
+)
+def test_unknown_flags_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
-        cli_main(["solve", "--bogus", "1"])
+        cli_main(argv)
     assert exc.value.code == 2
 
 
@@ -142,7 +170,6 @@ def test_unknown_flags_exit_2():
         ["verify", "--order", "0"],
         ["verify", "--depth", "2"],
         ["numcheck", "--depth", "0"],
-        ["flow", "--f=0,1,-1", "--depth", "-1"],
     ],
 )
 def test_integer_below_minimum_is_usage_error(capsys, argv):

@@ -153,3 +153,19 @@ def test_dx_raises_on_a_coefficient_known_only_to_x0():
     assert TSeries((XSeries((0, 1), order=1),), 0).dx() == TSeries(
         (XSeries((1,), order=0),), 0
     )
+
+
+def test_tseries_product_keeps_a_truncated_zero_factor():
+    # (0 + O(x^2)) * 2 + 1 * 1 is 1 + O(x^2), not an exact 1
+    zero = XSeries((), order=1)
+    left = TSeries((zero, XSeries((1,))), 1)
+    right = TSeries((XSeries((1,)), XSeries((2,))), 1)
+    assert (left * right).coeffs == (zero, XSeries((1,), order=1))
+
+
+def test_to_basic_keeps_a_truncated_zero_coefficient():
+    # t + (0 + O(x^2)) t^2 = (1 + O(x^2)) q_1 + (0 + O(x^2)) q_2, q_2 = t^2 - t
+    zero = XSeries((), order=1)
+    basis = basic_sequence_from_delta(forward(2), 2)
+    flow = Flow((XSeries((1,)), zero)).to_basic(basis)
+    assert flow.coeffs == (XSeries((1,), order=1), zero)

@@ -14,12 +14,13 @@ from deltadyn.solver import (
     logistic_map,
     quadratic_alpha,
     quadratic_map,
-    solve_backward_series,
     solve_forward,
     solve_logistic,
     solve_quadratic_map,
 )
 from deltadyn.autonomous import autonomous_sequence
+from deltadyn.deltaflow import delta_flow
+from deltadyn.umbral import backward, forward
 
 X = XSeries.x()
 F = Fraction
@@ -80,16 +81,6 @@ def test_solve_forward_depth_guard():
     aut = autonomous_sequence(XSeries((0, 1)), 3)
     with pytest.raises(ValueError):
         solve_forward(XSeries((0, 2)), F(1), 5, aut)
-
-
-def test_difference_problem_generator():
-    from deltadyn.solver import DifferenceProblem, solve_problem
-
-    problem = DifferenceProblem(XSeries((1, 1)), F(0), 6, name="shift")
-    assert problem.f == XSeries((1,))
-    table = solve_problem(problem)
-    assert table.all_equal
-    assert table.rows[-1][:3] == (6, 6, 6)
 
 
 def test_iterate_table_affine_all_equal():
@@ -181,7 +172,7 @@ def test_backward_relation_zero():
 
 
 def test_backward_series_of_zero():
-    df = solve_backward_series(XSeries.zero(), 6)
+    df = delta_flow(XSeries.zero(), backward(6), 6)
     assert all(c.is_zero for c in df.coeffs)
 
 
@@ -189,20 +180,17 @@ def test_backward_series_linear_coefficients():
     import math
 
     a = F(2)
-    df = solve_backward_series(a * X, 8)
+    df = delta_flow(a * X, backward(8), 8)
     for n in range(1, 9):
         assert df.coefficient(n) == X * F(a ** n, math.factorial(n))
 
 
 def test_backward_series_matches_scaled_forward():
-    # coefficient route of the reflection identity, basic coordinates
-    from deltadyn.deltaflow import delta_flow
-    from deltadyn.umbral import backward
-
+    # reflection identity Phi_bwd(t, x, f) = Phi_fwd(-t, x, -f), monomial form
     f = XSeries((0, 1, -1))
-    bwd = solve_backward_series(f, 8)
-    direct = delta_flow(f, backward(8), 8)
-    assert bwd.coeffs == direct.coeffs
+    bwd = delta_flow(f, backward(8), 8).to_tseries()
+    fwd = delta_flow(-f, forward(8), 8).to_tseries().t_scale(-1)
+    assert bwd == fwd
 
 
 def test_abel_scaling_zero():

@@ -27,7 +27,6 @@ from deltadyn.umbral import (
     signed_stirling1,
     stirling2,
     touchard,
-    umbral_apply,
     umbral_compose,
     umbral_inverse,
 )
@@ -348,17 +347,17 @@ def test_shift_invariance_spot_check():
 def test_umbral_identity():
     mono = monomial_basis(6)
     p = TPoly((1, 2, 0, 5))
-    assert umbral_apply(mono, p) == p
+    assert UmbralOperator(mono).apply(p) == p
 
 
 def test_umbral_falling_on_square():
     basis = basic_sequence_from_delta(forward(6), 6)
-    assert umbral_apply(basis, TPoly((0, 0, 1))) == TPoly((0, -1, 1))
+    assert UmbralOperator(basis).apply(TPoly((0, 0, 1))) == TPoly((0, -1, 1))
 
 
 def test_umbral_touchard_degree_one():
     basis = basic_sequence_from_delta(touchard(6), 6)
-    assert umbral_apply(basis, TPoly((1, 1))) == TPoly((1, 1))
+    assert UmbralOperator(basis).apply(TPoly((1, 1))) == TPoly((1, 1))
 
 
 def test_umbral_degree_guard():
