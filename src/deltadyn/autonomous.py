@@ -162,8 +162,6 @@ def group_law_residuals(f, order):
     rhs[m+1] = [t^m] f(psi) / (m+1).  Total order N needs rhs[m] only
     through s-order N - m.  Returns the (N+1)(N+2)/2 differences.
     """
-    if not f.is_exact:
-        raise ValueError("generator must be an exact polynomial here")
     N = order
     aut = autonomous_sequence(f, N)
     # rhs[i] = coefficient of t^i, a TSeries in s; powers[k-1] holds P_k

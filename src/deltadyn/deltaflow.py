@@ -220,8 +220,6 @@ def poly_flow_sum(f, Q, order, basis=None):
     exercising the H_n route end to end.  Equals rho_q(f) exactly.
     """
     basis = _resolve_basis(Q, order, basis)
-    if not f.is_exact:
-        raise ValueError("poly_flow_sum requires an exact polynomial")
     pieces = []
     for k in range(f.degree + 1):
         c = f.coefficient(k)

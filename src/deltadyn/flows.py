@@ -20,8 +20,8 @@ __all__ = ["TSeries", "Flow", "taylor_compose", "poly_substitute"]
 class TSeries:
     """Polynomial in t with XSeries coefficients, truncated at t-order.
 
-    Index = power of t.  Multiplication truncates at the minimum of the
-    operand orders, mirroring XSeries semantics in the t direction.
+    Index = power of t.  Arithmetic truncates at the minimum of the
+    operand t-orders.
     """
 
     __slots__ = ("coeffs", "order")
@@ -72,11 +72,11 @@ class TSeries:
             out = [XSeries.zero() for _ in range(order + 1)]
             for i in range(min(self.order, order) + 1):
                 a = self.coeffs[i]
-                if a.is_zero and a.is_exact:
+                if a.is_zero:
                     continue
                 for j in range(min(other.order, order - i) + 1):
                     b = other.coeffs[j]
-                    if not (b.is_zero and b.is_exact):
+                    if not b.is_zero:
                         out[i + j] = out[i + j] + a * b
             return TSeries(out, order)
         # scalar or XSeries factor
@@ -186,7 +186,7 @@ class Flow:
             q = basis.poly(n)
             c = rest[n - 1] / q.coefficient(n)
             out[n - 1] = c
-            if not (c.is_zero and c.is_exact):
+            if not c.is_zero:
                 for k in range(1, n + 1):
                     b = q.coefficient(k)
                     if b != 0:
@@ -245,11 +245,8 @@ def _as_centered_tseries(w):
 def taylor_compose(f, w):
     """Compose f with a flow W centred at x: sum_k f^(k)(x)/k! (W-x)^k.
 
-    Exact when f is a polynomial.  A truncated f loses one x-order per
-    derivative, and that loss propagates into the coefficients; at
-    t-order N it must be known through x^N, since a derivative past its
-    truncation order raises ValueError.  W must carry the base term x
-    (its deviation W - x needs a strictly positive t-order).
+    W must carry the base term x (its deviation W - x needs a strictly
+    positive t-order).
     """
     ts = _as_centered_tseries(w)
     N = ts.order
@@ -260,7 +257,7 @@ def taylor_compose(f, w):
     k = 0
     kfact = 1
     while True:
-        if fk.is_zero and fk.is_exact:
+        if fk.is_zero:
             break
         out = out + power * (fk * Fraction(1, kfact))
         if k == N:
@@ -273,15 +270,13 @@ def taylor_compose(f, w):
 
 
 def poly_substitute(f, w):
-    """f(W) for an exact polynomial f and any TSeries W (Horner).
+    """f(W) for a polynomial f and any TSeries W (Horner).
 
     Unlike taylor_compose this needs no base point; it is the tool for
     evaluating flows whose t^0 coefficient is itself a series.
     """
     if isinstance(w, Flow):
         w = w.to_tseries()
-    if not f.is_exact:
-        raise ValueError("poly_substitute requires an exact polynomial")
     acc = TSeries.zero(w.order)
     for c in reversed(f.coeffs):
         acc = acc * w

@@ -2,14 +2,9 @@
 
 Two coefficient containers live here:
 
-* XSeries      - polynomial or truncated power series in one variable.
-                 Carries a truncation order (None means exact
-                 polynomial); a result is valid through the smaller
-                 of its operands' orders, and a derivative loses one.
-                 Exact XSeries also serve as the polynomials in t
-                 (basic polynomials and the like); TPoly is kept as
-                 an alias for them.  Printing always names the
-                 variable x.
+* XSeries      - exact polynomial in one variable.  XSeries also serve
+                 as the polynomials in t (basic polynomials and the
+                 like); printing always names the variable x.
 * DerivativeSequence - the tower (f, f', f'', ...) of x-derivatives,
                  with the binomial convolution as its product.
 
@@ -17,10 +12,6 @@ Module level functions provide the formal-series kernels shared by the
 rest of the package: multiplication, reciprocal, composition and
 Lagrange inversion on plain coefficient sequences (index = power,
 scalar entries), plus the rational binomial coefficient.
-
-A series known only through x^0 has no known derivative, so
-differentiating it raises ValueError rather than claiming a zero; the
-derivative tower and every caller inherit that policy.
 """
 
 import math
@@ -28,7 +19,6 @@ from fractions import Fraction
 
 __all__ = [
     "XSeries",
-    "TPoly",
     "DerivativeSequence",
     "derivative_sequence",
     "hurwitz_product",
@@ -176,25 +166,12 @@ def rational_binomial(r, k):
 # XSeries
 
 class XSeries:
-    """Polynomial or truncated power series in x over exact scalars.
+    """Exact polynomial in x; coefficients past the stored list are zero."""
 
-    ``order is None`` marks an exact polynomial.  A value ``order == M``
-    means the coefficients are valid through x^M only; arithmetic takes
-    the minimum of the operand orders and derivatives lose one order.
-    Coefficients beyond the stored list are zero (when exact) and must
-    not be read past the truncation order (ValueError).
-    """
+    __slots__ = ("coeffs",)
 
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs=(), order=None):
-        coeffs = list(coeffs)
-        if order is not None:
-            if order < 0:
-                raise ValueError("truncation order must be >= 0")
-            coeffs = coeffs[: order + 1]
+    def __init__(self, coeffs=()):
         self.coeffs = tuple(_trim(coeffs))
-        self.order = order
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -219,43 +196,22 @@ class XSeries:
 
     # -- structure ----------------------------------------------------
     @property
-    def is_exact(self):
-        return self.order is None
-
-    @property
     def is_zero(self):
         return not self.coeffs
 
     @property
     def degree(self):
-        """Degree of an exact polynomial (-1 for the zero polynomial)."""
-        if not self.is_exact:
-            raise ValueError("degree undefined for a truncated series")
+        """Degree (-1 for the zero polynomial)."""
         return len(self.coeffs) - 1
 
     def coefficient(self, k):
-        if self.order is not None and k > self.order:
-            raise ValueError(
-                "coefficient %d beyond truncation order %d" % (k, self.order)
-            )
         return self.coeffs[k] if k < len(self.coeffs) else 0
-
-    @staticmethod
-    def _merge_order(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
         if not isinstance(other, XSeries):
             other = XSeries.constant(other)
-        return XSeries(
-            _add_lists(self.coeffs, other.coeffs),
-            self._merge_order(self.order, other.order),
-        )
+        return XSeries(_add_lists(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -266,15 +222,12 @@ class XSeries:
         return (-self) + other
 
     def __neg__(self):
-        return XSeries([-c for c in self.coeffs], self.order)
+        return XSeries([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, XSeries):
-            order = self._merge_order(self.order, other.order)
-            return XSeries(
-                _mul_lists(self.coeffs, other.coeffs, cap=order), order
-            )
-        return XSeries(_scale_list(self.coeffs, other), self.order)
+            return XSeries(_mul_lists(self.coeffs, other.coeffs))
+        return XSeries(_scale_list(self.coeffs, other))
 
     __rmul__ = __mul__
 
@@ -283,33 +236,18 @@ class XSeries:
         return self * inv
 
     def derivative(self):
-        """x-derivative; a truncated series loses one order."""
-        order = self.order
-        if order is not None:
-            if order == 0:
-                raise ValueError("cannot differentiate a series known only to x^0")
-            order -= 1
-        return XSeries(
-            [i * c for i, c in enumerate(self.coeffs)][1:] or (),
-            order,
-        )
-
-    def truncate(self, order):
-        return XSeries(self.coeffs, self._merge_order(self.order, order))
+        """x-derivative."""
+        return XSeries([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def evaluate(self, value):
-        """Evaluate an exact polynomial at a scalar (Horner)."""
-        if not self.is_exact:
-            raise ValueError("cannot evaluate a truncated series exactly")
+        """Evaluate at a scalar (Horner)."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc
 
     def shift(self, a):
-        """p(x + a) for an exact polynomial, expanded exactly."""
-        if not self.is_exact:
-            raise ValueError("cannot shift a truncated series exactly")
+        """p(x + a), expanded exactly."""
         out = []
         for k, c in enumerate(self.coeffs):
             if c == 0:
@@ -322,20 +260,13 @@ class XSeries:
     def __eq__(self, other):
         if not isinstance(other, XSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs and self.order == other.order
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.coeffs, self.order))
+        return hash(self.coeffs)
 
     def __repr__(self):
-        body = _poly_str(self.coeffs, "x")
-        if self.order is None:
-            return body
-        return "%s + O(x^%d)" % (body, self.order + 1)
-
-
-# Exact polynomials in t are exact XSeries; the name stays public.
-TPoly = XSeries
+        return _poly_str(self.coeffs, "x")
 
 
 # ---------------------------------------------------------------------------

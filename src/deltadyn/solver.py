@@ -55,8 +55,6 @@ class IterateTable:
 
 def iterate(g, x0, n):
     """The orbit y_0 .. y_n of y_{k+1} = g(y_k), exactly."""
-    if not g.is_exact:
-        raise ValueError("iteration requires an exact polynomial map")
     ys = [x0]
     for _ in range(n):
         ys.append(g.evaluate(ys[-1]))
@@ -139,17 +137,15 @@ def quadratic_alpha(c):
     return GaussianRational(Fraction(1, 2), root / 2)
 
 
-def solve_quadratic_map(c, z0, n, allow_fallback=True):
+def solve_quadratic_map(c, z0, n):
     """Value z_n of z_{k+1} = z_k^2 + c through the factored flow.
 
     Uses the conjugate affine factorization of x^2 - x + c over Q(i)
     when the root is representable; otherwise falls back to the
-    unfactored forward closed form (or raises when disabled).
+    unfactored forward closed form.
     """
     alpha = quadratic_alpha(c)
     if alpha is None:
-        if not allow_fallback:
-            raise ValueError("4c - 1 is not a rational square; no exact factorization")
         return solve_forward(quadratic_map(c), z0, n)
     order = max(n, 1)
     Q = forward(order)

@@ -49,7 +49,6 @@ from .series import (
     compositional_inverse,
     invert_scalar,
     seq_compose,
-    seq_mul,
     seq_reciprocal,
 )
 
@@ -145,8 +144,6 @@ def _falling_apply(coeffs, v, zero):
 
 def apply_delta_series(coeffs, p):
     """Apply a shift-invariant series sum_k coeffs[k] d^k to a polynomial."""
-    if not p.is_exact:
-        raise ValueError("a shift-invariant operator needs an exact polynomial")
     return XSeries(_falling_apply(coeffs, p.coeffs, 0))
 
 
@@ -411,17 +408,8 @@ def first_expansion(T, Q, depth):
 
 def expansion_to_delta_series(c, Q, order):
     """Assemble sum_k c_k Q^k / k! back into a derivative series."""
-    out = [0] * (order + 1)
-    power = (1,) + (0,) * order
-    for k, ck in enumerate(c):
-        if k > order:
-            break
-        w = ck * Fraction(1, math.factorial(k))
-        if w != 0:
-            for i in range(order + 1):
-                out[i] = out[i] + w * power[i]
-        power = seq_mul(power, Q.coeffs, order)
-    return tuple(out)
+    weights = [ck * Fraction(1, math.factorial(k)) for k, ck in enumerate(c[: order + 1])]
+    return seq_compose(weights, Q.coeffs, order)
 
 
 # ---------------------------------------------------------------------------

@@ -31,32 +31,12 @@ def test_evaluate_and_degree():
     assert p.evaluate(Fraction(1, 2)) == Fraction(3, 2)
     assert p.degree == 2
     assert XSeries.zero().degree == -1
-    with pytest.raises(ValueError):
-        XSeries((1, 2), order=3).evaluate(1)
 
 
 def test_shift_exact_and_truncated():
     p = XSeries((1, -2, 0, 1))  # x^3 - 2x + 1
     assert p.shift(1) == XSeries((0, 1, 3, 1))  # (x+1)^3 - 2(x+1) + 1
     assert p.shift(1).shift(-1) == p
-    with pytest.raises(ValueError):
-        XSeries((1, 2), order=3).shift(1)
-
-
-def test_truncation_propagation():
-    a = XSeries((1, 1, 1, 1), order=3)
-    b = XSeries((1, 2))
-    s = a + b
-    assert s.order == 3
-    p = a * b
-    assert p.order == 3
-    assert p.coefficient(3) == 1 * 2 + 1 * 1
-    with pytest.raises(ValueError):
-        p.coefficient(4)
-    d = a.derivative()
-    assert d.order == 2
-    with pytest.raises(ValueError):
-        XSeries((5,), order=0).derivative()
 
 
 def test_ring_axioms_sampled():
@@ -77,27 +57,16 @@ SMALL_GAUSSIANS = st.builds(GaussianRational, SMALL_RATIONALS, SMALL_RATIONALS)
 
 @st.composite
 def series_triples(draw):
-    """Three series over one field (Q or Q(i)), each exact or truncated."""
+    """Three polynomials over one field (Q or Q(i))."""
     scalars = draw(st.sampled_from((SMALL_RATIONALS, SMALL_GAUSSIANS)))
-
-    def one():
-        coeffs = draw(st.lists(scalars, max_size=5))
-        return XSeries(coeffs, draw(st.none() | st.integers(0, 5)))
-
-    return one(), one(), one()
-
-
-def tightest(*orders):
-    known = [o for o in orders if o is not None]
-    return min(known) if known else None
+    return tuple(XSeries(draw(st.lists(scalars, max_size=5))) for _ in range(3))
 
 
 def agree_through(series, coeffs):
-    """series matches the exact coefficient list through its order."""
-    top = len(coeffs) - 1 if series.order is None else series.order
+    """series matches the coefficient list, and is zero past it."""
     return all(
         series.coefficient(k) == (coeffs[k] if k < len(coeffs) else 0)
-        for k in range(max(top, len(series.coeffs) - 1) + 1)
+        for k in range(max(len(coeffs), len(series.coeffs)))
     )
 
 
@@ -115,16 +84,8 @@ def test_ring_axioms_with_truncation(triple):
 @given(series_triples())
 def test_truncation_order_propagates(triple):
     a, b, _ = triple
-    assert (a + b).order == tightest(a.order, b.order)
-    assert (a * b).order == tightest(a.order, b.order)
     assert agree_through(a + b, padd(a.coeffs, b.coeffs))
     assert agree_through(a * b, pmul(a.coeffs, b.coeffs))
-    if a.order == 0:
-        with pytest.raises(ValueError):
-            a.derivative()
-    else:
-        d = a.derivative()
-        assert d.order == (None if a.order is None else a.order - 1)
 
 
 def test_scalar_multiplication_promotes():
@@ -173,15 +134,6 @@ def test_hurwitz_random_leibniz():
             derivative_sequence(f, 8), derivative_sequence(g, 8)
         )
         assert left == derivative_sequence(f * g, 8)
-
-
-def test_derivative_tower_stops_at_the_truncation_order():
-    # f = 1 + x + O(x^2) fixes f' = 1 + O(x) but not f'' (compare
-    # 1 + x + 5x^2), so the tower of length 3 is unknown and raises
-    f = XSeries((1, 1), order=1)
-    assert derivative_sequence(f, 2)[1] == XSeries((1,), order=0)
-    with pytest.raises(ValueError):
-        derivative_sequence(f, 3)
 
 
 def test_hurwitz_length_mismatch():

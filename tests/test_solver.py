@@ -45,11 +45,6 @@ def test_iterate_quadratic_gaussian():
     )
 
 
-def test_iterate_requires_polynomial():
-    with pytest.raises(ValueError):
-        iterate(XSeries((0, 1), order=4), F(0), 2)
-
-
 # --- the forward closed form ---------------------------------------------------
 
 def test_solve_forward_identity_map():
@@ -160,8 +155,6 @@ def test_quadratic_fallback():
     g = quadratic_map(F(1))
     for n in range(6):
         assert solve_quadratic_map(F(1), F(1, 3), n) == solve_forward(g, F(1, 3), n)
-    with pytest.raises(ValueError):
-        solve_quadratic_map(F(1), F(1, 3), 3, allow_fallback=False)
 
 
 # --- backward and Abel identities ------------------------------------------------

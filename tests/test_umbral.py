@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from deltadyn.deltaflow import connection_matrix
 from deltadyn.flows import TSeries
 from deltadyn.scalars import GaussianRational, parse_scalar
-from deltadyn.series import TPoly, compositional_inverse, seq_mul
+from deltadyn.series import XSeries, compositional_inverse, seq_mul
 from deltadyn.umbral import (
     OPERATOR_NAMES,
     DeltaOp,
@@ -111,19 +111,19 @@ def test_delta_op_invariants():
 def test_derivative_basis_is_monomial():
     basis = basic_sequence_from_delta(derivative(DEPTH), DEPTH)
     for n in range(DEPTH + 1):
-        assert basis.poly(n) == TPoly.monomial(1, n)
+        assert basis.poly(n) == XSeries.monomial(1, n)
 
 
 def test_forward_basis_is_falling_factorials():
     basis = basic_sequence_from_delta(forward(DEPTH), DEPTH)
-    assert basis.poly(2) == TPoly((0, -1, 1))  # t^2 - t
+    assert basis.poly(2) == XSeries((0, -1, 1))  # t^2 - t
     for n in range(DEPTH + 1):
         assert list(basis.poly(n).coeffs) == falling_factorial(n)
 
 
 def test_backward_basis_is_rising_factorials():
     basis = basic_sequence_from_delta(backward(DEPTH), DEPTH)
-    assert basis.poly(2) == TPoly((0, 1, 1))  # t^2 + t
+    assert basis.poly(2) == XSeries((0, 1, 1))  # t^2 + t
     for n in range(DEPTH + 1):
         assert list(basis.poly(n).coeffs) == rising_factorial(n)
 
@@ -131,14 +131,14 @@ def test_backward_basis_is_rising_factorials():
 @pytest.mark.parametrize("alpha", [1, -1, Fraction(2, 3)])
 def test_abel_basis_closed_form(alpha):
     basis = basic_sequence_from_delta(abel(alpha, DEPTH), DEPTH)
-    assert basis.poly(2) == TPoly((0, -2 * alpha, 1))  # t(t - 2 alpha)
+    assert basis.poly(2) == XSeries((0, -2 * alpha, 1))  # t(t - 2 alpha)
     for n in range(DEPTH + 1):
         assert list(basis.poly(n).coeffs) == abel_poly(n, alpha)
 
 
 def test_touchard_basis_is_stirling2():
     basis = basic_sequence_from_delta(touchard(DEPTH), DEPTH)
-    assert basis.poly(3) == TPoly((0, 1, 3, 1))
+    assert basis.poly(3) == XSeries((0, 1, 3, 1))
     for n in range(DEPTH + 1):
         for k in range(n + 1):
             assert basis.beta(k, n) == stirling2(n, k)
@@ -147,7 +147,7 @@ def test_touchard_basis_is_stirling2():
 def test_basic_set_axioms():
     for Q in all_builtins():
         basis = basic_sequence_from_delta(Q, DEPTH)
-        assert basis.poly(0) == TPoly.one()
+        assert basis.poly(0) == XSeries.one()
         for n in range(1, DEPTH + 1):
             qn = basis.poly(n)
             assert qn.evaluate(0) == 0
@@ -228,14 +228,14 @@ def test_random_delta_series_match_oracle(case):
 
 def polys_in_t(draw, count, degree):
     return [
-        TPoly(draw(st.lists(SMALL_RATIONALS, max_size=degree + 1)))
+        XSeries(draw(st.lists(SMALL_RATIONALS, max_size=degree + 1)))
         for _ in range(count)
     ]
 
 
 def repeated_derivative_apply(coeffs, p):
     """sum_k coeffs[k] d^k p, differentiating p once per term."""
-    out, dk = TPoly.zero(), p
+    out, dk = XSeries.zero(), p
     for c in coeffs:
         out = out + dk * c
         dk = dk.derivative()
@@ -245,7 +245,7 @@ def repeated_derivative_apply(coeffs, p):
 def repeated_dt_apply(coeffs, w):
     """sum_k coeffs[k] (d/dt)^k w through t^(w.order - 1), one t-derivative
     of w per term."""
-    out, dk = [TPoly.zero()] * max(w.order, 1), w
+    out, dk = [XSeries.zero()] * max(w.order, 1), w
     for c in coeffs[: w.order + 1]:
         for m in range(min(dk.order + 1, len(out))):
             out[m] = out[m] + dk.coefficient(m) * c
@@ -312,31 +312,31 @@ def test_binomial_type():
 
 def test_forward_difference_of_square():
     Q = forward(6)
-    assert Q.apply_tpoly(TPoly((0, 0, 1))) == TPoly((1, 2))  # (t+1)^2 - t^2
+    assert Q.apply_tpoly(XSeries((0, 0, 1))) == XSeries((1, 2))  # (t+1)^2 - t^2
 
 
 def test_forward_difference_of_falling_factorial():
     Q = forward(8)
-    f3 = TPoly(falling_factorial(3))
-    f2 = TPoly(falling_factorial(2))
+    f3 = XSeries(falling_factorial(3))
+    f2 = XSeries(falling_factorial(2))
     assert Q.apply_tpoly(f3) == 3 * f2
 
 
 def test_derivative_on_monomials():
     Q = derivative(8)
     for n in range(1, 8):
-        assert Q.apply_tpoly(TPoly.monomial(1, n)) == TPoly.monomial(n, n - 1)
-    assert Q.apply_tpoly(TPoly.one()) == TPoly.zero()
+        assert Q.apply_tpoly(XSeries.monomial(1, n)) == XSeries.monomial(n, n - 1)
+    assert Q.apply_tpoly(XSeries.one()) == XSeries.zero()
 
 
 def test_operator_order_guard():
     Q = forward(3)
     with pytest.raises(ValueError):
-        Q.apply_tpoly(TPoly.monomial(1, 4))
+        Q.apply_tpoly(XSeries.monomial(1, 4))
 
 
 def test_shift_invariance_spot_check():
-    p = TPoly((1, -2, 0, 1))
+    p = XSeries((1, -2, 0, 1))
     for Q in all_builtins():
         for a in (1, Fraction(-1, 2)):
             assert Q.apply_tpoly(p.shift(a)) == Q.apply_tpoly(p).shift(a)
@@ -346,24 +346,24 @@ def test_shift_invariance_spot_check():
 
 def test_umbral_identity():
     mono = monomial_basis(6)
-    p = TPoly((1, 2, 0, 5))
+    p = XSeries((1, 2, 0, 5))
     assert UmbralOperator(mono).apply(p) == p
 
 
 def test_umbral_falling_on_square():
     basis = basic_sequence_from_delta(forward(6), 6)
-    assert UmbralOperator(basis).apply(TPoly((0, 0, 1))) == TPoly((0, -1, 1))
+    assert UmbralOperator(basis).apply(XSeries((0, 0, 1))) == XSeries((0, -1, 1))
 
 
 def test_umbral_touchard_degree_one():
     basis = basic_sequence_from_delta(touchard(6), 6)
-    assert UmbralOperator(basis).apply(TPoly((1, 1))) == TPoly((1, 1))
+    assert UmbralOperator(basis).apply(XSeries((1, 1))) == XSeries((1, 1))
 
 
 def test_umbral_degree_guard():
     basis = basic_sequence_from_delta(forward(3), 3)
     with pytest.raises(ValueError):
-        UmbralOperator(basis).apply(TPoly.monomial(1, 4))
+        UmbralOperator(basis).apply(XSeries.monomial(1, 4))
 
 
 # --- umbral composition group ------------------------------------------------
@@ -396,8 +396,8 @@ def test_falling_after_rising_is_not_monomial():
     A = basic_sequence_from_delta(forward(12), 6)
     B = basic_sequence_from_delta(backward(12), 6)
     composed = umbral_compose(A, B)
-    assert composed.poly(2) == TPoly((0, 0, 1))
-    assert composed.poly(3) == TPoly((0, 1, 0, 1))
+    assert composed.poly(2) == XSeries((0, 0, 1))
+    assert composed.poly(3) == XSeries((0, 1, 0, 1))
 
 
 def test_inverse_of_identity():
@@ -467,7 +467,7 @@ def test_shift_operator_values():
     E0 = shift_operator(0, 5)
     assert E0 == (1, 0, 0, 0, 0, 0)
     E1 = shift_operator(1, 6)
-    assert apply_delta_series(E1, TPoly((0, 0, 1))) == TPoly((1, 2, 1))
+    assert apply_delta_series(E1, XSeries((0, 0, 1))) == XSeries((1, 2, 1))
     a, b = Fraction(1, 3), Fraction(2)
     lhs = seq_mul(shift_operator(a, 8), shift_operator(b, 8), 8)
     assert lhs == shift_operator(a + b, 8)
@@ -523,4 +523,4 @@ def test_umbral_operator_sends_monomials_to_basis():
         basis = basic_sequence_from_delta(Q, 8)
         L = UmbralOperator(basis)
         for n in range(9):
-            assert L.apply(TPoly.monomial(1, n)) == basis.poly(n)
+            assert L.apply(XSeries.monomial(1, n)) == basis.poly(n)
