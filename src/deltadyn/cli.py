@@ -13,12 +13,16 @@ Subcommands:
              tolerance.
 
 All output is deterministic: fixed orderings, no timestamps.  An
-integer option below its minimum is a usage error (exit code 2); a
-reader closing stdout early gives a quiet exit with code 141.
+integer option below its minimum, a numcheck tolerance that is not a
+finite number > 0, and a solve value with more digits than
+--max-digits are usage errors (exit code 2); a reader closing stdout
+early gives a quiet exit with code 141.
 """
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 
@@ -33,6 +37,7 @@ from .numeric import (
 from .scalars import format_scalar, parse_scalar
 from .series import XSeries
 from .solver import (
+    DigitLimitError,
     corpus_map,
     iterate_table,
     logistic_map,
@@ -70,6 +75,17 @@ def _int_at_least(low):
     return parse
 
 
+def _positive_finite(text):
+    """argparse type: a finite float > 0, else a usage error (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be a finite number > 0, got %r" % text)
+    return value
+
+
 def _emit(text):
     sys.stdout.write(text)
     if not text.endswith("\n"):
@@ -79,7 +95,18 @@ def _emit(text):
 def _cmd_solve(args):
     g = _parse_map(args.map, args.field)
     x0 = parse_scalar(args.x0, args.field)
-    table = iterate_table(g, x0, args.steps)
+    table = iterate_table(g, x0, args.steps, args.max_digits)
+    # Every value is within --max-digits, so CPython's own limit on
+    # int-to-str conversion is lifted for this formatting alone.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _format_solve(args, table)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _format_solve(args, table):
     rows = []
     for n, closed, iterated, equal in table.rows:
         row = {"n": n}
@@ -93,17 +120,11 @@ def _cmd_solve(args):
     if args.format == "json":
         _emit(json.dumps({"map": args.map, "x0": args.x0, "rows": rows}))
     else:
-        header = ["n"]
-        if args.mode in ("closed", "both"):
-            header.append("closed")
-        if args.mode in ("iterate", "both"):
-            header.append("iterated")
-        if args.mode == "both":
-            header.append("equal")
-        lines = [",".join(header)]
+        # one line at a time, since an orbit can print megabytes; the
+        # table always has its row n = 0
+        sys.stdout.write(",".join(rows[0]) + "\n")
         for row in rows:
-            lines.append(",".join(str(row[h]) for h in header))
-        _emit("\n".join(lines))
+            sys.stdout.write(",".join(str(v) for v in row.values()) + "\n")
     if args.mode == "both" and not table.all_equal:
         return 1
     return 0
@@ -208,6 +229,7 @@ def _cmd_numcheck(args):
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="deltadyn",
@@ -219,6 +241,11 @@ def _build_parser():
     p.add_argument("--map", required=True, help="corpus name, logistic:MU, quadratic:C or poly:c0,c1,...")
     p.add_argument("--x0", required=True, help="initial value (exact rational string)")
     p.add_argument("--steps", type=_int_at_least(0), default=8)
+    p.add_argument(
+        "--max-digits", type=_int_at_least(1), default=100000,
+        help="largest number of decimal digits of a printed numerator or denominator; "
+        "a longer value is a usage error (exit 2)",
+    )
     p.add_argument("--field", choices=("Q", "Qi"), default="Q")
     p.add_argument("--mode", choices=("closed", "iterate", "both"), default="both")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
@@ -249,7 +276,7 @@ def _build_parser():
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("numcheck", help="float checks of the closed forms")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=_positive_finite, default=1e-9)
     p.add_argument("--depth", type=_int_at_least(1), default=64)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_numcheck)
@@ -262,6 +289,9 @@ def cli_main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except DigitLimitError as exc:
+        sys.stderr.write("error: %s (see --max-digits)\n" % exc)
+        return 2
     except (ValueError, KeyError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

@@ -169,8 +169,7 @@ class Flow:
         """Expand the basis polynomials; lossless (triangular, unit-free)."""
         if self.basis is None:
             return self
-        zero = XSeries.zero()
-        mono = self.basis.expand((zero,) + self.coeffs, zero)[1:]
+        mono = self.basis.expand((XSeries.zero(),) + self.coeffs)[1:]
         return Flow(mono, None, self.has_base, self.generator)
 
     def to_basic(self, basis):

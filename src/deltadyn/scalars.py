@@ -9,6 +9,14 @@ rationals when the imaginary part is zero.
 
 Scalars serialize to strings of the form ``-3``, ``5/7`` or
 ``1/2-3/4*i`` and parse back exactly.
+
+The integer kernels of the package (autonomous polynomials, basis
+expansion) work on integer lanes: a list of scalars becomes one common
+denominator and two integer vectors, real and imaginary parts of the
+numerators.  Each scalar also has a kind, 0 for int, 1 for Fraction
+and 2 for GaussianRational; Python arithmetic returns the larger kind
+of its operands, and the kernels rebuild each result in the kind the
+same sum of products would have had.
 """
 
 import math
@@ -22,6 +30,10 @@ __all__ = [
     "parse_scalar",
     "rational_sqrt",
     "to_gaussian",
+    "to_lanes",
+    "kind_masks",
+    "from_lanes",
+    "digits_over",
 ]
 
 
@@ -160,6 +172,49 @@ def to_gaussian(value):
     return g
 
 
+def to_lanes(values):
+    """Integer lanes (den, re, im) of a list of exact scalars.
+
+    den is the least common denominator of every real and imaginary
+    part, and re[j] + im[j]*i == den * values[j] in integers; im is
+    None when every imaginary part is zero.
+    """
+    parts = [(v.re, v.im) if type(v) is GaussianRational else (v, 0) for v in values]
+    den = math.lcm(*[x.denominator for pair in parts for x in pair])
+    re = [r.numerator * (den // r.denominator) for r, _ in parts]
+    if not any(m for _, m in parts):
+        return den, re, None
+    return den, re, [m.numerator * (den // m.denominator) for _, m in parts]
+
+
+def kind_masks(values):
+    """Bit masks (ge1, ge2) of the kinds of a list of exact scalars.
+
+    Bit j of ge1 is set when values[j] is a Fraction or a
+    GaussianRational, bit j of ge2 when it is a GaussianRational.
+    """
+    ge1 = ge2 = 0
+    for j, v in enumerate(values):
+        t = type(v)
+        if t is GaussianRational:
+            ge1 |= 1 << j
+            ge2 |= 1 << j
+        elif t is Fraction:
+            ge1 |= 1 << j
+    return ge1, ge2
+
+
+def from_lanes(re, im, den, kind):
+    """The scalar (re + im*i) / den as an int, Fraction or
+    GaussianRational (kind 0, 1 or 2); kinds 0 and 1 need im == 0,
+    and kind 0 needs den to divide re."""
+    if kind == 2:
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
+    if kind == 1:
+        return Fraction(re, den)
+    return re // den
+
+
 def format_scalar(value):
     """Render an exact scalar as '-3', '5/7' or 'a/b+c/d*i'."""
     if isinstance(value, GaussianRational):
@@ -186,27 +241,54 @@ def parse_scalar(text, field="Q"):
     field 'Q' accepts rationals only and returns Fraction; field 'Qi'
     also accepts composites and returns GaussianRational.  A unit
     imaginary part may omit its magnitude: 'i', '-i', 'a+i', 'a-i'.
+    A zero denominator is a ValueError, like any other bad spelling.
     """
     s = text.strip().replace(" ", "")
+
+    def rational(part):
+        try:
+            return Fraction(part)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % text) from None
+
     if field == "Q":
         m = _RATIONAL_RE.match(s)
         if not m:
             raise ValueError("not a rational: %r" % text)
-        return Fraction(s)
+        return rational(s)
     if field != "Qi":
         raise ValueError("unknown field %r (expected 'Q' or 'Qi')" % field)
     m = _COMPOSITE_RE.match(s)
     if m:
         real, sign, magnitude = m.groups()
-        return GaussianRational(Fraction(real), Fraction(sign + (magnitude or "1")))
+        return GaussianRational(rational(real), rational(sign + (magnitude or "1")))
     m = _IMAGINARY_RE.match(s)
     if m:
         sign, magnitude = m.groups()
-        return GaussianRational(0, Fraction(sign + (magnitude or "1")))
+        return GaussianRational(0, rational(sign + (magnitude or "1")))
     m = _RATIONAL_RE.match(s)
     if m:
-        return GaussianRational(Fraction(s))
+        return GaussianRational(rational(s))
     raise ValueError("not a Q(i) scalar: %r" % text)
+
+
+def digits_over(value, cap):
+    """Whether an integer printed for value (a numerator or denominator
+    of a real or imaginary part) has more than cap decimal digits.
+
+    Decided from bit lengths; only an integer within a few bits of
+    10**cap is compared with it.
+    """
+    parts = (value.re, value.im) if isinstance(value, GaussianRational) else (value,)
+    for part in parts:
+        for n in (abs(part.numerator), part.denominator):
+            bits = n.bit_length()
+            # 2^(bits-1) <= n < 2^bits and log10(2) = 0.30102999...
+            if bits * 0.30103 + 1 <= cap:
+                continue
+            if (bits - 1) * 0.30102 >= cap or n >= 10**cap:
+                return True
+    return False
 
 
 def rational_sqrt(value):

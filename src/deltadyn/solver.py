@@ -24,12 +24,13 @@ from math import comb
 
 from .autonomous import aut_scale, autonomous_sequence, flow_from_autonomous
 from .deltaflow import delta_flow, poly_flow_product
-from .scalars import GaussianRational, parse_scalar, rational_sqrt
+from .scalars import GaussianRational, digits_over, parse_scalar, rational_sqrt
 from .series import XSeries
 from .umbral import abel, backward, basic_sequence_from_delta, forward
 
 __all__ = [
     "IterateTable",
+    "DigitLimitError",
     "iterate",
     "solve_forward",
     "iterate_table",
@@ -53,12 +54,38 @@ class IterateTable:
         return all(r[3] for r in self.rows)
 
 
-def iterate(g, x0, n):
-    """The orbit y_0 .. y_n of y_{k+1} = g(y_k), exactly."""
+class DigitLimitError(ValueError):
+    """A value of an orbit or closed form is longer than the digit cap."""
+
+
+def _check_digits(value, n, max_digits):
+    if max_digits is not None and digits_over(value, max_digits):
+        raise DigitLimitError(
+            "the value at n = %d has more than %d decimal digits" % (n, max_digits)
+        )
+
+
+def iterate(g, x0, n, max_digits=None):
+    """The orbit y_0 .. y_n of y_{k+1} = g(y_k), exactly.
+
+    With max_digits, stop with DigitLimitError at the first value
+    holding an integer (numerator or denominator of a part) of more
+    decimal digits; the orbit is not computed past it.
+    """
     ys = [x0]
-    for _ in range(n):
+    _check_digits(x0, 0, max_digits)
+    for k in range(1, n + 1):
         ys.append(g.evaluate(ys[-1]))
+        _check_digits(ys[-1], k, max_digits)
     return tuple(ys)
+
+
+def _closed_form(x0, values, n):
+    """x0 + sum_(k <= n) values[k-1] C(n, k), values[k-1] = A_k(x0)."""
+    acc = x0
+    for k in range(1, n + 1):
+        acc = acc + values[k - 1] * comb(n, k)
+    return acc
 
 
 def solve_forward(g, x0, n, aut=None):
@@ -74,19 +101,23 @@ def solve_forward(g, x0, n, aut=None):
         aut = autonomous_sequence(g - XSeries.x(), max(n, 1))
     elif aut.order < n:
         raise ValueError("autonomous depth exhausted for this n")
-    acc = x0
-    for k in range(1, n + 1):
-        acc = acc + aut.term(k).evaluate(x0) * comb(n, k)
-    return acc
+    return _closed_form(x0, [aut.term(k).evaluate(x0) for k in range(1, n + 1)], n)
 
 
-def iterate_table(g, x0, n_max):
-    """Closed form against the iteration oracle, row by row."""
+def iterate_table(g, x0, n_max, max_digits=None):
+    """Closed form against the iteration oracle, row by row.
+
+    Each A_k(x0) is evaluated once and shared by every row.  With
+    max_digits, a value of either column past the cap raises
+    DigitLimitError (see iterate).
+    """
     aut = autonomous_sequence(g - XSeries.x(), max(n_max, 1))
-    orbit = iterate(g, x0, n_max)
+    orbit = iterate(g, x0, n_max, max_digits)
+    values = [aut.term(k).evaluate(x0) for k in range(1, n_max + 1)]
     rows = []
     for n in range(n_max + 1):
-        closed = solve_forward(g, x0, n, aut)
+        closed = _closed_form(x0, values, n)
+        _check_digits(closed, n, max_digits)
         rows.append((n, closed, orbit[n], closed == orbit[n]))
     return IterateTable(tuple(rows))
 

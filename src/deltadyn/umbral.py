@@ -30,7 +30,11 @@ sum_k p_k d^k weights coefficient m+k by the falling factorial
 (m+k)!/m! and serves every operator, on polynomials and in the t
 variable of a TSeries.  BasicSequence.expand maps coordinates over
 (q_n) to monomial ones through the triangular matrix beta(k, n); the
-umbral operators and flows.Flow.to_monomial use it.
+umbral operators and flows.Flow.to_monomial use it.  It runs on
+integers: each row of beta is stored once as integer numerators over
+one denominator, the inputs are brought to one common denominator,
+and the sums are divided out once per output coefficient, with
+Gaussian scalars split into real and imaginary integer lanes.
 
 Basic sequences compose umbrally (substitute one family into the
 monomial expansion of another) and form a group; the attached
@@ -44,6 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .flows import TSeries
+from .scalars import from_lanes, kind_masks, to_lanes
 from .series import (
     XSeries,
     compositional_inverse,
@@ -227,18 +232,100 @@ class BasicSequence:
     def beta(self, k, n):
         return self.poly(n).coefficient(k)
 
-    def expand(self, coeffs, zero=0):
+    @functools.cached_property
+    def _int_rows(self):
+        """(den, complex, rows): rows[n] lists (k, re, im, kind) for every
+        nonzero beta(k, n) = (re + im*i) / den; complex tells whether
+        any im is nonzero."""
+        flat = [b for p in self.polys for b in p.coeffs]
+        den, re, im = to_lanes(flat)
+        b1, b2 = kind_masks(flat)
+        rows, pos = [], 0
+        for p in self.polys:
+            rows.append([
+                (k, re[j], im[j] if im else 0, 2 if b2 >> j & 1 else b1 >> j & 1)
+                for k, j in enumerate(range(pos, pos + len(p.coeffs)))
+                if re[j] or (im and im[j])
+            ])
+            pos += len(p.coeffs)
+        return den, im is not None, rows
+
+    def expand(self, coeffs):
         """Monomial coefficients of sum_n coeffs[n] q_n(t), index = power.
 
-        Sums start from zero and take a term for each nonzero beta(k, n)
-        only; coeffs may hold scalars or XSeries.
+        coeffs holds scalars, or XSeries (and then so does the result).
+        The sum runs on integers: the inputs over one common
+        denominator times the rows of beta over theirs, in real and
+        imaginary lanes, with one division per output coefficient.
+        Every output coefficient has the kind (int, Fraction or
+        GaussianRational) that adding up coeffs[n] * beta(k, n) over the
+        nonzero beta, from 0 or from the zero XSeries, gives in the
+        scalars' own arithmetic: the largest kind among its terms, less
+        the terms of any XSeries entry that a partial sum cancelled at
+        its top and so trimmed.
         """
-        out = [zero] * len(coeffs)
-        for n, c in enumerate(coeffs):
-            for k, b in enumerate(self.poly(n).coeffs):
-                if b != 0:
-                    out[k] = out[k] + c * b
+        if len(coeffs) > self.depth + 1:
+            raise ValueError("basis index out of range")
+        series = any(isinstance(c, XSeries) for c in coeffs)
+        vecs = [c.coeffs for c in coeffs] if series else [(c,) for c in coeffs]
+        den, lanes, g1, g2 = self._accumulate(vecs, series)
+        out = []
+        for k, (re, im) in enumerate(lanes):
+            lanes[k] = None  # each row of sums is freed once read
+            kinds1, kinds2 = g1[k], g2[k]
+            entries = [
+                from_lanes(r, im[i] if im else 0, den, 2 if kinds2 >> i & 1 else kinds1 >> i & 1)
+                for i, r in enumerate(re)
+            ]
+            if series:
+                out.append(XSeries(entries))
+            else:
+                out.append(entries[0] if entries else 0)
         return out
+
+    def _accumulate(self, vecs, series):
+        """Integer sums for expand: (den, lanes, g1, g2), where output
+        coefficient i of power k is (re + im*i)/den for (re, im) =
+        lanes[k] (im None on a real sum), and bit i of g1[k] and g2[k]
+        gives its kind as in kind_masks."""
+        flat = [v for vec in vecs for v in vec]
+        dc, ure, uim = to_lanes(flat)
+        c1, c2 = kind_masks(flat)
+        db, basis_complex, rows = self._int_rows
+        cplx = basis_complex or uim is not None
+        size = len(vecs)
+        lanes = [([], [] if cplx else None) for _ in range(size)]
+        g1, g2 = [0] * size, [0] * size
+        length = [0] * size  # of each XSeries partial sum, trailing zeros trimmed
+        pos = 0
+        for n, vec in enumerate(vecs):
+            m = len(vec)
+            ur = ure[pos : pos + m]
+            ui = uim[pos : pos + m] if uim else None
+            full = (1 << m) - 1
+            k1, k2 = (c1 >> pos) & full, (c2 >> pos) & full
+            pos += m
+            for k, br, bi, kb in rows[n] if m else ():
+                g1[k] |= full if kb else k1
+                g2[k] |= full if kb == 2 else k2
+                re, im = lanes[k]
+                for acc in (re, im) if cplx else (re,):
+                    if len(acc) < m:
+                        acc.extend([0] * (m - len(acc)))
+                for acc, b, u in ((re, br, ur), (re, -bi, ui), (im, br, ui), (im, bi, ur)):
+                    if b and u is not None:
+                        for i, x in enumerate(u):
+                            acc[i] += b * x
+                if series and m >= length[k]:
+                    # a sum that cancels at its top drops those entries,
+                    # and their kinds with them
+                    top = m
+                    while top and not (re[top - 1] or (im and im[top - 1])):
+                        top -= 1
+                    length[k] = top
+                    g1[k] &= (1 << top) - 1
+                    g2[k] &= (1 << top) - 1
+        return dc * db, lanes, g1, g2
 
     def __repr__(self):
         return "BasicSequence(%s, depth=%d)" % (self.operator.tag, self.depth)
@@ -356,7 +443,7 @@ class UmbralOperator:
         """Map t^m to q_m(t) inside a TSeries; result is monomial."""
         if w.order > self.basis.depth:
             raise ValueError("t-order exceeds the basis depth")
-        return TSeries(self.basis.expand(w.coeffs, XSeries.zero()), w.order)
+        return TSeries(self.basis.expand(w.coeffs), w.order)
 
 
 def umbral_compose(A, B):

@@ -1,8 +1,11 @@
 """Independent oracles used by the tests.
 
-Everything here is deliberately written against plain coefficient
-lists with Fraction entries, without touching the package's own
-series classes, so expected values come from a second route.
+Everything here up to the last section is deliberately written against
+plain coefficient lists with Fraction entries, without touching the
+package's own series classes, so expected values come from a second
+route.  The last section keeps the field-arithmetic loops that the
+package's integer kernels replaced; they run on whatever scalars and
+XSeries they are given.
 """
 
 from fractions import Fraction
@@ -143,3 +146,35 @@ def bivariate_add(acc, other, scale=1):
     for key, v in other.items():
         acc[key] = acc.get(key, 0) + scale * v
     return {k: v for k, v in acc.items() if v != 0}
+
+
+# ---------------------------------------------------------------------------
+# the field-arithmetic routes of the integer kernels
+
+def autonomous_by_field_loop(f, order):
+    """A_1 = f, A_(n+1) = f * dA_n/dx in the scalars' own arithmetic."""
+    terms = [f]
+    for _ in range(order - 1):
+        terms.append(f * terms[-1].derivative())
+    return tuple(terms)
+
+
+def expand_by_field_loop(basis, coeffs, zero=0):
+    """sum_n coeffs[n] q_n(t) by monomial power, accumulated from zero
+    over the nonzero beta(k, n) in the scalars' own arithmetic."""
+    out = [zero] * len(coeffs)
+    for n, c in enumerate(coeffs):
+        for k, b in enumerate(basis.poly(n).coeffs):
+            if b != 0:
+                out[k] = out[k] + c * b
+    return out
+
+
+def typed(value):
+    """value with every scalar replaced by (type name, value), so that
+    equal values of different types compare unequal."""
+    if isinstance(value, (list, tuple)):
+        return tuple(typed(v) for v in value)
+    if hasattr(value, "coeffs"):
+        return (type(value).__name__, typed(value.coeffs))
+    return (type(value).__name__, value)

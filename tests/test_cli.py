@@ -3,9 +3,13 @@ import os
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import pytest
 
+from deltadyn import cli
 from deltadyn.cli import cli_main
+from deltadyn.scalars import format_scalar
 from deltadyn.umbral import stirling2
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -165,6 +169,7 @@ def test_unknown_flags_exit_2(argv):
     "argv",
     [
         ["solve", "--map", "logistic:4", "--x0", "1/3", "--steps", "-1"],
+        ["solve", "--map", "logistic:4", "--x0", "1/3", "--max-digits", "0"],
         ["flow", "--f", "0,1", "--order", "0"],
         ["basis", "--op", "forward", "--depth", "-1"],
         ["verify", "--order", "0"],
@@ -222,3 +227,73 @@ def test_closed_pipe_exits_quietly():
 def test_bad_map_returns_error(capsys):
     code, _ = run_cli(capsys, "solve", "--map", "nope:1", "--x0", "0")
     assert code == 1
+
+
+@pytest.mark.parametrize("steps", [14, 16])
+def test_solve_past_cpython_digit_limit_matches_iteration(capsys, steps):
+    # orbit values of 4^n x (1 - x) at x0 = 1/3 pass 4300 digits at n = 14
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(
+        capsys, "solve", "--map", "logistic:4", "--x0", "1/3",
+        "--steps", str(steps), "--mode", "iterate",
+    )
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit  # restored after formatting
+    lines = out.splitlines()
+    assert lines[0] == "n,iterated" and len(lines) == steps + 2
+    y = Fraction(1, 3)
+    sys.set_int_max_str_digits(0)
+    try:
+        for n, line in enumerate(lines[1:]):
+            assert line == "%d,%s" % (n, format_scalar(y))
+            y = 4 * y * (1 - y)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(lines[-1]) > 4300
+
+
+def test_solve_over_the_digit_cap_is_usage_error(capsys):
+    limit = sys.get_int_max_str_digits()
+    code = cli_main(
+        ["solve", "--map", "logistic:4", "--x0", "1/3", "--steps", "14", "--max-digits", "3000"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the value at n = 13 has more than 3000 decimal digits (see --max-digits)\n"
+    )
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--map", "logistic:4", "--x0", "1/0"],
+        ["flow", "--f=1/0"],
+        ["flow", "--f=0,1", "--op", "abel", "--alpha", "1/0"],
+        ["solve", "--map", "logistic:1/0", "--x0", "1/3"],
+        ["flow", "--f=1,1/0*i", "--field", "Qi"],
+    ],
+    ids=["x0", "f", "alpha", "logistic", "imaginary"],
+)
+def test_zero_denominator_is_a_clean_error(capsys, argv):
+    code = cli_main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: zero denominator in '1/0")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tolerance", ["inf", "-inf", "nan", "0", "-1e-9", "abc"])
+def test_numcheck_tolerance_must_be_finite_and_positive(capsys, tolerance):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["numcheck", "--tolerance=" + tolerance])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: deltadyn numcheck")
+    assert "must be a finite number > 0" in err
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()

@@ -1,0 +1,158 @@
+"""The integer kernels against the field-arithmetic loops they replaced.
+
+autonomous_sequence and BasicSequence.expand run on integer lanes and
+rebuild every coefficient once.  Each must give the same values as the
+loops in oracle_utils, and the same type per coefficient (int,
+Fraction or GaussianRational), over Q and Q(i), for rational,
+Gaussian and composed bases and for scalar and XSeries inputs.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from deltadyn.autonomous import autonomous_sequence, flow_from_autonomous
+from deltadyn.scalars import GaussianRational
+from deltadyn.series import XSeries
+from deltadyn.umbral import (
+    DeltaOp,
+    abel,
+    basic_sequence_by_recurrence,
+    basic_sequence_from_delta,
+    forward,
+    touchard,
+    umbral_compose,
+)
+
+from oracle_utils import autonomous_by_field_loop, expand_by_field_loop, typed
+
+INTS = st.integers(-3, 3)
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+GAUSSIANS = st.builds(GaussianRational, RATIONALS, RATIONALS)
+GAUSSIAN_INTEGERS = st.builds(GaussianRational, INTS, INTS)
+# Scalars of one example: one field, or every kind mixed.
+SCALARS = {
+    "Z": INTS,
+    "Q": RATIONALS,
+    "Qi": GAUSSIANS,
+    "mixed": st.one_of(INTS, RATIONALS, GAUSSIANS),
+}
+FIELDS = st.sampled_from(sorted(SCALARS))
+DEPTH = 6
+
+
+def polys(scalars, max_size=5):
+    return st.lists(scalars, max_size=max_size).map(XSeries)
+
+
+@st.composite
+def generators(draw):
+    return draw(polys(SCALARS[draw(FIELDS)], max_size=4))
+
+
+@st.composite
+def bases(draw):
+    """A basis of depth DEPTH: from a random delta series (rational or
+    Gaussian), by the degree-by-degree oracle, composed, or Abel's at
+    a Gaussian alpha."""
+    def delta():
+        scalars = SCALARS[draw(st.sampled_from(["Q", "Qi"]))]
+        p1 = draw(scalars.filter(lambda c: c != 0))
+        rest = draw(st.lists(scalars, min_size=DEPTH - 1, max_size=DEPTH - 1))
+        return DeltaOp((0, p1) + tuple(rest))
+
+    route = draw(st.sampled_from(["delta", "recurrence", "composed", "abel"]))
+    if route == "delta":
+        return basic_sequence_from_delta(delta(), DEPTH)
+    if route == "recurrence":
+        return basic_sequence_by_recurrence(delta(), DEPTH)
+    if route == "composed":
+        a, b = (basic_sequence_from_delta(delta(), DEPTH) for _ in range(2))
+        return umbral_compose(a, b)
+    alpha = draw(GAUSSIANS.filter(lambda c: c != 0))
+    return basic_sequence_from_delta(abel(alpha, DEPTH), DEPTH)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generators(), st.integers(1, 7))
+def test_autonomous_matches_field_loop(f, order):
+    got = autonomous_sequence(f, order).terms
+    assert typed(got) == typed(autonomous_by_field_loop(f, order))
+
+
+@settings(max_examples=40, deadline=None)
+@given(bases(), FIELDS, st.data())
+def test_expand_scalars_matches_field_loop(basis, field, data):
+    coeffs = data.draw(st.lists(SCALARS[field], max_size=DEPTH + 1))
+    assert typed(basis.expand(coeffs)) == typed(expand_by_field_loop(basis, coeffs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(bases(), FIELDS, st.data())
+def test_expand_xseries_matches_field_loop(basis, field, data):
+    coeffs = data.draw(st.lists(polys(SCALARS[field]), max_size=DEPTH + 1))
+    want = expand_by_field_loop(basis, coeffs, XSeries.zero())
+    assert typed(basis.expand(coeffs)) == typed(want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(bases(), generators())
+def test_flow_to_monomial_matches_field_loop(basis, f):
+    flow = flow_from_autonomous(autonomous_sequence(f, DEPTH), basis)
+    zero = XSeries.zero()
+    want = expand_by_field_loop(basis, (zero,) + flow.coeffs, zero)[1:]
+    assert typed(flow.to_monomial().coeffs) == typed(want)
+
+
+def test_expand_drops_the_kind_of_a_sum_that_cancels_at_its_top():
+    # q_1 = t, q_2 = t^2 - t: at t^1 a Gaussian 1 and a rational -1
+    # cancel, the partial sum drops its one entry, and the entry that
+    # q_3 = t^3 - 3t^2 + 2t brings back is a Fraction
+    basis = basic_sequence_from_delta(forward(3), 3)
+    coeffs = [
+        XSeries.zero(),
+        XSeries((GaussianRational(1),)),
+        XSeries((Fraction(1),)),
+        XSeries((Fraction(1), Fraction(5))),
+    ]
+    got = basis.expand(coeffs)
+    assert typed(got) == typed(expand_by_field_loop(basis, coeffs, XSeries.zero()))
+    assert type(got[1].coeffs[0]) is Fraction
+
+
+def test_autonomous_skips_a_coefficient_that_cancels():
+    # A_2 = f f' = (ab, 2ac + b^2, 3bc, 2c^2), and 2ac + b^2 cancels to a
+    # Gaussian zero: A_3 takes no term from it, so its t^0 entry is int 0
+    f = XSeries((GaussianRational(Fraction(-1, 2)), 1, 1))
+    got = autonomous_sequence(f, 3).terms
+    assert typed(got) == typed(autonomous_by_field_loop(f, 3))
+    assert got[2].coeffs[0] == 0 and type(got[2].coeffs[0]) is int
+
+
+def test_kernel_types_follow_the_input_field():
+    # an all-int generator stays in Z[x]; Fraction and Gaussian inputs
+    # keep their type through the autonomous terms and the monomial form
+    basis = basic_sequence_from_delta(touchard(8), 8)
+    for gen, kind in (
+        (XSeries((1, -2, 3)), int),
+        (XSeries((Fraction(1, 2), Fraction(-2), Fraction(3, 4))), Fraction),
+        (XSeries((GaussianRational(1, 1), Fraction(0), GaussianRational(0, -1))), GaussianRational),
+    ):
+        aut = autonomous_sequence(gen, 8)
+        assert {type(c) for t in aut.terms for c in t.coeffs if c != 0} == {kind}
+        mono = flow_from_autonomous(aut, basis).to_monomial()
+        want = GaussianRational if kind is GaussianRational else Fraction
+        assert {type(c) for xs in mono.coeffs for c in xs.coeffs if c != 0} == {want}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(polys(INTS), polys(GAUSSIAN_INTEGERS)), st.integers(1, 8))
+def test_autonomous_terms_stay_in_the_ring_of_the_generator(f, order):
+    # for f in Z[x] or Z[i][x], every A_n = f A_(n-1)' has coefficients
+    # in the same ring: no denominators ever appear
+    for term in autonomous_sequence(f, order).terms:
+        for c in term.coeffs:
+            if isinstance(c, GaussianRational):
+                assert c.re.denominator == c.im.denominator == 1
+            else:
+                assert type(c) is int

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from deltadyn.scalars import (
     GaussianRational,
     I,
+    digits_over,
     format_scalar,
     parse_scalar,
     rational_sqrt,
@@ -129,3 +130,23 @@ def test_rational_sqrt():
     assert rational_sqrt(Fraction(1)) == 1
     assert rational_sqrt(Fraction(2)) is None
     assert rational_sqrt(Fraction(-1)) is None
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [("1/0", "Q"), ("1/0", "Qi"), ("1/0*i", "Qi"), ("1+1/0*i", "Qi"), ("1/0-i", "Qi")],
+)
+def test_zero_denominator_is_a_value_error(text, field):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_scalar(text, field)
+
+
+@pytest.mark.parametrize("cap", [1, 3, 9, 10, 50, 700, 5000])
+def test_digits_over_is_exact_at_the_boundary(cap):
+    top = 10**cap - 1
+    assert not digits_over(top, cap) and not digits_over(-top, cap)
+    assert digits_over(top + 1, cap) and digits_over(-top - 1, cap)
+    assert not digits_over(Fraction(-top, top - 1), cap)
+    assert digits_over(Fraction(1, top + 1), cap)
+    assert not digits_over(GaussianRational(Fraction(1, top), top), cap)
+    assert digits_over(GaussianRational(0, Fraction(top + 1, 7)), cap)

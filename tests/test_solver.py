@@ -18,7 +18,8 @@ from deltadyn.solver import (
     solve_logistic,
     solve_quadratic_map,
 )
-from deltadyn.autonomous import autonomous_sequence
+from deltadyn import solver
+from deltadyn.autonomous import AutonomousSequence, autonomous_sequence
 from deltadyn.deltaflow import delta_flow
 from deltadyn.umbral import backward, forward
 
@@ -94,6 +95,39 @@ def test_iterate_table_reports_both_routes():
 
 
 # --- logistic ----------------------------------------------------------------
+
+class CountingXSeries(XSeries):
+    __slots__ = ()
+    evaluations = []
+
+    def evaluate(self, value):
+        self.evaluations.append(self)
+        return super().evaluate(value)
+
+
+def test_iterate_table_evaluates_each_autonomous_term_once(monkeypatch):
+    real = solver.autonomous_sequence
+
+    def counting(f, order):
+        aut = real(f, order)
+        return AutonomousSequence(aut.generator, tuple(CountingXSeries(t.coeffs) for t in aut.terms))
+
+    monkeypatch.setattr(solver, "autonomous_sequence", counting)
+    CountingXSeries.evaluations.clear()
+    g, x0 = logistic_map(F(5, 2)), F(1, 7)
+    table = solver.iterate_table(g, x0, 9)
+    assert len(CountingXSeries.evaluations) == 9
+    monkeypatch.undo()
+    assert [row[1] for row in table.rows] == [solve_forward(g, x0, n) for n in range(10)]
+    assert [row[2] for row in table.rows] == list(iterate(g, x0, 9))
+
+
+def test_iterate_stops_at_the_digit_cap():
+    # y_n of 4 y (1 - y) from 1/3 has a denominator of 3^(2^n): 4 digits at n = 3
+    assert len(iterate(logistic_map(F(4)), F(1, 3), 2, max_digits=3)) == 3
+    with pytest.raises(solver.DigitLimitError, match="n = 3 has more than 3 decimal"):
+        iterate(logistic_map(F(4)), F(1, 3), 5, max_digits=3)
+
 
 def test_logistic_fixed_points_exact():
     for mu in (F(2), F(5, 2), F(4)):
