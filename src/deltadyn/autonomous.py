@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .flows import Flow, TSeries, taylor_compose
-from .scalars import from_lanes, kind_masks, to_lanes
+from .scalars import from_lanes, to_lanes
 from .series import XSeries
 
 __all__ = [
@@ -60,53 +60,25 @@ def autonomous_sequence(f, order):
     The recursion runs in D[x], D the integers or the Gaussian
     integers: with f = F/d for an integral F, P_1 = F and
     P_(n+1) = F * dP_n/dx stay integral and A_n = P_n / d^n, one
-    division per coefficient.  Each coefficient of A_n has the kind
-    (int, Fraction or GaussianRational) that the same sum of products
-    gives in exact scalar arithmetic: the largest kind over the
-    nonzero pairs f_i, A_n[j+1] feeding it, tracked as bit masks.
+    division per coefficient.  Every coefficient of A_2 .. A_order,
+    zeros included, has the one type of the field of f's coefficients:
+    int over Z, Fraction over Q, GaussianRational over Q(i).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    d, fre, fim = to_lanes(f.coeffs)
+    d, fre, fim, kind = to_lanes(f.coeffs)
     F = (fre, fim)
-    fnz = _nonzero_mask(F)
-    f1, f2 = (mask & fnz for mask in kind_masks(f.coeffs))
     terms = [f]
-    P, nz, g1, g2, den = F, fnz, f1, f2, d
+    P, den = F, d
     for _ in range(order - 1):
         dP = [None if lane is None else [j * c for j, c in enumerate(lane)][1:] for lane in P]
-        dnz = nz >> 1
-        d1, d2 = (g1 >> 1) & dnz, (g2 >> 1) & dnz
         P = _lanes_mul(F, dP)
         den *= d
-        g1 = _support_mul(f1, dnz) | _support_mul(fnz, d1)
-        g2 = _support_mul(f2, dnz) | _support_mul(fnz, d2)
         re, im = P
         terms.append(XSeries([
-            from_lanes(r, im[k] if im else 0, den, 2 if g2 >> k & 1 else g1 >> k & 1)
-            for k, r in enumerate(re)
+            from_lanes(r, im[k] if im else 0, den, kind) for k, r in enumerate(re)
         ]))
-        nz = _nonzero_mask(P)
     return AutonomousSequence(f, tuple(terms))
-
-
-def _nonzero_mask(lanes):
-    re, im = lanes
-    mask = 0
-    for k, r in enumerate(re):
-        if r or (im and im[k]):
-            mask |= 1 << k
-    return mask
-
-
-def _support_mul(a, b):
-    """Support of a product from the supports (bit masks) of its factors."""
-    out = 0
-    while a:
-        low = a & -a
-        out |= b * low
-        a ^= low
-    return out
 
 
 def _lanes_mul(a, b):

@@ -13,10 +13,12 @@ Subcommands:
              tolerance.
 
 All output is deterministic: fixed orderings, no timestamps.  An
-integer option below its minimum, a numcheck tolerance that is not a
+integer option outside its range, a numcheck tolerance that is not a
 finite number > 0, and a solve value with more digits than
 --max-digits are usage errors (exit code 2); a reader closing stdout
-early gives a quiet exit with code 141.
+early gives a quiet exit with code 141.  The upper caps on --steps,
+--order and --depth keep the slowest run measured at a cap under 20 s
+on a 2-CPU machine.
 """
 
 import argparse
@@ -59,16 +61,32 @@ def _parse_map(spec, field):
         if kind == "poly":
             return XSeries([parse_scalar(c, field) for c in arg.split(",")])
         raise ValueError("unknown map kind %r" % kind)
-    return corpus_map(spec)["g"]
+    try:
+        entry = corpus_map(spec)
+    except KeyError as exc:
+        # str() of a KeyError would quote the message
+        raise ValueError(exc.args[0]) from None
+    return entry["g"]
 
 
-def _int_at_least(low):
-    """argparse type: an int >= low, else a usage error (exit 2)."""
+# Upper caps on the integer options; see the module docstring.
+MAX_STEPS = 256
+MAX_FLOW_ORDER = 96
+MAX_BASIS_DEPTH = 256
+MAX_VERIFY_ORDER = 20
+MAX_VERIFY_DEPTH = 32
+MAX_NUMCHECK_DEPTH = 128
+
+
+def _int_between(low, high=None):
+    """argparse type: an int in [low, high], else a usage error (exit 2)."""
 
     def parse(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError("must be >= %d, got %d" % (low, value))
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError("must be <= %d, got %d" % (high, value))
         return value
 
     parse.__name__ = "int"  # argparse names it in "invalid int value"
@@ -240,9 +258,9 @@ def _build_parser():
     p = sub.add_parser("solve", help="closed form vs. iteration of a difference map")
     p.add_argument("--map", required=True, help="corpus name, logistic:MU, quadratic:C or poly:c0,c1,...")
     p.add_argument("--x0", required=True, help="initial value (exact rational string)")
-    p.add_argument("--steps", type=_int_at_least(0), default=8)
+    p.add_argument("--steps", type=_int_between(0, MAX_STEPS), default=8)
     p.add_argument(
-        "--max-digits", type=_int_at_least(1), default=100000,
+        "--max-digits", type=_int_between(1), default=100000,
         help="largest number of decimal digits of a printed numerator or denominator; "
         "a longer value is a usage error (exit 2)",
     )
@@ -255,7 +273,7 @@ def _build_parser():
     p.add_argument("--f", required=True, help="generator coefficients c0,c1,...")
     p.add_argument("--op", choices=OPERATOR_NAMES, default="forward")
     p.add_argument("--alpha", default="1")
-    p.add_argument("--order", type=_int_at_least(1), default=10)
+    p.add_argument("--order", type=_int_between(1, MAX_FLOW_ORDER), default=10)
     p.add_argument("--field", choices=("Q", "Qi"), default="Q")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_flow)
@@ -263,21 +281,21 @@ def _build_parser():
     p = sub.add_parser("basis", help="beta matrix of a basic sequence")
     p.add_argument("--op", choices=OPERATOR_NAMES, required=True)
     p.add_argument("--alpha", default="1")
-    p.add_argument("--depth", type=_int_at_least(0), default=16)
+    p.add_argument("--depth", type=_int_between(0, MAX_BASIS_DEPTH), default=16)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_basis)
 
     p = sub.add_parser("verify", help="run the exact invariant suite")
-    p.add_argument("--order", type=_int_at_least(1), default=10)
+    p.add_argument("--order", type=_int_between(1, MAX_VERIFY_ORDER), default=10)
     # the shift-invariance check applies Q to a cubic
-    p.add_argument("--depth", type=_int_at_least(3), default=16)
+    p.add_argument("--depth", type=_int_between(3, MAX_VERIFY_DEPTH), default=16)
     p.add_argument("--ops", choices=("all",) + GROUPS, default="all")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("numcheck", help="float checks of the closed forms")
     p.add_argument("--tolerance", type=_positive_finite, default=1e-9)
-    p.add_argument("--depth", type=_int_at_least(1), default=64)
+    p.add_argument("--depth", type=_int_between(1, MAX_NUMCHECK_DEPTH), default=64)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_numcheck)
 
@@ -292,7 +310,7 @@ def cli_main(argv=None):
     except DigitLimitError as exc:
         sys.stderr.write("error: %s (see --max-digits)\n" % exc)
         return 2
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
 

@@ -13,14 +13,15 @@ Scalars serialize to strings of the form ``-3``, ``5/7`` or
 The integer kernels of the package (autonomous polynomials, basis
 expansion) work on integer lanes: a list of scalars becomes one common
 denominator and two integer vectors, real and imaginary parts of the
-numerators.  Each scalar also has a kind, 0 for int, 1 for Fraction
-and 2 for GaussianRational; Python arithmetic returns the larger kind
-of its operands, and the kernels rebuild each result in the kind the
-same sum of products would have had.
+numerators.  The list also has a kind, the field its scalars live in:
+0 (int) over Z, 1 (Fraction) over Q, 2 (GaussianRational) over Q(i).
+A kernel returns every coefficient, zeros included, as the one type of
+the field of its inputs.
 """
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "rational_sqrt",
     "to_gaussian",
     "to_lanes",
-    "kind_masks",
     "from_lanes",
     "digits_over",
 ]
@@ -173,41 +173,27 @@ def to_gaussian(value):
 
 
 def to_lanes(values):
-    """Integer lanes (den, re, im) of a list of exact scalars.
+    """Integer lanes (den, re, im, kind) of a list of exact scalars.
 
     den is the least common denominator of every real and imaginary
     part, and re[j] + im[j]*i == den * values[j] in integers; im is
-    None when every imaginary part is zero.
+    None when every imaginary part is zero.  kind is 2 if any value is
+    a GaussianRational, else 1 if any is a Fraction, else 0.
     """
+    types = set(map(type, values))
+    kind = 2 if GaussianRational in types else 1 if Fraction in types else 0
     parts = [(v.re, v.im) if type(v) is GaussianRational else (v, 0) for v in values]
     den = math.lcm(*[x.denominator for pair in parts for x in pair])
     re = [r.numerator * (den // r.denominator) for r, _ in parts]
     if not any(m for _, m in parts):
-        return den, re, None
-    return den, re, [m.numerator * (den // m.denominator) for _, m in parts]
-
-
-def kind_masks(values):
-    """Bit masks (ge1, ge2) of the kinds of a list of exact scalars.
-
-    Bit j of ge1 is set when values[j] is a Fraction or a
-    GaussianRational, bit j of ge2 when it is a GaussianRational.
-    """
-    ge1 = ge2 = 0
-    for j, v in enumerate(values):
-        t = type(v)
-        if t is GaussianRational:
-            ge1 |= 1 << j
-            ge2 |= 1 << j
-        elif t is Fraction:
-            ge1 |= 1 << j
-    return ge1, ge2
+        return den, re, None, kind
+    return den, re, [m.numerator * (den // m.denominator) for _, m in parts], kind
 
 
 def from_lanes(re, im, den, kind):
     """The scalar (re + im*i) / den as an int, Fraction or
-    GaussianRational (kind 0, 1 or 2); kinds 0 and 1 need im == 0,
-    and kind 0 needs den to divide re."""
+    GaussianRational (kind 0, 1 or 2, as in to_lanes); kinds 0 and 1
+    need im == 0, and kind 0 needs den to divide re."""
     if kind == 2:
         return GaussianRational(Fraction(re, den), Fraction(im, den))
     if kind == 1:
@@ -241,7 +227,9 @@ def parse_scalar(text, field="Q"):
     field 'Q' accepts rationals only and returns Fraction; field 'Qi'
     also accepts composites and returns GaussianRational.  A unit
     imaginary part may omit its magnitude: 'i', '-i', 'a+i', 'a-i'.
-    A zero denominator is a ValueError, like any other bad spelling.
+    A zero denominator is a ValueError, like any other bad spelling,
+    and so is an integer longer than CPython's limit on the digits of
+    an int read from a string.
     """
     s = text.strip().replace(" ", "")
 
@@ -250,6 +238,11 @@ def parse_scalar(text, field="Q"):
             return Fraction(part)
         except ZeroDivisionError:
             raise ValueError("zero denominator in %r" % text) from None
+        except ValueError:
+            # the regex has passed, so only CPython's limit on the
+            # digits of an int read from a string is left to fail
+            limit = sys.get_int_max_str_digits()
+            raise ValueError("number has more than %d digits" % limit) from None
 
     if field == "Q":
         m = _RATIONAL_RE.match(s)

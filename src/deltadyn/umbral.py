@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .flows import TSeries
-from .scalars import from_lanes, kind_masks, to_lanes
+from .scalars import from_lanes, to_lanes
 from .series import (
     XSeries,
     compositional_inverse,
@@ -234,21 +234,21 @@ class BasicSequence:
 
     @functools.cached_property
     def _int_rows(self):
-        """(den, complex, rows): rows[n] lists (k, re, im, kind) for every
-        nonzero beta(k, n) = (re + im*i) / den; complex tells whether
+        """(den, kind, complex, rows): rows[n] lists (k, re, im) for
+        every nonzero beta(k, n) = (re + im*i) / den; kind is the field
+        of the whole matrix as in to_lanes, and complex tells whether
         any im is nonzero."""
         flat = [b for p in self.polys for b in p.coeffs]
-        den, re, im = to_lanes(flat)
-        b1, b2 = kind_masks(flat)
+        den, re, im, kind = to_lanes(flat)
         rows, pos = [], 0
         for p in self.polys:
             rows.append([
-                (k, re[j], im[j] if im else 0, 2 if b2 >> j & 1 else b1 >> j & 1)
+                (k, re[j], im[j] if im else 0)
                 for k, j in enumerate(range(pos, pos + len(p.coeffs)))
                 if re[j] or (im and im[j])
             ])
             pos += len(p.coeffs)
-        return den, im is not None, rows
+        return den, kind, im is not None, rows
 
     def expand(self, coeffs):
         """Monomial coefficients of sum_n coeffs[n] q_n(t), index = power.
@@ -257,57 +257,27 @@ class BasicSequence:
         The sum runs on integers: the inputs over one common
         denominator times the rows of beta over theirs, in real and
         imaginary lanes, with one division per output coefficient.
-        Every output coefficient has the kind (int, Fraction or
-        GaussianRational) that adding up coeffs[n] * beta(k, n) over the
-        nonzero beta, from 0 or from the zero XSeries, gives in the
-        scalars' own arithmetic: the largest kind among its terms, less
-        the terms of any XSeries entry that a partial sum cancelled at
-        its top and so trimmed.
+        Every output coefficient, zeros included, has the one type of
+        the field of the basis and coeffs together: int over Z,
+        Fraction over Q, GaussianRational over Q(i).
         """
         if len(coeffs) > self.depth + 1:
             raise ValueError("basis index out of range")
         series = any(isinstance(c, XSeries) for c in coeffs)
         vecs = [c.coeffs for c in coeffs] if series else [(c,) for c in coeffs]
-        den, lanes, g1, g2 = self._accumulate(vecs, series)
-        out = []
-        for k, (re, im) in enumerate(lanes):
-            lanes[k] = None  # each row of sums is freed once read
-            kinds1, kinds2 = g1[k], g2[k]
-            entries = [
-                from_lanes(r, im[i] if im else 0, den, 2 if kinds2 >> i & 1 else kinds1 >> i & 1)
-                for i, r in enumerate(re)
-            ]
-            if series:
-                out.append(XSeries(entries))
-            else:
-                out.append(entries[0] if entries else 0)
-        return out
-
-    def _accumulate(self, vecs, series):
-        """Integer sums for expand: (den, lanes, g1, g2), where output
-        coefficient i of power k is (re + im*i)/den for (re, im) =
-        lanes[k] (im None on a real sum), and bit i of g1[k] and g2[k]
-        gives its kind as in kind_masks."""
-        flat = [v for vec in vecs for v in vec]
-        dc, ure, uim = to_lanes(flat)
-        c1, c2 = kind_masks(flat)
-        db, basis_complex, rows = self._int_rows
+        dc, ure, uim, kind = to_lanes([v for vec in vecs for v in vec])
+        db, basis_kind, basis_complex, rows = self._int_rows
+        den, kind = dc * db, max(kind, basis_kind)
         cplx = basis_complex or uim is not None
-        size = len(vecs)
-        lanes = [([], [] if cplx else None) for _ in range(size)]
-        g1, g2 = [0] * size, [0] * size
-        length = [0] * size  # of each XSeries partial sum, trailing zeros trimmed
+        # lanes[k]: the integer sums (re, im) of the coefficients of t^k
+        lanes = [([], [] if cplx else None) for _ in vecs]
         pos = 0
         for n, vec in enumerate(vecs):
             m = len(vec)
             ur = ure[pos : pos + m]
             ui = uim[pos : pos + m] if uim else None
-            full = (1 << m) - 1
-            k1, k2 = (c1 >> pos) & full, (c2 >> pos) & full
             pos += m
-            for k, br, bi, kb in rows[n] if m else ():
-                g1[k] |= full if kb else k1
-                g2[k] |= full if kb == 2 else k2
+            for k, br, bi in rows[n] if m else ():
                 re, im = lanes[k]
                 for acc in (re, im) if cplx else (re,):
                     if len(acc) < m:
@@ -316,16 +286,13 @@ class BasicSequence:
                     if b and u is not None:
                         for i, x in enumerate(u):
                             acc[i] += b * x
-                if series and m >= length[k]:
-                    # a sum that cancels at its top drops those entries,
-                    # and their kinds with them
-                    top = m
-                    while top and not (re[top - 1] or (im and im[top - 1])):
-                        top -= 1
-                    length[k] = top
-                    g1[k] &= (1 << top) - 1
-                    g2[k] &= (1 << top) - 1
-        return dc * db, lanes, g1, g2
+        out = []
+        for k, (re, im) in enumerate(lanes):
+            lanes[k] = None  # each row of sums is freed once read
+            entries = [from_lanes(r, im[i] if im else 0, den, kind) for i, r in enumerate(re)]
+            # beta(k, k) != 0, so a scalar sum always has its one entry
+            out.append(XSeries(entries) if series else entries[0])
+        return out
 
     def __repr__(self):
         return "BasicSequence(%s, depth=%d)" % (self.operator.tag, self.depth)

@@ -169,12 +169,3 @@ def expand_by_field_loop(basis, coeffs, zero=0):
                 out[k] = out[k] + c * b
     return out
 
-
-def typed(value):
-    """value with every scalar replaced by (type name, value), so that
-    equal values of different types compare unequal."""
-    if isinstance(value, (list, tuple)):
-        return tuple(typed(v) for v in value)
-    if hasattr(value, "coeffs"):
-        return (type(value).__name__, typed(value.coeffs))
-    return (type(value).__name__, value)

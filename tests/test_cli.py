@@ -197,6 +197,30 @@ def test_integer_minimums_are_accepted(capsys):
     assert code == 0 and json.loads(out)["all_pass"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, dest, cap",
+    [
+        (["solve", "--map", "logistic:4", "--x0", "1/3", "--steps"], "steps", cli.MAX_STEPS),
+        (["flow", "--f", "0,1", "--order"], "order", cli.MAX_FLOW_ORDER),
+        (["basis", "--op", "forward", "--depth"], "depth", cli.MAX_BASIS_DEPTH),
+        (["verify", "--order"], "order", cli.MAX_VERIFY_ORDER),
+        (["verify", "--depth"], "depth", cli.MAX_VERIFY_DEPTH),
+        (["numcheck", "--depth"], "depth", cli.MAX_NUMCHECK_DEPTH),
+    ],
+    ids=["steps", "flow-order", "basis-depth", "verify-order", "verify-depth", "numcheck-depth"],
+)
+def test_integer_above_cap_is_usage_error(capsys, argv, dest, cap):
+    # the cap itself parses; one more is a usage error, before any work
+    assert getattr(cli._build_parser().parse_args(argv + [str(cap)]), dest) == cap
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv + [str(cap + 1)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: deltadyn " + argv[0])
+    assert "must be <= %d, got %d" % (cap, cap + 1) in err
+    assert "Traceback" not in err
+
+
 def test_unknown_check_group_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(["verify", "--ops", "bogus"])
@@ -227,6 +251,24 @@ def test_closed_pipe_exits_quietly():
 def test_bad_map_returns_error(capsys):
     code, _ = run_cli(capsys, "solve", "--map", "nope:1", "--x0", "0")
     assert code == 1
+
+
+def test_unknown_corpus_map_is_an_unquoted_error(capsys):
+    code = cli_main(["solve", "--map", "nosuch", "--x0", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: no corpus map named 'nosuch'\n"
+
+
+def test_input_past_cpython_digit_limit_is_a_clean_error(capsys):
+    code = cli_main(["solve", "--map", "logistic:4", "--x0", "1/" + "7" * 5000, "--steps", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    limit = sys.get_int_max_str_digits()
+    assert captured.err == "error: number has more than %d digits\n" % limit
+    assert "set_int_max_str_digits" not in captured.err
 
 
 @pytest.mark.parametrize("steps", [14, 16])

@@ -2,9 +2,10 @@
 
 autonomous_sequence and BasicSequence.expand run on integer lanes and
 rebuild every coefficient once.  Each must give the same values as the
-loops in oracle_utils, and the same type per coefficient (int,
-Fraction or GaussianRational), over Q and Q(i), for rational,
-Gaussian and composed bases and for scalar and XSeries inputs.
+loops in oracle_utils, over Z, Q and Q(i), for rational, Gaussian and
+composed bases and for scalar and XSeries inputs.  Every coefficient
+it builds has the one type of the field of its inputs: int over Z,
+Fraction over Q, GaussianRational over Q(i).
 """
 
 from fractions import Fraction
@@ -24,7 +25,7 @@ from deltadyn.umbral import (
     umbral_compose,
 )
 
-from oracle_utils import autonomous_by_field_loop, expand_by_field_loop, typed
+from oracle_utils import autonomous_by_field_loop, expand_by_field_loop
 
 INTS = st.integers(-3, 3)
 RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -39,6 +40,23 @@ SCALARS = {
 }
 FIELDS = st.sampled_from(sorted(SCALARS))
 DEPTH = 6
+
+
+def field_type(*groups):
+    """The one type of the field of some scalars."""
+    types = {type(c) for group in groups for c in group}
+    if GaussianRational in types:
+        return GaussianRational
+    return Fraction if Fraction in types else int
+
+
+def output_types(values):
+    """The types of the scalars of a list of scalars or XSeries."""
+    return {type(c) for v in values for c in (v.coeffs if isinstance(v, XSeries) else (v,))}
+
+
+def basis_entries(basis):
+    return [b for p in basis.polys for b in p.coeffs]
 
 
 def polys(scalars, max_size=5):
@@ -77,22 +95,29 @@ def bases(draw):
 @given(generators(), st.integers(1, 7))
 def test_autonomous_matches_field_loop(f, order):
     got = autonomous_sequence(f, order).terms
-    assert typed(got) == typed(autonomous_by_field_loop(f, order))
+    assert got == autonomous_by_field_loop(f, order)
+    # A_1 is f itself; every later term is built in f's field
+    assert got[0] is f
+    assert output_types(got[1:]) <= {field_type(f.coeffs)}
 
 
 @settings(max_examples=40, deadline=None)
 @given(bases(), FIELDS, st.data())
 def test_expand_scalars_matches_field_loop(basis, field, data):
     coeffs = data.draw(st.lists(SCALARS[field], max_size=DEPTH + 1))
-    assert typed(basis.expand(coeffs)) == typed(expand_by_field_loop(basis, coeffs))
+    got = basis.expand(coeffs)
+    assert got == expand_by_field_loop(basis, coeffs)
+    assert output_types(got) <= {field_type(basis_entries(basis), coeffs)}
 
 
 @settings(max_examples=40, deadline=None)
 @given(bases(), FIELDS, st.data())
 def test_expand_xseries_matches_field_loop(basis, field, data):
     coeffs = data.draw(st.lists(polys(SCALARS[field]), max_size=DEPTH + 1))
-    want = expand_by_field_loop(basis, coeffs, XSeries.zero())
-    assert typed(basis.expand(coeffs)) == typed(want)
+    got = basis.expand(coeffs)
+    assert got == expand_by_field_loop(basis, coeffs, XSeries.zero())
+    inputs = [c for xs in coeffs for c in xs.coeffs]
+    assert output_types(got) <= {field_type(basis_entries(basis), inputs)}
 
 
 @settings(max_examples=30, deadline=None)
@@ -101,13 +126,16 @@ def test_flow_to_monomial_matches_field_loop(basis, f):
     flow = flow_from_autonomous(autonomous_sequence(f, DEPTH), basis)
     zero = XSeries.zero()
     want = expand_by_field_loop(basis, (zero,) + flow.coeffs, zero)[1:]
-    assert typed(flow.to_monomial().coeffs) == typed(want)
+    got = flow.to_monomial().coeffs
+    assert list(got) == want
+    inputs = [c for xs in flow.coeffs for c in xs.coeffs]
+    assert output_types(got) <= {field_type(basis_entries(basis), inputs)}
 
 
-def test_expand_drops_the_kind_of_a_sum_that_cancels_at_its_top():
+def test_expand_keeps_the_field_of_a_sum_that_cancels_at_its_top():
     # q_1 = t, q_2 = t^2 - t: at t^1 a Gaussian 1 and a rational -1
-    # cancel, the partial sum drops its one entry, and the entry that
-    # q_3 = t^3 - 3t^2 + 2t brings back is a Fraction
+    # cancel, and q_3 = t^3 - 3t^2 + 2t brings the entry back; the
+    # Gaussian input puts every output coefficient in Q(i)
     basis = basic_sequence_from_delta(forward(3), 3)
     coeffs = [
         XSeries.zero(),
@@ -116,22 +144,25 @@ def test_expand_drops_the_kind_of_a_sum_that_cancels_at_its_top():
         XSeries((Fraction(1), Fraction(5))),
     ]
     got = basis.expand(coeffs)
-    assert typed(got) == typed(expand_by_field_loop(basis, coeffs, XSeries.zero()))
-    assert type(got[1].coeffs[0]) is Fraction
+    assert got == expand_by_field_loop(basis, coeffs, XSeries.zero())
+    assert output_types(got) == {GaussianRational}
 
 
 def test_autonomous_skips_a_coefficient_that_cancels():
     # A_2 = f f' = (ab, 2ac + b^2, 3bc, 2c^2), and 2ac + b^2 cancels to a
-    # Gaussian zero: A_3 takes no term from it, so its t^0 entry is int 0
+    # Gaussian zero: A_3 takes no term from it, so its t^0 entry is zero,
+    # a GaussianRational like every coefficient built over Q(i)
     f = XSeries((GaussianRational(Fraction(-1, 2)), 1, 1))
     got = autonomous_sequence(f, 3).terms
-    assert typed(got) == typed(autonomous_by_field_loop(f, 3))
-    assert got[2].coeffs[0] == 0 and type(got[2].coeffs[0]) is int
+    assert got == autonomous_by_field_loop(f, 3)
+    assert got[2].coeffs[0] == 0 and type(got[2].coeffs[0]) is GaussianRational
+    assert output_types(got[1:]) == {GaussianRational}
 
 
 def test_kernel_types_follow_the_input_field():
     # an all-int generator stays in Z[x]; Fraction and Gaussian inputs
-    # keep their type through the autonomous terms and the monomial form
+    # keep their type through the autonomous terms and the monomial form,
+    # zeros included (A_1 is the generator itself)
     basis = basic_sequence_from_delta(touchard(8), 8)
     for gen, kind in (
         (XSeries((1, -2, 3)), int),
@@ -139,10 +170,10 @@ def test_kernel_types_follow_the_input_field():
         (XSeries((GaussianRational(1, 1), Fraction(0), GaussianRational(0, -1))), GaussianRational),
     ):
         aut = autonomous_sequence(gen, 8)
-        assert {type(c) for t in aut.terms for c in t.coeffs if c != 0} == {kind}
+        assert output_types(aut.terms[1:]) == {kind}
         mono = flow_from_autonomous(aut, basis).to_monomial()
         want = GaussianRational if kind is GaussianRational else Fraction
-        assert {type(c) for xs in mono.coeffs for c in xs.coeffs if c != 0} == {want}
+        assert output_types(mono.coeffs) == {want}
 
 
 @settings(max_examples=40, deadline=None)

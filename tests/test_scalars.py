@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,18 @@ def test_rational_sqrt():
 def test_zero_denominator_is_a_value_error(text, field):
     with pytest.raises(ValueError, match="zero denominator"):
         parse_scalar(text, field)
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [("1/" + "7" * 5000, "Q"), ("7" * 5000, "Qi"), ("1-" + "7" * 5000 + "*i", "Qi")],
+    ids=["denominator", "real", "imaginary"],
+)
+def test_integer_past_cpython_digit_limit_is_a_plain_value_error(text, field):
+    # one short message, without the input or CPython's advice
+    with pytest.raises(ValueError) as exc:
+        parse_scalar(text, field)
+    assert str(exc.value) == "number has more than %d digits" % sys.get_int_max_str_digits()
 
 
 @pytest.mark.parametrize("cap", [1, 3, 9, 10, 50, 700, 5000])
