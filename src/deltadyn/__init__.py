@@ -15,7 +15,7 @@ from .series import (
     derivative_sequence,
     hurwitz_product,
 )
-from .flows import Flow, TSeries, poly_substitute, taylor_compose
+from .flows import Flow, TSeries, taylor_compose
 from .autonomous import (
     AutonomousSequence,
     aut_add,

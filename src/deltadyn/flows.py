@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .series import XSeries
 
-__all__ = ["TSeries", "Flow", "taylor_compose", "poly_substitute"]
+__all__ = ["TSeries", "Flow", "taylor_compose"]
 
 
 class TSeries:
@@ -199,18 +199,7 @@ class Flow:
         return TSeries((head,) + mono.coeffs, mono.order)
 
     def evaluate(self, t_value, x_value):
-        acc = x_value if self.has_base else 0
-        if self.basis is None:
-            tp = t_value
-            for c in self.coeffs:
-                acc = acc + c.evaluate(x_value) * tp
-                tp = tp * t_value
-        else:
-            for n in range(1, self.order + 1):
-                c = self.coeffs[n - 1]
-                if not c.is_zero:
-                    acc = acc + c.evaluate(x_value) * self.basis.poly(n).evaluate(t_value)
-        return acc
+        return self.to_tseries().evaluate(t_value, x_value)
 
     def __eq__(self, other):
         if not isinstance(other, Flow):
@@ -266,18 +255,3 @@ def taylor_compose(f, w):
         kfact *= k
         power = power * dev
     return out
-
-
-def poly_substitute(f, w):
-    """f(W) for a polynomial f and any TSeries W (Horner).
-
-    Unlike taylor_compose this needs no base point; it is the tool for
-    evaluating flows whose t^0 coefficient is itself a series.
-    """
-    if isinstance(w, Flow):
-        w = w.to_tseries()
-    acc = TSeries.zero(w.order)
-    for c in reversed(f.coeffs):
-        acc = acc * w
-        acc = acc + TSeries.from_xseries(XSeries.constant(c), w.order)
-    return acc

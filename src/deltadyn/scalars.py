@@ -30,7 +30,6 @@ __all__ = [
     "format_scalar",
     "parse_scalar",
     "rational_sqrt",
-    "to_gaussian",
     "to_lanes",
     "from_lanes",
     "digits_over",
@@ -162,14 +161,6 @@ class GaussianRational:
 
 
 I = GaussianRational(0, 1)
-
-
-def to_gaussian(value):
-    """Promote an exact scalar to GaussianRational."""
-    g = GaussianRational._coerce(value)
-    if g is None:
-        raise TypeError("not an exact scalar: %r" % (value,))
-    return g
 
 
 def to_lanes(values):

@@ -360,10 +360,3 @@ def _poly_str(coeffs, var):
             head = "" if cs == "1" else ("-" if cs == "-1" else cs + "*")
             parts.append("%s%s" % (head, var if k == 1 else "%s^%d" % (var, k)))
     return " + ".join(parts).replace("+ -", "- ") or "0"
-
-
-def coeff_strings(obj):
-    """Coefficient list of an XSeries as exact-rational strings."""
-    from .scalars import format_scalar
-
-    return [format_scalar(c) for c in obj.coeffs]

@@ -23,7 +23,9 @@ Built-in operators: the derivative itself, the forward difference
 exp(d)-1 (falling factorials), the backward difference 1-exp(-d)
 (rising factorials), the Abel operator d*exp(alpha d) (polynomials
 t(t - n alpha)^(n-1)) and the Touchard operator log(1+d) (Stirling
-set polynomials).
+set polynomials).  They live in one table, _SERIES, which gives the
+coefficient p_k of each series by name; operator(name, order, alpha)
+reads it, and derivative(), forward(), ... are calls of operator.
 
 Two kernels carry the linear algebra.  The shift-invariant apply
 sum_k p_k d^k weights coefficient m+k by the falling factorial
@@ -92,13 +94,11 @@ class DeltaOp:
     coeffs[k] multiplies the k-th derivative; p0 must vanish and p1
     must be invertible.  The series is stored through a finite order,
     which bounds the polynomial degree the operator can act on.  The
-    tag and alpha fields are descriptive only and do not take part in
-    equality.
+    tag is descriptive only and does not take part in equality.
     """
 
     coeffs: tuple
     tag: str = field(default="custom", compare=False)
-    alpha: object = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(self.coeffs) < 2:
@@ -155,55 +155,50 @@ def apply_delta_series(coeffs, p):
 # ---------------------------------------------------------------------------
 # built-in operators
 
-def derivative(order=DEFAULT_DEPTH):
-    """The plain derivative d/dt (basic sequence: monomials)."""
-    return DeltaOp((0, 1) + (0,) * (order - 1), tag="derivative")
+# The one table of built-in operators: name -> p_k(k, alpha), the
+# coefficient of d^k in the series p for k >= 1 (p_0 = 0 for all).
+_SERIES = {
+    "derivative": lambda k, alpha: int(k == 1),
+    "forward": lambda k, alpha: Fraction(1, math.factorial(k)),
+    "backward": lambda k, alpha: Fraction(-((-1) ** k), math.factorial(k)),
+    "abel": lambda k, alpha: alpha ** (k - 1) * Fraction(1, math.factorial(k - 1)),
+    "touchard": lambda k, alpha: Fraction((-1) ** (k - 1), k),
+}
 
-
-def forward(order=DEFAULT_DEPTH):
-    """Forward difference exp(d) - 1, mapping y(t) to y(t+1) - y(t)."""
-    coeffs = (0,) + tuple(Fraction(1, math.factorial(k)) for k in range(1, order + 1))
-    return DeltaOp(coeffs, tag="forward")
-
-
-def backward(order=DEFAULT_DEPTH):
-    """Backward difference 1 - exp(-d), mapping y(t) to y(t) - y(t-1)."""
-    coeffs = (0,) + tuple(
-        Fraction(-((-1) ** k), math.factorial(k)) for k in range(1, order + 1)
-    )
-    return DeltaOp(coeffs, tag="backward")
-
-
-def abel(alpha=1, order=DEFAULT_DEPTH):
-    """Abel operator d * exp(alpha d)."""
-    coeffs = [0]
-    for k in range(1, order + 1):
-        coeffs.append(alpha ** (k - 1) * Fraction(1, math.factorial(k - 1)))
-    return DeltaOp(tuple(coeffs), tag="abel", alpha=alpha)
-
-
-def touchard(order=DEFAULT_DEPTH):
-    """Touchard operator log(1 + d)."""
-    coeffs = (0,) + tuple(Fraction((-1) ** (k - 1), k) for k in range(1, order + 1))
-    return DeltaOp(coeffs, tag="touchard")
-
-
-OPERATOR_NAMES = ("derivative", "forward", "backward", "abel", "touchard")
+OPERATOR_NAMES = tuple(_SERIES)
 
 
 def operator(name, order=DEFAULT_DEPTH, alpha=1):
     """The built-in operator called name; alpha is read by abel only."""
-    if name == "abel":
-        return abel(alpha, order)
-    makers = {
-        "derivative": derivative,
-        "forward": forward,
-        "backward": backward,
-        "touchard": touchard,
-    }
-    if name not in makers:
+    if name not in _SERIES:
         raise ValueError("unknown operator %r" % name)
-    return makers[name](order)
+    p = _SERIES[name]
+    return DeltaOp((0,) + tuple(p(k, alpha) for k in range(1, order + 1)), tag=name)
+
+
+def derivative(order=DEFAULT_DEPTH):
+    """The plain derivative d/dt (basic sequence: monomials)."""
+    return operator("derivative", order)
+
+
+def forward(order=DEFAULT_DEPTH):
+    """Forward difference exp(d) - 1, mapping y(t) to y(t+1) - y(t)."""
+    return operator("forward", order)
+
+
+def backward(order=DEFAULT_DEPTH):
+    """Backward difference 1 - exp(-d), mapping y(t) to y(t) - y(t-1)."""
+    return operator("backward", order)
+
+
+def abel(alpha=1, order=DEFAULT_DEPTH):
+    """Abel operator d * exp(alpha d)."""
+    return operator("abel", order, alpha)
+
+
+def touchard(order=DEFAULT_DEPTH):
+    """Touchard operator log(1 + d)."""
+    return operator("touchard", order)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ plain coefficient lists with Fraction entries, without touching the
 package's own series classes, so expected values come from a second
 route.  The last section keeps the field-arithmetic loops that the
 package's integer kernels replaced; they run on whatever scalars and
-XSeries they are given.
+XSeries they are given.  Horner substitution into a TSeries follows
+them.
 """
 
 from fractions import Fraction
@@ -169,3 +170,19 @@ def expand_by_field_loop(basis, coeffs, zero=0):
                 out[k] = out[k] + c * b
     return out
 
+
+def poly_substitute(f, w):
+    """f(W) for a polynomial f and any TSeries or Flow W (Horner).
+
+    Unlike flows.taylor_compose this needs no base point.
+    """
+    from deltadyn.flows import Flow, TSeries
+    from deltadyn.series import XSeries
+
+    if isinstance(w, Flow):
+        w = w.to_tseries()
+    acc = TSeries.zero(w.order)
+    for c in reversed(f.coeffs):
+        acc = acc * w
+        acc = acc + TSeries.from_xseries(XSeries.constant(c), w.order)
+    return acc

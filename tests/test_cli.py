@@ -206,8 +206,21 @@ def test_integer_minimums_are_accepted(capsys):
         (["verify", "--order"], "order", cli.MAX_VERIFY_ORDER),
         (["verify", "--depth"], "depth", cli.MAX_VERIFY_DEPTH),
         (["numcheck", "--depth"], "depth", cli.MAX_NUMCHECK_DEPTH),
+        (
+            ["solve", "--map", "logistic:4", "--x0", "1/3", "--max-digits"],
+            "max_digits",
+            cli.MAX_DIGITS,
+        ),
     ],
-    ids=["steps", "flow-order", "basis-depth", "verify-order", "verify-depth", "numcheck-depth"],
+    ids=[
+        "steps",
+        "flow-order",
+        "basis-depth",
+        "verify-order",
+        "verify-depth",
+        "numcheck-depth",
+        "max-digits",
+    ],
 )
 def test_integer_above_cap_is_usage_error(capsys, argv, dest, cap):
     # the cap itself parses; one more is a usage error, before any work

@@ -42,19 +42,10 @@ from deltadyn.umbral import (
     touchard,
 )
 
+from strategies import builtin_ops
+
 X = XSeries.x()
 N = 10
-
-
-def builtin_ops(order=16):
-    return (
-        derivative(order),
-        forward(order),
-        backward(order),
-        abel(1, order),
-        abel(-1, order),
-        touchard(order),
-    )
 
 
 def corpus_generators():

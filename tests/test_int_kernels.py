@@ -15,31 +15,19 @@ from hypothesis import given, settings, strategies as st
 from deltadyn.autonomous import autonomous_sequence, flow_from_autonomous
 from deltadyn.scalars import GaussianRational
 from deltadyn.series import XSeries
-from deltadyn.umbral import (
-    DeltaOp,
-    abel,
-    basic_sequence_by_recurrence,
-    basic_sequence_from_delta,
-    forward,
-    touchard,
-    umbral_compose,
-)
+from deltadyn.umbral import basic_sequence_from_delta, forward, touchard
 
 from oracle_utils import autonomous_by_field_loop, expand_by_field_loop
-
-INTS = st.integers(-3, 3)
-RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-GAUSSIANS = st.builds(GaussianRational, RATIONALS, RATIONALS)
-GAUSSIAN_INTEGERS = st.builds(GaussianRational, INTS, INTS)
-# Scalars of one example: one field, or every kind mixed.
-SCALARS = {
-    "Z": INTS,
-    "Q": RATIONALS,
-    "Qi": GAUSSIANS,
-    "mixed": st.one_of(INTS, RATIONALS, GAUSSIANS),
-}
-FIELDS = st.sampled_from(sorted(SCALARS))
-DEPTH = 6
+from strategies import (
+    DEPTH,
+    FIELDS,
+    GAUSSIAN_INTEGERS,
+    INTS,
+    SCALARS,
+    bases,
+    generators,
+    polys,
+)
 
 
 def field_type(*groups):
@@ -57,38 +45,6 @@ def output_types(values):
 
 def basis_entries(basis):
     return [b for p in basis.polys for b in p.coeffs]
-
-
-def polys(scalars, max_size=5):
-    return st.lists(scalars, max_size=max_size).map(XSeries)
-
-
-@st.composite
-def generators(draw):
-    return draw(polys(SCALARS[draw(FIELDS)], max_size=4))
-
-
-@st.composite
-def bases(draw):
-    """A basis of depth DEPTH: from a random delta series (rational or
-    Gaussian), by the degree-by-degree oracle, composed, or Abel's at
-    a Gaussian alpha."""
-    def delta():
-        scalars = SCALARS[draw(st.sampled_from(["Q", "Qi"]))]
-        p1 = draw(scalars.filter(lambda c: c != 0))
-        rest = draw(st.lists(scalars, min_size=DEPTH - 1, max_size=DEPTH - 1))
-        return DeltaOp((0, p1) + tuple(rest))
-
-    route = draw(st.sampled_from(["delta", "recurrence", "composed", "abel"]))
-    if route == "delta":
-        return basic_sequence_from_delta(delta(), DEPTH)
-    if route == "recurrence":
-        return basic_sequence_by_recurrence(delta(), DEPTH)
-    if route == "composed":
-        a, b = (basic_sequence_from_delta(delta(), DEPTH) for _ in range(2))
-        return umbral_compose(a, b)
-    alpha = draw(GAUSSIANS.filter(lambda c: c != 0))
-    return basic_sequence_from_delta(abel(alpha, DEPTH), DEPTH)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from deltadyn.numeric import (
     lambert_w_residual,
     numeric_closed_form_check,
 )
+from deltadyn.umbral import stirling2
 
 
 def test_lambert_w_trivial_values():
@@ -65,13 +67,6 @@ def test_convergent_grid_samples():
         assert report.deviation < 1e-9
 
 
-def test_affine_offset_enters_prefactor():
-    r0 = numeric_closed_form_check("forward", 0.5, 0.1, b=0.0, x=1.0)
-    r1 = numeric_closed_form_check("forward", 0.5, 0.1, b=0.5, x=1.0)
-    assert abs(r1.closed_form - r0.closed_form * 2.0) < 1e-12
-    assert r1.deviation < 1e-9
-
-
 def test_abel_diverges_beyond_branch_radius():
     # |alpha * a| = 1/2 > 1/e: the partial sums blow up and the check
     # refuses to report a deviation
@@ -82,3 +77,49 @@ def test_abel_diverges_beyond_branch_radius():
 def test_unknown_kind():
     with pytest.raises(ValueError):
         numeric_closed_form_check("sideways", 0.1, 0.1)
+
+
+def test_abel_beyond_float_range_diverges():
+    # at depth 144 the exact Abel coefficients pass float range; the
+    # check still reaches its verdict instead of overflowing
+    with pytest.raises(SeriesDivergence):
+        numeric_closed_form_check("abel", 0.5, 0.1, config=NumericConfig(depth=144))
+
+
+def test_forward_converges_at_large_t():
+    # q_n(11.5) has large coefficients of both signs, whose float Horner
+    # sum loses every digit of the tail; the series itself converges
+    report = numeric_closed_form_check("forward", 0.95, 11.5)
+    assert abs(report.closed_form - (1.95 ** 11.5 - 1.0)) < 1e-9
+    assert report.deviation < 1e-12 * report.closed_form
+
+
+def _exact_terms(kind, a, t, depth):
+    """a^n q_n(t) / n! for n = 1 .. depth, from the product forms of q_n."""
+    a, t = Fraction(a), Fraction(t)
+    q = {
+        "forward": lambda n: math.prod(t - j for j in range(n)),
+        "backward": lambda n: math.prod(t + j for j in range(n)),
+        "abel": lambda n: t * (t - n) ** (n - 1),
+        "touchard": lambda n: sum(stirling2(n, k) * t ** k for k in range(n + 1)),
+    }[kind]
+    return [a ** n * q(n) / math.factorial(n) for n in range(1, depth + 1)]
+
+
+def test_partial_sum_within_stated_bound():
+    # one rounding per term, then depth float additions:
+    # |partial_sum - exact sum| <= gamma_depth * sum |term|, u = 2^-53
+    depth = NumericConfig().depth
+    u = 2.0 ** -53
+    gamma = depth * u / (1 - depth * u)
+    for kind, a, t in (
+        ("forward", 1.0, 3.0),
+        ("forward", 0.9, 3.7),
+        ("backward", 0.5, 3.5),
+        ("abel", 0.25, 3.0),
+        ("touchard", 0.5, 4.0),
+    ):
+        report = numeric_closed_form_check(kind, a, t)
+        terms = _exact_terms(kind, a, t, depth)
+        error = abs(Fraction(report.partial_sum) - sum(terms))
+        assert error <= gamma * sum(abs(x) for x in terms), (kind, a, t)

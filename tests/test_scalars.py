@@ -11,7 +11,6 @@ from deltadyn.scalars import (
     format_scalar,
     parse_scalar,
     rational_sqrt,
-    to_gaussian,
 )
 
 
@@ -109,7 +108,8 @@ def test_parse_errors():
 )
 def test_format_round_trip(value, expected):
     assert format_scalar(value) == expected
-    assert parse_scalar(expected, "Qi") == to_gaussian(value)
+    gaussian = value if isinstance(value, GaussianRational) else GaussianRational(value)
+    assert parse_scalar(expected, "Qi") == gaussian
 
 
 @pytest.mark.parametrize(

@@ -41,6 +41,7 @@ from oracle_utils import (
     stirling2_by_enumeration,
     unsigned_stirling1_by_enumeration,
 )
+from strategies import GAUSSIANS, RATIONALS, delta_series
 
 DEPTH = 10
 
@@ -201,20 +202,7 @@ def test_gaussian_abel_basis_matches_oracle():
     assert list(basis.poly(5).coeffs) == abel_poly(5, alpha)
 
 
-SMALL_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-SMALL_GAUSSIANS = st.builds(GaussianRational, SMALL_RATIONALS, SMALL_RATIONALS)
-
-
-@st.composite
-def delta_series(draw, scalars=SMALL_RATIONALS):
-    depth = draw(st.integers(min_value=0, max_value=10))
-    p1 = draw(scalars.filter(lambda c: c != 0))
-    rest = draw(st.lists(scalars, min_size=max(depth - 1, 0),
-                         max_size=max(depth - 1, 0)))
-    return DeltaOp((0, p1) + tuple(rest)), depth
-
-
-DELTA_SERIES_Q_QI = st.one_of(delta_series(), delta_series(SMALL_GAUSSIANS))
+DELTA_SERIES_Q_QI = st.one_of(delta_series(), delta_series(GAUSSIANS))
 
 
 @settings(max_examples=60, deadline=None)
@@ -228,7 +216,7 @@ def test_random_delta_series_match_oracle(case):
 
 def polys_in_t(draw, count, degree):
     return [
-        XSeries(draw(st.lists(SMALL_RATIONALS, max_size=degree + 1)))
+        XSeries(draw(st.lists(RATIONALS, max_size=degree + 1)))
         for _ in range(count)
     ]
 
