@@ -9,7 +9,6 @@ and the Touchard operator.  See README.md for a tour.
 
 from .scalars import GaussianRational, I, format_scalar, parse_scalar, rational_sqrt
 from .series import (
-    DerivativeSequence,
     XSeries,
     compositional_inverse,
     derivative_sequence,

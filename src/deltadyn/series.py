@@ -1,17 +1,16 @@
 """Exact univariate series and polynomial kernels.
 
-Two coefficient containers live here:
-
-* XSeries      - exact polynomial in one variable.  XSeries also serve
-                 as the polynomials in t (basic polynomials and the
-                 like); printing always names the variable x.
-* DerivativeSequence - the tower (f, f', f'', ...) of x-derivatives,
-                 with the binomial convolution as its product.
+XSeries, the one coefficient container here, is an exact polynomial
+in one variable.  XSeries also serve as the polynomials in t (basic
+polynomials and the like); printing always names the variable x.
 
 Module level functions provide the formal-series kernels shared by the
 rest of the package: multiplication, reciprocal, composition and
 Lagrange inversion on plain coefficient sequences (index = power,
-scalar entries), plus the rational binomial coefficient.
+scalar entries), the rational binomial coefficient, and the product
+of the Hurwitz ring: the binomial convolution of two sequences, which
+multiplies exponential generating functions and, by the Leibniz rule,
+derivative towers (f, f', f'', ...).
 """
 
 import math
@@ -19,7 +18,6 @@ from fractions import Fraction
 
 __all__ = [
     "XSeries",
-    "DerivativeSequence",
     "derivative_sequence",
     "hurwitz_product",
     "seq_mul",
@@ -270,75 +268,35 @@ class XSeries:
 
 
 # ---------------------------------------------------------------------------
-# derivative sequences and the binomial convolution
-
-class DerivativeSequence:
-    """The tower (f, f', f'', ..., f^(N)) of x-derivatives of one series.
-
-    Addition is entrywise; the product is the binomial convolution
-    hurwitz_product, under which the sequence of f*g is the product of
-    the sequences of f and g (Leibniz rule).
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = tuple(entries)
-        if not self.entries:
-            raise ValueError("derivative sequence must be nonempty")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, k):
-        return self.entries[k]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __add__(self, other):
-        if len(self) != len(other):
-            raise ValueError("length mismatch")
-        return DerivativeSequence(a + b for a, b in zip(self, other))
-
-    def __eq__(self, other):
-        if not isinstance(other, DerivativeSequence):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return "DerivativeSequence(%r)" % (list(self.entries),)
-
+# derivative towers and the binomial convolution
 
 def derivative_sequence(f, length):
-    """Build (f, f', ..., f^(length-1)) by repeated differentiation."""
+    """The tuple (f, f', ..., f^(length-1)) of x-derivatives."""
     if length < 1:
         raise ValueError("length must be >= 1")
     entries = [f]
     for _ in range(length - 1):
         entries.append(entries[-1].derivative())
-    return DerivativeSequence(entries)
+    return tuple(entries)
 
 
 def hurwitz_product(F, G):
-    """Binomial convolution of two derivative sequences.
+    """Binomial convolution of two sequences of equal length, as a tuple.
 
-    Entry n is sum_k C(n,k) F[k] G[n-k]; by the Leibniz rule this is
-    the derivative sequence of the product of the underlying series.
+    Entry n is sum_k C(n,k) F[k] G[n-k]; the entries may be scalars or
+    XSeries.  It is the product of the Hurwitz ring: of exponential
+    generating functions, whose coefficients are n! [u^n], and, by the
+    Leibniz rule, of derivative towers, giving the tower of f*g.
     """
     if len(F) != len(G):
         raise ValueError("length mismatch")
-    n = len(F)
     out = []
-    for m in range(n):
-        acc = XSeries.zero()
-        for k in range(m + 1):
-            acc = acc + math.comb(m, k) * (F[k] * G[m - k])
+    for n in range(len(F)):
+        acc = F[0] * G[n]
+        for k in range(1, n + 1):
+            acc = acc + math.comb(n, k) * (F[k] * G[n - k])
         out.append(acc)
-    return DerivativeSequence(out)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,12 @@ coefficient p_k of each series by name; operator(name, order, alpha)
 reads it, and derivative(), forward(), ... are calls of operator.
 
 Two kernels carry the linear algebra.  The shift-invariant apply
-sum_k p_k d^k weights coefficient m+k by the falling factorial
-(m+k)!/m! and serves every operator, on polynomials and in the t
-variable of a TSeries.  BasicSequence.expand maps coordinates over
+sum_k p_k d^k takes t^(m+k) to h_k C(m+k, k) t^m, where h_k = k! p_k
+are the Hurwitz weights of the series, reading a step table built once
+per series.  It serves every operator, on polynomials and in the t
+variable of a TSeries, and each step of Rota's recurrence is one such
+apply (of the weights k! r_k) followed by a product with t.
+BasicSequence.expand maps coordinates over
 (q_n) to monomial ones through the triangular matrix beta(k, n); the
 umbral operators and flows.Flow.to_monomial use it.  It runs on
 integers: each row of beta is stored once as integer numerators over
@@ -50,7 +53,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .flows import TSeries
-from .scalars import from_lanes, to_lanes
+from .scalars import GaussianRational, from_lanes, to_lanes
 from .series import (
     XSeries,
     compositional_inverse,
@@ -112,44 +115,67 @@ class DeltaOp:
     def order(self):
         return len(self.coeffs) - 1
 
+    @functools.cached_property
+    def _step_table(self):
+        """The step table of the apply, for inputs of degree <= order."""
+        return _steps(_hurwitz_weights(self.coeffs), self.order + 1)
+
     def apply_tpoly(self, p):
         """Apply Q to an exact polynomial in t; degree drops by one."""
         if p.degree > self.order:
             raise ValueError("operator order too small for this polynomial")
-        return apply_delta_series(self.coeffs, p)
+        return XSeries(_falling_apply(self._step_table, p.coeffs, 0))
 
     def apply_tseries(self, w):
         """Apply Q in the t variable of a TSeries."""
         if w.order > self.order:
             raise ValueError("operator order too small for this t-order")
-        out = _falling_apply(self.coeffs, w.coeffs, XSeries.zero())
+        out = _falling_apply(self._step_table, w.coeffs, XSeries.zero())
         return TSeries(out, max(w.order - 1, 0))
 
     def __repr__(self):
         return "DeltaOp(%s, order=%d)" % (self.tag, self.order)
 
 
-def _falling_apply(coeffs, v, zero):
-    """sum_k coeffs[k] d^k on the coefficient list v (index = power).
+def _hurwitz_weights(coeffs):
+    """h_k = k! c_k: sum_k c_k d^k takes t^(m+k) to h_k C(m+k, k) t^m."""
+    return [math.factorial(k) * c for k, c in enumerate(coeffs)]
 
-    Entry m is sum_k coeffs[k] (m+k)!/m! v[m+k], accumulated from zero;
-    the entries of v may be scalars or XSeries.
+
+def _steps(weights, size):
+    """Step table of the apply of Hurwitz weights h_k on inputs of
+    length <= size: row m lists (k, h_k C(m+k, k)) for every nonzero
+    h_k with m + k < size, in increasing k."""
+    nonzero = [(k, h) for k, h in enumerate(weights) if h != 0]
+    return [
+        [(k, h * math.comb(m + k, k)) for k, h in nonzero if m + k < size]
+        for m in range(size)
+    ]
+
+
+def _falling_apply(steps, v, zero):
+    """The shift-invariant apply sum_k h_k d^k / k! on the coefficient
+    list v (index = power), by the step table of the weights h_k.
+
+    Entry m is sum_k h_k C(m+k, k) v[m+k], accumulated from zero; the
+    entries of v may be scalars or XSeries.
     """
+    size = len(v)
     out = []
-    for m in range(len(v)):
-        acc, falling = zero, 1
-        for k in range(min(len(coeffs), len(v) - m)):
-            if k:
-                falling *= m + k
-            if coeffs[k] != 0:
-                acc = acc + v[m + k] * (coeffs[k] * falling)
+    for m in range(size):
+        acc = zero
+        for k, w in steps[m]:
+            if m + k >= size:
+                break
+            acc = acc + v[m + k] * w
         out.append(acc)
     return out
 
 
 def apply_delta_series(coeffs, p):
     """Apply a shift-invariant series sum_k coeffs[k] d^k to a polynomial."""
-    return XSeries(_falling_apply(coeffs, p.coeffs, 0))
+    steps = _steps(_hurwitz_weights(coeffs), len(p.coeffs))
+    return XSeries(_falling_apply(steps, p.coeffs, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +326,10 @@ def basic_sequence_from_delta(Q, depth):
     Here r = 1/p' is the reciprocal of the Pincherle derivative of Q's
     series, so the coefficients obey
 
-        beta(m+1, n+1) = sum_k k! r_k C(m+k, k) beta(m+k, n).
+        beta(m+1, n+1) = sum_k k! r_k C(m+k, k) beta(m+k, n),
+
+    the shift-invariant apply of the Hurwitz weights k! r_k to q_n,
+    shifted up one power of t.
 
     When every r_k is rational the recurrence runs on integers: with
     a = denominator(r_0) and b chosen so that s_k = a k! b^k r_k are
@@ -324,28 +353,14 @@ def basic_sequence_from_delta(Q, depth):
             b *= Fraction(a * math.factorial(k) * b ** k * r[k]).denominator
         weights = [int(a * math.factorial(k) * b ** k * rk) for k, rk in enumerate(r)]
     else:
-        # Sums start at Fraction(0) so that entries no term reaches are
-        # Fractions, like every other coefficient, rather than ints.
-        zero = Fraction(0)
-        weights = [math.factorial(k) * rk for k, rk in enumerate(r)]
-    nonzero = [(k, w) for k, w in enumerate(weights) if w != 0]
-    # steps[m]: the (k, weight * C(m+k, k)) feeding beta(m+1, .) from beta(m+k, .)
-    steps = [
-        [(k, w * math.comb(m + k, k)) for k, w in nonzero if m + k < depth]
-        for m in range(depth)
-    ]
+        # Sums start at GaussianRational(0), so that q_0 and the constant
+        # terms no term reaches are Gaussian like every other coefficient.
+        zero = GaussianRational(0)
+        weights = _hurwitz_weights(r)
+    steps = _steps(weights, depth)
     rows = [[zero + 1]]
-    for n in range(depth):
-        prev = rows[-1]
-        row = [zero]
-        for m in range(n + 1):
-            acc = zero
-            for k, w in steps[m]:
-                if m + k > n:
-                    break
-                acc += w * prev[m + k]
-            row.append(acc)
-        rows.append(row)
+    for _ in range(depth):
+        rows.append([zero] + _falling_apply(steps, rows[-1], zero))
     if rational:
         bpow = [b ** i for i in range(depth + 1)]
         rows = [
@@ -464,33 +479,25 @@ def expansion_to_delta_series(c, Q, order):
 # ---------------------------------------------------------------------------
 # Stirling numbers
 
-@functools.lru_cache(maxsize=None)
-def _stirling2(n, k):
-    if k > n or k < 0:
-        return 0
-    if n == 0:
-        return 1
-    if k == 0:
-        return 0
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+@functools.lru_cache(maxsize=8)
+def _stirling_row(n, first_kind):
+    """Row n of the triangle of signed Stirling numbers of the first kind
+    or of the second kind, built row by row from T(0, 0) = 1 by
+    T(i, j) = T(i-1, j-1) + w T(i-1, j), with w = 1 - i or w = j."""
+    row = [1]
+    for i in range(1, n + 1):
+        row.append(0)
+        row = [0] + [
+            row[j - 1] + (1 - i if first_kind else j) * row[j] for j in range(1, i + 1)
+        ]
+    return tuple(row)
 
 
 def stirling2(n, k):
     """Stirling numbers of the second kind (set partitions into blocks)."""
     if n < 0 or k < 0 or k > n:
         raise ValueError("indices out of range")
-    return _stirling2(n, k)
-
-
-@functools.lru_cache(maxsize=None)
-def _signed_stirling1(n, k):
-    if k > n or k < 0:
-        return 0
-    if n == 0:
-        return 1
-    if k == 0:
-        return 0
-    return _signed_stirling1(n - 1, k - 1) - (n - 1) * _signed_stirling1(n - 1, k)
+    return _stirling_row(n, False)[k]
 
 
 def signed_stirling1(n, k):
@@ -498,4 +505,4 @@ def signed_stirling1(n, k):
     factorial expansion t(t-1)...(t-n+1) = sum_k s(n,k) t^k."""
     if n < 0 or k < 0 or k > n:
         raise ValueError("indices out of range")
-    return _signed_stirling1(n, k)
+    return _stirling_row(n, True)[k]

@@ -5,9 +5,10 @@ reports the largest residual it saw (always "0" on a healthy build).
 A check is a generator that yields its residuals: scalars, XSeries,
 TSeries or nested lists of them.  `@_check(group, name)` registers it
 in `_CHECKS` in definition order, which is the report order, and
-reduces what it yields to the largest absolute value.  Two sides
-compared entry by entry go through `_diffs`, which raises ValueError
-when their lengths differ rather than drop the tail of the longer one.
+reduces what it yields to the largest size: the absolute value, or
+the norm |z|^2 over Q(i).  Two sides compared entry by entry go
+through `_diffs`, which raises ValueError when their lengths differ
+rather than drop the tail of the longer one.
 Checks are grouped by area so the CLI can run a subset; the sampling
 inside is seeded and the ordering fixed, making two runs byte
 identical.
@@ -99,7 +100,8 @@ def _abs_scalar(v):
 
 
 def _max_abs(residual):
-    """Largest absolute value inside nested residual containers."""
+    """Largest size of a scalar inside nested residual containers: the
+    absolute value of a rational, the norm |z|^2 of a Gaussian one."""
     if isinstance(residual, XSeries):
         vals = [_abs_scalar(c) for c in residual.coeffs]
     elif isinstance(residual, TSeries):
@@ -278,34 +280,24 @@ def _check_recurrence_oracle(order, depth):
         yield _diffs(a.polys, b.polys)
 
 
+def _binomial_type(basis, top):
+    """Residuals of binomial type through degree top, in the Hurwitz ring.
+
+    Row i of the basis matrix, beta(i, n) for n = 0 .. top, holds the
+    Hurwitz coefficients n! [u^n] of pinv(u)^i / i!, so the basis is of
+    binomial type through top exactly when row 0 is (1, 0, ..., 0) and
+    (i+1) row_(i+1) = row_i * row_1 in the Hurwitz ring for i < top.
+    """
+    rows = [[basis.beta(i, n) for n in range(top + 1)] for i in range(top + 1)]
+    yield _diffs(rows[0], [1] + [0] * top)
+    for i in range(top):
+        yield _diffs([(i + 1) * b for b in rows[i + 1]], hurwitz_product(rows[i], rows[1]))
+
+
 @_check("umbral", "binomial-type")
 def _check_binomial_type(order, depth):
     for Q in _builtin_ops(depth):
-        basis = basic_sequence_from_delta(Q, depth)
-        for n in range(min(order, depth) + 1):
-            left = {}
-            qn = basis.poly(n)
-            for k in range(qn.degree + 1):
-                c = qn.coefficient(k)
-                if c == 0:
-                    continue
-                for i in range(k + 1):
-                    key = (i, k - i)
-                    left[key] = left.get(key, 0) + c * comb(k, i)
-            right = {}
-            for k in range(n + 1):
-                qk, qnk = basis.poly(k), basis.poly(n - k)
-                w = comb(n, k)
-                for i in range(qk.degree + 1):
-                    ci = qk.coefficient(i)
-                    if ci == 0:
-                        continue
-                    for j in range(qnk.degree + 1):
-                        cj = qnk.coefficient(j)
-                        if cj != 0:
-                            key = (i, j)
-                            right[key] = right.get(key, 0) + w * ci * cj
-            yield [left.get(k, 0) - right.get(k, 0) for k in set(left) | set(right)]
+        yield from _binomial_type(basic_sequence_from_delta(Q, depth), min(order, depth))
 
 
 @_check("umbral", "stirling-bases")

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from deltadyn.scalars import GaussianRational
 from deltadyn.series import (
-    DerivativeSequence,
     XSeries,
     compositional_inverse,
     derivative_sequence,
@@ -136,11 +135,21 @@ def test_hurwitz_random_leibniz():
         assert left == derivative_sequence(f * g, 8)
 
 
+def test_hurwitz_product_of_scalar_rows():
+    # Hurwitz coefficients n! [u^n] of exp(a u) are a^n; exp(a u) exp(b u)
+    # = exp((a + b) u)
+    for a, b in ((Fraction(1, 2), Fraction(-3)), (GaussianRational(1, 2), Fraction(2, 3))):
+        left = hurwitz_product([a ** n for n in range(7)], [b ** n for n in range(7)])
+        assert left == tuple((a + b) ** n for n in range(7))
+    # u * u = 2 u^2 / 2!: the Hurwitz row (0, 1, 0, ...) squared
+    assert hurwitz_product((0, 1, 0, 0), (0, 1, 0, 0)) == (0, 0, 2, 0)
+
+
 def test_hurwitz_length_mismatch():
     with pytest.raises(ValueError):
         hurwitz_product(derivative_sequence(X, 3), derivative_sequence(X, 4))
     with pytest.raises(ValueError):
-        DerivativeSequence(())
+        derivative_sequence(X, 0)
 
 
 # --- compositional inverse -------------------------------------------------

@@ -10,6 +10,7 @@ from deltadyn.scalars import GaussianRational, parse_scalar
 from deltadyn.series import XSeries, compositional_inverse, seq_mul
 from deltadyn.umbral import (
     OPERATOR_NAMES,
+    BasicSequence,
     DeltaOp,
     UmbralOperator,
     abel,
@@ -30,6 +31,7 @@ from deltadyn.umbral import (
     umbral_compose,
     umbral_inverse,
 )
+from deltadyn.verifysuite import _binomial_type
 
 from oracle_utils import (
     abel_poly,
@@ -41,7 +43,7 @@ from oracle_utils import (
     stirling2_by_enumeration,
     unsigned_stirling1_by_enumeration,
 )
-from strategies import GAUSSIANS, RATIONALS, delta_series
+from strategies import GAUSSIANS, RATIONALS, bases, delta_series
 
 DEPTH = 10
 
@@ -202,6 +204,16 @@ def test_gaussian_abel_basis_matches_oracle():
     assert list(basis.poly(5).coeffs) == abel_poly(5, alpha)
 
 
+@settings(max_examples=20, deadline=None)
+@given(delta_series(GAUSSIANS))
+def test_gaussian_basis_has_one_scalar_type(case):
+    # q_0 and every constant term too are Gaussian, not Fraction
+    Q, depth = case
+    basis = basic_sequence_from_delta(Q, depth)
+    assert all(type(c) is GaussianRational for p in basis.polys for c in p.coeffs)
+    assert basis == basic_sequence_by_recurrence(Q, depth)
+
+
 DELTA_SERIES_Q_QI = st.one_of(delta_series(), delta_series(GAUSSIANS))
 
 
@@ -294,6 +306,42 @@ def test_binomial_type():
                 )
                 right = bivariate_add(right, term, math.comb(n, k))
             assert left == right
+
+
+def bivariate_binomial(basis, n):
+    """q_n(t+s) == sum_k C(n,k) q_k(t) q_(n-k)(s), on {(i, j): coeff}."""
+    right = {}
+    for k in range(n + 1):
+        term = bivariate_product(basis.poly(k).coeffs, basis.poly(n - k).coeffs)
+        right = bivariate_add(right, term, math.comb(n, k))
+    return bivariate_of_shift(basis.poly(n).coeffs) == right
+
+
+def hurwitz_residuals(basis, top):
+    return [d for diffs in _binomial_type(basis, top) for d in diffs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(bases())
+def test_random_bases_are_of_binomial_type(basis):
+    # the Hurwitz-row form of the verify check, and the bivariate form
+    assert all(d == 0 for d in hurwitz_residuals(basis, basis.depth))
+    assert all(bivariate_binomial(basis, n) for n in range(basis.depth + 1))
+
+
+def test_binomial_type_residual_sees_each_wrong_beta():
+    # Binomial type through n = top leaves beta(1, top), the u^top
+    # coefficient of pinv, free; every other entry is pinned.
+    top = 6
+    basis = basic_sequence_from_delta(touchard(top), top)
+    for n in range(top + 1):
+        for k in range(n + 1):
+            polys = list(basis.polys)
+            polys[n] = polys[n] + XSeries.monomial(Fraction(1, 3), k)
+            wrong = BasicSequence(basis.operator, tuple(polys))
+            seen = any(d != 0 for d in hurwitz_residuals(wrong, top))
+            assert seen == ((k, n) != (1, top))
+            assert seen == (not all(bivariate_binomial(wrong, m) for m in range(top + 1)))
 
 
 # --- applying operators ------------------------------------------------------
@@ -483,6 +531,11 @@ def test_signed_stirling1_values():
     for n in range(6):
         for k in range(n + 1):
             assert abs(signed_stirling1(n, k)) == unsigned_stirling1_by_enumeration(n, k)
+
+
+def test_stirling_numbers_past_the_recursion_limit():
+    assert stirling2(600, 2) == 2 ** 599 - 1
+    assert signed_stirling1(600, 599) == -math.comb(600, 2)
 
 
 def test_stirling_range_errors():
