@@ -9,8 +9,10 @@ product pulls back to the product of generators (A_1 recovers the
 generator exactly).
 
 For f = F/d with F in D[x], D the integers or the Gaussian integers,
-every A_n equals P_n / d^n with P_n in D[x]: the recursion runs on
-integer coefficient lists and divides once per coefficient at the end.
+every A_n equals P_n / d^n with P_n in D[x]: the recursion multiplies
+integer coefficient lists with series._mul_lists (four real products
+per step over the Gaussian integers) and divides once per coefficient
+at the end.
 """
 
 import functools
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 from .flows import Flow, TSeries, taylor_compose
 from .scalars import from_lanes, to_lanes
-from .series import XSeries
+from .series import XSeries, _mul_lists
 
 __all__ = [
     "AutonomousSequence",
@@ -66,36 +68,25 @@ def autonomous_sequence(f, order):
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    d, fre, fim, kind = to_lanes(f.coeffs)
-    F = (fre, fim)
+    d, fr, fi, kind = to_lanes(f.coeffs)
     terms = [f]
-    P, den = F, d
+    pr, pi, den = fr, fi, d
     for _ in range(order - 1):
-        dP = [None if lane is None else [j * c for j, c in enumerate(lane)][1:] for lane in P]
-        P = _lanes_mul(F, dP)
+        dr = [j * c for j, c in enumerate(pr)][1:]
+        if fi is None:
+            pr = _mul_lists(fr, dr)
+        else:
+            # the Gaussian product (Fr + i Fi)(dr + i di) on real lanes
+            di = [j * c for j, c in enumerate(pi)][1:]
+            pr, pi = (
+                [u - v for u, v in zip(_mul_lists(fr, dr), _mul_lists(fi, di))],
+                [u + v for u, v in zip(_mul_lists(fr, di), _mul_lists(fi, dr))],
+            )
         den *= d
-        re, im = P
         terms.append(XSeries([
-            from_lanes(r, im[k] if im else 0, den, kind) for k, r in enumerate(re)
+            from_lanes(r, pi[k] if pi else 0, den, kind) for k, r in enumerate(pr)
         ]))
     return AutonomousSequence(f, tuple(terms))
-
-
-def _lanes_mul(a, b):
-    """Product of two polynomials given as integer lanes (re, im)."""
-    (ar, ai), (br, bi) = a, b
-    size = len(ar) + len(br) - 1 if ar and br else 0
-    re = [0] * size
-    im = None if ai is None and bi is None else [0] * size
-    for out, x, y, sign in ((re, ar, br, 1), (re, ai, bi, -1), (im, ar, bi, 1), (im, ai, br, 1)):
-        if x is None or y is None:
-            continue
-        for i, xi in enumerate(x):
-            if xi:
-                xi *= sign
-                for j, yj in enumerate(y):
-                    out[i + j] += xi * yj
-    return re, im
 
 
 def h_sequence(f, g, order):

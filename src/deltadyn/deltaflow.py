@@ -61,17 +61,11 @@ __all__ = [
 ]
 
 
-def _resolve_basis(Q, order, basis):
+def delta_flow(f, Q, order, basis=None):
+    """Phi_Q for generator f: coefficients A_n(f)/n! against q_n(t),
+    over the given basis of Q or else the one of depth order."""
     if basis is None:
         basis = basic_sequence_from_delta(Q, order)
-    if basis.depth < order:
-        raise ValueError("basis depth is smaller than the requested order")
-    return basis
-
-
-def delta_flow(f, Q, order, basis=None):
-    """Phi_Q for generator f: coefficients A_n(f)/n! against q_n(t)."""
-    basis = _resolve_basis(Q, order, basis)
     return flow_from_autonomous(autonomous_sequence(f, order), basis)
 
 
@@ -83,9 +77,9 @@ def classical_delta_flow(f, order):
     return delta_flow(f, derivative(max(order, 1)), order)
 
 
-def rho_q(f, Q, order, basis=None):
+def rho_q(f, Q, order):
     """Semiflow: delta_flow without the base point."""
-    return delta_flow(f, Q, order, basis).minus_base()
+    return delta_flow(f, Q, order).minus_base()
 
 
 def _check_ring_operands(a, b):
@@ -113,14 +107,14 @@ def rhoq_add(a, b):
 def rhoq_mul(a, b):
     """Transported product: pullback to the product of the generators."""
     _check_ring_operands(a, b)
-    return rho_q(
+    return delta_flow(
         a.generator * b.generator, a.basis.operator, a.order, a.basis
-    )
+    ).minus_base()
 
 
-def rhoq_unit(Q, order, basis=None):
+def rhoq_unit(Q, order):
     """Multiplicative unit of the semiflow ring: q_1(t), generator 1."""
-    return rho_q(XSeries.one(), Q, order, basis)
+    return rho_q(XSeries.one(), Q, order)
 
 
 # ---------------------------------------------------------------------------
@@ -135,22 +129,19 @@ def verify_delta_ode(f, Q, order, basis=None):
     Both sides are polynomials of degree N-1 in t and must agree
     coefficient by coefficient.
     """
-    basis = _resolve_basis(Q, order, basis)
     df = delta_flow(f, Q, order, basis)
     lhs = Q.apply_tseries(df.to_tseries())
-    return lhs - UmbralOperator(basis).apply_tseries(_classical_composite(f, order))
+    return lhs - UmbralOperator(df.basis).apply_tseries(_classical_composite(f, order))
 
 
-def delta_pde_identity_residuals(f, Q, order, basis=None):
+def delta_pde_identity_residuals(f, Q, order):
     """Residuals of Q Phi_Q = f(x) dPhi_Q/dx in basic coordinates.
 
     Both sides expand over q_0 .. q_{N-1}: the left side has
     coefficient (m+1) c_{m+1}, the right side f at q_0 and f * c_m'
     beyond.  Returns the list of differences (all zero).
     """
-    basis = _resolve_basis(Q, order, basis)
-    df = delta_flow(f, Q, order, basis)
-    c = df.coeffs
+    c = delta_flow(f, Q, order).coeffs
     residuals = [1 * c[0] - f]
     for m in range(1, order):
         residuals.append((m + 1) * c[m] - f * c[m - 1].derivative())
@@ -160,34 +151,30 @@ def delta_pde_identity_residuals(f, Q, order, basis=None):
 # ---------------------------------------------------------------------------
 # closed forms for polynomial generators
 
-def linear_semiflow_terms(a, b, Q, order, basis=None):
+def linear_semiflow_terms(a, b, Q, order):
     """Semiflow of the affine generator a*x + b.
 
-    For a != 0 the coefficient of q_n is a^(n-1) (a x + b) / n!; the
-    degenerate a = 0 collapses to the single term b q_1(t).
+    The coefficient of q_n is a^(n-1) (a x + b) / n!; for a = 0 that
+    is the single term b q_1(t), since 0^0 = 1.
     """
-    basis = _resolve_basis(Q, order, basis)
     gen = XSeries((b, a))
-    if a == 0:
-        coeffs = [XSeries.constant(b)] + [XSeries.zero()] * (order - 1)
-        return Flow(coeffs, basis, False, gen)
     coeffs = []
     power = 1
     for n in range(1, order + 1):
         coeffs.append(gen * (power * Fraction(1, math.factorial(n))))
         power = power * a
-    return Flow(coeffs, basis, False, gen)
+    return Flow(coeffs, basic_sequence_from_delta(Q, order), False, gen)
 
 
-def _monomial_semiflow(a, k, Q, order, basis):
+def _monomial_semiflow(a, k, Q, order):
     """Semiflow of a*x^k assembled through ring products of linears."""
-    piece = linear_semiflow_terms(a, 0, Q, order, basis)
+    piece = linear_semiflow_terms(a, 0, Q, order)
     for _ in range(k - 1):
-        piece = rhoq_mul(piece, rho_q(XSeries.x(), Q, order, basis))
+        piece = rhoq_mul(piece, rho_q(XSeries.x(), Q, order))
     return piece
 
 
-def monomial_power_identity(a, k, Q, order, basis=None):
+def monomial_power_identity(a, k, Q, order):
     """Residual of the power closed form for the generator a*x^k, k >= 2.
 
     The k-fold ring product of semiflows matches the umbral image of
@@ -198,8 +185,7 @@ def monomial_power_identity(a, k, Q, order, basis=None):
         raise ValueError("power identity needs k >= 2")
     if order == 0:
         return TSeries.zero(0)
-    basis = _resolve_basis(Q, order, basis)
-    lhs = _monomial_semiflow(a, k, Q, order, basis).to_tseries()
+    lhs = _monomial_semiflow(a, k, Q, order).to_tseries()
 
     r = Fraction(-1, k - 1)
     scale = -(a * (k - 1))
@@ -208,38 +194,36 @@ def monomial_power_identity(a, k, Q, order, basis=None):
     for n in range(1, order + 1):
         power = power * scale
         closed.append(XSeries.monomial(rational_binomial(r, n) * power, (k - 1) * n + 1))
+    basis = basic_sequence_from_delta(Q, order)
     rhs = UmbralOperator(basis).apply_tseries(TSeries(closed, order))
     return lhs - rhs
 
 
-def poly_flow_sum(f, Q, order, basis=None):
+def poly_flow_sum(f, Q, order):
     """Semiflow of a polynomial f assembled monomial by monomial.
 
-    Each power a_k x^k contributes its ring power (constant and linear
-    terms directly); the pieces are folded with the transported sum,
+    Each power a_k x^k contributes its ring power (the constant term
+    directly); the pieces are folded with the transported sum,
     exercising the H_n route end to end.  Equals rho_q(f) exactly.
     """
-    basis = _resolve_basis(Q, order, basis)
     pieces = []
     for k in range(f.degree + 1):
         c = f.coefficient(k)
         if c == 0:
             continue
         if k == 0:
-            pieces.append(rho_q(XSeries.constant(c), Q, order, basis))
-        elif k == 1:
-            pieces.append(linear_semiflow_terms(c, 0, Q, order, basis))
+            pieces.append(linear_semiflow_terms(0, c, Q, order))
         else:
-            pieces.append(_monomial_semiflow(c, k, Q, order, basis))
+            pieces.append(_monomial_semiflow(c, k, Q, order))
     if not pieces:
-        return rho_q(XSeries.zero(), Q, order, basis)
+        return rho_q(XSeries.zero(), Q, order)
     acc = pieces[0]
     for piece in pieces[1:]:
         acc = rhoq_add(acc, piece)
     return acc
 
 
-def poly_flow_product(factors, Q, order, basis=None):
+def poly_flow_product(factors, Q, order):
     """Semiflow of a product of affine factors (a_k x + b_k), a_k != 0.
 
     Ring product of the affine semiflows; equals rho_q of the expanded
@@ -248,12 +232,11 @@ def poly_flow_product(factors, Q, order, basis=None):
     factors = list(factors)
     if not factors:
         raise ValueError("empty factor list")
-    basis = _resolve_basis(Q, order, basis)
     pieces = []
     for a, b in factors:
         if a == 0:
             raise ValueError("factors must have a nonzero linear coefficient")
-        pieces.append(linear_semiflow_terms(a, b, Q, order, basis))
+        pieces.append(linear_semiflow_terms(a, b, Q, order))
     acc = pieces[0]
     for piece in pieces[1:]:
         acc = rhoq_mul(acc, piece)
@@ -303,14 +286,14 @@ def matrix_product(A, B):
     ]
 
 
-def connection_flow(f, Q, order, basis=None):
+def connection_flow(f, Q, order):
     """Monomial flow built directly from the connection matrix.
 
     Coefficient of t^n is the row-n dot product of the matrix with the
     Hadamard product of the autonomous terms and (1/i!).  Must equal
     the basis conversion of delta_flow exactly.
     """
-    basis = _resolve_basis(Q, order, basis)
+    basis = basic_sequence_from_delta(Q, order)
     aut = autonomous_sequence(f, order)
     scaled = [aut.term(i) * Fraction(1, math.factorial(i)) for i in range(1, order + 1)]
     mono = []

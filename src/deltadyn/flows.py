@@ -1,18 +1,19 @@
 """Bivariate flow containers: series in t with XSeries coefficients.
 
 TSeries is the workhorse: a polynomial in t, truncated at a fixed
-t-order, whose coefficients are XSeries in x.  Flow is the structured
-view used by the dynamical-system layers: a base point x plus basis
-coefficients, where the basis is either the monomials t^n or the basic
-polynomials q_n(t) of a delta operator, together with the generator f
-of the flow when it has one.  Classical flows and delta flows are both
-Flows.  A Flow converts losslessly between the two bases through the
-triangular change-of-basis matrix.
+t-order, whose coefficients are XSeries in x; its product is the
+convolution series._mul_lists over those coefficients.  Flow is the
+structured view used by the dynamical-system layers: a base point x
+plus basis coefficients, where the basis is either the monomials t^n or
+the basic polynomials q_n(t) of a delta operator, together with the
+generator f of the flow when it has one.  Classical flows and delta
+flows are both Flows.  A Flow converts losslessly between the two bases
+through the triangular change-of-basis matrix.
 """
 
 from fractions import Fraction
 
-from .series import XSeries
+from .series import XSeries, _mul_lists
 
 __all__ = ["TSeries", "Flow", "taylor_compose"]
 
@@ -69,16 +70,7 @@ class TSeries:
     def __mul__(self, other):
         if isinstance(other, TSeries):
             order = min(self.order, other.order)
-            out = [XSeries.zero() for _ in range(order + 1)]
-            for i in range(min(self.order, order) + 1):
-                a = self.coeffs[i]
-                if a.is_zero:
-                    continue
-                for j in range(min(other.order, order - i) + 1):
-                    b = other.coeffs[j]
-                    if not b.is_zero:
-                        out[i + j] = out[i + j] + a * b
-            return TSeries(out, order)
+            return TSeries(_mul_lists(self.coeffs, other.coeffs, order, XSeries.zero()), order)
         # scalar or XSeries factor
         return TSeries([c * other for c in self.coeffs], self.order)
 

@@ -177,10 +177,11 @@ def numeric_closed_form_check(kind, a, t, alpha=1.0, config=None):
 
 
 def _check_cauchy(terms, config):
+    # A single term has no earlier term to be compared with.
     depth = len(terms)
     tail = terms[-1]
     mid = terms[max(0, depth // 2 - 1)]
-    if tail > config.tolerance and tail >= mid:
+    if depth > 1 and tail > config.tolerance and tail >= mid:
         raise SeriesDivergence(
             "partial sums not Cauchy within depth %d (last term %.3e)"
             % (depth, tail)

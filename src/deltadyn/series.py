@@ -11,6 +11,10 @@ scalar entries), the rational binomial coefficient, and the product
 of the Hurwitz ring: the binomial convolution of two sequences, which
 multiplies exponential generating functions and, by the Leibniz rule,
 derivative towers (f, f', f'', ...).
+
+_mul_lists, the one batch convolution, multiplies scalar sequences,
+XSeries (and so XSeries.shift), the coefficients of flows.TSeries and
+the integer lanes of autonomous.autonomous_sequence.
 """
 
 import math
@@ -47,27 +51,24 @@ def _add_lists(a, b):
     ]
 
 
-def _mul_lists(a, b, cap=None):
-    """Convolution of coefficient lists, keeping powers <= cap."""
+def _mul_lists(a, b, cap=None, zero=0):
+    """Convolution of lists of scalars or XSeries, keeping powers <= cap;
+    the sums start from zero, the ring's zero."""
     if not a or not b:
         return []
     top = len(a) + len(b) - 2
     if cap is not None:
         top = min(top, cap)
-    out = [0] * (top + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > top:
+    out = [zero] * (top + 1)
+    nonzero = [j for j, bj in enumerate(b) if bj != zero]
+    for i, ai in enumerate(a[: top + 1]):
+        if ai == zero:
             continue
-        for j, bj in enumerate(b):
+        for j in nonzero:
             if i + j > top:
                 break
-            if bj != 0:
-                out[i + j] = out[i + j] + ai * bj
+            out[i + j] = out[i + j] + ai * b[j]
     return out
-
-
-def _scale_list(a, c):
-    return [c * v for v in a]
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +226,7 @@ class XSeries:
     def __mul__(self, other):
         if isinstance(other, XSeries):
             return XSeries(_mul_lists(self.coeffs, other.coeffs))
-        return XSeries(_scale_list(self.coeffs, other))
+        return XSeries([other * c for c in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -245,14 +246,11 @@ class XSeries:
         return acc
 
     def shift(self, a):
-        """p(x + a), expanded exactly."""
-        out = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            term = [c * math.comb(k, j) * a ** (k - j) for j in range(k + 1)]
-            out = _add_lists(out, term)
-        return XSeries(out)
+        """p(x + a), by Horner's rule in x + a."""
+        acc = XSeries.zero()
+        for c in reversed(self.coeffs):
+            acc = acc * XSeries((a, 1)) + c
+        return acc
 
     # -- comparison / misc ---------------------------------------------
     def __eq__(self, other):

@@ -141,10 +141,10 @@ def _diffs(left, right):
     return [a - b for a, b in zip(left, right)]
 
 
-def _random_polys(rng, count, degree=3, lo=-3, hi=3):
+def _random_polys(rng, count, degree=3):
     out = []
     while len(out) < count:
-        p = XSeries([rng.randint(lo, hi) for _ in range(degree + 1)])
+        p = XSeries([rng.randint(-3, 3) for _ in range(degree + 1)])
         if not p.is_zero:
             out.append(p)
     return out

@@ -9,7 +9,7 @@ from deltadyn.scalars import GaussianRational
 from deltadyn.series import XSeries
 from deltadyn.umbral import basic_sequence_from_delta, forward
 
-from oracle_utils import poly_substitute
+from oracle_utils import padd, pmul, poly_substitute
 
 X = XSeries.x()
 
@@ -66,6 +66,33 @@ def polynomial_and_flow(draw):
 def test_poly_substitute_matches_taylor_on_based_flows(pair):
     f, phi = pair
     assert poly_substitute(f, phi) == taylor_compose(f, phi)
+
+
+@st.composite
+def tseries_pair(draw):
+    """Two coefficient lists in t, of their own t-orders <= 5, over Q or
+    Q(i), with whole zero coefficients mixed in."""
+    scalars = draw(st.sampled_from((SMALL_RATIONALS, SMALL_GAUSSIANS)))
+    coeff = st.one_of(st.just([]), st.lists(scalars, max_size=4))
+    return [
+        (draw(st.lists(coeff, max_size=order + 1)), order)
+        for order in (draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(tseries_pair())
+def test_tseries_product_matches_list_double_loop(pair):
+    (a, p), (b, q) = pair
+    order = min(p, q)
+    want = [[] for _ in range(order + 1)]
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            if i + j <= order:
+                want[i + j] = padd(want[i + j], pmul(ai, bj))
+    got = TSeries(map(XSeries, a), p) * TSeries(map(XSeries, b), q)
+    assert got.order == order
+    assert got.coeffs == tuple(map(XSeries, want))
 
 
 def test_poly_substitute_general_base():

@@ -74,6 +74,15 @@ def test_abel_diverges_beyond_branch_radius():
         numeric_closed_form_check("abel", 0.5, 0.1, alpha=1.0)
 
 
+def test_one_term_reports_its_deviation():
+    # a single term has no earlier term to be compared with
+    report = numeric_closed_form_check(
+        "forward", 0.25, 0.5, config=NumericConfig(depth=1)
+    )
+    assert report.terms == 1 and report.partial_sum == 0.125
+    assert report.deviation == abs(0.125 - math.expm1(0.5 * math.log1p(0.25)))
+
+
 def test_unknown_kind():
     with pytest.raises(ValueError):
         numeric_closed_form_check("sideways", 0.1, 0.1)

@@ -14,7 +14,7 @@ from deltadyn.series import (
     seq_compose,
 )
 
-from oracle_utils import padd, pmul
+from oracle_utils import padd, pcomp, pmul
 
 X = XSeries.x()
 
@@ -36,6 +36,21 @@ def test_shift_exact_and_truncated():
     p = XSeries((1, -2, 0, 1))  # x^3 - 2x + 1
     assert p.shift(1) == XSeries((0, 1, 3, 1))  # (x+1)^3 - 2(x+1) + 1
     assert p.shift(1).shift(-1) == p
+
+
+SHIFT_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+SHIFT_GAUSSIANS = st.builds(GaussianRational, SHIFT_RATIONALS, SHIFT_RATIONALS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((SHIFT_RATIONALS, SHIFT_GAUSSIANS)).flatmap(
+        lambda s: st.tuples(st.lists(s, max_size=6), s)
+    )
+)
+def test_shift_matches_composition_with_x_plus_a(case):
+    p, a = case
+    assert XSeries(p).shift(a) == XSeries(pcomp(p, [a, 1]))
 
 
 def test_ring_axioms_sampled():
