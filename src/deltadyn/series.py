@@ -247,9 +247,10 @@ class XSeries:
 
     def shift(self, a):
         """p(x + a), by Horner's rule in x + a."""
+        one = a ** 0  # a's one: the coefficients land in the field of p and a
         acc = XSeries.zero()
         for c in reversed(self.coeffs):
-            acc = acc * XSeries((a, 1)) + c
+            acc = acc * XSeries((a, one)) + c * one
         return acc
 
     # -- comparison / misc ---------------------------------------------

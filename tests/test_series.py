@@ -15,6 +15,7 @@ from deltadyn.series import (
 )
 
 from oracle_utils import padd, pcomp, pmul
+from strategies import GAUSSIANS, INTS, RATIONALS
 
 X = XSeries.x()
 
@@ -38,19 +39,20 @@ def test_shift_exact_and_truncated():
     assert p.shift(1).shift(-1) == p
 
 
-SHIFT_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=5)
-SHIFT_GAUSSIANS = st.builds(GaussianRational, SHIFT_RATIONALS, SHIFT_RATIONALS)
+# Z, Q and Q(i), each field containing the ones before it
+SHIFT_FIELDS = ((int, INTS), (Fraction, RATIONALS), (GaussianRational, GAUSSIANS))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from((SHIFT_RATIONALS, SHIFT_GAUSSIANS)).flatmap(
-        lambda s: st.tuples(st.lists(s, max_size=6), s)
-    )
-)
-def test_shift_matches_composition_with_x_plus_a(case):
-    p, a = case
-    assert XSeries(p).shift(a) == XSeries(pcomp(p, [a, 1]))
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(range(3)), st.sampled_from(range(3)), st.data())
+def test_shift_matches_composition_with_x_plus_a(fp, fa, data):
+    p = data.draw(st.lists(SHIFT_FIELDS[fp][1], max_size=6))
+    a = data.draw(SHIFT_FIELDS[fa][1])
+    got = XSeries(p).shift(a)
+    assert got == XSeries(pcomp(p, [a, 1]))
+    # every nonzero coefficient lies in the field of p and a together
+    field = SHIFT_FIELDS[max(fp, fa)][0]
+    assert {type(c) for c in got.coeffs if c != 0} <= {field}
 
 
 def test_ring_axioms_sampled():
