@@ -133,12 +133,12 @@ def aut_scale(a, F):
     return AutonomousSequence(F.generator * a, tuple(terms))
 
 
-def flow_from_autonomous(aut, basis=None, has_base=True):
+def flow_from_autonomous(aut, basis=None):
     """Flow of aut.generator with basis coefficient n equal to A_n / n!."""
     coeffs = tuple(
         t * Fraction(1, math.factorial(n + 1)) for n, t in enumerate(aut.terms)
     )
-    return Flow(coeffs, basis, has_base, aut.generator)
+    return Flow(coeffs, basis, generator=aut.generator)
 
 
 def classical_flow(f, order):
@@ -148,7 +148,7 @@ def classical_flow(f, order):
 
 def semiflow(f, order):
     """classical_flow without the base point x."""
-    return flow_from_autonomous(autonomous_sequence(f, order), has_base=False)
+    return classical_flow(f, order).minus_base()
 
 
 def flow_factorize(factors, order):
@@ -202,7 +202,7 @@ def group_law_residuals(f, order):
             terms = (low[a] * rhs[m - a] for a in range(m + 1))
             high.append(sum(terms, TSeries.zero(N - m)))
         c0 = f.coefficient(0) if m == 0 else 0
-        fm = TSeries.from_xseries(XSeries.constant(c0), N - m)
+        fm = TSeries.zero(N - m) + c0
         for power, c in zip(powers, f.coeffs[1:]):
             if c != 0:
                 fm = fm + power[m] * c

@@ -8,10 +8,9 @@ plus basis coefficients, where the basis is either the monomials t^n or
 the basic polynomials q_n(t) of a delta operator, together with the
 generator f of the flow when it has one.  Classical flows and delta
 flows are both Flows.  A Flow converts losslessly between the two bases
-through the triangular change-of-basis matrix.
+through the triangular change-of-basis matrix.  taylor_compose gives
+f(W) for a polynomial f and a Flow or TSeries W by Horner's rule.
 """
-
-from fractions import Fraction
 
 from .series import XSeries, _mul_lists
 
@@ -22,7 +21,7 @@ class TSeries:
     """Polynomial in t with XSeries coefficients, truncated at t-order.
 
     Index = power of t.  Arithmetic truncates at the minimum of the
-    operand t-orders.
+    operand t-orders; a scalar or XSeries adds to the t^0 coefficient.
     """
 
     __slots__ = ("coeffs", "order")
@@ -39,10 +38,6 @@ class TSeries:
     def zero(cls, order):
         return cls((), order)
 
-    @classmethod
-    def from_xseries(cls, xs, order):
-        return cls((xs,), order)
-
     def coefficient(self, m):
         if m > self.order:
             raise ValueError("coefficient %d beyond t-order %d" % (m, self.order))
@@ -56,6 +51,8 @@ class TSeries:
         return all(c.is_zero for c in self.coeffs)
 
     def __add__(self, other):
+        if not isinstance(other, TSeries):  # scalar or XSeries: the t^0 term
+            return TSeries((self.coeffs[0] + other,) + self.coeffs[1:], self.order)
         order = min(self.order, other.order)
         return TSeries(
             [self.coeffs[m] + other.coeffs[m] for m in range(order + 1)], order
@@ -215,35 +212,16 @@ class Flow:
         )
 
 
-def _as_centered_tseries(w):
-    ts = w.to_tseries() if isinstance(w, Flow) else w
-    if ts.coefficient(0) != XSeries.x():
-        raise ValueError("flow must be centred at the base series x")
-    return ts
-
-
 def taylor_compose(f, w):
-    """Compose f with a flow W centred at x: sum_k f^(k)(x)/k! (W-x)^k.
+    """f(W) by Horner's rule, acc -> acc * W + c over the coefficients
+    c of f from the top down, at the t-order of the Flow or TSeries W.
+    Exact for any W: centred at x or not, or a semiflow.
 
-    W must carry the base term x (its deviation W - x needs a strictly
-    positive t-order).
+    >>> taylor_compose(XSeries((0, 0, 1)), TSeries((XSeries.one(),) * 2, 2))
+    (1)*t^0 + (2)*t^1 + (1)*t^2
     """
-    ts = _as_centered_tseries(w)
-    N = ts.order
-    dev = TSeries((XSeries.zero(),) + ts.coeffs[1:], N)
-    out = TSeries.zero(N)
-    power = TSeries.from_xseries(XSeries.one(), N)
-    fk = f
-    k = 0
-    kfact = 1
-    while True:
-        if fk.is_zero:
-            break
-        out = out + power * (fk * Fraction(1, kfact))
-        if k == N:
-            break
-        fk = fk.derivative()
-        k += 1
-        kfact *= k
-        power = power * dev
-    return out
+    ts = w.to_tseries() if isinstance(w, Flow) else w
+    acc = TSeries.zero(ts.order)
+    for c in reversed(f.coeffs):
+        acc = acc * ts + c
+    return acc

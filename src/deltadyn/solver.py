@@ -88,19 +88,15 @@ def _closed_form(x0, values, n):
     return acc
 
 
-def solve_forward(g, x0, n, aut=None):
+def solve_forward(g, x0, n):
     """Evaluate the forward closed form x0 + sum_k A_k(x0) C(n, k).
 
     The binomial coefficients vanish for k > n, so the sum is finite
-    and exact.  A precomputed autonomous sequence may be shared across
-    calls; its depth must cover n.
+    and exact.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if aut is None:
-        aut = autonomous_sequence(g - XSeries.x(), max(n, 1))
-    elif aut.order < n:
-        raise ValueError("autonomous depth exhausted for this n")
+    aut = autonomous_sequence(g - XSeries.x(), max(n, 1))
     return _closed_form(x0, [aut.term(k).evaluate(x0) for k in range(1, n + 1)], n)
 
 

@@ -5,8 +5,8 @@ plain coefficient lists with Fraction entries, without touching the
 package's own series classes, so expected values come from a second
 route.  The last section keeps the field-arithmetic loops that the
 package's integer kernels replaced; they run on whatever scalars and
-XSeries they are given.  Horner substitution into a TSeries follows
-them.
+XSeries they are given.  The Taylor sum form of composition, which
+Horner's rule replaced in the package, follows them.
 """
 
 from fractions import Fraction
@@ -171,18 +171,33 @@ def expand_by_field_loop(basis, coeffs, zero=0):
     return out
 
 
-def poly_substitute(f, w):
-    """f(W) for a polynomial f and any TSeries or Flow W (Horner).
+def taylor_sum_compose(f, w):
+    """f(W) as the Taylor sum sum_k f^(k)(x)/k! (W - x)^k.
 
-    Unlike flows.taylor_compose this needs no base point.
+    The sum is finite because W - x has t-order at least 1, so W must
+    be centred at x: a Flow with base or a TSeries with t^0 term x.
     """
     from deltadyn.flows import Flow, TSeries
     from deltadyn.series import XSeries
 
-    if isinstance(w, Flow):
-        w = w.to_tseries()
-    acc = TSeries.zero(w.order)
-    for c in reversed(f.coeffs):
-        acc = acc * w
-        acc = acc + TSeries.from_xseries(XSeries.constant(c), w.order)
-    return acc
+    ts = w.to_tseries() if isinstance(w, Flow) else w
+    if ts.coefficient(0) != XSeries.x():
+        raise ValueError("flow must be centred at the base series x")
+    N = ts.order
+    dev = TSeries((XSeries.zero(),) + ts.coeffs[1:], N)
+    out = TSeries.zero(N)
+    power = TSeries.zero(N) + 1
+    fk = f
+    k = 0
+    kfact = 1
+    while True:
+        if fk.is_zero:
+            break
+        out = out + power * (fk * Fraction(1, kfact))
+        if k == N:
+            break
+        fk = fk.derivative()
+        k += 1
+        kfact *= k
+        power = power * dev
+    return out

@@ -104,11 +104,10 @@ def test_criterion_01_difference_oracle_equivalence():
         starts = (F(1, 3), F(1, 5), F(0))
         if field == "Qi":
             starts = tuple(GaussianRational(s) for s in starts)
-        aut = autonomous_sequence(g - X, 12)
         for x0 in starts:
             orbit = iterate(g, x0, 12)
             for n in range(13):
-                closed = solve_forward(g, x0, n, aut)
+                closed = solve_forward(g, x0, n)
                 if closed != orbit[n]:
                     mismatches.append((name, str(x0), n))
     ok = _report(

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deltadyn.autonomous import (
     _classical_composite,
@@ -42,7 +43,8 @@ from deltadyn.umbral import (
     touchard,
 )
 
-from strategies import builtin_ops
+from oracle_utils import taylor_sum_compose
+from strategies import GAUSSIANS, RATIONALS, builtin_ops, delta_series, polys
 
 X = XSeries.x()
 N = 10
@@ -121,7 +123,7 @@ def test_verify_delta_ode_zero_everywhere():
 
 def _verify_delta_ode_oracle(f, Q, order, basis):
     """The delta ODE residual as first written: Q applied one derivative
-    at a time, and f(Phi) recomputed on every call."""
+    at a time, and f(Phi) recomputed on every call as a Taylor sum."""
     w = delta_flow(f, Q, order, basis).to_tseries()
     lhs = TSeries.zero(max(w.order - 1, 0))
     dk = w
@@ -129,7 +131,7 @@ def _verify_delta_ode_oracle(f, Q, order, basis):
         dk = dk.dt()
         if Q.coeffs[k] != 0:
             lhs = lhs + TSeries(dk.coeffs, lhs.order) * Q.coeffs[k]
-    comp = taylor_compose(f, classical_flow(f, order)).truncate(order - 1)
+    comp = taylor_sum_compose(f, classical_flow(f, order)).truncate(order - 1)
     return lhs - UmbralOperator(basis).apply_tseries(comp)
 
 
@@ -150,6 +152,26 @@ def test_verify_delta_ode_matches_the_recomputing_oracle(f):
             assert got == _verify_delta_ode_oracle(f, Q, order, basis)
             nonzero += not got.is_zero
     assert nonzero > 0
+
+
+@st.composite
+def generator_and_operator(draw):
+    """f of degree <= 3, a random delta operator Q and an order <= 6
+    that Q covers, all over Q or all over Q(i)."""
+    scalars = draw(st.sampled_from((RATIONALS, GAUSSIANS)))
+    Q, _ = draw(delta_series(scalars))
+    f = draw(polys(scalars, max_size=4))
+    return f, Q, draw(st.integers(1, min(6, Q.order)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_and_operator())
+def test_delta_flow_equation_on_random_generators_and_operators(case):
+    # Q Phi_Q = L[f(Phi)], which composes f with the classical flow,
+    # and Q Phi_Q = f(x) dPhi_Q/dx in basic coordinates
+    f, Q, order = case
+    assert verify_delta_ode(f, Q, order).is_zero
+    assert all(r.is_zero for r in delta_pde_identity_residuals(f, Q, order))
 
 
 def test_classical_composite_cache_is_bounded():

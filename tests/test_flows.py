@@ -1,15 +1,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from deltadyn.autonomous import classical_flow
+from deltadyn.autonomous import classical_flow, semiflow
 from deltadyn.flows import Flow, TSeries, taylor_compose
 from deltadyn.scalars import GaussianRational
 from deltadyn.series import XSeries
 from deltadyn.umbral import basic_sequence_from_delta, forward
 
-from oracle_utils import padd, pmul, poly_substitute
+from oracle_utils import padd, pcomp, pmul, taylor_sum_compose
 
 X = XSeries.x()
 
@@ -42,12 +42,6 @@ def test_taylor_compose_logistic_generator():
     assert out.coefficient(2) == XSeries((0, 0, -1))
 
 
-def test_taylor_compose_requires_base():
-    w = TSeries((XSeries.one(), XSeries.one()), 1)
-    with pytest.raises(ValueError):
-        taylor_compose(X, w)
-
-
 SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 SMALL_GAUSSIANS = st.builds(GaussianRational, SMALL_RATIONALS, SMALL_RATIONALS)
 
@@ -63,9 +57,41 @@ def polynomial_and_flow(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(polynomial_and_flow())
-def test_poly_substitute_matches_taylor_on_based_flows(pair):
+def test_taylor_compose_matches_taylor_sum_on_centred_flows(pair):
     f, phi = pair
-    assert poly_substitute(f, phi) == taylor_compose(f, phi)
+    got = taylor_compose(f, phi)
+    assert got.order == phi.order
+    assert got == taylor_sum_compose(f, phi)
+
+
+def _composed_lists(f, w):
+    """f(W) by composing the untruncated coefficient lists of f and of
+    the TSeries W (in t, with XSeries entries); TSeries cuts the result
+    at W's t-order."""
+    full = pcomp(list(f.coeffs), list(w.coeffs))
+    return TSeries([XSeries.zero() + c for c in full], w.order)
+
+
+@st.composite
+def polynomial_and_tseries(draw):
+    """f of degree <= 4 and any W of t-order <= 5, over Q or Q(i)."""
+    scalars = draw(st.sampled_from((SMALL_RATIONALS, SMALL_GAUSSIANS)))
+    f = XSeries(draw(st.lists(scalars, max_size=5)))
+    order = draw(st.integers(0, 5))
+    w = [XSeries(draw(st.lists(scalars, max_size=3))) for _ in range(order + 1)]
+    return f, TSeries(w, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomial_and_tseries())
+@example((X * X - 3, TSeries((XSeries.one(), XSeries.one()), 3)))
+@example((XSeries((1, -2, 0, 1)), semiflow(XSeries((0, 1, -1)), 4)))
+def test_taylor_compose_matches_list_composition_on_any_base(pair):
+    f, w = pair
+    ts = w.to_tseries() if isinstance(w, Flow) else w
+    got = taylor_compose(f, w)
+    assert got.order == ts.order
+    assert got == _composed_lists(f, ts)
 
 
 @st.composite
@@ -95,10 +121,10 @@ def test_tseries_product_matches_list_double_loop(pair):
     assert got.coeffs == tuple(map(XSeries, want))
 
 
-def test_poly_substitute_general_base():
+def test_taylor_compose_uncentred_base():
     # f(x) = x^2 at W = 1 + t: coefficients (1, 2, 1)
     w = TSeries((XSeries.one(), XSeries.one(), XSeries.zero()), 2)
-    out = poly_substitute(X * X, w)
+    out = taylor_compose(X * X, w)
     assert out.coefficient(0) == XSeries.one()
     assert out.coefficient(1) == XSeries((2,))
     assert out.coefficient(2) == XSeries.one()

@@ -19,7 +19,7 @@ from deltadyn.solver import (
     solve_quadratic_map,
 )
 from deltadyn import solver
-from deltadyn.autonomous import AutonomousSequence, autonomous_sequence
+from deltadyn.autonomous import AutonomousSequence
 from deltadyn.deltaflow import delta_flow
 from deltadyn.umbral import backward, forward
 
@@ -71,12 +71,6 @@ def test_solve_forward_affine_matches_iterate():
     orbit = iterate(g, F(1, 7), 9)
     for n in range(10):
         assert solve_forward(g, F(1, 7), n) == orbit[n]
-
-
-def test_solve_forward_depth_guard():
-    aut = autonomous_sequence(XSeries((0, 1)), 3)
-    with pytest.raises(ValueError):
-        solve_forward(XSeries((0, 2)), F(1), 5, aut)
 
 
 def test_iterate_table_affine_all_equal():
