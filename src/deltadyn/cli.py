@@ -138,7 +138,9 @@ def _format_solve(args, table):
         if args.mode in ("closed", "both"):
             row["closed"] = format_scalar(closed)
         if args.mode in ("iterate", "both"):
-            row["iterated"] = format_scalar(iterated)
+            # an equal row prints one value twice, so format it once
+            same = args.mode == "both" and equal
+            row["iterated"] = row["closed"] if same else format_scalar(iterated)
         if args.mode == "both":
             row["equal"] = equal
         rows.append(row)

@@ -193,15 +193,84 @@ def from_lanes(re, im, den, kind):
 
 
 def format_scalar(value):
-    """Render an exact scalar as '-3', '5/7' or 'a/b+c/d*i'."""
+    """Render an exact scalar as '-3', '5/7' or 'a/b+c/d*i'.
+
+    A long numerator or denominator prints in subquadratic time (see
+    _int_str), under CPython's limit on int-to-str conversion.
+    """
     if isinstance(value, GaussianRational):
-        if value.im == 0:
-            return str(value.re)
-        sign = "+" if value.im > 0 else "-"
-        return "%s%s%s*i" % (value.re, sign, abs(value.im))
+        re = _rational_str(value.re)
+        if not value.im:
+            return re
+        im = _rational_str(value.im)
+        return "%s%s%s*i" % (re, "" if im[0] == "-" else "+", im)
     if isinstance(value, (int, Fraction)):
-        return str(Fraction(value))
+        return _rational_str(value)
     raise TypeError("not an exact scalar: %r" % (value,))
+
+
+def _rational_str(q):
+    """str(Fraction(q)) of an int or Fraction q."""
+    num, den = q.numerator, q.denominator
+    if den == 1:
+        return _int_str(num)
+    return "%s/%s" % (_int_str(num), _int_str(den))
+
+
+# Above this bit length _int_str beats str(), CPython 3.11's quadratic
+# conversion: 1.3x faster at 40k bits, 2.2x at 100k, 5x at 300k, while
+# str() is 10% faster at 32k (Python 3.11.7, 2-CPU x86-64 VM, best of 5
+# over 20 random ints per size).
+_DC_MIN_BITS = 40000
+# Ints of at most this many bits go to Decimal whole; 1k-4k bit leaves
+# timed the same on the machine above.
+_DC_LEAF_BITS = 2048
+
+
+def _int_str(n):
+    """str(n), in subquadratic time for a long int n.
+
+    Radix conversion by divide and conquer (Brent and Zimmermann,
+    Modern Computer Arithmetic, 2010, sec. 1.7): |n| is split at 2^w
+    into a high and a low part, each is converted to an exact Decimal
+    recursively, and the two are joined as lo + hi * 2^w, so libmpdec's
+    fast multiplication does the work.  An int that may have more
+    digits than CPython's limit on int-to-str conversion goes to str(),
+    which raises the same ValueError.
+    """
+    bits = n.bit_length()
+    if bits <= _DC_MIN_BITS:
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    # |n| < 2^bits has at most bits * log10(2) + 1 digits
+    if limit and bits * 0.30103 + 1 > limit:
+        return str(n)
+    import decimal
+
+    D = decimal.Decimal
+    powers = {}
+
+    def pow2(w):
+        p = powers.get(w)
+        if p is None:
+            p = D(2) ** w if w <= _DC_LEAF_BITS else pow2(w >> 1) * pow2(w - (w >> 1))
+            powers[w] = p
+        return p
+
+    def convert(m, w):
+        if w <= _DC_LEAF_BITS:
+            return D(m)
+        h = w >> 1
+        hi = m >> h
+        return convert(m - (hi << h), h) + convert(hi, w - h) * pow2(h)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        digits = str(convert(abs(n), bits))
+    return "-" + digits if n < 0 else digits
 
 
 _RATIONAL = r"[+-]?\d+(?:/\d+)?"

@@ -7,9 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from deltadyn import cli
+from deltadyn import cli, scalars
 from deltadyn.cli import cli_main
-from deltadyn.scalars import format_scalar
 from deltadyn.umbral import stirling2
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -284,9 +283,10 @@ def test_input_past_cpython_digit_limit_is_a_clean_error(capsys):
     assert "set_int_max_str_digits" not in captured.err
 
 
-@pytest.mark.parametrize("steps", [14, 16])
+@pytest.mark.parametrize("steps", [14, 16, 17])
 def test_solve_past_cpython_digit_limit_matches_iteration(capsys, steps):
-    # orbit values of 4^n x (1 - x) at x0 = 1/3 pass 4300 digits at n = 14
+    # orbit values of 4^n x (1 - x) at x0 = 1/3 pass 4300 digits at n = 14,
+    # and their parts pass the switch-over of scalars._int_str at n = 15
     limit = sys.get_int_max_str_digits()
     code, out = run_cli(
         capsys, "solve", "--map", "logistic:4", "--x0", "1/3",
@@ -300,11 +300,13 @@ def test_solve_past_cpython_digit_limit_matches_iteration(capsys, steps):
     sys.set_int_max_str_digits(0)
     try:
         for n, line in enumerate(lines[1:]):
-            assert line == "%d,%s" % (n, format_scalar(y))
+            assert line == "%d,%s" % (n, y)
+            last = y
             y = 4 * y * (1 - y)
     finally:
         sys.set_int_max_str_digits(limit)
     assert len(lines[-1]) > 4300
+    assert (last.denominator.bit_length() > scalars._DC_MIN_BITS) == (steps > 14)
 
 
 def test_solve_over_the_digit_cap_is_usage_error(capsys):

@@ -1,9 +1,12 @@
+import contextlib
+import random
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from deltadyn import scalars
 from deltadyn.scalars import (
     GaussianRational,
     I,
@@ -163,3 +166,93 @@ def test_digits_over_is_exact_at_the_boundary(cap):
     assert digits_over(Fraction(1, top + 1), cap)
     assert not digits_over(GaussianRational(Fraction(1, top), top), cap)
     assert digits_over(GaussianRational(0, Fraction(top + 1, 7)), cap)
+
+
+@contextlib.contextmanager
+def digit_limit(limit):
+    """CPython's int-to-str limit set to limit, and restored after."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+LEAF, SWITCH = scalars._DC_LEAF_BITS, scalars._DC_MIN_BITS
+
+
+@st.composite
+def long_ints(draw):
+    """Ints of 1 to 400k bits and either sign: random bits, or a low
+    half of zero bits, or a long run of decimal zeros in the low half."""
+    # the second range puts half of the draws past the switch-over
+    bits = draw(st.integers(1, 400_000) | st.integers(SWITCH, 400_000))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = rng.getrandbits(bits) | 1 << (bits - 1)
+    shape = draw(st.sampled_from(("random", "zero bits", "decimal zeros")))
+    if shape == "zero bits":
+        n = n >> (bits // 2) << (bits // 2)
+    elif shape == "decimal zeros":
+        k = bits * 3 // 20  # about half of the decimal digits
+        n = n // 10**k * 10**k + rng.getrandbits(4)
+    return draw(st.sampled_from((1, -1))) * n
+
+
+@settings(max_examples=25, deadline=None)
+@given(long_ints())
+def test_int_str_is_str(n):
+    with digit_limit(0):
+        assert scalars._int_str(n) == str(n)
+
+
+def test_int_str_at_the_leaf_and_switch_over_sizes():
+    edges = [0, 1]
+    for w in (LEAF, SWITCH, 2 * SWITCH + 1):
+        k = int(w * 0.30103)  # 10^k < 2^w < 10^(k+1)
+        edges += [2**w - 1, 2**w, 2**w + 1, 10**k - 1, 10**k, 10 ** (k + 1) - 1, 10 ** (k + 1)]
+    with digit_limit(0):
+        for n in edges:
+            assert scalars._int_str(n) == str(n)
+            assert scalars._int_str(-n) == str(-n)
+
+
+def _long_parts(n):
+    """Scalars that print the odd int n as each kind of part: an int,
+    a numerator, a denominator, and in each part of a Gaussian rational."""
+    return [
+        n,
+        -n,
+        Fraction(n, 2),
+        Fraction(1, n),
+        GaussianRational(1, Fraction(n, 2)),
+        GaussianRational(Fraction(-1, n), 1),
+    ]
+
+
+@pytest.mark.parametrize("digits", [5000, 100_000])
+def test_format_keeps_the_default_digit_limit(digits):
+    limit = sys.get_int_max_str_digits()
+    n = 10 ** (digits - 1) + 1
+    with digit_limit(sys.int_info.default_max_str_digits):
+        with pytest.raises(ValueError) as expected:
+            str(n)
+        for value in _long_parts(n):
+            with pytest.raises(ValueError) as exc:
+                format_scalar(value)
+            assert str(exc.value) == str(expected.value)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_format_under_a_raised_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    fits = 10**49_998 + 1  # 49 999 digits, past the switch-over
+    over = 10**50_000 + 1  # 50 001 digits
+    with digit_limit(50_000):
+        s = str(fits)
+        expected = [s, "-" + s, s + "/2", "1/" + s, "1+%s/2*i" % s, "-1/%s+1*i" % s]
+        assert [format_scalar(v) for v in _long_parts(fits)] == expected
+        for value in _long_parts(over):
+            with pytest.raises(ValueError, match="Exceeds the limit"):
+                format_scalar(value)
+    assert sys.get_int_max_str_digits() == limit
