@@ -242,8 +242,7 @@ def _int_str(n):
     if bits <= _DC_MIN_BITS:
         return str(n)
     limit = sys.get_int_max_str_digits()
-    # |n| < 2^bits has at most bits * log10(2) + 1 digits
-    if limit and bits * 0.30103 + 1 > limit:
+    if limit and digits_over(n, limit):
         return str(n)
     import decimal
 

@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from deltadyn import scalars
 from deltadyn.scalars import (
@@ -195,12 +195,13 @@ def long_ints(draw):
         n = n >> (bits // 2) << (bits // 2)
     elif shape == "decimal zeros":
         k = bits * 3 // 20  # about half of the decimal digits
-        n = n // 10**k * 10**k + rng.getrandbits(4)
+        n = (n >> (bits // 2)) * 10**k + rng.getrandbits(4)
     return draw(st.sampled_from((1, -1))) * n
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(long_ints())
+@example(-(random.Random(0).getrandbits(400_000) | 1 << 399_999))
 def test_int_str_is_str(n):
     with digit_limit(0):
         assert scalars._int_str(n) == str(n)
@@ -232,7 +233,6 @@ def _long_parts(n):
 
 @pytest.mark.parametrize("digits", [5000, 100_000])
 def test_format_keeps_the_default_digit_limit(digits):
-    limit = sys.get_int_max_str_digits()
     n = 10 ** (digits - 1) + 1
     with digit_limit(sys.int_info.default_max_str_digits):
         with pytest.raises(ValueError) as expected:
@@ -241,11 +241,9 @@ def test_format_keeps_the_default_digit_limit(digits):
             with pytest.raises(ValueError) as exc:
                 format_scalar(value)
             assert str(exc.value) == str(expected.value)
-    assert sys.get_int_max_str_digits() == limit
 
 
 def test_format_under_a_raised_digit_limit():
-    limit = sys.get_int_max_str_digits()
     fits = 10**49_998 + 1  # 49 999 digits, past the switch-over
     over = 10**50_000 + 1  # 50 001 digits
     with digit_limit(50_000):
@@ -255,4 +253,3 @@ def test_format_under_a_raised_digit_limit():
         for value in _long_parts(over):
             with pytest.raises(ValueError, match="Exceeds the limit"):
                 format_scalar(value)
-    assert sys.get_int_max_str_digits() == limit
