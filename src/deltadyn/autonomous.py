@@ -9,15 +9,16 @@ product pulls back to the product of generators (A_1 recovers the
 generator exactly).
 
 For f = F/d with F in D[x], D the integers or the Gaussian integers,
-every A_n equals P_n / d^n with P_n in D[x]: the recursion multiplies
-integer coefficient lists with series._mul_lists (four real products
-per step over the Gaussian integers) and divides once per coefficient
-at the end.
+every A_n equals P_n / d^n with P_n in D[x].  One kernel, _numerators,
+runs the recursion P_(n+1) = F * dP_n/dx on integer coefficient lists
+with series._mul_lists (three real products per step over the Gaussian
+integers).  Both the terms A_n = P_n / d^n and the flow coefficients
+A_n / n! = P_n / (d^n n!) are read from it with one division per
+coefficient.
 """
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .flows import Flow, TSeries, taylor_compose
@@ -40,14 +41,57 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _rows_to_terms(kind, rows):
+    return tuple(
+        XSeries([from_lanes(r, im[k] if im else 0, den, kind) for k, r in enumerate(re)])
+        for den, re, im in rows
+    )
+
+
 class AutonomousSequence:
-    generator: XSeries
-    terms: tuple  # A_1 .. A_N
+    """The autonomous polynomials A_1 .. A_N of a generator.
+
+    numerators is the integer form (kind, rows): rows[n-1] is
+    (den, re, im) with A_n = (re + im*i) / den coefficientwise, im None
+    when every imaginary part is zero, and kind is the field of all the
+    terms as in scalars.to_lanes.  autonomous_sequence builds the rows
+    with the kernel and makes the terms from them on first read; a
+    sequence given by its terms (aut_add, aut_scale) reads its rows off
+    them on first use.
+    """
+
+    __slots__ = ("generator", "_terms", "_numerators")
+
+    def __init__(self, generator, terms):
+        self.generator = generator
+        self._terms = tuple(terms)
+        self._numerators = None
+
+    @classmethod
+    def _from_numerators(cls, generator, numerators):
+        aut = cls.__new__(cls)
+        aut.generator, aut._terms, aut._numerators = generator, None, numerators
+        return aut
+
+    @property
+    def terms(self):
+        """A_1 .. A_N; A_1 is the generator itself."""
+        if self._terms is None:
+            kind, rows = self._numerators
+            self._terms = (self.generator,) + _rows_to_terms(kind, rows[1:])
+        return self._terms
+
+    @property
+    def numerators(self):
+        if self._numerators is None:
+            lanes = [to_lanes(t.coeffs) for t in self._terms]
+            kind = max((lane[3] for lane in lanes), default=0)
+            self._numerators = (kind, tuple(lane[:3] for lane in lanes))
+        return self._numerators
 
     @property
     def order(self):
-        return len(self.terms)
+        return len(self._numerators[1] if self._terms is None else self._terms)
 
     def term(self, n):
         """A_n, 1-indexed."""
@@ -55,38 +99,58 @@ class AutonomousSequence:
             raise ValueError("autonomous index out of range")
         return self.terms[n - 1]
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.generator == other.generator and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.generator, self.terms))
+
+    def __repr__(self):
+        return "AutonomousSequence(generator=%r, terms=%r)" % (self.generator, self.terms)
+
+
+def _numerators(f, order):
+    """The kernel: (d, kind, P) for f = F/d with F integral, where
+    P[n-1] = (re, im) holds the integer lanes of P_1 = F and
+    P_(n+1) = F * dP_n/dx through P_order, im None over Z and Q, and
+    kind is the field of f's coefficients as in scalars.to_lanes."""
+    d, fr, fi, kind = to_lanes(f.coeffs)
+    P = [(fr, fi)]
+    if fi is not None:
+        fs = [u + v for u, v in zip(fr, fi)]
+    for _ in range(order - 1):
+        pr, pi = P[-1]
+        dr = [j * c for j, c in enumerate(pr)][1:]
+        if fi is None:
+            P.append((_mul_lists(fr, dr), None))
+            continue
+        # (Fr + i Fi)(dr + i di) by three real products (Karatsuba):
+        # re = Fr dr - Fi di, im = (Fr + Fi)(dr + di) - Fr dr - Fi di
+        di = [j * c for j, c in enumerate(pi)][1:]
+        rr, ii = _mul_lists(fr, dr), _mul_lists(fi, di)
+        ss = _mul_lists(fs, [u + v for u, v in zip(dr, di)])
+        P.append(([u - v for u, v in zip(rr, ii)], [s - u - v for s, u, v in zip(ss, rr, ii)]))
+    return d, kind, P
+
 
 def autonomous_sequence(f, order):
     """A_1 = f and A_{n+1} = f * dA_n/dx, through A_order.
 
     The recursion runs in D[x], D the integers or the Gaussian
     integers: with f = F/d for an integral F, P_1 = F and
-    P_(n+1) = F * dP_n/dx stay integral and A_n = P_n / d^n, one
-    division per coefficient.  Every coefficient of A_2 .. A_order,
-    zeros included, has the one type of the field of f's coefficients:
-    int over Z, Fraction over Q, GaussianRational over Q(i).
+    P_(n+1) = F * dP_n/dx stay integral (the kernel _numerators) and
+    A_n = P_n / d^n, one division per coefficient, made on the first
+    read of the terms.  Every coefficient of A_2 .. A_order, zeros
+    included, has the one type of the field of f's coefficients: int
+    over Z, Fraction over Q, GaussianRational over Q(i).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    d, fr, fi, kind = to_lanes(f.coeffs)
-    terms = [f]
-    pr, pi, den = fr, fi, d
-    for _ in range(order - 1):
-        dr = [j * c for j, c in enumerate(pr)][1:]
-        if fi is None:
-            pr = _mul_lists(fr, dr)
-        else:
-            # the Gaussian product (Fr + i Fi)(dr + i di) on real lanes
-            di = [j * c for j, c in enumerate(pi)][1:]
-            pr, pi = (
-                [u - v for u, v in zip(_mul_lists(fr, dr), _mul_lists(fi, di))],
-                [u + v for u, v in zip(_mul_lists(fr, di), _mul_lists(fi, dr))],
-            )
-        den *= d
-        terms.append(XSeries([
-            from_lanes(r, pi[k] if pi else 0, den, kind) for k, r in enumerate(pr)
-        ]))
-    return AutonomousSequence(f, tuple(terms))
+    d, kind, P = _numerators(f, order)
+    rows = tuple((d ** n, re, im) for n, (re, im) in enumerate(P, 1))
+    return AutonomousSequence._from_numerators(f, (kind, rows))
 
 
 def h_sequence(f, g, order):
@@ -134,11 +198,17 @@ def aut_scale(a, F):
 
 
 def flow_from_autonomous(aut, basis=None):
-    """Flow of aut.generator with basis coefficient n equal to A_n / n!."""
-    coeffs = tuple(
-        t * Fraction(1, math.factorial(n + 1)) for n, t in enumerate(aut.terms)
-    )
-    return Flow(coeffs, basis, generator=aut.generator)
+    """Flow of aut.generator with basis coefficient n equal to A_n / n!,
+    read from aut.numerators with one division per coefficient; every
+    coefficient, zeros included, is a Fraction over Z and Q and a
+    GaussianRational over Q(i)."""
+    kind, rows = aut.numerators
+    fact = 1
+    scaled = []
+    for n, (den, re, im) in enumerate(rows, 1):
+        fact *= n
+        scaled.append((den * fact, re, im))
+    return Flow(_rows_to_terms(max(kind, 1), scaled), basis, generator=aut.generator)
 
 
 def classical_flow(f, order):

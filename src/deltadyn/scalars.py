@@ -163,6 +163,17 @@ class GaussianRational:
 I = GaussianRational(0, 1)
 
 
+def _kind(values):
+    """The field of some exact scalars: 2 if any is a GaussianRational,
+    else 1 if any is a Fraction, else 0 (Z)."""
+    types = set(map(type, values))
+    return 2 if GaussianRational in types else 1 if Fraction in types else 0
+
+
+# The zero of each kind of field.
+_ZEROS = (0, Fraction(0), GaussianRational(0))
+
+
 def to_lanes(values):
     """Integer lanes (den, re, im, kind) of a list of exact scalars.
 
@@ -171,8 +182,7 @@ def to_lanes(values):
     None when every imaginary part is zero.  kind is 2 if any value is
     a GaussianRational, else 1 if any is a Fraction, else 0.
     """
-    types = set(map(type, values))
-    kind = 2 if GaussianRational in types else 1 if Fraction in types else 0
+    kind = _kind(values)
     parts = [(v.re, v.im) if type(v) is GaussianRational else (v, 0) for v in values]
     den = math.lcm(*[x.denominator for pair in parts for x in pair])
     re = [r.numerator * (den // r.denominator) for r, _ in parts]
@@ -190,6 +200,14 @@ def from_lanes(re, im, den, kind):
     if kind == 1:
         return Fraction(re, den)
     return re // den
+
+
+def _lowest_terms(num, den):
+    """Fraction(num, den) for coprime num and den > 0, built without
+    the gcd that the constructor takes."""
+    q = object.__new__(Fraction)
+    q._numerator, q._denominator = num, den
+    return q
 
 
 def format_scalar(value):

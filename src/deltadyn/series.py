@@ -20,6 +20,8 @@ the integer lanes of autonomous.autonomous_sequence.
 import math
 from fractions import Fraction
 
+from .scalars import _ZEROS, _kind
+
 __all__ = [
     "XSeries",
     "derivative_sequence",
@@ -225,7 +227,10 @@ class XSeries:
 
     def __mul__(self, other):
         if isinstance(other, XSeries):
-            return XSeries(_mul_lists(self.coeffs, other.coeffs))
+            # sums start from the zero of the factors' field, so that
+            # every coefficient, zeros included, has the field's type
+            zero = _ZEROS[_kind(self.coeffs + other.coeffs)]
+            return XSeries(_mul_lists(self.coeffs, other.coeffs, zero=zero))
         return XSeries([other * c for c in self.coeffs])
 
     __rmul__ = __mul__

@@ -1,7 +1,9 @@
-"""Closed forms and brute-force oracles for first-order difference maps.
+"""Closed forms and the exact orbit of first-order difference maps.
 
 A problem y_{n+1} = g(y_n) is rewritten as a forward difference system
-with generator f = g - x.  iterate() is the exact brute-force oracle;
+with generator f = g - x.  iterate() computes the orbit exactly on
+integers (homogeneous Horner with a small-modulus reduction; the
+field-arithmetic Horner orbit it replaced is the test oracle);
 solve_forward() evaluates the umbral closed form
 
     x + sum_k A_k(f)(x) C(n, k)
@@ -20,11 +22,18 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from math import comb
+from math import comb, gcd
 
 from .autonomous import aut_scale, autonomous_sequence, flow_from_autonomous
 from .deltaflow import delta_flow, poly_flow_product
-from .scalars import GaussianRational, digits_over, parse_scalar, rational_sqrt
+from .scalars import (
+    GaussianRational,
+    _lowest_terms,
+    digits_over,
+    parse_scalar,
+    rational_sqrt,
+    to_lanes,
+)
 from .series import XSeries
 from .umbral import abel, backward, basic_sequence_from_delta, forward
 
@@ -68,16 +77,106 @@ def _check_digits(value, n, max_digits):
 def iterate(g, x0, n, max_digits=None):
     """The orbit y_0 .. y_n of y_{k+1} = g(y_k), exactly.
 
+    Each step runs on integers.  With g = G/C for integral G_0 .. G_d
+    (G_d != 0) read once by to_lanes, and y = a/b, the next value is
+    N/D with N = sum_k G_k a^k b^(d-k), by Horner's rule in a over the
+    powers of b, and D = C b^d.
+
+    Over Q, a/b is in lowest terms, and gcd(N, D) divides the small
+    integer K = C |G_d|^d.  Proof: every term of N but G_d a^d has a
+    factor b.  Let p^s, s >= 1, be the power of a prime p in b and
+    t = v_p(G_d).  As p does not divide a, v_p(N) = t if t < s, and
+    otherwise v_p(b^d) = ds <= dt; either way
+    min(v_p(N), v_p(b^d)) <= dt, so gcd(N, b^d) divides G_d^d.  And
+    gcd(N, C b^d) divides gcd(N, C) gcd(N, b^d), so it divides K.  The
+    step therefore reduces by h = gcd(N mod K, D mod K, K), with no gcd
+    of two long integers, and builds the Fraction N/h over D/h as it
+    stands.
+
+    Over Q(i), y = (a_r + a_i i)/b over the least common denominator
+    b, and each Horner step multiplies by a_r + a_i i with three real
+    products.  The two parts N_r/D and N_i/D are reduced as Fractions;
+    those are the only gcds of long integers, and the next common
+    denominator is D over gcd(D/den(N_r/D), D/den(N_i/D)).
+
+    y_1 .. y_n have the one type of the field of g's coefficients and
+    x0 together (int, Fraction or GaussianRational), and the int 0 for
+    the zero map: the types of Horner's rule in their own arithmetic.
     With max_digits, stop with DigitLimitError at the first value
     holding an integer (numerator or denominator of a part) of more
     decimal digits; the orbit is not computed past it.
     """
     ys = [x0]
     _check_digits(x0, 0, max_digits)
-    for k in range(1, n + 1):
-        ys.append(g.evaluate(ys[-1]))
-        _check_digits(ys[-1], k, max_digits)
+    if g.is_zero:
+        return tuple(ys + [0] * n)
+    C, Gr, Gi, kind = to_lanes(g.coeffs)
+    b, (ar,), ai, x0_kind = to_lanes([x0])
+    if Gi is None and ai is None:
+        kind = max(kind, x0_kind)
+        values = (_real_value(a, b, kind) for a, b in _q_orbit(Gr, C, ar, b))
+    else:
+        values = _qi_orbit(Gr, Gi or [0] * len(Gr), C, ar, ai[0] if ai else 0, b)
+    for k, y in zip(range(1, n + 1), values):
+        _check_digits(y, k, max_digits)
+        ys.append(y)
     return tuple(ys)
+
+
+def _real_value(a, b, kind):
+    """a/b in lowest terms as a scalar of the given kind (see to_lanes)."""
+    if kind == 0:
+        return a  # over Z, b is 1
+    q = _lowest_terms(a, b)
+    return q if kind == 1 else GaussianRational(q)
+
+
+def _powers(b, d):
+    bp = [1]
+    for _ in range(d):
+        bp.append(bp[-1] * b)
+    return bp
+
+
+def _q_orbit(G, C, a, b):
+    """g(y), g(g(y)), ... as pairs (num, den) in lowest terms, den > 0,
+    for g = G/C and y = a/b in lowest terms (see iterate)."""
+    d = len(G) - 1
+    K = C * abs(G[d]) ** d
+    while True:
+        bp = _powers(b, d)
+        N = G[d]
+        for k in range(d - 1, -1, -1):
+            N *= a
+            if G[k]:
+                N += G[k] * bp[d - k]
+        D = C * bp[d]
+        h = gcd(N % K, D % K, K)
+        a, b = (N // h, D // h) if h > 1 else (N, D)
+        yield a, b
+
+
+def _qi_orbit(Gr, Gi, C, ar, ai, b):
+    """g(y), g(g(y)), ... as GaussianRationals, for g = (Gr + Gi i)/C
+    and y = (ar + ai i)/b over the least common denominator b."""
+    d = len(Gr) - 1
+    while True:
+        bp = _powers(b, d)
+        s, t = ar + ai, ai - ar
+        nr, ni = Gr[d], Gi[d]
+        for k in range(d - 1, -1, -1):
+            # (nr + ni i)(ar + ai i) with k1 = ar (nr + ni) is
+            # (k1 - ni (ar + ai)) + (k1 + nr (ai - ar)) i
+            k1 = ar * (nr + ni)
+            nr, ni = k1 - ni * s, k1 + nr * t
+            p = bp[d - k]
+            nr += Gr[k] * p
+            ni += Gi[k] * p
+        D = C * bp[d]
+        re, im = Fraction(nr, D), Fraction(ni, D)
+        h = gcd(D // re.denominator, D // im.denominator)
+        ar, ai, b = nr // h, ni // h, D // h
+        yield GaussianRational(re, im)
 
 
 def _closed_form(x0, values, n):

@@ -5,10 +5,13 @@ plain coefficient lists with Fraction entries, without touching the
 package's own series classes, so expected values come from a second
 route.  The last section keeps the field-arithmetic loops that the
 package's integer kernels replaced; they run on whatever scalars and
-XSeries they are given.  The Taylor sum form of composition, which
-Horner's rule replaced in the package, follows them.
+XSeries they are given: the autonomous recursion, the basis expansion,
+the flow coefficients A_n * 1/n! and the Horner orbit.  The Taylor sum
+form of composition, which Horner's rule replaced in the package,
+follows them.
 """
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -169,6 +172,20 @@ def expand_by_field_loop(basis, coeffs, zero=0):
             if b != 0:
                 out[k] = out[k] + c * b
     return out
+
+
+def flow_coeffs_by_factorial(aut):
+    """A_n * Fraction(1, n!) for the terms A_n of an autonomous sequence."""
+    return tuple(t * Fraction(1, math.factorial(n)) for n, t in enumerate(aut.terms, 1))
+
+
+def iterate_by_horner(g, x0, n):
+    """The orbit y_0 .. y_n, each step by XSeries.evaluate (Horner's
+    rule in the scalars' own arithmetic)."""
+    ys = [x0]
+    for _ in range(n):
+        ys.append(g.evaluate(ys[-1]))
+    return tuple(ys)
 
 
 def taylor_sum_compose(f, w):

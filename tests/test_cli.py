@@ -323,6 +323,55 @@ def test_solve_over_the_digit_cap_is_usage_error(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_solve_over_the_digit_cap_of_a_gaussian_cubic(capsys):
+    # the Gaussian orbit kernel stops at the same n, with the same message
+    code = cli_main([
+        "solve", "--map", "poly:2/7+3/5*i,-22/7+1/3*i,13/11-5/3*i,-7/2+i",
+        "--field", "Qi", "--x0", "1/3", "--steps", "48", "--max-digits", "2000",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the value at n = 7 has more than 2000 decimal digits (see --max-digits)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "option, value, rest",
+    [
+        ("--x0", "-1/3", ["solve", "--map", "logistic:4", "--steps", "3"]),
+        ("--x0", "-1/3-i", ["solve", "--map", "quadratic-1/2", "--field", "Qi", "--steps", "2"]),
+        ("--x0", "-i", ["solve", "--map", "double", "--field", "Qi", "--steps", "2"]),
+        ("--f", "-1,1", ["flow", "--order", "4"]),
+        ("--alpha", "-2/3", ["flow", "--f=0,1", "--op", "abel", "--order", "4"]),
+        ("--alpha", "-2/3", ["basis", "--op", "abel", "--depth", "4"]),
+    ],
+)
+def test_negative_scalar_as_a_separate_argument(capsys, option, value, rest):
+    # "--opt -1/3" gives the same output as "--opt=-1/3"
+    code, out = run_cli(capsys, *rest, option, value)
+    assert capsys.readouterr().err == ""
+    assert (code, out) == run_cli(capsys, *rest, option + "=" + value)
+    assert out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--map", "double", "--x0", "1", "--bogus", "-1/3"],
+        ["solve", "--map", "double", "-1/3", "--x0", "1"],
+        ["flow", "--f", "-1,1", "-i"],
+    ],
+    ids=["unknown-option", "stray-value", "stray-gaussian"],
+)
+def test_a_negative_scalar_does_not_make_an_unknown_option_valid(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

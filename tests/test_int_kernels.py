@@ -1,23 +1,28 @@
 """The integer kernels against the field-arithmetic loops they replaced.
 
-autonomous_sequence and BasicSequence.expand run on integer lanes and
-rebuild every coefficient once.  Each must give the same values as the
-loops in oracle_utils, over Z, Q and Q(i), for rational, Gaussian and
-composed bases and for scalar and XSeries inputs.  Every coefficient
-it builds has the one type of the field of its inputs: int over Z,
-Fraction over Q, GaussianRational over Q(i).
+autonomous_sequence, the flow coefficients and BasicSequence.expand
+run on integer lanes and rebuild every coefficient once.  Each must
+give the same values as the loops in oracle_utils, over Z, Q and Q(i),
+for rational, Gaussian and composed bases and for scalar and XSeries
+inputs.  Every coefficient it builds has the one type of the field of
+its inputs: int over Z, Fraction over Q, GaussianRational over Q(i).
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from deltadyn.autonomous import autonomous_sequence, flow_from_autonomous
+from deltadyn.autonomous import autonomous_sequence, classical_flow, flow_from_autonomous
+from deltadyn.deltaflow import delta_flow
 from deltadyn.scalars import GaussianRational
 from deltadyn.series import XSeries
 from deltadyn.umbral import basic_sequence_from_delta, forward, touchard
 
-from oracle_utils import autonomous_by_field_loop, expand_by_field_loop
+from oracle_utils import (
+    autonomous_by_field_loop,
+    expand_by_field_loop,
+    flow_coeffs_by_factorial,
+)
 from strategies import (
     DEPTH,
     FIELDS,
@@ -86,6 +91,26 @@ def test_flow_to_monomial_matches_field_loop(basis, f):
     assert list(got) == want
     inputs = [c for xs in flow.coeffs for c in xs.coeffs]
     assert output_types(got) <= {field_type(basis_entries(basis), inputs)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(bases(), generators())
+def test_flow_coefficients_are_a_n_over_n_factorial(basis, f):
+    # the flows read P_n / (d^n n!) straight from the kernel; the oracle
+    # multiplies the terms A_n by Fraction(1, n!)
+    want = flow_coeffs_by_factorial(autonomous_sequence(f, DEPTH))
+    for flow in (delta_flow(f, basis.operator, DEPTH, basis), classical_flow(f, DEPTH)):
+        assert flow.coeffs == want
+        # one type for every coefficient: the field of f, at least Q
+        assert output_types(flow.coeffs) <= {field_type(f.coeffs, [Fraction(0)])}
+
+
+def test_flow_coefficients_of_a_mixed_generator_are_gaussian():
+    # A_1 / 1! of a Q(i) generator with int and Fraction coefficients
+    f = XSeries((GaussianRational(1, 1), 0, Fraction(1, 2)))
+    first = classical_flow(f, 3).coeffs[0]
+    assert first == f
+    assert output_types([first]) == {GaussianRational}
 
 
 def test_expand_keeps_the_field_of_a_sum_that_cancels_at_its_top():

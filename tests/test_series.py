@@ -104,6 +104,19 @@ def test_truncation_order_propagates(triple):
     assert agree_through(a * b, pmul(a.coeffs, b.coeffs))
 
 
+def test_product_coefficients_have_the_type_of_their_field():
+    # no pair of nonzero coefficients lands on x^1 and x^3 of p * p
+    F = Fraction
+    p = XSeries((F(1), F(0), F(1)))
+    assert [type(c) for c in (p * p).coeffs] == [Fraction] * 5
+    g = XSeries((GaussianRational(1), 0, 1))
+    assert (g * g) == XSeries((1, 0, 2, 0, 1))
+    assert {type(c) for c in (g * g).coeffs} == {GaussianRational}
+    q = XSeries((1, 0, 1))
+    assert [type(c) for c in (q * q).coeffs] == [int] * 5
+    assert {type(c) for c in (q * p).coeffs} == {Fraction}
+
+
 def test_scalar_multiplication_promotes():
     from deltadyn.scalars import GaussianRational
 

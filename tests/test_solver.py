@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from deltadyn.scalars import GaussianRational
 from deltadyn.series import XSeries
@@ -23,6 +25,9 @@ from deltadyn.autonomous import AutonomousSequence
 from deltadyn.deltaflow import delta_flow
 from deltadyn.umbral import backward, forward
 
+from oracle_utils import iterate_by_horner
+from strategies import SCALARS, polys
+
 X = XSeries.x()
 F = Fraction
 
@@ -44,6 +49,55 @@ def test_iterate_quadratic_gaussian():
         GaussianRational(F(3, 4)),
         GaussianRational(F(17, 16)),
     )
+
+
+# Initial values whose denominators share the primes 2 and 3 with the
+# leading coefficients and the common denominators of the maps drawn.
+SHARED_PRIMES = st.builds(
+    Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12])
+)
+INITIAL = st.one_of(*SCALARS.values(), SHARED_PRIMES)
+
+
+# g of degree 0 to 4 or the zero map, over Z, Q, Q(i) or mixed scalars,
+# or over Q with the denominators of SHARED_PRIMES.
+MAPS = st.sampled_from([*SCALARS.values(), SHARED_PRIMES]).flatmap(
+    lambda scalars: polys(scalars, max_size=5)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(MAPS, INITIAL, st.integers(0, 4))
+@example(XSeries((F(1, 4), 0, 1)), F(1, 2), 4)  # the fixed point of x^2 + 1/4
+@example(XSeries((F(1, 4), 0, 1)), F(3, 8), 4)
+# (8x^2 + 3)/12 from 3/8: gcd(N, D) = 24 at the first step, the 3 of C = 12 among it
+@example(XSeries((F(1, 4), 0, F(2, 3))), F(3, 8), 4)
+@example(XSeries((F(-1, 4), 0, 1)), F(1, 2), 3)  # the value 0 reduces all of D
+@example(XSeries((0, 1, 2)), F(1, 2), 3)  # gcd(N, D) = 4 = G_d^d at the first step
+def test_iterate_matches_the_horner_orbit(g, x0, n):
+    # value and type of every orbit value, as Horner's rule gives them
+    got = iterate(g, x0, n)
+    want = iterate_by_horner(g, x0, n)
+    assert got == want
+    assert [type(y) for y in got] == [type(y) for y in want]
+
+
+def test_the_rational_orbit_takes_no_gcd_of_two_long_integers(monkeypatch):
+    # every gcd of a step has the small modulus K = C |G_d|^d among its
+    # arguments, and no Fraction is built by its normalising constructor
+    calls = []
+    real_gcd = math.gcd
+
+    def spy(*args):
+        calls.append(sorted(a.bit_length() for a in args))
+        return real_gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", spy)
+    monkeypatch.setattr(solver, "gcd", spy)
+    orbit = iterate(XSeries((F(1, 3), F(-2, 5), F(7, 2))), F(4, 9), 9)
+    monkeypatch.undo()
+    assert orbit[-1].denominator.bit_length() > 2000
+    assert calls and all(bits[-2] <= 64 for bits in calls)
 
 
 # --- the forward closed form ---------------------------------------------------
