@@ -15,13 +15,24 @@ with series._mul_lists (three real products per step over the Gaussian
 integers).  Both the terms A_n = P_n / d^n and the flow coefficients
 A_n / n! = P_n / (d^n n!) are read from it with one division per
 coefficient.
+
+The flow identities (the PDE d/dt Phi = f(Phi) and the group law
+Phi(t+s, x) = Phi(t, Phi(s, x)), and in deltaflow the delta flow
+equation) are checked at integer points x0 in Hurwitz coordinates, the
+paper's ring over an integral domain: the flow of f is the flow of F
+with t scaled by 1/d, and the Hurwitz coefficients of the flow of F at
+x0 are the integers P_n(x0), so f(Phi) is a chain of binomial
+convolutions of integers.  Every residual is a polynomial in x whose
+degree is bounded by running the same recursion on degrees, and one
+that vanishes at more points than that bound is identically zero.  The
+module points holds this machinery; the checks import it on first use,
+so the routes that never check an identity do not load it.
 """
 
-import functools
 import math
 from fractions import Fraction
 
-from .flows import Flow, TSeries, taylor_compose
+from .flows import Flow, TSeries
 from .scalars import from_lanes, to_lanes
 from .series import XSeries, _mul_lists
 
@@ -237,55 +248,62 @@ def flow_factorize(factors, order):
 
 
 # ---------------------------------------------------------------------------
-# verification helpers for the classical flow properties
-
-@functools.lru_cache(maxsize=64)
-def _classical_composite(f, order):
-    """f(Phi) for the classical flow, through t-order N-1; free of Q."""
-    return taylor_compose(f, classical_flow(f, order)).truncate(order - 1)
-
+# the flow identities at integer points (see points)
 
 def pde_residual(f, order):
-    """d/dt Phi - f(Phi), valid through t-order N-1; identically zero."""
-    return classical_flow(f, order).to_tseries().dt() - _classical_composite(f, order)
+    """d/dt Phi - f(Phi) through t-order N-1; identically zero.
+
+    For f = F/d the flow of f is the flow of F with t scaled by 1/d, so
+    at a point x0 the coefficient of t^m is (u_(m+1) - F(u)_m) / (d^(m+1)
+    m!), with u the Hurwitz coefficients of the flow of F there.  The
+    residual is computed at integer points by points._certify.
+    """
+    from .points import _certify, _integral, _pointwise_composite
+
+    N = order
+    aut = autonomous_sequence(f, N)
+    d, F, kind = _integral(f)
+
+    def at(F, u):
+        return [u[m + 1] - v for m, v in enumerate(_pointwise_composite(F, u, N))]
+
+    scales = [Fraction(1, d ** (m + 1) * math.factorial(m)) for m in range(N)]
+    return TSeries(_certify(at, F, d, aut, scales, kind), N - 1)
 
 
 def group_law_residuals(f, order):
     """Coefficient residuals of Phi(t+s, x) = Phi(t, Phi(s, x)).
 
-    Both sides are expanded as polynomials in (t, s) with XSeries
-    coefficients and compared through total order N.  The right side is
-    built from f alone by the Taylor recursion of phi' = f(phi) started
-    at the series base Phi(s, x), run online: it keeps the t-coefficients
-    P_k of the powers psi^k of the partial sum and, once rhs[m] is known,
-    adds only P_k[m] = sum_a P_(k-1)[a] rhs[m-a], so that
-    rhs[m+1] = [t^m] f(psi) / (m+1).  Total order N needs rhs[m] only
-    through s-order N - m.  Returns the (N+1)(N+2)/2 differences.
+    Both sides are series in (t, s) whose coefficients are polynomials
+    in x, compared through total order N; entry (i, j), listed for
+    i = 0..N and j = 0..N-i, is the difference at t^i s^j.  At a point
+    x0, in Hurwitz coordinates (the coefficient of t^i s^j / (i! j!))
+    and for f = F/d with t scaled by d, the left side is u_(i+j), with
+    u the Hurwitz coefficients of the flow of F at x0.  The right side
+    is built from f alone by the Taylor recursion of phi' = F(phi)
+    started at psi_0 = Phi(s, x0): psi_(i+1) = F(psi)_i by 2-D Hurwitz
+    products.  Entry (i, j) is their difference over d^(i+j) i! j!,
+    computed at integer points by points._certify.
     """
+    from .points import _certify, _hurwitz_composite, _integral
+
     N = order
     aut = autonomous_sequence(f, N)
-    # rhs[i] = coefficient of t^i, a TSeries in s; powers[k-1] holds P_k
-    rhs = [classical_flow(f, N).to_tseries()]
-    powers = [rhs] + [[] for _ in range(2, len(f.coeffs))]
-    for m in range(N):
-        for low, high in zip(powers, powers[1:]):
-            terms = (low[a] * rhs[m - a] for a in range(m + 1))
-            high.append(sum(terms, TSeries.zero(N - m)))
-        c0 = f.coefficient(0) if m == 0 else 0
-        fm = TSeries.zero(N - m) + c0
-        for power, c in zip(powers, f.coeffs[1:]):
-            if c != 0:
-                fm = fm + power[m] * c
-        rhs.append((fm * Fraction(1, m + 1)).truncate(N - m - 1))
+    d, F, kind = _integral(f)
 
-    # lhs: Phi(t+s) has t^i s^j coefficient A_{i+j} C(i+j, i) / (i+j)!
-    residuals = []
-    for i in range(N + 1):
-        for j in range(N + 1 - i):
-            n = i + j
-            if n == 0:
-                lhs = XSeries.x()
-            else:
-                lhs = aut.term(n) * Fraction(math.comb(n, i), math.factorial(n))
-            residuals.append(lhs - rhs[i].coefficient(j))
-    return residuals
+    def at(F, u):
+        # s-index j < N is enough: the i = 0 entries compare Phi(s, x0)
+        # with itself
+        psi = [u[:N]]
+        for value in _hurwitz_composite(F, psi, range(N, 0, -1)):
+            psi.append(value)
+        out = [0] * (N + 1)
+        for i in range(1, N + 1):
+            out.extend(u[i + j] - psi[i][j] for j in range(N + 1 - i))
+        return out
+
+    fact = math.factorial
+    scales = [
+        Fraction(1, d ** (i + j) * fact(i) * fact(j)) for i in range(N + 1) for j in range(N + 1 - i)
+    ]
+    return _certify(at, F, d, aut, scales, kind)

@@ -10,21 +10,25 @@ is the umbral image L[Phi] of the classical flow.  Because L is
 linear but not multiplicative, the right hand side f(Phi_Q) of the
 flow equation lives in the transported ring: the defining identity is
 
-    Q Phi_Q = L[f(Phi)] = f(x) dPhi_Q/dx,
+    Q Phi_Q = L[f(Phi)] = f(x) dPhi_Q/dx.
 
-verified here coefficient by coefficient (verify_delta_ode and
-delta_pde_identity_residuals).  Semiflows of fixed Q form a ring under
-the transported sum (cross terms H_n) and product (pullback to the
-product of generators); flows of a fixed generator over varying bases
-form a group under umbral composition of the bases, anti-isomorphic to
-their connection matrices.
+verify_delta_ode checks the first equality at integer points in
+Hurwitz coordinates, as autonomous does for the classical flow: each
+coefficient of its residual is a polynomial in x, zero at more points
+than its degree only if identically zero.  delta_pde_identity_residuals
+checks the second in basic coordinates, coefficient by coefficient.
+
+Semiflows of fixed Q form a ring under the transported sum (cross
+terms H_n) and product (pullback to the product of generators); flows
+of a fixed generator over varying bases form a group under umbral
+composition of the bases, anti-isomorphic to their connection
+matrices.
 """
 
 import math
 from fractions import Fraction
 
 from .autonomous import (
-    _classical_composite,
     autonomous_sequence,
     flow_from_autonomous,
     h_sequence,
@@ -121,17 +125,58 @@ def rhoq_unit(Q, order):
 # the delta flow equation
 
 def verify_delta_ode(f, Q, order, basis=None):
-    """Residual of Q Phi_Q = L[f(Phi)], vanishing through t-order N-1.
+    """Residual of Q Phi_Q = L[f(Phi)] through t-order N-1, over the
+    given basis or else Q's own of depth N; zero when the basis is Q's.
 
-    The left side applies Q in the t variable to the monomial form of
-    the delta flow; the right side composes f with the classical flow
-    and maps the monomials through the umbral operator of the basis.
-    Both sides are polynomials of degree N-1 in t and must agree
-    coefficient by coefficient.
+    The left side applies Q in t to the monomial form of the delta
+    flow; the right side maps the monomials of f(Phi), Phi the
+    classical flow, through the umbral operator t^m -> q_m(t) of the
+    basis.  At a point x0, with u the Hurwitz coefficients there of the
+    flow of F = d f (see autonomous.pde_residual), the delta flow is
+    x0 + sum_n beta(k, n) u_n t^k / (d^n n!) and f(Phi) is
+    sum_m F(u)_m t^m / (d^(m+1) m!).  With the rows of beta over their
+    denominator db (BasicSequence._int_rows) and the step table of Q
+    over its denominator dq (DeltaOp._int_steps), both sides times
+    dq db d^N N! are sums of integer products.  The residual is
+    computed at integer points by points._certify.
     """
-    df = delta_flow(f, Q, order, basis)
-    lhs = Q.apply_tseries(df.to_tseries())
-    return lhs - UmbralOperator(df.basis).apply_tseries(_classical_composite(f, order))
+    from .points import _certify, _integral, _lane, _pointwise_composite
+
+    if basis is None:
+        basis = basic_sequence_from_delta(Q, order)
+    elif basis.depth < order:
+        raise ValueError("basis depth is smaller than the flow order")
+    if Q.order < order:
+        raise ValueError("operator order too small for this t-order")
+    N = order
+    aut = autonomous_sequence(f, N)
+    d, F, kind = _integral(f)
+    db, basis_kind, _, rows = basis._int_rows
+    dq, q_kind, _, steps = Q._int_steps
+    beta = [[(k, _lane(re, im)) for k, re, im in row] for row in rows[: N + 1]]
+    weights = [
+        [(k, _lane(re, im)) for k, re, im in row if m + k <= N] for m, row in enumerate(steps[:N])
+    ]
+    fact = math.factorial
+    lhs_scale = [fact(N) // fact(n) * d ** (N - n) for n in range(N + 1)]
+    rhs_scale = [dq * fact(N) // fact(m) * d ** (N - 1 - m) for m in range(N)]
+
+    def at(F, u):
+        W = [0] * (N + 1)  # the monomial coefficients of Phi_Q
+        for n in range(1, N + 1):
+            v = u[n] * lhs_scale[n]
+            for k, b in beta[n]:
+                W[k] += b * v
+        R = [0] * N  # the right side
+        for m, value in enumerate(_pointwise_composite(F, u, N)):
+            y = value * rhs_scale[m]
+            for k, b in beta[m]:
+                R[k] += b * y
+        return [sum((w * W[m + k] for k, w in weights[m]), 0) - R[m] for m in range(N)]
+
+    scales = [Fraction(1, dq * db * d ** N * fact(N))] * N
+    residuals = _certify(at, F, d, aut, scales, max(kind, basis_kind, q_kind))
+    return TSeries(residuals, N - 1)
 
 
 def delta_pde_identity_residuals(f, Q, order):

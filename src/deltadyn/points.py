@@ -1,0 +1,261 @@
+"""The flow identities certified at integer points, in Hurwitz coordinates.
+
+The group law and the flow PDE (autonomous) and the delta flow
+equation (deltaflow) are identities between series in t (and s) whose
+coefficients are polynomials in x.  Setting x = x0 commutes with every
+operation they use, and in the paper's Hurwitz ring over an integral
+domain each point is integral: for f = F/d with F integral, the flow of
+f is the flow of F with t scaled by 1/d, whose Hurwitz coefficients
+(of t^n/n!) at an integer x0 are the integers P_n(x0) of
+autonomous_sequence.  f(Phi) is then a chain of binomial convolutions
+(_hurwitz_composite) with no division (Keigher, "On the ring of
+Hurwitz series", Comm. Algebra 25, 1997).
+
+_certify runs a check first on degrees, to bound the degree D of every
+residual by the actual degrees of f and of the A_n, and then at the
+D + 1 points 0, 1, -1, 2, ...: a nonzero polynomial of degree <= D has
+at most D roots, so residuals zero at all of them are identically zero.
+Nonzero residuals are interpolated back exactly.  Values run on ints,
+on _Gaussian (two ints) where an imaginary part occurs, and on
+Fractions only for a sequence given by its terms.
+"""
+
+import functools
+import math
+from fractions import Fraction
+
+from .scalars import GaussianRational, to_lanes
+from .series import XSeries
+
+__all__ = []
+
+
+class _Gaussian:
+    """A Gaussian integer re + im*i as a point value (the parts are
+    rational only for a sequence given by its terms)."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    def __add__(self, o):
+        if type(o) is _Gaussian:
+            return _Gaussian(self.re + o.re, self.im + o.im)
+        if isinstance(o, (int, Fraction)):
+            return _Gaussian(self.re + o, self.im)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Gaussian(-self.re, -self.im)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if type(o) is _Gaussian:
+            return _Gaussian(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        if isinstance(o, (int, Fraction)):
+            return _Gaussian(self.re * o, self.im * o)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+
+class _Degree:
+    """An upper bound on the degree in x of a point value.
+
+    A point recursion run on _Degree inputs returns a bound on the
+    degree of every value it computes: a sum has at most the larger
+    degree, a product at most the sum of the two, a nonzero scalar
+    factor keeps the degree, and the int 0 is the zero polynomial.
+    """
+
+    __slots__ = ("d",)
+
+    def __init__(self, d):
+        self.d = d
+
+    def __add__(self, o):
+        return o if type(o) is _Degree and o.d > self.d else self
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __neg__(self):
+        return self
+
+    def __mul__(self, o):
+        if type(o) is _Degree:
+            return _Degree(self.d + o.d)
+        return self if o else 0
+
+    __rmul__ = __mul__
+
+
+def _lane(re, im):
+    """The point value re + im*i: an int unless im is nonzero."""
+    return _Gaussian(re, im) if im else re
+
+
+def _integral(f):
+    """(d, F, kind) for f = F/d with F integral: F's coefficients as
+    point values, and kind the field of f as in scalars.to_lanes."""
+    d, fr, fi, kind = to_lanes(f.coeffs)
+    return d, [_lane(r, fi[k] if fi else 0) for k, r in enumerate(fr)], kind
+
+
+@functools.lru_cache(maxsize=128)
+def _binomials(n):
+    """Row n of Pascal's triangle."""
+    return tuple(math.comb(n, k) for k in range(n + 1))
+
+
+def _hurwitz_composite(F, psi, widths):
+    """Yield F(psi)_0, F(psi)_1, ...: f(Phi) at a point, in Hurwitz
+    coordinates.
+
+    psi[i] is the coefficient of t^i/i! of a series, given as the list
+    of its coefficients of s^j/j! in a second variable s (one entry for
+    a series in t alone), and F lists the point values of a
+    polynomial's coefficients, lowest first.  Products are binomial
+    convolutions in both variables, the product of the Hurwitz ring, so
+    integer inputs give integers with no division.  F(psi)_i is
+    yielded through s-index widths[i] - 1 and reads psi[0 .. i] only,
+    so a caller may append it to psi as psi[i+1] before asking for the
+    next one: that is the Taylor recursion of phi' = F(phi).  The
+    powers psi^k are kept per t-index and grow by one entry a step.
+    """
+    widths = list(widths)
+    pascal = [_binomials(j) for j in range(max(widths, default=0))]
+    powers = [[] for _ in F[2:]]  # powers[k-2][i] = (psi^k)_i
+    for i, width in enumerate(widths):
+        ci = _binomials(i)
+        out = [F[1] * c for c in psi[i][:width]] if len(F) > 1 else [0] * width
+        if i == 0 and F:
+            out[0] += F[0]
+        lower, rev = psi, psi[i::-1]
+        for k, power in enumerate(powers, 2):
+            # (psi^k)_(i,j) = sum C(i,p) C(j,q) (psi^(k-1))_(p,q) psi_(i-p,j-q)
+            row = [
+                sum(
+                    cj[q] * sum(c * a[q] * b[j - q] for c, a, b in zip(ci, lower, rev))
+                    for q in range(j + 1)
+                )
+                for j, cj in zip(range(width), pascal)
+            ]
+            power.append(row)
+            if F[k]:
+                out = [o + F[k] * r for o, r in zip(out, row)]
+            lower = power
+        yield out
+
+
+def _points(count):
+    """The integer points 0, 1, -1, 2, -2, ..., count of them."""
+    return [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(count)]
+
+
+def _horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _flow_at(rows, d, x):
+    """u_0 = x and u_n = d^n A_n(x) for the numerator rows of A_n: the
+    Hurwitz coefficients at x of the flow of F = d f, integers for the
+    rows that autonomous_sequence builds."""
+    u = [x]
+    scale = 1
+    for den, re, im in rows:
+        scale *= d
+        v = _horner(re, x) if im is None else _Gaussian(_horner(re, x), _horner(im, x))
+        if den != scale:
+            q = Fraction(scale, den)
+            v = v * (q.numerator if q.denominator == 1 else q)
+        u.append(v)
+    return u
+
+
+def _flow_degrees(rows):
+    """_flow_at on degrees: x has degree 1 and u_n the actual degree of
+    its row."""
+    u = [_Degree(1)]
+    for _, re, im in rows:
+        top = [k for k, r in enumerate(re) if r or (im and im[k])]
+        u.append(_Degree(top[-1]) if top else 0)
+    return u
+
+
+def _newton(xs, ys):
+    """Coefficients of the polynomial of degree < len(xs) taking the
+    values ys at the points xs, by Newton's divided differences."""
+    c = [Fraction(y) for y in ys]
+    n = len(xs)
+    for j in range(1, n):
+        for k in range(n - 1, j - 1, -1):
+            c[k] = (c[k] - c[k - 1]) / (xs[k] - xs[k - j])
+    poly = []
+    for k in range(n - 1, -1, -1):  # poly -> poly * (x - xs[k]) + c[k]
+        poly = [0] + poly
+        for m in range(len(poly) - 1):
+            poly[m] -= xs[k] * poly[m + 1]
+        poly[0] += c[k]
+    return poly
+
+
+def _interpolate(xs, ys, scale, kind):
+    """scale times the polynomial taking the values ys at xs, as an
+    XSeries with GaussianRational coefficients for kind 2, else
+    Fraction ones; real and imaginary parts are interpolated apart."""
+    if not any(ys):
+        return XSeries.zero()
+    re = _newton(xs, [y.re if type(y) is _Gaussian else y for y in ys])
+    if kind < 2:
+        return XSeries([c * scale for c in re])
+    im = _newton(xs, [y.im if type(y) is _Gaussian else 0 for y in ys])
+    return XSeries([GaussianRational(r * scale, i * scale) for r, i in zip(re, im)])
+
+
+def _certify(at, F, d, aut, scales, kind):
+    """The residual polynomials of a flow identity, from integer points.
+
+    at(F, u) lists the numerators of the residuals at one point from
+    the point values F of the integral generator F = d f and the
+    Hurwitz coefficients u of its flow there (_flow_at of aut's
+    numerator rows); residual r is the polynomial in x whose value at
+    the point is scales[r] times entry r.
+
+    at runs first on degrees (_Degree): the actual degrees of F's
+    coefficients and of the rows give a bound D on the degree of every
+    residual, and a sequence of unexpected degree widens D with it.  A
+    nonzero polynomial of degree <= D has at most D roots, so residuals
+    that vanish at the D + 1 points 0, 1, -1, 2, ... are identically
+    zero, and they are returned as zero XSeries.  Otherwise each
+    residual is interpolated back exactly from its D + 1 values, with
+    coefficients of the given kind (see _interpolate).
+    """
+    aut_kind, rows = aut.numerators
+    bounds = at([_Degree(0) if c else 0 for c in F], _flow_degrees(rows))
+    D = max((b.d for b in bounds if b), default=0)
+    xs = _points(D + 1)
+    values = [at(F, _flow_at(rows, d, x)) for x in xs]
+    if not any(any(v) for v in values):
+        return [XSeries.zero()] * len(bounds)
+    kind = max(kind, aut_kind)
+    return [_interpolate(xs, ys, s, kind) for ys, s in zip(zip(*values), scales)]
+
+
+def _pointwise_composite(F, u, n):
+    """F(u)_0 .. F(u)_(n-1) for the Hurwitz coefficients u of a series
+    in t alone."""
+    return [v for v, in _hurwitz_composite(F, [[c] for c in u], [1] * n)]

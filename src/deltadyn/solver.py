@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from math import comb, gcd
+from math import gcd
 
 from .autonomous import aut_scale, autonomous_sequence, flow_from_autonomous
 from .deltaflow import delta_flow, poly_flow_product
@@ -30,6 +30,7 @@ from .scalars import (
     GaussianRational,
     _lowest_terms,
     digits_over,
+    from_lanes,
     parse_scalar,
     rational_sqrt,
     to_lanes,
@@ -67,11 +68,15 @@ class DigitLimitError(ValueError):
     """A value of an orbit or closed form is longer than the digit cap."""
 
 
+def _digit_limit(n, max_digits):
+    return DigitLimitError(
+        "the value at n = %d has more than %d decimal digits" % (n, max_digits)
+    )
+
+
 def _check_digits(value, n, max_digits):
     if max_digits is not None and digits_over(value, max_digits):
-        raise DigitLimitError(
-            "the value at n = %d has more than %d decimal digits" % (n, max_digits)
-        )
+        raise _digit_limit(n, max_digits)
 
 
 def iterate(g, x0, n, max_digits=None):
@@ -99,28 +104,73 @@ def iterate(g, x0, n, max_digits=None):
     those are the only gcds of long integers, and the next common
     denominator is D over gcd(D/den(N_r/D), D/den(N_i/D)).
 
+    Over Q(i), with a = a_r + a_i i and gcd(a_r, a_i, b) = 1, the
+    common denominator D/h of the next value, h = gcd(N_r, N_i, D),
+    has h dividing K = C Norm(G_d)^d 2^floor(d^2/2).  Proof: let p be
+    a prime, e = v_p(h), so p^e divides N in Z[i] and D.  If p does not
+    divide b, e <= v_p(C).  Otherwise let s = v_p(b) >= 1 and write
+    N = G_d a^d + b M with M in Z[i].  Some Gaussian prime pi over p,
+    with r = v_pi(p), does not divide a, unless p = 2 and 1 + i divides
+    a (if every pi over p divided a, so would p, and p would divide
+    a_r, a_i and b).  For such a pi let t = v_pi(G_d) <= r
+    v_p(Norm(G_d)): if t < rs, v_pi(N) = t >= re, else rs <= t and
+    e <= v_p(D) = v_p(C) + ds <= v_p(C) + dt/r; either way
+    e <= v_p(C) + d v_p(Norm(G_d)).  In the case left, v_pi(a) = 1 for
+    pi = 1 + i (v_pi(a) >= 2 would make 2 divide a), r = 2, and the same
+    two cases with t + d in place of t give
+    e <= v_2(C) + d v_2(Norm(G_d)) + floor(d^2/2).
+
     y_1 .. y_n have the one type of the field of g's coefficients and
     x0 together (int, Fraction or GaussianRational), and the int 0 for
     the zero map: the types of Horner's rule in their own arithmetic.
     With max_digits, stop with DigitLimitError at the first value
     holding an integer (numerator or denominator of a part) of more
-    decimal digits; the orbit is not computed past it.
+    decimal digits; the orbit is not computed past it.  A value is
+    refused before it is computed when the bounds above prove it too
+    long: over Q its denominator is at least D/K, and over Q(i) the
+    larger denominator of its two parts is at least the square root of
+    D/K, their least common multiple.  Either way the refusal comes at
+    the same n as it would after computing the value.
     """
     ys = [x0]
     _check_digits(x0, 0, max_digits)
     if g.is_zero:
         return tuple(ys + [0] * n)
+    # 2^bits >= 10^max_digits, since 2^3.322 > 10
+    bits = None if max_digits is None else -(-3322 * max_digits // 1000)
     C, Gr, Gi, kind = to_lanes(g.coeffs)
     b, (ar,), ai, x0_kind = to_lanes([x0])
     if Gi is None and ai is None:
         kind = max(kind, x0_kind)
-        values = (_real_value(a, b, kind) for a, b in _q_orbit(Gr, C, ar, b))
+        values = (_real_value(a, b, kind) for a, b in _q_orbit(Gr, C, ar, b, bits))
     else:
-        values = _qi_orbit(Gr, Gi or [0] * len(Gr), C, ar, ai[0] if ai else 0, b)
+        values = _qi_orbit(Gr, Gi or [0] * len(Gr), C, ar, ai[0] if ai else 0, b, bits)
     for k, y in zip(range(1, n + 1), values):
         _check_digits(y, k, max_digits)
         ys.append(y)
+    if len(ys) <= n:  # the orbit stopped at a value proven too long
+        raise _digit_limit(len(ys), max_digits)
     return tuple(ys)
+
+
+def _proven_over(C, b, d, K, bits):
+    """Whether D/K > 2^bits for D = C b^d, from bit lengths alone:
+    D >= 2^(len(C) - 1 + d (len(b) - 1)) and K < 2^len(K)."""
+    return C.bit_length() - 1 + d * (b.bit_length() - 1) - K.bit_length() >= bits
+
+
+def _q_factor(G, C):
+    """K = C |G_d|^d, which every gcd(N, D) of a step over Q divides
+    (see iterate)."""
+    d = len(G) - 1
+    return C * abs(G[d]) ** d
+
+
+def _qi_factor(Gr, Gi, C):
+    """K = C Norm(G_d)^d 2^floor(d^2/2), which every gcd(N_r, N_i, D)
+    of a step over Q(i) divides (see iterate)."""
+    d = len(Gr) - 1
+    return C * (Gr[d] ** 2 + Gi[d] ** 2) ** d * 2 ** (d * d // 2)
 
 
 def _real_value(a, b, kind):
@@ -138,12 +188,15 @@ def _powers(b, d):
     return bp
 
 
-def _q_orbit(G, C, a, b):
+def _q_orbit(G, C, a, b, bits):
     """g(y), g(g(y)), ... as pairs (num, den) in lowest terms, den > 0,
-    for g = G/C and y = a/b in lowest terms (see iterate)."""
+    for g = G/C and y = a/b in lowest terms (see iterate); stops before
+    a value whose denominator is proven to exceed 2^bits."""
     d = len(G) - 1
-    K = C * abs(G[d]) ** d
+    K = _q_factor(G, C)
     while True:
+        if bits is not None and _proven_over(C, b, d, K, bits):
+            return
         bp = _powers(b, d)
         N = G[d]
         for k in range(d - 1, -1, -1):
@@ -156,11 +209,16 @@ def _q_orbit(G, C, a, b):
         yield a, b
 
 
-def _qi_orbit(Gr, Gi, C, ar, ai, b):
+def _qi_orbit(Gr, Gi, C, ar, ai, b, bits):
     """g(y), g(g(y)), ... as GaussianRationals, for g = (Gr + Gi i)/C
-    and y = (ar + ai i)/b over the least common denominator b."""
+    and y = (ar + ai i)/b over the least common denominator b (see
+    iterate); stops before a value with a part whose denominator is
+    proven to exceed 2^bits."""
     d = len(Gr) - 1
+    K = _qi_factor(Gr, Gi, C)
     while True:
+        if bits is not None and _proven_over(C, b, d, K, 2 * bits):
+            return
         bp = _powers(b, d)
         s, t = ar + ai, ai - ar
         nr, ni = Gr[d], Gi[d]
@@ -179,12 +237,24 @@ def _qi_orbit(Gr, Gi, C, ar, ai, b):
         yield GaussianRational(re, im)
 
 
-def _closed_form(x0, values, n):
-    """x0 + sum_(k <= n) values[k-1] C(n, k), values[k-1] = A_k(x0)."""
-    acc = x0
-    for k in range(1, n + 1):
-        acc = acc + values[k - 1] * comb(n, k)
-    return acc
+def _closed_forms(x0, values, n_max):
+    """Yield x0 + sum_(k <= n) values[k-1] C(n, k) for n = 0 .. n_max,
+    values[k-1] = A_k(x0).
+
+    Each row is summed on integer lanes over one common denominator,
+    with C(n, k) stepped along Pascal's rule and the zero values
+    skipped, and divided out once, in the field of x0 and the values
+    (see scalars.to_lanes).
+    """
+    den, re, im, kind = to_lanes([x0] + list(values[:n_max]))
+    terms = [k for k, r in enumerate(re) if r or (im and im[k])]
+    binom = [1] + [0] * n_max  # C(n, k) for k = 0 .. n_max
+    for n in range(n_max + 1):
+        for k in range(n, 0, -1):
+            binom[k] += binom[k - 1]
+        r = sum(re[k] * binom[k] for k in terms)
+        i = sum(im[k] * binom[k] for k in terms) if im else 0
+        yield from_lanes(r, i, den, kind)
 
 
 def solve_forward(g, x0, n):
@@ -196,22 +266,23 @@ def solve_forward(g, x0, n):
     if n < 0:
         raise ValueError("n must be >= 0")
     aut = autonomous_sequence(g - XSeries.x(), max(n, 1))
-    return _closed_form(x0, [aut.term(k).evaluate(x0) for k in range(1, n + 1)], n)
+    *_, closed = _closed_forms(x0, [aut.term(k).evaluate(x0) for k in range(1, n + 1)], n)
+    return closed
 
 
 def iterate_table(g, x0, n_max, max_digits=None):
     """Closed form against the iteration oracle, row by row.
 
-    Each A_k(x0) is evaluated once and shared by every row.  With
-    max_digits, a value of either column past the cap raises
-    DigitLimitError (see iterate).
+    The orbit comes first, so that a refusal costs no autonomous
+    polynomials; each A_k(x0) is then evaluated once and shared by
+    every row.  With max_digits, a value of either column past the cap
+    raises DigitLimitError (see iterate).
     """
-    aut = autonomous_sequence(g - XSeries.x(), max(n_max, 1))
     orbit = iterate(g, x0, n_max, max_digits)
+    aut = autonomous_sequence(g - XSeries.x(), max(n_max, 1))
     values = [aut.term(k).evaluate(x0) for k in range(1, n_max + 1)]
     rows = []
-    for n in range(n_max + 1):
-        closed = _closed_form(x0, values, n)
+    for n, closed in enumerate(_closed_forms(x0, values, n_max)):
         _check_digits(closed, n, max_digits)
         rows.append((n, closed, orbit[n], closed == orbit[n]))
     return IterateTable(tuple(rows))

@@ -120,6 +120,11 @@ class DeltaOp:
         """The step table of the apply, for inputs of degree <= order."""
         return _steps(_hurwitz_weights(self.coeffs), self.order + 1)
 
+    @functools.cached_property
+    def _int_steps(self):
+        """The step table over one denominator (see _int_table)."""
+        return _int_table(self._step_table)
+
     def apply_tpoly(self, p):
         """Apply Q to an exact polynomial in t; degree drops by one."""
         if p.degree > self.order:
@@ -151,6 +156,24 @@ def _steps(weights, size):
         [(k, h * math.comb(m + k, k)) for k, h in nonzero if m + k < size]
         for m in range(size)
     ]
+
+
+def _int_table(table):
+    """(den, kind, complex, rows) for a table of rows of (k, value):
+    rows[n] lists (k, re, im) for every nonzero value of row n, equal to
+    (re + im*i) / den over the one common denominator den; kind is the
+    field of all the values as in to_lanes, and complex tells whether
+    any im is nonzero."""
+    den, re, im, kind = to_lanes([v for row in table for _, v in row])
+    rows, pos = [], 0
+    for row in table:
+        rows.append([
+            (k, re[j], im[j] if im else 0)
+            for j, (k, _) in enumerate(row, pos)
+            if re[j] or (im and im[j])
+        ])
+        pos += len(row)
+    return den, kind, im is not None, rows
 
 
 def _falling_apply(steps, v, zero):
@@ -255,21 +278,9 @@ class BasicSequence:
 
     @functools.cached_property
     def _int_rows(self):
-        """(den, kind, complex, rows): rows[n] lists (k, re, im) for
-        every nonzero beta(k, n) = (re + im*i) / den; kind is the field
-        of the whole matrix as in to_lanes, and complex tells whether
-        any im is nonzero."""
-        flat = [b for p in self.polys for b in p.coeffs]
-        den, re, im, kind = to_lanes(flat)
-        rows, pos = [], 0
-        for p in self.polys:
-            rows.append([
-                (k, re[j], im[j] if im else 0)
-                for k, j in enumerate(range(pos, pos + len(p.coeffs)))
-                if re[j] or (im and im[j])
-            ])
-            pos += len(p.coeffs)
-        return den, kind, im is not None, rows
+        """The matrix beta over one denominator (see _int_table): rows[n]
+        lists (k, re, im) for every nonzero beta(k, n)."""
+        return _int_table([list(enumerate(p.coeffs)) for p in self.polys])
 
     def expand(self, coeffs):
         """Monomial coefficients of sum_n coeffs[n] q_n(t), index = power.

@@ -363,8 +363,9 @@ def _check_first_expansion(order, depth):
 
 @_check("deltaflow", "delta-ode")
 def _check_delta_ode(order, depth):
+    ops = _builtin_ops(max(order, depth))
     for _, f in _corpus_generators():
-        for Q in _builtin_ops(max(order, depth)):
+        for Q in ops:
             yield verify_delta_ode(f, Q, order)
             yield delta_pde_identity_residuals(f, Q, order)
 

@@ -8,7 +8,11 @@ package's integer kernels replaced; they run on whatever scalars and
 XSeries they are given: the autonomous recursion, the basis expansion,
 the flow coefficients A_n * 1/n! and the Horner orbit.  The Taylor sum
 form of composition, which Horner's rule replaced in the package,
-follows them.
+follows them, and then the bivariate forms of the group law, the flow
+PDE and the delta flow equation, which the package now evaluates at
+integer points.  These read autonomous_sequence, classical_flow and
+delta_flow through their modules, so a test that replaces one of them
+there changes the oracle and the package alike.
 """
 
 import math
@@ -218,3 +222,78 @@ def taylor_sum_compose(f, w):
         kfact *= k
         power = power * dev
     return out
+
+
+# ---------------------------------------------------------------------------
+# the flow identities as bivariate series
+
+def group_law_by_series(f, order):
+    """Coefficient residuals of Phi(t+s, x) = Phi(t, Phi(s, x)) as
+    polynomials in (t, s) with XSeries coefficients, through total
+    order N, listed for i = 0..N and j = 0..N-i.
+
+    The right side is built from f alone by the Taylor recursion of
+    phi' = f(phi) started at the series base Phi(s, x), run online: it
+    keeps the t-coefficients P_k of the powers psi^k of the partial sum
+    and, once rhs[m] is known, adds only P_k[m] = sum_a P_(k-1)[a]
+    rhs[m-a], so that rhs[m+1] = [t^m] f(psi) / (m+1).
+    """
+    from deltadyn import autonomous
+    from deltadyn.flows import TSeries
+    from deltadyn.series import XSeries
+
+    N = order
+    aut = autonomous.autonomous_sequence(f, N)
+    # rhs[i] = coefficient of t^i, a TSeries in s; powers[k-1] holds P_k
+    rhs = [autonomous.classical_flow(f, N).to_tseries()]
+    powers = [rhs] + [[] for _ in range(2, len(f.coeffs))]
+    for m in range(N):
+        for low, high in zip(powers, powers[1:]):
+            terms = (low[a] * rhs[m - a] for a in range(m + 1))
+            high.append(sum(terms, TSeries.zero(N - m)))
+        c0 = f.coefficient(0) if m == 0 else 0
+        fm = TSeries.zero(N - m) + c0
+        for power, c in zip(powers, f.coeffs[1:]):
+            if c != 0:
+                fm = fm + power[m] * c
+        rhs.append((fm * Fraction(1, m + 1)).truncate(N - m - 1))
+
+    # lhs: Phi(t+s) has t^i s^j coefficient A_{i+j} C(i+j, i) / (i+j)!
+    residuals = []
+    for i in range(N + 1):
+        for j in range(N + 1 - i):
+            n = i + j
+            if n == 0:
+                lhs = XSeries.x()
+            else:
+                lhs = aut.term(n) * Fraction(math.comb(n, i), math.factorial(n))
+            residuals.append(lhs - rhs[i].coefficient(j))
+    return residuals
+
+
+def _composite_by_series(f, order):
+    """f(Phi) for the classical flow, through t-order N-1."""
+    from deltadyn import autonomous
+    from deltadyn.flows import taylor_compose
+
+    return taylor_compose(f, autonomous.classical_flow(f, order)).truncate(order - 1)
+
+
+def pde_residual_by_series(f, order):
+    """d/dt Phi - f(Phi) through t-order N-1, on TSeries."""
+    from deltadyn import autonomous
+
+    dt = autonomous.classical_flow(f, order).to_tseries().dt()
+    return dt - _composite_by_series(f, order)
+
+
+def delta_ode_by_series(f, Q, order, basis=None):
+    """Q Phi_Q - L[f(Phi)] through t-order N-1, on TSeries: Q applied
+    in t to the monomial form of the delta flow, against f composed
+    with the classical flow and mapped through the umbral operator."""
+    from deltadyn import deltaflow
+    from deltadyn.umbral import UmbralOperator
+
+    df = deltaflow.delta_flow(f, Q, order, basis)
+    lhs = Q.apply_tseries(df.to_tseries())
+    return lhs - UmbralOperator(df.basis).apply_tseries(_composite_by_series(f, order))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from deltadyn import cli, scalars
+from deltadyn import cli, scalars, solver
 from deltadyn.cli import cli_main
 from deltadyn.umbral import stirling2
 
@@ -335,6 +335,30 @@ def test_solve_over_the_digit_cap_of_a_gaussian_cubic(capsys):
     assert captured.err == (
         "error: the value at n = 7 has more than 2000 decimal digits (see --max-digits)\n"
     )
+
+
+def test_solve_refuses_a_gaussian_cubic_before_computing_past_the_cap(capsys, monkeypatch):
+    # y_10 has about 94.5k digits, and the bound on the denominator of
+    # y_11 refuses it at the default cap without computing it
+    calls = []
+    real = solver._powers
+
+    def counting(b, d):
+        calls.append(b)
+        return real(b, d)
+
+    monkeypatch.setattr(solver, "_powers", counting)
+    code = cli_main([
+        "solve", "--map", "poly:2/7+3/5*i,-22/7+1/3*i,13/11-5/3*i,-7/2+i",
+        "--field", "Qi", "--x0", "1/3", "--steps", "48",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the value at n = 11 has more than 100000 decimal digits (see --max-digits)\n"
+    )
+    assert len(calls) == 10
 
 
 @pytest.mark.parametrize(

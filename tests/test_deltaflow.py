@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltadyn.autonomous import (
-    _classical_composite,
     autonomous_sequence,
     classical_flow,
 )
@@ -29,7 +28,7 @@ from deltadyn.deltaflow import (
     rhoq_unit,
     verify_delta_ode,
 )
-from deltadyn.flows import Flow, TSeries, taylor_compose
+from deltadyn.flows import Flow, taylor_compose
 from deltadyn.scalars import GaussianRational
 from deltadyn.series import XSeries
 from deltadyn.solver import corpus_map
@@ -43,7 +42,7 @@ from deltadyn.umbral import (
     touchard,
 )
 
-from oracle_utils import taylor_sum_compose
+from oracle_utils import delta_ode_by_series
 from strategies import GAUSSIANS, RATIONALS, builtin_ops, delta_series, polys
 
 X = XSeries.x()
@@ -121,20 +120,6 @@ def test_verify_delta_ode_zero_everywhere():
             assert all(r.is_zero for r in delta_pde_identity_residuals(f, Q, N))
 
 
-def _verify_delta_ode_oracle(f, Q, order, basis):
-    """The delta ODE residual as first written: Q applied one derivative
-    at a time, and f(Phi) recomputed on every call as a Taylor sum."""
-    w = delta_flow(f, Q, order, basis).to_tseries()
-    lhs = TSeries.zero(max(w.order - 1, 0))
-    dk = w
-    for k in range(1, w.order + 1):
-        dk = dk.dt()
-        if Q.coeffs[k] != 0:
-            lhs = lhs + TSeries(dk.coeffs, lhs.order) * Q.coeffs[k]
-    comp = taylor_sum_compose(f, classical_flow(f, order)).truncate(order - 1)
-    return lhs - UmbralOperator(basis).apply_tseries(comp)
-
-
 @pytest.mark.parametrize(
     "f",
     [XSeries((0, 3, -4)), corpus_map("quadratic-1/2")["g"] - X],
@@ -149,7 +134,7 @@ def test_verify_delta_ode_matches_the_recomputing_oracle(f):
         # the matching basis gives 0; the next operator's basis does not
         for basis in (bases[i], bases[(i + 1) % len(ops)]):
             got = verify_delta_ode(f, Q, order, basis)
-            assert got == _verify_delta_ode_oracle(f, Q, order, basis)
+            assert got == delta_ode_by_series(f, Q, order, basis)
             nonzero += not got.is_zero
     assert nonzero > 0
 
@@ -172,10 +157,6 @@ def test_delta_flow_equation_on_random_generators_and_operators(case):
     f, Q, order = case
     assert verify_delta_ode(f, Q, order).is_zero
     assert all(r.is_zero for r in delta_pde_identity_residuals(f, Q, order))
-
-
-def test_classical_composite_cache_is_bounded():
-    assert _classical_composite.cache_info().maxsize is not None
 
 
 def test_verify_delta_ode_gaussian_field():

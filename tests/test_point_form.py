@@ -1,0 +1,190 @@
+"""The point form of the flow identities against their bivariate form.
+
+group_law_residuals, pde_residual and verify_delta_ode evaluate their
+residuals at D + 1 integer points in Hurwitz coordinates; the oracles
+in oracle_utils expand the same identities as series in t (and s) with
+polynomial coefficients.  The two must return equal residuals, zero or
+nonzero, including on autonomous sequences with a wrong term.
+"""
+
+import contextlib
+import math
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from deltadyn import autonomous, deltaflow
+from deltadyn.autonomous import AutonomousSequence, group_law_residuals, pde_residual
+from deltadyn.deltaflow import verify_delta_ode
+from deltadyn.points import _points
+from deltadyn.scalars import GaussianRational
+from deltadyn.series import XSeries
+from deltadyn.umbral import DeltaOp, abel, basic_sequence_from_delta, forward, touchard
+from deltadyn.verifysuite import _max_abs
+
+from oracle_utils import delta_ode_by_series, group_law_by_series, pde_residual_by_series
+from strategies import GAUSSIANS, RATIONALS, polys
+
+FIELDS = st.sampled_from((RATIONALS, GAUSSIANS))
+
+
+@st.composite
+def operators(draw, scalars, order):
+    """A random delta operator of the given order over the scalars."""
+    p1 = draw(scalars.filter(lambda c: c != 0))
+    rest = draw(st.lists(scalars, min_size=order - 1, max_size=order - 1))
+    return DeltaOp((0, p1) + tuple(rest))
+
+
+@st.composite
+def cases(draw, mutation=False):
+    """(f, N, Q, basis): f of degree <= 3, an order N <= 6, a random
+    delta operator Q of order N, and Q's basis or another operator's,
+    all over Q or all over Q(i); with mutation, also a nonzero scalar
+    of the same field."""
+    scalars = draw(FIELDS)
+    f = draw(polys(scalars, max_size=4))
+    N = draw(st.integers(1, 6))
+    Q = draw(operators(scalars, N))
+    other = draw(st.one_of(st.none(), operators(scalars, N)))
+    case = (f, N, Q, None if other is None else basic_sequence_from_delta(other, N))
+    return case + (draw(scalars.filter(lambda c: c != 0)),) if mutation else case
+
+
+def _assert_same(got, want):
+    assert got == want
+    # the verify report reads the largest size of each residual
+    assert _max_abs(got) == _max_abs(want)
+
+
+@settings(max_examples=12, deadline=None)
+@given(cases())
+def test_point_form_equals_the_bivariate_form(case):
+    f, N, Q, basis = case
+    _assert_same(group_law_residuals(f, N), group_law_by_series(f, N))
+    _assert_same(pde_residual(f, N), pde_residual_by_series(f, N))
+    _assert_same(verify_delta_ode(f, Q, N, basis), delta_ode_by_series(f, Q, N, basis))
+
+
+def _formula_degree(f, N):
+    """(deg f - 1) N + 1, the degree bound of every residual at order N."""
+    return max(f.degree - 1, 0) * N + 1
+
+
+def _vanishing(c, count):
+    """c times the product of (x - x_i) over the first count points."""
+    p = XSeries((c,))
+    for x in _points(count):
+        p = p * XSeries((-x, 1))
+    return p
+
+
+@contextlib.contextmanager
+def _mutated(perturbation):
+    """autonomous_sequence with perturbation added to its last term (or
+    applied to it, for a function), installed where the package and the
+    oracles read it."""
+    real = autonomous.autonomous_sequence
+    change = perturbation if callable(perturbation) else lambda term: term + perturbation
+
+    def perturbed(g, order):
+        aut = real(g, order)
+        return AutonomousSequence(aut.generator, aut.terms[:-1] + (change(aut.terms[-1]),))
+
+    with mock.patch.object(autonomous, "autonomous_sequence", perturbed):
+        with mock.patch.object(deltaflow, "autonomous_sequence", perturbed):
+            yield
+
+
+@settings(max_examples=10, deadline=None)
+@given(cases(mutation=True), st.integers(0, 3))
+def test_point_form_reports_a_wrong_term_like_the_bivariate_form(case, extra):
+    # extra = 0: a perturbation of degree D vanishing at the first D
+    # points, which only point D + 1 sees; extra > 0: a term of higher
+    # degree than the formula allows, which must widen the point set.
+    # c is in the field of f, so the wrong term keeps the one type of
+    # its field, as every kernel output does.
+    f, N, Q, basis, c = case
+    D = _formula_degree(f, N)
+    with _mutated(_vanishing(c, D + extra)):
+        group = group_law_residuals(f, N)
+        _assert_same(group, group_law_by_series(f, N))
+        pde = pde_residual(f, N)
+        _assert_same(pde, pde_residual_by_series(f, N))
+        ode = verify_delta_ode(f, Q, N, basis)
+        _assert_same(ode, delta_ode_by_series(f, Q, N, basis))
+    assert any(not r.is_zero for r in group)
+    assert not pde.is_zero
+
+
+@pytest.mark.parametrize("f", [XSeries((0, 1, -1)), XSeries((GaussianRational(0, 1), 0, 1))])
+def test_only_the_last_point_sees_a_perturbation_vanishing_at_the_others(f):
+    N = 6
+    D = _formula_degree(f, N)
+    p = _vanishing(Fraction(5, 7), D)
+    xs = _points(D + 1)
+    assert all(p.evaluate(x) == 0 for x in xs[:-1]) and p.evaluate(xs[-1]) != 0
+    with _mutated(p):
+        wrong = group_law_residuals(f, N)
+        assert wrong == group_law_by_series(f, N)
+        # residual (1, N-1) is A_N/(N-1)! less the unperturbed value
+        assert wrong[N + 1 + N - 1] == p * Fraction(1, math.factorial(N - 1))
+        assert pde_residual(f, N).coefficient(N - 1) == p * Fraction(1, math.factorial(N - 1))
+        assert not verify_delta_ode(f, forward(N), N).is_zero
+
+
+@pytest.mark.parametrize("f", [XSeries((0, 1, -1)), XSeries((GaussianRational(0, 1), 0, 1, 2))])
+def test_a_wrong_term_of_lower_degree_is_recovered_exactly(f):
+    # A_N without its top coefficient: the residuals keep the degree of
+    # the right side, which only the degree recursion through f sees
+    N = 6
+    with _mutated(lambda term: XSeries(term.coeffs[:-1])):
+        group = group_law_residuals(f, N)
+        assert group == group_law_by_series(f, N)
+        pde = pde_residual(f, N)
+        assert pde == pde_residual_by_series(f, N)
+        assert verify_delta_ode(f, forward(N), N) == delta_ode_by_series(f, forward(N), N)
+    assert max(r.degree for r in group) == _formula_degree(f, N)
+    assert pde.coefficient(N - 1).degree == _formula_degree(f, N)
+
+
+def test_residual_polynomials_are_recovered_exactly():
+    # a mismatched basis: every coefficient of the residual comes back
+    # by interpolation, equal to the bivariate one
+    f = XSeries((Fraction(1, 2), -1, 0, Fraction(3, 7)))
+    N = 7
+    basis = basic_sequence_from_delta(touchard(N), N)
+    got = verify_delta_ode(f, forward(N), N, basis)
+    assert not got.is_zero
+    assert got == delta_ode_by_series(f, forward(N), N, basis)
+
+
+# The flow shapes of the flow-session benchmark, whose oracle asks
+# verify_delta_ode(f, Q, 4).is_zero of every flow request.
+SESSION_GENERATORS = [
+    XSeries((Fraction(1, 2), -2)),
+    XSeries((1, Fraction(-2, 3), Fraction(3, 2))),
+    XSeries((-1, Fraction(1, 3), 2, Fraction(-1, 2))),
+    XSeries((GaussianRational(Fraction(1, 2), -1), GaussianRational(2, Fraction(1, 3)))),
+    XSeries((GaussianRational(-1, 0), GaussianRational(0, 2), GaussianRational(Fraction(3, 2), -1))),
+    XSeries(
+        (
+            GaussianRational(1, Fraction(-2, 3)),
+            GaussianRational(0, 0),
+            GaussianRational(Fraction(-1, 2), 1),
+            GaussianRational(2, Fraction(1, 2)),
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "f", SESSION_GENERATORS, ids=["Q-1", "Q-2", "Q-3", "Qi-1", "Qi-2", "Qi-3"]
+)
+@pytest.mark.parametrize(
+    "Q", [forward(16), touchard(16), abel(Fraction(2, 3), 16)], ids=["forward", "touchard", "abel-2/3"]
+)
+def test_the_flow_session_oracle_holds(f, Q):
+    assert verify_delta_ode(f, Q, 4).is_zero

@@ -2,9 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from deltadyn.scalars import GaussianRational
+from deltadyn.scalars import GaussianRational, digits_over, format_scalar
 from deltadyn.series import XSeries
 from deltadyn.solver import (
     backward_relation_check,
@@ -175,6 +175,96 @@ def test_iterate_stops_at_the_digit_cap():
     assert len(iterate(logistic_map(F(4)), F(1, 3), 2, max_digits=3)) == 3
     with pytest.raises(solver.DigitLimitError, match="n = 3 has more than 3 decimal"):
         iterate(logistic_map(F(4)), F(1, 3), 5, max_digits=3)
+
+
+def _digits(y):
+    """About the most decimal digits of a numerator or denominator in y."""
+    parts = (y.re, y.im) if isinstance(y, GaussianRational) else (y,)
+    bits = max(n.bit_length() for q in parts for n in (F(q).numerator, F(q).denominator))
+    return int(bits * 0.30103) + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(MAPS, INITIAL, st.integers(0, 6), st.integers(1, 100))
+@example(logistic_map(F(4)), F(1, 3), 6, 65)
+@example(XSeries((GaussianRational(F(2, 7), F(3, 5)), GaussianRational(F(-22, 7), F(1, 3)),
+                  GaussianRational(F(13, 11), F(-5, 3)), GaussianRational(F(-7, 2), 1))),
+         F(1, 3), 5, 40)
+# parts over 2^10 and 3^7, each of 4 digits, over a common denominator of 7
+@example(XSeries((1, 1)), GaussianRational(F(1, 1024), F(1, 2187)), 4, 100)
+def test_iterate_refuses_where_the_orbit_first_passes_the_cap(g, x0, n, percent):
+    # a value refused on the proven bound, before it is computed, is
+    # refused at the same n with the same message as one computed and
+    # then found too long; the cap is a share of the longest value
+    orbit = iterate_by_horner(g, x0, n)
+    cap = max(1, max(map(_digits, orbit)) * percent // 100)
+    over = [k for k, y in enumerate(orbit) if digits_over(y, cap)]
+    if not over:
+        assert iterate(g, x0, n, max_digits=cap) == orbit
+        return
+    with pytest.raises(solver.DigitLimitError) as refused:
+        iterate(g, x0, n, max_digits=cap)
+    assert str(refused.value) == "the value at n = %d has more than %d decimal digits" % (over[0], cap)
+
+
+GAUSSIAN_INTEGERS = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(GAUSSIAN_INTEGERS, min_size=1, max_size=5).filter(lambda G: G[-1] != (0, 0)),
+    st.integers(1, 12),
+    GAUSSIAN_INTEGERS,
+    st.one_of(st.integers(1, 40), st.sampled_from([2, 4, 8, 16, 32, 64])),
+)
+@example([(0, 0), (0, 0), (0, 0), (1, 0)], 1, (1, 1), 2)  # ((1 + i)/2)^3 = (-1 + i)/4
+@example([(1, 0), (0, 0), (1, 1)], 1, (3, 5), 8)
+def test_the_gcd_of_a_step_divides_the_proven_factor(G, C, a, b):
+    # the lemmas behind the bounds of iterate: with y = a/b reduced,
+    # gcd(N_r, N_i, D) divides K over Q(i), and gcd(N, D) divides K over Q
+    ar, ai = a
+    assume(math.gcd(ar, ai, b) == 1)
+    d = len(G) - 1
+    nr = ni = 0
+    pr, pi = 1, 0  # a^k
+    for k, (gr, gi) in enumerate(G):
+        bk = b ** (d - k)
+        nr += (gr * pr - gi * pi) * bk
+        ni += (gr * pi + gi * pr) * bk
+        pr, pi = pr * ar - pi * ai, pr * ai + pi * ar
+    D = C * b ** d
+    assert solver._qi_factor([g[0] for g in G], [g[1] for g in G], C) % math.gcd(nr, ni, D) == 0
+    if all(g[1] == 0 for g in G) and ai == 0:
+        assert solver._q_factor([g[0] for g in G], C) % math.gcd(nr, D) == 0
+
+
+def test_iterate_table_refuses_before_building_autonomous_terms(monkeypatch):
+    def unused(f, order):
+        raise AssertionError("autonomous terms built for a refused orbit")
+
+    monkeypatch.setattr(solver, "autonomous_sequence", unused)
+    with pytest.raises(solver.DigitLimitError, match="n = 3 has more than 3 decimal"):
+        iterate_table(logistic_map(F(4)), F(1, 3), 40, max_digits=3)
+
+
+def _closed_by_binomials(x0, values, n):
+    """x0 + sum_k values[k-1] C(n, k) in the scalars' own arithmetic."""
+    acc = x0
+    for k in range(1, n + 1):
+        acc = acc + values[k - 1] * math.comb(n, k)
+    return acc
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(list(SCALARS.values())).flatmap(
+    lambda scalars: st.tuples(scalars, st.lists(scalars, max_size=8))
+))
+def test_closed_forms_match_the_binomial_sum(case):
+    x0, values = case
+    got = list(solver._closed_forms(x0, values, len(values)))
+    want = [_closed_by_binomials(x0, values, n) for n in range(len(values) + 1)]
+    assert got == want
+    assert [format_scalar(c) for c in got] == [format_scalar(c) for c in want]
 
 
 def test_logistic_fixed_points_exact():
