@@ -12,9 +12,10 @@ For f = F/d with F in D[x], D the integers or the Gaussian integers,
 every A_n equals P_n / d^n with P_n in D[x].  One kernel, _numerators,
 runs the recursion P_(n+1) = F * dP_n/dx on integer coefficient lists
 with series._mul_lists (three real products per step over the Gaussian
-integers).  Both the terms A_n = P_n / d^n and the flow coefficients
-A_n / n! = P_n / (d^n n!) are read from it with one division per
-coefficient.
+integers).  The terms A_n = P_n / d^n are read from it with one
+division per coefficient, on first read.  The flows keep the integer
+pairs (P_n, d^n n!) of their coefficients A_n / n! as they are, with no
+division (see flows.Flow).
 
 The flow identities (the PDE d/dt Phi = f(Phi) and the group law
 Phi(t+s, x) = Phi(t, Phi(s, x)), and in deltaflow the delta flow
@@ -32,8 +33,8 @@ so the routes that never check an identity do not load it.
 import math
 from fractions import Fraction
 
-from .flows import Flow, TSeries
-from .scalars import from_lanes, to_lanes
+from .flows import Flow, TSeries, _rows_to_terms, _terms_to_rows
+from .scalars import to_lanes
 from .series import XSeries, _mul_lists
 
 __all__ = [
@@ -50,13 +51,6 @@ __all__ = [
     "pde_residual",
     "group_law_residuals",
 ]
-
-
-def _rows_to_terms(kind, rows):
-    return tuple(
-        XSeries([from_lanes(r, im[k] if im else 0, den, kind) for k, r in enumerate(re)])
-        for den, re, im in rows
-    )
 
 
 class AutonomousSequence:
@@ -95,9 +89,7 @@ class AutonomousSequence:
     @property
     def numerators(self):
         if self._numerators is None:
-            lanes = [to_lanes(t.coeffs) for t in self._terms]
-            kind = max((lane[3] for lane in lanes), default=0)
-            self._numerators = (kind, tuple(lane[:3] for lane in lanes))
+            self._numerators = _terms_to_rows(self._terms)
         return self._numerators
 
     @property
@@ -209,17 +201,19 @@ def aut_scale(a, F):
 
 
 def flow_from_autonomous(aut, basis=None):
-    """Flow of aut.generator with basis coefficient n equal to A_n / n!,
-    read from aut.numerators with one division per coefficient; every
-    coefficient, zeros included, is a Fraction over Z and Q and a
-    GaussianRational over Q(i)."""
+    """Flow of aut.generator with basis coefficient n equal to A_n / n!.
+
+    The flow keeps the integer form (P_n, d^n n!) of aut.numerators
+    with no division; its coefficients, made on first read, are, zeros
+    included, a Fraction over Z and Q and a GaussianRational over Q(i).
+    """
     kind, rows = aut.numerators
     fact = 1
     scaled = []
     for n, (den, re, im) in enumerate(rows, 1):
         fact *= n
         scaled.append((den * fact, re, im))
-    return Flow(_rows_to_terms(max(kind, 1), scaled), basis, generator=aut.generator)
+    return Flow._from_numerators((max(kind, 1), tuple(scaled)), basis, generator=aut.generator)
 
 
 def classical_flow(f, order):

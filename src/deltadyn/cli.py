@@ -14,11 +14,15 @@ Subcommands:
 
 All output is deterministic: fixed orderings, no timestamps.  An
 integer option outside its range, a numcheck tolerance that is not a
-finite number > 0, and a solve value with more digits than
---max-digits are usage errors (exit code 2); a reader closing stdout
-early gives a quiet exit with code 141.  The upper caps on --steps,
---order, --depth and --max-digits keep the slowest run measured at a
-cap under 20 s on a 2-CPU machine.  A solve refuses a value before
+finite number > 0, a solve value with more digits than --max-digits,
+and a flow or basis coefficient whose numerator or denominator has
+more digits than CPython's limit on int-to-str conversion (4300 by
+default) are usage errors (exit code 2).  The last is refused at the
+first such row, and a flow spells its basic rows before it computes
+its monomial form.  A reader closing stdout early gives a quiet exit
+with code 141.  The upper caps on --steps, --order, --depth and
+--max-digits keep the slowest run measured at a cap under 20 s on a
+2-CPU machine.  A solve refuses a value before
 computing it when a lower bound on its denominator already passes
 --max-digits (see solver.iterate), and computes no autonomous
 polynomial for a refused orbit: a cubic map over Q(i) at --steps 48
@@ -44,7 +48,7 @@ from .numeric import (
     lambert_w_residual,
     numeric_closed_form_check,
 )
-from .scalars import format_scalar, parse_scalar
+from .scalars import format_lanes, format_scalar, parse_scalar
 from .series import XSeries
 from .solver import (
     DigitLimitError,
@@ -85,6 +89,10 @@ MAX_VERIFY_ORDER = 20
 MAX_VERIFY_DEPTH = 32
 MAX_NUMCHECK_DEPTH = 128
 MAX_DIGITS = 100000
+
+
+class _UsageError(Exception):
+    """A request the CLI refuses with exit code 2."""
 
 
 def _int_between(low, high):
@@ -163,13 +171,8 @@ def _cmd_flow(args):
     f = XSeries([parse_scalar(c, args.field) for c in args.f.split(",")])
     Q = operator(args.op, args.order, parse_scalar(args.alpha, args.field))
     df = delta_flow(f, Q, args.order)
-    basic = [["0"]] + [
-        [format_scalar(c) for c in xs.coeffs] or ["0"] for xs in df.coeffs
-    ]
-    mono_flow = df.to_monomial()
-    mono = [["0"]] + [
-        [format_scalar(c) for c in xs.coeffs] or ["0"] for xs in mono_flow.coeffs
-    ]
+    basic = _flow_rows(df)
+    mono = _flow_rows(df.to_monomial())
     payload = {
         "operator": args.op,
         "order": args.order,
@@ -187,10 +190,33 @@ def _cmd_flow(args):
     return 0
 
 
+def _flow_rows(flow):
+    """The printed rows of a flow, spelled from its integer form: ["0"]
+    for the base, then the entries of each coefficient, ["0"] for a
+    zero one."""
+    return [["0"]] + _spelled(lambda row: format_lanes(*row) or ["0"], flow.numerators[1])
+
+
+def _spelled(spell, rows):
+    """[spell(row) for row in rows], refused at the first row holding an
+    integer of more digits than CPython's limit on int-to-str
+    conversion, the one ValueError of spelling an exact scalar."""
+    out = []
+    for row in rows:
+        try:
+            out.append(spell(row))
+        except ValueError:
+            raise _UsageError(
+                "a coefficient to print has more than %d digits, the int-to-str "
+                "limit" % sys.get_int_max_str_digits()
+            ) from None
+    return out
+
+
 def _cmd_basis(args):
     Q = operator(args.op, max(args.depth, 1), parse_scalar(args.alpha, "Q"))
     basis = basic_sequence_from_delta(Q, args.depth)
-    matrix = [[format_scalar(b) for b in row] for row in connection_matrix(basis)]
+    matrix = _spelled(lambda row: [format_scalar(b) for b in row], connection_matrix(basis))
     payload = {"basis": args.op, "order": args.depth, "coeffs": matrix}
     if args.format == "json":
         _emit(json.dumps(payload))
@@ -335,6 +361,9 @@ def cli_main(argv=None):
         return args.fn(args)
     except DigitLimitError as exc:
         sys.stderr.write("error: %s (see --max-digits)\n" % exc)
+        return 2
+    except _UsageError as exc:
+        sys.stderr.write("error: %s\n" % exc)
         return 2
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -7,14 +7,33 @@ structured view used by the dynamical-system layers: a base point x
 plus basis coefficients, where the basis is either the monomials t^n or
 the basic polynomials q_n(t) of a delta operator, together with the
 generator f of the flow when it has one.  Classical flows and delta
-flows are both Flows.  A Flow converts losslessly between the two bases
-through the triangular change-of-basis matrix.  taylor_compose gives
-f(W) for a polynomial f and a Flow or TSeries W by Horner's rule.
+flows are both Flows.  A Flow keeps its coefficients as integer rows,
+(P_n, d^n n!) for a flow from the kernel, and converts losslessly
+between the two bases through the triangular change-of-basis matrix,
+to monomials on those rows.  taylor_compose gives f(W) for a
+polynomial f and a Flow or TSeries W by Horner's rule.
 """
 
+from .scalars import from_lanes, to_lanes
 from .series import XSeries, _mul_lists
 
 __all__ = ["TSeries", "Flow", "taylor_compose"]
+
+
+def _rows_to_terms(kind, rows):
+    """The XSeries of an integer form (kind, rows), rows[n] = (den, re,
+    im): coefficient j of term n is from_lanes(re[j], im[j], den, kind)."""
+    return tuple(
+        XSeries([from_lanes(r, im[k] if im else 0, den, kind) for k, r in enumerate(re)])
+        for den, re, im in rows
+    )
+
+
+def _terms_to_rows(terms):
+    """The integer form (kind, rows) of some XSeries, each row read off
+    one term by to_lanes; kind is the field of all the terms."""
+    lanes = [to_lanes(t.coeffs) for t in terms]
+    return max((lane[3] for lane in lanes), default=0), tuple(lane[:3] for lane in lanes)
 
 
 class TSeries:
@@ -129,21 +148,50 @@ class Flow:
     None for a flow given by its coefficients alone; it survives every
     change of basis.  At t = 0 a flow with base evaluates to x because
     every basis polynomial vanishes there.
+
+    numerators is the integer form (kind, rows) of the coefficients,
+    laid out as AutonomousSequence.numerators: coeffs[n-1] is
+    (re + im*i) / den coefficientwise for rows[n-1] = (den, re, im).
+    A flow from the kernel or from to_monomial makes its coefficients
+    from its rows on first read, and a flow given by its coefficients
+    reads its rows off them on first use.  Equality and hashing compare
+    coefficients, so equal flows may hold different denominators.
     """
 
-    __slots__ = ("coeffs", "basis", "has_base", "generator")
+    __slots__ = ("_coeffs", "_numerators", "basis", "has_base", "generator")
 
     def __init__(self, coeffs, basis=None, has_base=True, generator=None):
-        self.coeffs = tuple(coeffs)
+        self._set(tuple(coeffs), None, basis, has_base, generator)
+
+    @classmethod
+    def _from_numerators(cls, numerators, basis=None, has_base=True, generator=None):
+        flow = cls.__new__(cls)
+        flow._set(None, numerators, basis, has_base, generator)
+        return flow
+
+    def _set(self, coeffs, numerators, basis, has_base, generator):
+        self._coeffs, self._numerators = coeffs, numerators
         self.basis = basis
         self.has_base = has_base
         self.generator = generator
-        if basis is not None and basis.depth < len(self.coeffs):
+        if basis is not None and basis.depth < self.order:
             raise ValueError("basis depth is smaller than the flow order")
 
     @property
+    def coeffs(self):
+        if self._coeffs is None:
+            self._coeffs = _rows_to_terms(*self._numerators)
+        return self._coeffs
+
+    @property
+    def numerators(self):
+        if self._numerators is None:
+            self._numerators = _terms_to_rows(self._coeffs)
+        return self._numerators
+
+    @property
     def order(self):
-        return len(self.coeffs)
+        return len(self._numerators[1] if self._coeffs is None else self._coeffs)
 
     def coefficient(self, n):
         """Coefficient multiplying basis_n, 1-indexed."""
@@ -152,14 +200,21 @@ class Flow:
         return self.coeffs[n - 1]
 
     def minus_base(self):
-        return Flow(self.coeffs, self.basis, False, self.generator)
+        flow = Flow.__new__(Flow)
+        flow._set(self._coeffs, self._numerators, self.basis, False, self.generator)
+        return flow
 
     def to_monomial(self):
-        """Expand the basis polynomials; lossless (triangular, unit-free)."""
+        """Expand the basis polynomials; lossless (triangular, unit-free).
+
+        Runs the integer core of BasicSequence.expand on the rows, with
+        a zero row for q_0, and keeps the result as rows.
+        """
         if self.basis is None:
             return self
-        mono = self.basis.expand((XSeries.zero(),) + self.coeffs)[1:]
-        return Flow(mono, None, self.has_base, self.generator)
+        kind, rows = self.numerators
+        kind, mono = self.basis._expand_rows(kind, ((1, (), None),) + rows)
+        return Flow._from_numerators((kind, mono[1:]), None, self.has_base, self.generator)
 
     def to_basic(self, basis):
         """Inverse conversion: solve the triangular system against q_n."""

@@ -28,6 +28,7 @@ __all__ = [
     "GaussianRational",
     "I",
     "format_scalar",
+    "format_lanes",
     "parse_scalar",
     "rational_sqrt",
     "to_lanes",
@@ -217,22 +218,41 @@ def format_scalar(value):
     _int_str), under CPython's limit on int-to-str conversion.
     """
     if isinstance(value, GaussianRational):
-        re = _rational_str(value.re)
-        if not value.im:
-            return re
-        im = _rational_str(value.im)
-        return "%s%s%s*i" % (re, "" if im[0] == "-" else "+", im)
+        re, im = value.re, value.im
+        return _spell(re.numerator, re.denominator, im.numerator, im.denominator)
     if isinstance(value, (int, Fraction)):
-        return _rational_str(value)
+        return _ratio_str(value.numerator, value.denominator)
     raise TypeError("not an exact scalar: %r" % (value,))
 
 
-def _rational_str(q):
-    """str(Fraction(q)) of an int or Fraction q."""
-    num, den = q.numerator, q.denominator
-    if den == 1:
-        return _int_str(num)
-    return "%s/%s" % (_int_str(num), _int_str(den))
+def format_lanes(den, re, im):
+    """format_scalar of each (re[j] + im[j]*i) / den through the last
+    nonzero one, for a row (den, re, im) of integer lanes as in
+    to_lanes; no scalar is built, and each part takes one gcd."""
+    top = len(re)
+    while top and not (re[top - 1] or im and im[top - 1]):
+        top -= 1
+    out = []
+    for j in range(top):
+        a, b = re[j], im[j] if im else 0
+        g, h = math.gcd(a, den), math.gcd(b, den)
+        out.append(_spell(a // g, den // g, b // h, den // h))
+    return out
+
+
+def _spell(a, b, c, d):
+    """The spelling of a/b + (c/d)*i for coprime a, b and coprime c, d,
+    with b, d > 0: the imaginary part only when c != 0."""
+    re = _ratio_str(a, b)
+    if not c:
+        return re
+    im = _ratio_str(c, d)
+    return "%s%s%s*i" % (re, "" if im[0] == "-" else "+", im)
+
+
+def _ratio_str(num, den):
+    """str(Fraction(num, den)) for coprime num and den > 0."""
+    return _int_str(num) if den == 1 else "%s/%s" % (_int_str(num), _int_str(den))
 
 
 # Above this bit length _int_str beats str(), CPython 3.11's quadratic
@@ -243,18 +263,24 @@ _DC_MIN_BITS = 40000
 # Ints of at most this many bits go to Decimal whole; 1k-4k bit leaves
 # timed the same on the machine above.
 _DC_LEAF_BITS = 2048
+# 2^w as an exact Decimal for w = _DC_LEAF_BITS * 2^j, shared by every
+# call of _int_str: one entry per j, the largest about half as long as
+# the longest int printed.
+_POW2 = {}
 
 
 def _int_str(n):
     """str(n), in subquadratic time for a long int n.
 
     Radix conversion by divide and conquer (Brent and Zimmermann,
-    Modern Computer Arithmetic, 2010, sec. 1.7): |n| is split at 2^w
-    into a high and a low part, each is converted to an exact Decimal
-    recursively, and the two are joined as lo + hi * 2^w, so libmpdec's
-    fast multiplication does the work.  An int that may have more
-    digits than CPython's limit on int-to-str conversion goes to str(),
-    which raises the same ValueError.
+    Modern Computer Arithmetic, 2010, sec. 1.7): |n| < 2^(2h) is split
+    at 2^h into a high and a low part, each is converted to an exact
+    Decimal recursively, and the two are joined as lo + hi * 2^h, so
+    libmpdec's fast multiplication does the work.  The widths h are
+    _DC_LEAF_BITS * 2^j, so the powers 2^h are shared across calls, and
+    an empty high part is skipped.  An int that may have more digits
+    than CPython's limit on int-to-str conversion goes to str(), which
+    raises the same ValueError.
     """
     bits = n.bit_length()
     if bits <= _DC_MIN_BITS:
@@ -265,28 +291,33 @@ def _int_str(n):
     import decimal
 
     D = decimal.Decimal
-    powers = {}
 
-    def pow2(w):
-        p = powers.get(w)
+    def pow2(h):
+        p = _POW2.get(h)
         if p is None:
-            p = D(2) ** w if w <= _DC_LEAF_BITS else pow2(w >> 1) * pow2(w - (w >> 1))
-            powers[w] = p
+            p = D(2) ** h if h == _DC_LEAF_BITS else pow2(h >> 1) ** 2
+            _POW2[h] = p
         return p
 
     def convert(m, w):
-        if w <= _DC_LEAF_BITS:
+        # 0 <= m < 2^w, w = _DC_LEAF_BITS * 2^j
+        if w == _DC_LEAF_BITS:
             return D(m)
         h = w >> 1
         hi = m >> h
-        return convert(m - (hi << h), h) + convert(hi, w - h) * pow2(h)
+        if not hi:
+            return convert(m, h)
+        return convert(m - (hi << h), h) + convert(hi, h) * pow2(h)
 
+    width = _DC_LEAF_BITS
+    while width < bits:
+        width <<= 1
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         ctx.Emax = decimal.MAX_EMAX
         ctx.Emin = decimal.MIN_EMIN
         ctx.traps[decimal.Inexact] = True
-        digits = str(convert(abs(n), bits))
+        digits = str(convert(abs(n), width))
     return "-" + digits if n < 0 else digits
 
 

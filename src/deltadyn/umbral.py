@@ -34,12 +34,14 @@ per series.  It serves every operator, on polynomials and in the t
 variable of a TSeries, and each step of Rota's recurrence is one such
 apply (of the weights k! r_k) followed by a product with t.
 BasicSequence.expand maps coordinates over
-(q_n) to monomial ones through the triangular matrix beta(k, n); the
-umbral operators and flows.Flow.to_monomial use it.  It runs on
-integers: each row of beta is stored once as integer numerators over
-one denominator, the inputs are brought to one common denominator,
-and the sums are divided out once per output coefficient, with
-Gaussian scalars split into real and imaginary integer lanes.
+(q_n) to monomial ones through the triangular matrix beta(k, n).  Its
+integer core, BasicSequence._expand_rows, takes integer rows with one
+denominator each and returns rows over their common denominator times
+that of beta, each row of beta stored once as integer numerators and
+Gaussian scalars split into real and imaginary lanes.
+flows.Flow.to_monomial runs the core on the rows of a flow; expand, for
+the umbral operators, brings its scalars to rows and divides once per
+output coefficient.
 
 Basic sequences compose umbrally (substitute one family into the
 monomial expansion of another) and form a group; the attached
@@ -286,30 +288,56 @@ class BasicSequence:
         """Monomial coefficients of sum_n coeffs[n] q_n(t), index = power.
 
         coeffs holds scalars, or XSeries (and then so does the result).
-        The sum runs on integers: the inputs over one common
-        denominator times the rows of beta over theirs, in real and
-        imaginary lanes, with one division per output coefficient.
-        Every output coefficient, zeros included, has the one type of
-        the field of the basis and coeffs together: int over Z,
-        Fraction over Q, GaussianRational over Q(i).
+        The inputs are brought to one common denominator as integer
+        lanes and summed by _expand_rows, with one division per output
+        coefficient.  Every output coefficient, zeros included, has the
+        one type of the field of the basis and coeffs together: int over
+        Z, Fraction over Q, GaussianRational over Q(i).
         """
-        if len(coeffs) > self.depth + 1:
-            raise ValueError("basis index out of range")
         series = any(isinstance(c, XSeries) for c in coeffs)
         vecs = [c.coeffs for c in coeffs] if series else [(c,) for c in coeffs]
         dc, ure, uim, kind = to_lanes([v for vec in vecs for v in vec])
-        db, basis_kind, basis_complex, rows = self._int_rows
-        den, kind = dc * db, max(kind, basis_kind)
-        cplx = basis_complex or uim is not None
+        rows, pos = [], 0
+        for vec in vecs:
+            end = pos + len(vec)
+            rows.append((dc, ure[pos:end], uim[pos:end] if uim else None))
+            pos = end
+        kind, rows = self._expand_rows(kind, rows)
+        out = []
+        for k, (den, re, im) in enumerate(rows):
+            rows[k] = None  # each row of sums is freed once read
+            entries = [from_lanes(r, im[i] if im else 0, den, kind) for i, r in enumerate(re)]
+            # beta(k, k) != 0, so a scalar sum always has its one entry
+            out.append(XSeries(entries) if series else entries[0])
+        return out
+
+    def _expand_rows(self, kind, rows):
+        """The integer core of expand on an integer form (kind, rows) as
+        in AutonomousSequence.numerators, rows[n] the coordinate on q_n.
+
+        Returns the integer form (kind, out) of the monomial
+        coefficients, out[k] for t^k, over the one denominator
+        lcm(den) * db, db that of beta (d^N N! db for a delta flow,
+        whose rows are over d^n n!); kind is that of the basis and the
+        rows together.
+        """
+        if len(rows) > self.depth + 1:
+            raise ValueError("basis index out of range")
+        db, basis_kind, basis_complex, beta = self._int_rows
+        dc = math.lcm(*[den for den, _, _ in rows])
+        cplx = basis_complex or any(ui is not None for _, _, ui in rows)
         # lanes[k]: the integer sums (re, im) of the coefficients of t^k
-        lanes = [([], [] if cplx else None) for _ in vecs]
-        pos = 0
-        for n, vec in enumerate(vecs):
-            m = len(vec)
-            ur = ure[pos : pos + m]
-            ui = uim[pos : pos + m] if uim else None
-            pos += m
-            for k, br, bi in rows[n] if m else ():
+        lanes = [([], [] if cplx else None) for _ in rows]
+        for n, (den, ur, ui) in enumerate(rows):
+            m = len(ur)
+            if not m:
+                continue
+            scale = dc // den
+            if scale != 1:
+                ur = [scale * x for x in ur]
+                if ui is not None:
+                    ui = [scale * x for x in ui]
+            for k, br, bi in beta[n]:
                 re, im = lanes[k]
                 for acc in (re, im) if cplx else (re,):
                     if len(acc) < m:
@@ -318,13 +346,8 @@ class BasicSequence:
                     if b and u is not None:
                         for i, x in enumerate(u):
                             acc[i] += b * x
-        out = []
-        for k, (re, im) in enumerate(lanes):
-            lanes[k] = None  # each row of sums is freed once read
-            entries = [from_lanes(r, im[i] if im else 0, den, kind) for i, r in enumerate(re)]
-            # beta(k, k) != 0, so a scalar sum always has its one entry
-            out.append(XSeries(entries) if series else entries[0])
-        return out
+        den = dc * db
+        return max(kind, basis_kind), [(den, re, im) for re, im in lanes]
 
     def __repr__(self):
         return "BasicSequence(%s, depth=%d)" % (self.operator.tag, self.depth)

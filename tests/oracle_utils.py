@@ -6,11 +6,12 @@ package's own series classes, so expected values come from a second
 route.  The last section keeps the field-arithmetic loops that the
 package's integer kernels replaced; they run on whatever scalars and
 XSeries they are given: the autonomous recursion, the basis expansion,
-the flow coefficients A_n * 1/n! and the Horner orbit.  The Taylor sum
-form of composition, which Horner's rule replaced in the package,
-follows them, and then the bivariate forms of the group law, the flow
-PDE and the delta flow equation, which the package now evaluates at
-integer points.  These read autonomous_sequence, classical_flow and
+the flow coefficients A_n * 1/n!, the Fraction route of the flows
+(coefficients divided out, then expanded as scalars) and the Horner
+orbit.  The Taylor sum form of composition, which Horner's rule
+replaced in the package, follows them, and then the bivariate forms of
+the group law, the flow PDE and the delta flow equation, which the
+package now evaluates at integer points.  These read autonomous_sequence, classical_flow and
 delta_flow through their modules, so a test that replaces one of them
 there changes the oracle and the package alike.
 """
@@ -181,6 +182,27 @@ def expand_by_field_loop(basis, coeffs, zero=0):
 def flow_coeffs_by_factorial(aut):
     """A_n * Fraction(1, n!) for the terms A_n of an autonomous sequence."""
     return tuple(t * Fraction(1, math.factorial(n)) for n, t in enumerate(aut.terms, 1))
+
+
+def flow_by_fractions(aut, basis=None):
+    """The route flows took before they kept integer rows: each
+    coefficient A_n / n! divided out of aut.numerators as a scalar
+    P_n / (d^n n!), and over a basis the monomial form by
+    BasicSequence.expand on those scalars.  Returns the pair
+    (coefficients, monomial coefficients)."""
+    from deltadyn.scalars import from_lanes
+    from deltadyn.series import XSeries
+
+    kind, rows = aut.numerators
+    coeffs, fact = [], 1
+    for n, (den, re, im) in enumerate(rows, 1):
+        fact *= n
+        entries = [from_lanes(r, im[k] if im else 0, den * fact, max(kind, 1)) for k, r in enumerate(re)]
+        coeffs.append(XSeries(entries))
+    coeffs = tuple(coeffs)
+    if basis is None:
+        return coeffs, coeffs
+    return coeffs, tuple(basis.expand((XSeries.zero(),) + coeffs)[1:])
 
 
 def iterate_by_horner(g, x0, n):

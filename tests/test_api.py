@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import subprocess
+import sys
 import types
 
 import pytest
@@ -56,6 +58,23 @@ def test_tracer_targets_exist():
 
     assert callable(Flow.to_monomial)
     assert callable(basic_sequence_from_delta.cache_info)
+
+
+def test_worker_import_line_loads_every_tracer_module():
+    # Tracer.install reads each target's module from sys.modules, so a
+    # module the worker's import line no longer loads would crash a
+    # traced benchmark run
+    tracer = load_tracer()
+    code = (
+        "import sys; import deltadyn; from deltadyn import cli, solver, umbral; "
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    loaded = set(proc.stdout.split())
+    assert {modname for modname, _, _ in tracer.TARGETS} - loaded == set()
 
 
 # The report order of `verify`: checks register themselves in definition

@@ -337,6 +337,40 @@ def test_solve_over_the_digit_cap_of_a_gaussian_cubic(capsys):
     )
 
 
+SEVENS = "7" * 3000
+
+
+def test_flow_past_cpython_digit_limit_is_usage_error(capsys, monkeypatch):
+    # basic row 2 holds f f'/2, whose numerators have about 6000 digits;
+    # the flow is refused there, before its monomial form is computed
+    from deltadyn.flows import Flow
+
+    def unused(self):
+        raise AssertionError("to_monomial ran before the refusal")
+
+    monkeypatch.setattr(Flow, "to_monomial", unused)
+    code = cli_main(["flow", "--f", "%s,%s" % (SEVENS, SEVENS), "--order", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    limit = sys.get_int_max_str_digits()
+    assert captured.err == (
+        "error: a coefficient to print has more than %d digits, the int-to-str limit\n" % limit
+    )
+
+
+def test_basis_past_cpython_digit_limit_is_usage_error(capsys):
+    # beta(1, 3) = 9 alpha^2 has about 6000 digits
+    code = cli_main(["basis", "--op", "abel", "--alpha", SEVENS, "--depth", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    limit = sys.get_int_max_str_digits()
+    assert captured.err == (
+        "error: a coefficient to print has more than %d digits, the int-to-str limit\n" % limit
+    )
+
+
 def test_solve_refuses_a_gaussian_cubic_before_computing_past_the_cap(capsys, monkeypatch):
     # y_10 has about 94.5k digits, and the bound on the denominator of
     # y_11 refuses it at the default cap without computing it

@@ -1,0 +1,117 @@
+"""Flows kept as integer rows, against flows given by coefficients and
+against the Fraction route the rows replaced.
+
+delta_flow keeps the integer form (P_n, d^n n!) of its coefficients,
+and to_monomial runs the integer core of BasicSequence.expand on those
+rows.  A flow built from the same coefficients reads its rows off them
+with to_lanes, and oracle_utils.flow_by_fractions divides every
+coefficient out first and expands the scalars.  All three agree in
+value and in the type of every coefficient, over Z, Q and Q(i) and for
+the five built-in operators, Abel's at a rational and at a Gaussian
+alpha among them; equal flows hash alike whatever denominators they
+hold.  The flow command prints the same strings as format_scalar of
+the coefficients.
+"""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from deltadyn import cli
+from deltadyn.autonomous import autonomous_sequence
+from deltadyn.deltaflow import delta_flow
+from deltadyn.flows import Flow, TSeries
+from deltadyn.scalars import GaussianRational, format_scalar
+from deltadyn.series import XSeries
+from deltadyn.umbral import OPERATOR_NAMES, operator
+
+from oracle_utils import expand_by_field_loop, flow_by_fractions
+from strategies import GAUSSIANS, INTS, RATIONALS
+
+FIELDS = {"Z": INTS, "Q": RATIONALS, "Qi": GAUSSIANS}
+NONZERO_RATIONALS = RATIONALS.filter(lambda c: c != 0)
+# A Gaussian alpha with an imaginary part gives a complex basis.
+COMPLEX_ALPHAS = st.builds(GaussianRational, RATIONALS, NONZERO_RATIONALS)
+
+
+@st.composite
+def flow_cases(draw, max_order=12):
+    """(field, f, name, alpha, order): f of degree <= 3 over one field,
+    a built-in operator, Abel's at a rational or a complex alpha."""
+    field = draw(st.sampled_from(sorted(FIELDS)))
+    f = XSeries(draw(st.lists(FIELDS[field], max_size=4)))
+    name = draw(st.sampled_from(OPERATOR_NAMES))
+    alpha = draw(st.one_of(NONZERO_RATIONALS, COMPLEX_ALPHAS)) if name == "abel" else 1
+    return field, f, name, alpha, draw(st.integers(1, max_order))
+
+
+def types(coeffs):
+    return [[type(c) for c in xs.coeffs] for xs in coeffs]
+
+
+def assert_same(got, want):
+    """Equal coefficients, each of the same type."""
+    assert tuple(got) == tuple(want)
+    assert types(got) == types(want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(flow_cases())
+def test_rows_agree_with_coefficients_and_the_fraction_route(case):
+    _, f, name, alpha, order = case
+    rows = delta_flow(f, operator(name, order, alpha), order)
+    basis = rows.basis
+    coeffs, mono = flow_by_fractions(autonomous_sequence(f, order), basis)
+    given_ = Flow(coeffs, basis, True, f)
+
+    for flow in (rows, given_):
+        assert flow.order == order
+        assert_same(flow.coeffs, coeffs)
+        assert [flow.coefficient(n) for n in range(1, order + 1)] == list(coeffs)
+    assert rows == given_ and hash(rows) == hash(given_)
+    assert rows.minus_base() == given_.minus_base()
+    assert hash(rows.minus_base()) == hash(given_.minus_base())
+
+    zero = XSeries.zero()
+    assert list(mono) == expand_by_field_loop(basis, (zero,) + coeffs, zero)[1:]
+    oracle = Flow(mono, None, True, f)
+    for flow in (rows, given_):
+        m = flow.to_monomial()
+        assert_same(m.coeffs, mono)
+        assert m == oracle and hash(m) == hash(oracle)
+        assert m.basis is None and m.has_base and m.generator is f
+        assert flow.to_tseries() == TSeries((XSeries.x(),) + mono, order)
+    back = rows.to_monomial().to_basic(basis)
+    assert back == rows and hash(back) == hash(rows)
+    assert_same(back.coeffs, oracle.to_basic(basis).coeffs)
+    t, x = Fraction(1, 2), GaussianRational(Fraction(2, 3), -1)
+    assert rows.evaluate(t, x) == oracle.evaluate(t, x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(flow_cases(max_order=8), st.sampled_from(("json", "csv")))
+def test_flow_command_prints_format_scalar_of_the_coefficients(case, fmt):
+    # every entry, the trailing zeros trimmed and the ["0"] rows included
+    field, f, name, alpha, order = case
+    complex_ = field == "Qi" or isinstance(alpha, GaussianRational)
+    argv = [
+        "flow", "--f=" + (",".join(map(format_scalar, f.coeffs)) or "0"),
+        "--op", name, "--alpha=" + format_scalar(alpha), "--order", str(order),
+        "--field", "Qi" if complex_ else "Q", "--format", fmt,
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.cli_main(argv) == 0
+    flow = delta_flow(f, operator(name, order, alpha), order)
+    want = {}
+    for label, coeffs in (("basic", flow.coeffs), ("monomial", flow.to_monomial().coeffs)):
+        want[label] = [["0"]] + [[format_scalar(c) for c in xs.coeffs] or ["0"] for xs in coeffs]
+    if fmt == "json":
+        payload = json.loads(out.getvalue())
+        assert (payload["basic"], payload["monomial"]) == (want["basic"], want["monomial"])
+    else:
+        lines = [",".join([label, str(n)] + row) for label in want for n, row in enumerate(want[label])]
+        assert out.getvalue() == "\n".join(lines) + "\n"

@@ -11,6 +11,7 @@ from deltadyn.scalars import (
     GaussianRational,
     I,
     digits_over,
+    format_lanes,
     format_scalar,
     parse_scalar,
     rational_sqrt,
@@ -199,9 +200,21 @@ def long_ints(draw):
     return draw(st.sampled_from((1, -1))) * n
 
 
+def split_width_examples(test):
+    """Hypothesis examples one bit either side of each split width
+    LEAF * 2^j of _int_str, the powers it shares across calls: a
+    negative int of random bits and 2^bits - 1 at each."""
+    for j in range(7):
+        for bits in ((LEAF << j) - 1, LEAF << j, (LEAF << j) + 1):
+            n = random.Random(bits).getrandbits(bits) | 1 << (bits - 1)
+            test = example(-n)(example(2**bits - 1)(test))
+    return test
+
+
 @settings(max_examples=20, deadline=None)
 @given(long_ints())
 @example(-(random.Random(0).getrandbits(400_000) | 1 << 399_999))
+@split_width_examples
 def test_int_str_is_str(n):
     with digit_limit(0):
         assert scalars._int_str(n) == str(n)
@@ -216,6 +229,27 @@ def test_int_str_at_the_leaf_and_switch_over_sizes():
         for n in edges:
             assert scalars._int_str(n) == str(n)
             assert scalars._int_str(-n) == str(-n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 10**6),
+    st.lists(st.integers(-60, 60), max_size=5),
+    st.integers(0, 2),
+    st.booleans(),
+    st.data(),
+)
+def test_format_lanes_is_format_scalar_of_the_row(den, re, zeros, complex_, data):
+    # a row of integer lanes prints as format_scalar of the XSeries made
+    # from it, trailing zeros trimmed, with no entry for a zero row
+    from deltadyn.flows import _rows_to_terms
+
+    re = re + [0] * zeros
+    im = None
+    if complex_:
+        im = data.draw(st.lists(st.integers(-60, 60), min_size=len(re), max_size=len(re)))
+    (xs,) = _rows_to_terms(2 if complex_ else 1, [(den, re, im)])
+    assert format_lanes(den, re, im) == [format_scalar(c) for c in xs.coeffs]
 
 
 def _long_parts(n):
