@@ -17,10 +17,11 @@ division per coefficient, on first read.  The flows keep the integer
 pairs (P_n, d^n n!) of their coefficients A_n / n! as they are, with no
 division (see flows.Flow).
 
-The flow identities (the PDE d/dt Phi = f(Phi) and the group law
-Phi(t+s, x) = Phi(t, Phi(s, x)), and in deltaflow the delta flow
-equation) are checked at integer points x0 in Hurwitz coordinates, the
-paper's ring over an integral domain: the flow of f is the flow of F
+The flow identities are checked at integer points x0 in Hurwitz
+coordinates, the paper's ring over an integral domain: the group law
+Phi(t+s, x) = Phi(t, Phi(s, x)) here, and the PDE d/dt Phi = f(Phi) as
+the delta flow equation Q Phi_Q = L[f(Phi)] of deltaflow at Q = d/dt,
+whose basic sequence is the monomials.  The flow of f is the flow of F
 with t scaled by 1/d, and the Hurwitz coefficients of the flow of F at
 x0 are the integers P_n(x0), so f(Phi) is a chain of binomial
 convolutions of integers.  Every residual is a polynomial in x whose
@@ -33,7 +34,7 @@ so the routes that never check an identity do not load it.
 import math
 from fractions import Fraction
 
-from .flows import Flow, TSeries, _rows_to_terms, _terms_to_rows
+from .flows import Flow, _TermRows
 from .scalars import to_lanes
 from .series import XSeries, _mul_lists
 
@@ -53,48 +54,27 @@ __all__ = [
 ]
 
 
-class AutonomousSequence:
+class AutonomousSequence(_TermRows):
     """The autonomous polynomials A_1 .. A_N of a generator.
 
-    numerators is the integer form (kind, rows): rows[n-1] is
-    (den, re, im) with A_n = (re + im*i) / den coefficientwise, im None
-    when every imaginary part is zero, and kind is the field of all the
-    terms as in scalars.to_lanes.  autonomous_sequence builds the rows
-    with the kernel and makes the terms from them on first read; a
-    sequence given by its terms (aut_add, aut_scale) reads its rows off
-    them on first use.
+    flows._TermRows holds the terms and their integer form numerators:
+    autonomous_sequence gives the rows of the kernel, aut_add and
+    aut_scale give terms.
     """
 
-    __slots__ = ("generator", "_terms", "_numerators")
+    __slots__ = ("generator",)
 
     def __init__(self, generator, terms):
-        self.generator = generator
-        self._terms = tuple(terms)
-        self._numerators = None
+        self._terms, self._numerators = tuple(terms), None
+        self._set(generator)
 
-    @classmethod
-    def _from_numerators(cls, generator, numerators):
-        aut = cls.__new__(cls)
-        aut.generator, aut._terms, aut._numerators = generator, None, numerators
-        return aut
+    def _set(self, generator):
+        self.generator = generator
 
     @property
     def terms(self):
         """A_1 .. A_N; A_1 is the generator itself."""
-        if self._terms is None:
-            kind, rows = self._numerators
-            self._terms = (self.generator,) + _rows_to_terms(kind, rows[1:])
-        return self._terms
-
-    @property
-    def numerators(self):
-        if self._numerators is None:
-            self._numerators = _terms_to_rows(self._terms)
-        return self._numerators
-
-    @property
-    def order(self):
-        return len(self._numerators[1] if self._terms is None else self._terms)
+        return self._read_terms((self.generator,))
 
     def term(self, n):
         """A_n, 1-indexed."""
@@ -153,7 +133,7 @@ def autonomous_sequence(f, order):
         raise ValueError("order must be >= 1")
     d, kind, P = _numerators(f, order)
     rows = tuple((d ** n, re, im) for n, (re, im) in enumerate(P, 1))
-    return AutonomousSequence._from_numerators(f, (kind, rows))
+    return AutonomousSequence._from_numerators((kind, rows), f)
 
 
 def h_sequence(f, g, order):
@@ -213,7 +193,7 @@ def flow_from_autonomous(aut, basis=None):
     for n, (den, re, im) in enumerate(rows, 1):
         fact *= n
         scaled.append((den * fact, re, im))
-    return Flow._from_numerators((max(kind, 1), tuple(scaled)), basis, generator=aut.generator)
+    return Flow._from_numerators((max(kind, 1), tuple(scaled)), basis, True, aut.generator)
 
 
 def classical_flow(f, order):
@@ -247,22 +227,15 @@ def flow_factorize(factors, order):
 def pde_residual(f, order):
     """d/dt Phi - f(Phi) through t-order N-1; identically zero.
 
-    For f = F/d the flow of f is the flow of F with t scaled by 1/d, so
-    at a point x0 the coefficient of t^m is (u_(m+1) - F(u)_m) / (d^(m+1)
-    m!), with u the Hurwitz coefficients of the flow of F there.  The
-    residual is computed at integer points by points._certify.
+    This is the delta flow equation Q Phi_Q = L[f(Phi)] at Q = d/dt,
+    whose basic sequence is the monomials, so that L is the identity
+    and Phi_Q = Phi: deltaflow.verify_delta_ode certifies it at integer
+    points.
     """
-    from .points import _certify, _integral, _pointwise_composite
+    from .deltaflow import verify_delta_ode
+    from .umbral import derivative
 
-    N = order
-    aut = autonomous_sequence(f, N)
-    d, F, kind = _integral(f)
-
-    def at(F, u):
-        return [u[m + 1] - v for m, v in enumerate(_pointwise_composite(F, u, N))]
-
-    scales = [Fraction(1, d ** (m + 1) * math.factorial(m)) for m in range(N)]
-    return TSeries(_certify(at, F, d, aut, scales, kind), N - 1)
+    return verify_delta_ode(f, derivative(max(order, 1)), order)
 
 
 def group_law_residuals(f, order):

@@ -17,10 +17,17 @@ integer option outside its range, a numcheck tolerance that is not a
 finite number > 0, a solve value with more digits than --max-digits,
 and a flow or basis coefficient whose numerator or denominator has
 more digits than CPython's limit on int-to-str conversion (4300 by
-default) are usage errors (exit code 2).  The last is refused at the
-first such row, and a flow spells its basic rows before it computes
-its monomial form.  A reader closing stdout early gives a quiet exit
-with code 141.  The upper caps on --steps, --order, --depth and
+default) are usage errors (exit code 2).  The last is refused before
+any work when one printed entry with a closed form is too long:
+beta(1, depth) = (-depth alpha)^(depth-1) of an Abel basis, and the
+top coefficient c^N prod_(n<N) (n(m-1)+1) / N! of basic row N of a
+flow whose generator has degree m >= 1 and top coefficient c.  Bit
+lengths bound that entry first, so an ordinary request computes none.
+Otherwise a request is refused at its first such row, and a flow
+spells its basic rows before it computes its monomial form; the
+alpha of `flow --op abel` is checked only there, after the basis is
+built.  A reader closing stdout early gives a quiet exit with code
+141.  The upper caps on --steps, --order, --depth and
 --max-digits keep the slowest run measured at a cap under 20 s on a
 2-CPU machine.  A solve refuses a value before
 computing it when a lower bound on its denominator already passes
@@ -36,6 +43,7 @@ import math
 import os
 import re
 import sys
+from fractions import Fraction
 
 from .deltaflow import connection_matrix, delta_flow
 from .numeric import (
@@ -48,7 +56,7 @@ from .numeric import (
     lambert_w_residual,
     numeric_closed_form_check,
 )
-from .scalars import format_lanes, format_scalar, parse_scalar
+from .scalars import GaussianRational, digits_over, format_lanes, format_scalar, parse_scalar
 from .series import XSeries
 from .solver import (
     DigitLimitError,
@@ -169,8 +177,24 @@ def _format_solve(args, table):
 
 def _cmd_flow(args):
     f = XSeries([parse_scalar(c, args.field) for c in args.f.split(",")])
-    Q = operator(args.op, args.order, parse_scalar(args.alpha, args.field))
-    df = delta_flow(f, Q, args.order)
+    alpha = parse_scalar(args.alpha, args.field)
+    N, m = args.order, f.degree
+    if m >= 1:
+        # basic row N, A_N / N!, ends in c^N prod_(n<N) (n(m-1)+1) / N!
+        # x^(N(m-1)+1) for f of degree m and top coefficient c.  Every
+        # integer it prints is under 2^bits: c is (re + im*i) / den with
+        # |re| + |im| and den under 2^size, the product is under
+        # (N m)^(N-1) and N! under N^N
+        c = f.coefficient(m)
+        parts = (c.re, c.im) if isinstance(c, GaussianRational) else (c,)
+        size = 1 + sum(abs(p.numerator).bit_length() + p.denominator.bit_length() for p in parts)
+        bits = N * size + (N - 1) * (N * m).bit_length() + N * N.bit_length()
+        _refuse_long(
+            bits,
+            lambda: c**N * Fraction(math.prod(n * (m - 1) + 1 for n in range(1, N)), math.factorial(N)),
+        )
+    Q = operator(args.op, N, alpha)
+    df = delta_flow(f, Q, N)
     basic = _flow_rows(df)
     mono = _flow_rows(df.to_monomial())
     payload = {
@@ -197,6 +221,21 @@ def _flow_rows(flow):
     return [["0"]] + _spelled(lambda row: format_lanes(*row) or ["0"], flow.numerators[1])
 
 
+_TOO_LONG = "a coefficient to print has more than %d digits, the int-to-str limit"
+
+
+def _refuse_long(bits, entry):
+    """Refuse a request before any work when entry(), one of the
+    entries it prints, has a numerator or denominator of more digits
+    than CPython's limit on int-to-str conversion (0: no limit), which
+    printing would refuse after all the work.  bits bounds the bit
+    length of each of them, so that a request far under the limit
+    computes no entry."""
+    limit = sys.get_int_max_str_digits()
+    if limit and bits * 0.30103 + 1 > limit and digits_over(entry(), limit):
+        raise _UsageError(_TOO_LONG % limit)
+
+
 def _spelled(spell, rows):
     """[spell(row) for row in rows], refused at the first row holding an
     integer of more digits than CPython's limit on int-to-str
@@ -206,16 +245,18 @@ def _spelled(spell, rows):
         try:
             out.append(spell(row))
         except ValueError:
-            raise _UsageError(
-                "a coefficient to print has more than %d digits, the int-to-str "
-                "limit" % sys.get_int_max_str_digits()
-            ) from None
+            raise _UsageError(_TOO_LONG % sys.get_int_max_str_digits()) from None
     return out
 
 
 def _cmd_basis(args):
-    Q = operator(args.op, max(args.depth, 1), parse_scalar(args.alpha, "Q"))
-    basis = basic_sequence_from_delta(Q, args.depth)
+    alpha, D = parse_scalar(args.alpha, "Q"), args.depth
+    if args.op == "abel" and D:
+        # beta(1, D) = (-D alpha)^(D-1), the t-coefficient of t (t - D alpha)^(D-1)
+        bits = (D - 1) * max((D * alpha.numerator).bit_length(), alpha.denominator.bit_length())
+        _refuse_long(bits, lambda: (-D * alpha) ** (D - 1))
+    Q = operator(args.op, max(D, 1), alpha)
+    basis = basic_sequence_from_delta(Q, D)
     matrix = _spelled(lambda row: [format_scalar(b) for b in row], connection_matrix(basis))
     payload = {"basis": args.op, "order": args.depth, "coeffs": matrix}
     if args.format == "json":

@@ -13,10 +13,14 @@ flow equation lives in the transported ring: the defining identity is
     Q Phi_Q = L[f(Phi)] = f(x) dPhi_Q/dx.
 
 verify_delta_ode checks the first equality at integer points in
-Hurwitz coordinates, as autonomous does for the classical flow: each
+Hurwitz coordinates, as autonomous does for the group law: each
 coefficient of its residual is a polynomial in x, zero at more points
-than its degree only if identically zero.  delta_pde_identity_residuals
-checks the second in basic coordinates, coefficient by coefficient.
+than its degree only if identically zero.  At Q = d/dt, whose basic
+sequence is the monomials, L is the identity and the equation is the
+flow PDE d/dt Phi = f(Phi) of the classical flow, which
+autonomous.pde_residual certifies through it.
+delta_pde_identity_residuals checks the second in basic coordinates,
+coefficient by coefficient.
 
 Semiflows of fixed Q form a ring under the transported sum (cross
 terms H_n) and product (pullback to the product of generators); flows
@@ -37,6 +41,7 @@ from .flows import Flow, TSeries
 from .series import XSeries, rational_binomial
 from .umbral import (
     UmbralOperator,
+    _falling_apply,
     basic_sequence_from_delta,
     derivative,
     umbral_compose,
@@ -132,15 +137,16 @@ def verify_delta_ode(f, Q, order, basis=None):
     flow; the right side maps the monomials of f(Phi), Phi the
     classical flow, through the umbral operator t^m -> q_m(t) of the
     basis.  At a point x0, with u the Hurwitz coefficients there of the
-    flow of F = d f (see autonomous.pde_residual), the delta flow is
+    flow of F = d f (the flow of f with t scaled by d), the delta flow is
     x0 + sum_n beta(k, n) u_n t^k / (d^n n!) and f(Phi) is
     sum_m F(u)_m t^m / (d^(m+1) m!).  With the rows of beta over their
     denominator db (BasicSequence._int_rows) and the step table of Q
     over its denominator dq (DeltaOp._int_steps), both sides times
-    dq db d^N N! are sums of integer products.  The residual is
-    computed at integer points by points._certify.
+    dq db d^N N! are sums of integer products; Q is applied by
+    umbral._falling_apply on those integers.  The residual is computed
+    at integer points by points._certify.
     """
-    from .points import _certify, _integral, _lane, _pointwise_composite
+    from .points import _certify, _hurwitz_composite, _integral, _lane
 
     if basis is None:
         basis = basic_sequence_from_delta(Q, order)
@@ -154,9 +160,7 @@ def verify_delta_ode(f, Q, order, basis=None):
     db, basis_kind, _, rows = basis._int_rows
     dq, q_kind, _, steps = Q._int_steps
     beta = [[(k, _lane(re, im)) for k, re, im in row] for row in rows[: N + 1]]
-    weights = [
-        [(k, _lane(re, im)) for k, re, im in row if m + k <= N] for m, row in enumerate(steps[:N])
-    ]
+    steps = [[(k, _lane(re, im)) for k, re, im in row] for row in steps[: N + 1]]
     fact = math.factorial
     lhs_scale = [fact(N) // fact(n) * d ** (N - n) for n in range(N + 1)]
     rhs_scale = [dq * fact(N) // fact(m) * d ** (N - 1 - m) for m in range(N)]
@@ -167,12 +171,12 @@ def verify_delta_ode(f, Q, order, basis=None):
             v = u[n] * lhs_scale[n]
             for k, b in beta[n]:
                 W[k] += b * v
-        R = [0] * N  # the right side
-        for m, value in enumerate(_pointwise_composite(F, u, N)):
+        R = [0] * N  # the right side, from F(u): a series in t alone
+        for m, (value,) in enumerate(_hurwitz_composite(F, [[c] for c in u], [1] * N)):
             y = value * rhs_scale[m]
             for k, b in beta[m]:
                 R[k] += b * y
-        return [sum((w * W[m + k] for k, w in weights[m]), 0) - R[m] for m in range(N)]
+        return [q - r for q, r in zip(_falling_apply(steps, W, 0), R)]
 
     scales = [Fraction(1, dq * db * d ** N * fact(N))] * N
     residuals = _certify(at, F, d, aut, scales, max(kind, basis_kind, q_kind))

@@ -10,8 +10,12 @@ generator f of the flow when it has one.  Classical flows and delta
 flows are both Flows.  A Flow keeps its coefficients as integer rows,
 (P_n, d^n n!) for a flow from the kernel, and converts losslessly
 between the two bases through the triangular change-of-basis matrix,
-to monomials on those rows.  taylor_compose gives f(W) for a
-polynomial f and a Flow or TSeries W by Horner's rule.
+to monomials on those rows.  One holder, _TermRows, keeps the terms of
+a Flow or an AutonomousSequence and their integer rows, each made from
+the other on first read by _rows_to_terms and _terms_to_rows, the
+helpers BasicSequence.expand reads and writes its rows with too.
+taylor_compose gives f(W) for a polynomial f and a Flow or TSeries W
+by Horner's rule.
 """
 
 from .scalars import from_lanes, to_lanes
@@ -20,20 +24,56 @@ from .series import XSeries, _mul_lists
 __all__ = ["TSeries", "Flow", "taylor_compose"]
 
 
-def _rows_to_terms(kind, rows):
-    """The XSeries of an integer form (kind, rows), rows[n] = (den, re,
-    im): coefficient j of term n is from_lanes(re[j], im[j], den, kind)."""
+def _rows_to_terms(kind, rows, make=XSeries):
+    """make(values) for each row (den, re, im) of an integer form
+    (kind, rows): values[j] is from_lanes(re[j], im[j], den, kind)."""
     return tuple(
-        XSeries([from_lanes(r, im[k] if im else 0, den, kind) for k, r in enumerate(re)])
+        make([from_lanes(r, im[j] if im else 0, den, kind) for j, r in enumerate(re)])
         for den, re, im in rows
     )
 
 
-def _terms_to_rows(terms):
-    """The integer form (kind, rows) of some XSeries, each row read off
-    one term by to_lanes; kind is the field of all the terms."""
-    lanes = [to_lanes(t.coeffs) for t in terms]
+def _terms_to_rows(lists):
+    """The integer form (kind, rows) of some coefficient lists, each row
+    read off one list by to_lanes; kind is the field of all the lists."""
+    lanes = [to_lanes(v) for v in lists]
     return max((lane[3] for lane in lanes), default=0), tuple(lane[:3] for lane in lanes)
+
+
+class _TermRows:
+    """Terms (XSeries) held as given, as their integer form
+    numerators = (kind, rows), or both, each made from the other on
+    first read: rows[n-1] = (den, re, im) with term n equal to
+    (re + im*i) / den coefficientwise, im None when every imaginary
+    part is zero, and kind the field of all the terms as in
+    scalars.to_lanes.  A subclass sets its other fields in _set, which
+    _from_numerators calls with the arguments after the rows."""
+
+    __slots__ = ("_terms", "_numerators")
+
+    @classmethod
+    def _from_numerators(cls, numerators, *args):
+        obj = cls.__new__(cls)
+        obj._terms, obj._numerators = None, numerators
+        obj._set(*args)
+        return obj
+
+    def _read_terms(self, head=()):
+        # the terms past the given first ones come from the rows
+        if self._terms is None:
+            kind, rows = self._numerators
+            self._terms = head + _rows_to_terms(kind, rows[len(head):])
+        return self._terms
+
+    @property
+    def numerators(self):
+        if self._numerators is None:
+            self._numerators = _terms_to_rows([t.coeffs for t in self._terms])
+        return self._numerators
+
+    @property
+    def order(self):
+        return len(self._numerators[1] if self._terms is None else self._terms)
 
 
 class TSeries:
@@ -137,7 +177,7 @@ class TSeries:
         return " + ".join(parts) if parts else "0"
 
 
-class Flow:
+class Flow(_TermRows):
     """Base point x plus basis coefficients in t.
 
     coeffs[n-1] multiplies basis_n(t) for n = 1..N, where the basis is
@@ -149,28 +189,19 @@ class Flow:
     change of basis.  At t = 0 a flow with base evaluates to x because
     every basis polynomial vanishes there.
 
-    numerators is the integer form (kind, rows) of the coefficients,
-    laid out as AutonomousSequence.numerators: coeffs[n-1] is
-    (re + im*i) / den coefficientwise for rows[n-1] = (den, re, im).
-    A flow from the kernel or from to_monomial makes its coefficients
-    from its rows on first read, and a flow given by its coefficients
-    reads its rows off them on first use.  Equality and hashing compare
+    _TermRows, shared with AutonomousSequence, holds the coefficients
+    and their integer form numerators: the kernel and to_monomial give
+    rows, other flows coefficients.  Equality and hashing compare
     coefficients, so equal flows may hold different denominators.
     """
 
-    __slots__ = ("_coeffs", "_numerators", "basis", "has_base", "generator")
+    __slots__ = ("basis", "has_base", "generator")
 
     def __init__(self, coeffs, basis=None, has_base=True, generator=None):
-        self._set(tuple(coeffs), None, basis, has_base, generator)
+        self._terms, self._numerators = tuple(coeffs), None
+        self._set(basis, has_base, generator)
 
-    @classmethod
-    def _from_numerators(cls, numerators, basis=None, has_base=True, generator=None):
-        flow = cls.__new__(cls)
-        flow._set(None, numerators, basis, has_base, generator)
-        return flow
-
-    def _set(self, coeffs, numerators, basis, has_base, generator):
-        self._coeffs, self._numerators = coeffs, numerators
+    def _set(self, basis, has_base, generator):
         self.basis = basis
         self.has_base = has_base
         self.generator = generator
@@ -179,19 +210,7 @@ class Flow:
 
     @property
     def coeffs(self):
-        if self._coeffs is None:
-            self._coeffs = _rows_to_terms(*self._numerators)
-        return self._coeffs
-
-    @property
-    def numerators(self):
-        if self._numerators is None:
-            self._numerators = _terms_to_rows(self._coeffs)
-        return self._numerators
-
-    @property
-    def order(self):
-        return len(self._numerators[1] if self._coeffs is None else self._coeffs)
+        return self._read_terms()
 
     def coefficient(self, n):
         """Coefficient multiplying basis_n, 1-indexed."""
@@ -201,7 +220,8 @@ class Flow:
 
     def minus_base(self):
         flow = Flow.__new__(Flow)
-        flow._set(self._coeffs, self._numerators, self.basis, False, self.generator)
+        flow._terms, flow._numerators = self._terms, self._numerators
+        flow._set(self.basis, False, self.generator)
         return flow
 
     def to_monomial(self):

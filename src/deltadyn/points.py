@@ -1,15 +1,15 @@
 """The flow identities certified at integer points, in Hurwitz coordinates.
 
-The group law and the flow PDE (autonomous) and the delta flow
-equation (deltaflow) are identities between series in t (and s) whose
-coefficients are polynomials in x.  Setting x = x0 commutes with every
-operation they use, and in the paper's Hurwitz ring over an integral
-domain each point is integral: for f = F/d with F integral, the flow of
-f is the flow of F with t scaled by 1/d, whose Hurwitz coefficients
-(of t^n/n!) at an integer x0 are the integers P_n(x0) of
-autonomous_sequence.  f(Phi) is then a chain of binomial convolutions
-(_hurwitz_composite) with no division (Keigher, "On the ring of
-Hurwitz series", Comm. Algebra 25, 1997).
+The group law (autonomous) and the delta flow equation (deltaflow),
+whose case Q = d/dt is the flow PDE, are identities between series in
+t (and s) whose coefficients are polynomials in x.  Setting x = x0
+commutes with every operation they use, and in the paper's Hurwitz
+ring over an integral domain each point is integral: for f = F/d with
+F integral, the flow of f is the flow of F with t scaled by 1/d, whose
+Hurwitz coefficients (of t^n/n!) at an integer x0 are the integers
+P_n(x0) of autonomous_sequence.  f(Phi) is then a chain of binomial
+convolutions (_hurwitz_composite) with no division (Keigher, "On the
+ring of Hurwitz series", Comm. Algebra 25, 1997).
 
 _certify runs a check first on degrees, to bound the degree D of every
 residual by the actual degrees of f and of the A_n, and then at the
@@ -253,9 +253,3 @@ def _certify(at, F, d, aut, scales, kind):
         return [XSeries.zero()] * len(bounds)
     kind = max(kind, aut_kind)
     return [_interpolate(xs, ys, s, kind) for ys, s in zip(zip(*values), scales)]
-
-
-def _pointwise_composite(F, u, n):
-    """F(u)_0 .. F(u)_(n-1) for the Hurwitz coefficients u of a series
-    in t alone."""
-    return [v for v, in _hurwitz_composite(F, [[c] for c in u], [1] * n)]

@@ -123,15 +123,22 @@ class GaussianRational:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        result = GaussianRational(1)
-        base = self
-        e = exponent
+        # (a + b*i)^e / d^e for self = (a + b*i) / d, by squaring on
+        # integers; a part coprime to d is coprime to d^e, which spares
+        # the gcd of two long ints
+        d, (a,), b, _ = to_lanes([self])
+        b = b[0] if b else 0
+        x, y, e = 1, 0, exponent
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                x, y = x * a - y * b, x * b + y * a
             e >>= 1
-        return result
+            if e:
+                a, b = a * a - b * b, 2 * a * b
+        de = d**exponent
+        return GaussianRational(
+            *[_lowest_terms(p, de) if math.gcd(p, d) == 1 else Fraction(p, de) for p in (x, y)]
+        )
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)

@@ -30,9 +30,10 @@ reads it, and derivative(), forward(), ... are calls of operator.
 Two kernels carry the linear algebra.  The shift-invariant apply
 sum_k p_k d^k takes t^(m+k) to h_k C(m+k, k) t^m, where h_k = k! p_k
 are the Hurwitz weights of the series, reading a step table built once
-per series.  It serves every operator, on polynomials and in the t
-variable of a TSeries, and each step of Rota's recurrence is one such
-apply (of the weights k! r_k) followed by a product with t.
+per series.  It serves every operator, on polynomials, in the t
+variable of a TSeries and on the integer point values of
+deltaflow.verify_delta_ode, and each step of Rota's recurrence is one
+such apply (of the weights k! r_k) followed by a product with t.
 BasicSequence.expand maps coordinates over
 (q_n) to monomial ones through the triangular matrix beta(k, n).  Its
 integer core, BasicSequence._expand_rows, takes integer rows with one
@@ -40,8 +41,9 @@ denominator each and returns rows over their common denominator times
 that of beta, each row of beta stored once as integer numerators and
 Gaussian scalars split into real and imaginary lanes.
 flows.Flow.to_monomial runs the core on the rows of a flow; expand, for
-the umbral operators, brings its scalars to rows and divides once per
-output coefficient.
+the umbral operators, reads its scalars into rows and its results out
+of them with the helpers of the one holder of terms and rows
+(flows._TermRows), dividing once per output coefficient.
 
 Basic sequences compose umbrally (substitute one family into the
 monomial expansion of another) and form a group; the attached
@@ -54,8 +56,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .flows import TSeries
-from .scalars import GaussianRational, from_lanes, to_lanes
+from .flows import TSeries, _rows_to_terms, _terms_to_rows
+from .scalars import GaussianRational, to_lanes
 from .series import (
     XSeries,
     compositional_inverse,
@@ -288,28 +290,18 @@ class BasicSequence:
         """Monomial coefficients of sum_n coeffs[n] q_n(t), index = power.
 
         coeffs holds scalars, or XSeries (and then so does the result).
-        The inputs are brought to one common denominator as integer
-        lanes and summed by _expand_rows, with one division per output
-        coefficient.  Every output coefficient, zeros included, has the
-        one type of the field of the basis and coeffs together: int over
-        Z, Fraction over Q, GaussianRational over Q(i).
+        _expand_rows runs between the terms-to-rows helpers of Flow
+        (flows._terms_to_rows and _rows_to_terms), with one division
+        per output coefficient.  Every output coefficient, zeros
+        included, has the one type of the field of the basis and coeffs
+        together: int over Z, Fraction over Q, GaussianRational over
+        Q(i).
         """
         series = any(isinstance(c, XSeries) for c in coeffs)
-        vecs = [c.coeffs for c in coeffs] if series else [(c,) for c in coeffs]
-        dc, ure, uim, kind = to_lanes([v for vec in vecs for v in vec])
-        rows, pos = [], 0
-        for vec in vecs:
-            end = pos + len(vec)
-            rows.append((dc, ure[pos:end], uim[pos:end] if uim else None))
-            pos = end
-        kind, rows = self._expand_rows(kind, rows)
-        out = []
-        for k, (den, re, im) in enumerate(rows):
-            rows[k] = None  # each row of sums is freed once read
-            entries = [from_lanes(r, im[i] if im else 0, den, kind) for i, r in enumerate(re)]
-            # beta(k, k) != 0, so a scalar sum always has its one entry
-            out.append(XSeries(entries) if series else entries[0])
-        return out
+        lists = [c.coeffs for c in coeffs] if series else [(c,) for c in coeffs]
+        kind, rows = self._expand_rows(*_terms_to_rows(lists))
+        # a scalar row has one entry, which beta(k, k) != 0 reaches
+        return list(_rows_to_terms(kind, rows, XSeries if series else lambda values: values[0]))
 
     def _expand_rows(self, kind, rows):
         """The integer core of expand on an integer form (kind, rows) as

@@ -371,6 +371,82 @@ def test_basis_past_cpython_digit_limit_is_usage_error(capsys):
     )
 
 
+def _built(*args):
+    raise AssertionError("built before the refusal")
+
+
+TOO_LONG = "error: a coefficient to print has more than %d digits, the int-to-str limit\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # beta(1, 48) = (-48 alpha)^47 has about 141k digits
+        ["basis", "--op", "abel", "--alpha", SEVENS, "--depth", "48"],
+        # basic row 32 ends in S^32 prod_(n<32) (2n+1) / 32!
+        ["flow", "--f", ",".join([SEVENS] * 4), "--order", "32"],
+        # a Gaussian top coefficient 1/S - S*i, not integral
+        ["flow", "--f", "1/3+%s*i,2,1/%s-%s*i" % (SEVENS, SEVENS, SEVENS), "--field", "Qi",
+         "--order", "16"],
+    ],
+    ids=["basis-abel", "flow-Q", "flow-Qi"],
+)
+def test_too_long_output_is_refused_before_any_work(capsys, monkeypatch, argv):
+    for name in ("operator", "basic_sequence_from_delta", "delta_flow"):
+        monkeypatch.setattr(cli, name, _built)
+    code = cli_main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == TOO_LONG % sys.get_int_max_str_digits()
+
+
+def _ten(k):
+    return "1" + "0" * k
+
+
+# Requests whose closed-form entry has just under or just over 640
+# digits, the lowest limit CPython allows, and whether that refuses them.
+NEAR_THE_LIMIT = [
+    # (-8 alpha)^7: 637 digits at 10^90/3, 644 at 10^91/3, 645 at 3/10^93
+    (["basis", "--op", "abel", "--alpha", _ten(90) + "/3", "--depth", "8"], False),
+    (["basis", "--op", "abel", "--alpha", _ten(91) + "/3", "--depth", "8"], True),
+    (["basis", "--op", "abel", "--alpha", "3/" + _ten(93), "--depth", "8"], True),
+    # c^8 / 8! for f = 1 + c x: 638 digits at c = 10^80, 646 at 10^81,
+    # 645 at 1/10^80, and the same at c = 10^80 i and 10^81 i
+    (["flow", "--f", "1," + _ten(80), "--order", "8"], False),
+    (["flow", "--f", "1," + _ten(81), "--order", "8"], True),
+    (["flow", "--f", "1,1/" + _ten(80), "--order", "8"], True),
+    (["flow", "--f", "0,%s*i" % _ten(80), "--field", "Qi", "--order", "8"], False),
+    (["flow", "--f", "0,%s*i" % _ten(81), "--field", "Qi", "--order", "8"], True),
+    # c^8 for f = c x^2: 633 digits at c = 10^79, 641 at 10^80; 636 and
+    # 644 at c = 1/3 + (10^79/7) i and 1/3 + (10^80/7) i
+    (["flow", "--f", "0,0," + _ten(79), "--order", "8"], False),
+    (["flow", "--f", "0,0," + _ten(80), "--order", "8"], True),
+    (["flow", "--f", "0,0,1/3+%s/7*i" % _ten(79), "--field", "Qi", "--order", "8"], False),
+    (["flow", "--f", "0,0,1/3+%s/7*i" % _ten(80), "--field", "Qi", "--order", "8"], True),
+]
+
+
+@pytest.mark.parametrize("argv,early", NEAR_THE_LIMIT)
+def test_early_refusal_decides_like_printing(capsys, monkeypatch, argv, early):
+    # the same outcome as with the early check switched off, and the
+    # operator built only when the entry is within the limit
+    built = []
+    real = cli.operator
+    monkeypatch.setattr(cli, "operator", lambda *args: built.append(args) or real(*args))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = cli_main(argv), capsys.readouterr()
+        assert bool(built) != early
+        monkeypatch.setattr(cli, "_refuse_long", lambda bits, entry: None)
+        assert (cli_main(argv), capsys.readouterr()) == got
+    finally:
+        sys.set_int_max_str_digits(limit)
+    if early:
+        assert got[0] == 2 and got[1].err == TOO_LONG % 640
+
+
 def test_solve_refuses_a_gaussian_cubic_before_computing_past_the_cap(capsys, monkeypatch):
     # y_10 has about 94.5k digits, and the bound on the denominator of
     # y_11 refuses it at the default cap without computing it

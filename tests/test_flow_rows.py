@@ -9,7 +9,9 @@ coefficient out first and expands the scalars.  All three agree in
 value and in the type of every coefficient, over Z, Q and Q(i) and for
 the five built-in operators, Abel's at a rational and at a Gaussian
 alpha among them; equal flows hash alike whatever denominators they
-hold.  The flow command prints the same strings as format_scalar of
+hold.  AutonomousSequence keeps its terms and rows in the same holder,
+so one from the kernel and one given by its terms agree in the same
+way.  The flow command prints the same strings as format_scalar of
 the coefficients.
 """
 
@@ -21,14 +23,14 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from deltadyn import cli
-from deltadyn.autonomous import autonomous_sequence
+from deltadyn.autonomous import AutonomousSequence, autonomous_sequence
 from deltadyn.deltaflow import delta_flow
 from deltadyn.flows import Flow, TSeries
 from deltadyn.scalars import GaussianRational, format_scalar
 from deltadyn.series import XSeries
 from deltadyn.umbral import OPERATOR_NAMES, operator
 
-from oracle_utils import expand_by_field_loop, flow_by_fractions
+from oracle_utils import autonomous_by_field_loop, expand_by_field_loop, flow_by_fractions
 from strategies import GAUSSIANS, INTS, RATIONALS
 
 FIELDS = {"Z": INTS, "Q": RATIONALS, "Qi": GAUSSIANS}
@@ -48,6 +50,16 @@ def flow_cases(draw, max_order=12):
     return field, f, name, alpha, draw(st.integers(1, max_order))
 
 
+def row_values(numerators):
+    """The values (re + im*i) / den of an integer form, row by row."""
+    _, rows = numerators
+    return [
+        XSeries([GaussianRational(Fraction(r, den), Fraction(im[j] if im else 0, den))
+                 for j, r in enumerate(re)])
+        for den, re, im in rows
+    ]
+
+
 def types(coeffs):
     return [[type(c) for c in xs.coeffs] for xs in coeffs]
 
@@ -62,10 +74,19 @@ def assert_same(got, want):
 @given(flow_cases())
 def test_rows_agree_with_coefficients_and_the_fraction_route(case):
     _, f, name, alpha, order = case
+    # the autonomous sequences share the holder of terms and rows with
+    # the flows: one from the kernel and one given by its terms
+    kernel = autonomous_sequence(f, order)
+    given_aut = AutonomousSequence(f, autonomous_by_field_loop(f, order))
+    assert kernel.order == given_aut.order == order
+    assert row_values(kernel.numerators) == row_values(given_aut.numerators)
+    assert kernel == given_aut and hash(kernel) == hash(given_aut)
+
     rows = delta_flow(f, operator(name, order, alpha), order)
     basis = rows.basis
     coeffs, mono = flow_by_fractions(autonomous_sequence(f, order), basis)
     given_ = Flow(coeffs, basis, True, f)
+    assert row_values(rows.numerators) == row_values(given_.numerators)
 
     for flow in (rows, given_):
         assert flow.order == order

@@ -1,4 +1,5 @@
 import contextlib
+import math
 import random
 import sys
 from fractions import Fraction
@@ -86,6 +87,21 @@ RATIONALS = st.fractions(max_denominator=10 ** 6)
 def test_format_parse_round_trip_gaussian(re, im):
     z = GaussianRational(re, im)
     assert parse_scalar(format_scalar(z), "Qi") == z
+
+
+@given(RATIONALS, RATIONALS, st.integers(0, 12))
+def test_power_is_the_repeated_product_in_lowest_terms(re, im, e):
+    # the power runs on integer lanes; each part is a Fraction in lowest
+    # terms, with or without the gcd it can skip
+    c = GaussianRational(re, im)
+    want = GaussianRational(1)
+    for _ in range(e):
+        want = want * c
+    got = c ** e
+    assert got == want
+    for part in (got.re, got.im):
+        assert type(part) is Fraction and part.denominator > 0
+        assert math.gcd(part.numerator, part.denominator) == 1
 
 
 def test_parse_errors():
