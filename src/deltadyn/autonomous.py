@@ -11,7 +11,7 @@ generator exactly).
 For f = F/d with F in D[x], D the integers or the Gaussian integers,
 every A_n equals P_n / d^n with P_n in D[x].  One kernel, _numerators,
 runs the recursion P_(n+1) = F * dP_n/dx on integer coefficient lists
-with series._mul_lists (three real products per step over the Gaussian
+with series._mul_lanes (three real products per step over the Gaussian
 integers).  The terms A_n = P_n / d^n are read from it with one
 division per coefficient, on first read.  The flows keep the integer
 pairs (P_n, d^n n!) of their coefficients A_n / n! as they are, with no
@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .flows import Flow, _TermRows
 from .scalars import to_lanes
-from .series import XSeries, _mul_lists
+from .series import XSeries, _mul_lanes
 
 __all__ = [
     "AutonomousSequence",
@@ -101,20 +101,10 @@ def _numerators(f, order):
     kind is the field of f's coefficients as in scalars.to_lanes."""
     d, fr, fi, kind = to_lanes(f.coeffs)
     P = [(fr, fi)]
-    if fi is not None:
-        fs = [u + v for u, v in zip(fr, fi)]
     for _ in range(order - 1):
         pr, pi = P[-1]
-        dr = [j * c for j, c in enumerate(pr)][1:]
-        if fi is None:
-            P.append((_mul_lists(fr, dr), None))
-            continue
-        # (Fr + i Fi)(dr + i di) by three real products (Karatsuba):
-        # re = Fr dr - Fi di, im = (Fr + Fi)(dr + di) - Fr dr - Fi di
-        di = [j * c for j, c in enumerate(pi)][1:]
-        rr, ii = _mul_lists(fr, dr), _mul_lists(fi, di)
-        ss = _mul_lists(fs, [u + v for u, v in zip(dr, di)])
-        P.append(([u - v for u, v in zip(rr, ii)], [s - u - v for s, u, v in zip(ss, rr, ii)]))
+        di = None if pi is None else [j * c for j, c in enumerate(pi)][1:]
+        P.append(_mul_lanes((fr, fi), ([j * c for j, c in enumerate(pr)][1:], di)))
     return d, kind, P
 
 

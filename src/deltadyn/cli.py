@@ -186,13 +186,16 @@ def _cmd_flow(args):
         # |re| + |im| and den under 2^size, the product is under
         # (N m)^(N-1) and N! under N^N
         c = f.coefficient(m)
-        parts = (c.re, c.im) if isinstance(c, GaussianRational) else (c,)
-        size = 1 + sum(abs(p.numerator).bit_length() + p.denominator.bit_length() for p in parts)
-        bits = N * size + (N - 1) * (N * m).bit_length() + N * N.bit_length()
+        bits = N * _size(c) + (N - 1) * (N * m).bit_length() + N * N.bit_length()
         _refuse_long(
             bits,
             lambda: c**N * Fraction(math.prod(n * (m - 1) + 1 for n in range(1, N)), math.factorial(N)),
         )
+    if m >= 1 and f.coefficient(0) == 0:
+        # with a_0 = 0, [x] A_(n+1) = a_0 2[x^2] A_n + a_1 [x] A_n, so the
+        # x coefficient of basic row N is a_1^N / N!
+        a = f.coefficient(1)
+        _refuse_long(N * _size(a) + N * N.bit_length(), lambda: a**N * Fraction(1, math.factorial(N)))
     Q = operator(args.op, N, alpha)
     df = delta_flow(f, Q, N)
     basic = _flow_rows(df)
@@ -222,6 +225,13 @@ def _flow_rows(flow):
 
 
 _TOO_LONG = "a coefficient to print has more than %d digits, the int-to-str limit"
+
+
+def _size(c):
+    """A bit count size with |re| + |im| < 2^size and den < 2^size for
+    the scalar c = (re + im*i) / den."""
+    parts = (c.re, c.im) if isinstance(c, GaussianRational) else (c,)
+    return 1 + sum(abs(p.numerator).bit_length() + p.denominator.bit_length() for p in parts)
 
 
 def _refuse_long(bits, entry):

@@ -19,8 +19,9 @@ than its degree only if identically zero.  At Q = d/dt, whose basic
 sequence is the monomials, L is the identity and the equation is the
 flow PDE d/dt Phi = f(Phi) of the classical flow, which
 autonomous.pde_residual certifies through it.
-delta_pde_identity_residuals checks the second in basic coordinates,
-coefficient by coefficient.
+delta_pde_identity_residuals checks the second in basic coordinates
+on the integer rows of the flow, where each coefficient times its
+denominator is an integer polynomial identity.
 
 Semiflows of fixed Q form a ring under the transported sum (cross
 terms H_n) and product (pullback to the product of generators); flows
@@ -38,7 +39,8 @@ from .autonomous import (
     h_sequence,
 )
 from .flows import Flow, TSeries
-from .series import XSeries, rational_binomial
+from .scalars import from_lanes, to_lanes
+from .series import XSeries, _add_lists, _mul_lanes, rational_binomial
 from .umbral import (
     UmbralOperator,
     _falling_apply,
@@ -189,11 +191,25 @@ def delta_pde_identity_residuals(f, Q, order):
     Both sides expand over q_0 .. q_{N-1}: the left side has
     coefficient (m+1) c_{m+1}, the right side f at q_0 and f * c_m'
     beyond.  Returns the list of differences (all zero).
+
+    The flow's coefficients are read as its integer rows (N_m, D_m) and
+    f as F/d, so that residual m times L = lcm(D_m, d D_(m-1)) is the
+    integer polynomial (m+1) N_m L/D_m - F N_(m-1)' L/(d D_(m-1)), with
+    N_(-1)' = 1 and D_(-1) = 1; it is divided once per coefficient.
     """
-    c = delta_flow(f, Q, order).coeffs
-    residuals = [1 * c[0] - f]
-    for m in range(1, order):
-        residuals.append((m + 1) * c[m] - f * c[m - 1].derivative())
+    kind, rows = delta_flow(f, Q, order).numerators
+    d, fr, fi, f_kind = to_lanes(f.coeffs)
+    residuals = []
+    prev = d, ([1], None)  # d D_(m-1) and the lanes of N_(m-1)'
+    for m, (den, re, im) in enumerate(rows):
+        L = math.lcm(den, prev[0])
+        a, b = (m + 1) * (L // den), L // prev[0]
+        rr, ri = _mul_lanes((fr, fi), prev[1])
+        xs = _add_lists([a * x for x in re], [-b * x for x in rr])
+        ys = _add_lists([a * y for y in im or ()], [-b * y for y in ri or ()])
+        ys += [0] * (len(xs) - len(ys))
+        residuals.append(XSeries([from_lanes(x, y, L, max(kind, f_kind)) for x, y in zip(xs, ys)]))
+        prev = d * den, tuple(None if v is None else [j * x for j, x in enumerate(v)][1:] for v in (re, im))
     return residuals
 
 

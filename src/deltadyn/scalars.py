@@ -124,8 +124,7 @@ class GaussianRational:
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
         # (a + b*i)^e / d^e for self = (a + b*i) / d, by squaring on
-        # integers; a part coprime to d is coprime to d^e, which spares
-        # the gcd of two long ints
+        # integers; each part is put in lowest terms by _reduce_power
         d, (a,), b, _ = to_lanes([self])
         b = b[0] if b else 0
         x, y, e = 1, 0, exponent
@@ -135,10 +134,7 @@ class GaussianRational:
             e >>= 1
             if e:
                 a, b = a * a - b * b, 2 * a * b
-        de = d**exponent
-        return GaussianRational(
-            *[_lowest_terms(p, de) if math.gcd(p, d) == 1 else Fraction(p, de) for p in (x, y)]
-        )
+        return GaussianRational(*[_reduce_power(p, d, exponent) for p in (x, y)])
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -182,6 +178,19 @@ def _kind(values):
 _ZEROS = (0, Fraction(0), GaussianRational(0))
 
 
+def _kinds(values):
+    """The kind of each scalar as two bit masks (k1, k2): bit j of k1 is
+    set when values[j] is a Fraction or a GaussianRational, of k2 when
+    a GaussianRational, so the kind of values[j] is the sum of the bits."""
+    k1 = k2 = 0
+    for j, v in enumerate(values):
+        if type(v) is GaussianRational:
+            k2 |= 1 << j
+        if type(v) in (Fraction, GaussianRational):
+            k1 |= 1 << j
+    return k1, k2
+
+
 def to_lanes(values):
     """Integer lanes (den, re, im, kind) of a list of exact scalars.
 
@@ -216,6 +225,18 @@ def _lowest_terms(num, den):
     q = object.__new__(Fraction)
     q._numerator, q._denominator = num, den
     return q
+
+
+def _reduce_power(num, d, e):
+    """Fraction(num, d**e), its common factors divided out by gcds
+    against d rather than one gcd of two long ints: every prime they
+    share divides d, and each round divides out the primes of d that
+    num and the denominator left still share."""
+    den = d**e
+    while (g := math.gcd(math.gcd(num, d), den)) > 1:
+        num //= g
+        den //= g
+    return _lowest_terms(num, den)
 
 
 def format_scalar(value):

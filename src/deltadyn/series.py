@@ -14,13 +14,18 @@ derivative towers (f, f', f'', ...).
 
 _mul_lists, the one batch convolution, multiplies scalar sequences,
 XSeries (and so XSeries.shift), the coefficients of flows.TSeries and
-the integer lanes of autonomous.autonomous_sequence.
+integer lanes; _mul_lanes, the product of integer lanes (three real
+products over Q(i)), serves autonomous.autonomous_sequence, composition
+and Lagrange inversion.  These two read each input once into lanes
+over one denominator (scalars.to_lanes), run on ints and divide once
+per output coefficient, giving it the type the products in the
+scalars would (_product_kinds).
 """
 
 import math
 from fractions import Fraction
 
-from .scalars import _ZEROS, _kind
+from .scalars import _ZEROS, _kind, _kinds, from_lanes, to_lanes
 
 __all__ = [
     "XSeries",
@@ -73,6 +78,42 @@ def _mul_lists(a, b, cap=None, zero=0):
     return out
 
 
+def _mul_lanes(a, b, cap=None):
+    """The product of two integer lanes (re, im), im None for a real
+    one, by _mul_lists; over the Gaussian integers by three real
+    products (Karatsuba): re = ar br - ai bi and
+    im = (ar + ai)(br + bi) - ar br - ai bi."""
+    (ar, ai), (br, bi) = a, b
+    rr = _mul_lists(ar, br, cap)
+    if ai is None or bi is None:
+        if ai is None and bi is None:
+            return rr, None
+        return rr, _mul_lists(ar, bi, cap) if ai is None else _mul_lists(ai, br, cap)
+    ii = _mul_lists(ai, bi, cap)
+    ss = _mul_lists([u + v for u, v in zip(ar, ai)], [u + v for u, v in zip(br, bi)], cap)
+    return [u - v for u, v in zip(rr, ii)], [s - u - v for s, u, v in zip(ss, rr, ii)]
+
+
+def _nonzero(re, im):
+    """The nonzero entries of integer lanes (re, im) as a bit mask."""
+    return sum(1 << j for j, x in enumerate(re) if x or im and im[j])
+
+
+def _product_kinds(a, b, cap):
+    """The kind masks (see scalars._kinds) of _mul_lists(x, y, cap) run
+    on scalars x and y given as (nonzero, k1, k2) masks: entry n takes
+    the largest kind of x[i] and y[j] over the nonzero pairs with
+    i + j = n, and one that no pair reaches stays the int 0."""
+    (anz, a1, a2), (bnz, b1, b2) = a, b
+    k1 = k2 = 0
+    for i in range(anz.bit_length()):
+        if anz >> i & 1:
+            k1 |= (bnz if a1 >> i & 1 else bnz & b1) << i
+            k2 |= (bnz if a2 >> i & 1 else bnz & b2) << i
+    top = (1 << cap + 1) - 1
+    return k1 & top, k2 & top
+
+
 # ---------------------------------------------------------------------------
 # kernels on plain scalar sequences
 
@@ -108,22 +149,42 @@ def invert_scalar(c):
 
 def seq_compose(outer, inner, order):
     """outer(inner(u)) through the given order; inner must have no
-    constant term."""
+    constant term.
+
+    On integer lanes: for outer = C/D_o and inner = I/D_i, the sum
+    S_k = S_(k-1) D_i + C_k I^k through the last nonzero C_K is the
+    numerator over D_o D_i^K, divided once per coefficient.
+    """
     inner = list(inner)
     if inner and inner[0] != 0:
         raise ValueError("composition requires inner constant term 0")
-    out = [0] * (order + 1)
-    power = [1]
-    for k, c in enumerate(outer):
-        if k > order:
-            break
-        if c != 0:
-            for i, p in enumerate(power):
-                if i > order:
-                    break
-                out[i] = out[i] + c * p
-        power = _mul_lists(power, inner, cap=order)
-    return tuple(out)
+    outer = list(outer)[: order + 1]
+    do, cr, ci, _ = to_lanes(outer)
+    di, ir, ii, _ = to_lanes(inner)
+    c1, c2 = _kinds(outer)
+    step = (_nonzero(ir, ii),) + _kinds(inner)
+    power, kinds = ([1], None), (1, 0, 0)
+    sr, si = [0] * (order + 1), [0] * (order + 1)
+    o1 = o2 = 0  # the kinds of the output, as _product_kinds gives them
+    den = do
+    for k in range(_nonzero(cr, ci).bit_length()):
+        if k:
+            power = _mul_lanes(power, (ir, ii), order)
+            kinds = (_nonzero(*power),) + _product_kinds(kinds, step, order)
+            den *= di
+            sr, si = [x * di for x in sr], [y * di for y in si]
+        a, b = cr[k], ci[k] if ci else 0
+        if not (a or b):
+            continue
+        pr, pi = power
+        for i, x in enumerate(pr):
+            y = pi[i] if pi else 0
+            sr[i] += a * x - b * y
+            si[i] += a * y + b * x
+        full = (1 << len(pr)) - 1
+        o1 |= full if c1 >> k & 1 else kinds[1]
+        o2 |= full if c2 >> k & 1 else kinds[2]
+    return tuple(from_lanes(x, si[i], den, (o1 >> i & 1) + (o2 >> i & 1)) for i, x in enumerate(sr))
 
 
 def compositional_inverse(p, order):
@@ -144,11 +205,17 @@ def compositional_inverse(p, order):
     if len(p) < 2 or p[1] == 0:
         raise ValueError("inverse requires a nonzero linear term")
     w = seq_reciprocal(p[1:], order)  # u/p as a series in u
+    dw, wr, wi, _ = to_lanes(w)
+    step = (_nonzero(wr, wi),) + _kinds(w)
     out = [0] * (order + 1)
-    power = [1]
+    power, kinds = ([1], None), (1, 0, 0)
     for n in range(1, order + 1):
-        power = _mul_lists(power, list(w), cap=order)
-        out[n] = power[n - 1] * Fraction(1, n) if n - 1 < len(power) else 0
+        # W^n over dw^n through u^(order-1), the last power read
+        power = _mul_lanes(power, (wr, wi), order - 1)
+        kinds = (_nonzero(*power),) + _product_kinds(kinds, step, order - 1)
+        pr, pi = power
+        kind = max(1, (kinds[1] >> n - 1 & 1) + (kinds[2] >> n - 1 & 1))
+        out[n] = from_lanes(pr[n - 1], pi[n - 1] if pi else 0, dw**n * n, kind)
     return tuple(out)
 
 

@@ -30,10 +30,12 @@ reads it, and derivative(), forward(), ... are calls of operator.
 Two kernels carry the linear algebra.  The shift-invariant apply
 sum_k p_k d^k takes t^(m+k) to h_k C(m+k, k) t^m, where h_k = k! p_k
 are the Hurwitz weights of the series, reading a step table built once
-per series.  It serves every operator, on polynomials, in the t
-variable of a TSeries and on the integer point values of
-deltaflow.verify_delta_ode, and each step of Rota's recurrence is one
-such apply (of the weights k! r_k) followed by a product with t.
+per series, on integers over one denominator (DeltaOp._int_steps).  It
+serves every operator, on polynomials and in the t variable of a
+TSeries (one division per output coefficient, _lanes_apply), on the
+integer point values of deltaflow.verify_delta_ode, and each step of
+Rota's recurrence is one such apply (of the weights k! r_k) followed
+by a product with t.
 BasicSequence.expand maps coordinates over
 (q_n) to monomial ones through the triangular matrix beta(k, n).  Its
 integer core, BasicSequence._expand_rows, takes integer rows with one
@@ -57,7 +59,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .flows import TSeries, _rows_to_terms, _terms_to_rows
-from .scalars import GaussianRational, to_lanes
+from .scalars import GaussianRational, _kinds, from_lanes, to_lanes
 from .series import (
     XSeries,
     compositional_inverse,
@@ -120,27 +122,23 @@ class DeltaOp:
         return len(self.coeffs) - 1
 
     @functools.cached_property
-    def _step_table(self):
-        """The step table of the apply, for inputs of degree <= order."""
-        return _steps(_hurwitz_weights(self.coeffs), self.order + 1)
-
-    @functools.cached_property
     def _int_steps(self):
-        """The step table over one denominator (see _int_table)."""
-        return _int_table(self._step_table)
+        """The step table over one denominator for inputs of degree <=
+        order (see _int_step_table)."""
+        return _int_step_table(self.coeffs, self.order + 1)
 
     def apply_tpoly(self, p):
         """Apply Q to an exact polynomial in t; degree drops by one."""
         if p.degree > self.order:
             raise ValueError("operator order too small for this polynomial")
-        return XSeries(_falling_apply(self._step_table, p.coeffs, 0))
+        return XSeries(_lanes_apply(self._int_steps, self.coeffs, p.coeffs, False))
 
     def apply_tseries(self, w):
         """Apply Q in the t variable of a TSeries."""
         if w.order > self.order:
             raise ValueError("operator order too small for this t-order")
-        out = _falling_apply(self._step_table, w.coeffs, XSeries.zero())
-        return TSeries(out, max(w.order - 1, 0))
+        out = _lanes_apply(self._int_steps, self.coeffs, [c.coeffs for c in w.coeffs], True)
+        return TSeries(map(XSeries, out), max(w.order - 1, 0))
 
     def __repr__(self):
         return "DeltaOp(%s, order=%d)" % (self.tag, self.order)
@@ -160,6 +158,21 @@ def _steps(weights, size):
         [(k, h * math.comb(m + k, k)) for k, h in nonzero if m + k < size]
         for m in range(size)
     ]
+
+
+def _int_step_table(coeffs, size):
+    """The step table of sum_k coeffs[k] d^k for inputs of length <=
+    size over one denominator, (den, kind, complex, rows) as _int_table
+    gives it for _steps(_hurwitz_weights(coeffs), size), built on the
+    integer lanes of the nonzero weights."""
+    nonzero = [(k, h) for k, h in enumerate(_hurwitz_weights(coeffs[:size])) if h != 0]
+    den, re, im, kind = to_lanes([h for _, h in nonzero])
+    rows = [[] for _ in range(size)]
+    for j, (k, _) in enumerate(nonzero):
+        for m in range(size - k):
+            c = math.comb(m + k, k)
+            rows[m].append((k, re[j] * c, im[j] * c if im else 0))
+    return den, kind, im is not None, rows
 
 
 def _int_table(table):
@@ -185,7 +198,8 @@ def _falling_apply(steps, v, zero):
     list v (index = power), by the step table of the weights h_k.
 
     Entry m is sum_k h_k C(m+k, k) v[m+k], accumulated from zero; the
-    entries of v may be scalars or XSeries.
+    entries of v are ints, Gaussian rationals or the point values of
+    deltaflow.verify_delta_ode (see _lanes_apply for exact scalars).
     """
     size = len(v)
     out = []
@@ -199,10 +213,64 @@ def _falling_apply(steps, v, zero):
     return out
 
 
+def _lanes_apply(steps, coeffs, values, series):
+    """_falling_apply of the integer step table steps of the series
+    coeffs (see _int_step_table) on values (index = power of t), in
+    integers over the denominator of the steps times the common one of
+    the values, divided once per output coefficient.
+
+    The values are scalars, or with series the coefficient lists of
+    XSeries, and so is each output entry.  Each output coefficient has
+    the type the apply in the scalars gives it: the largest kind of its
+    terms h_k C(m+k, k) values[m+k], and the int 0 when no term reaches
+    it.  A partial sum of XSeries drops its zero top coefficients, and
+    their kinds, as XSeries addition does.
+    """
+    lists = values if series else [(c,) for c in values]
+    dq, _, _, rows = steps
+    q1, q2 = _kinds(coeffs)
+    dp, re, im, _ = to_lanes([c for v in lists for c in v])
+    lanes, pos = [], 0
+    for v in lists:
+        end = pos + len(v)
+        lanes.append((re[pos:end], im[pos:end] if im else None) + _kinds(v))
+        pos = end
+    den = dq * dp
+    width = max(map(len, lists), default=0)
+    out = []
+    for m in range(len(lists)):
+        ar, ai = [0] * width, [0] * width
+        top = 0 if series else width
+        k1 = k2 = 0
+        for k, sr, si in rows[m]:
+            if m + k >= len(lists):
+                break
+            vr, vi, v1, v2 = lanes[m + k]
+            if si or vi:
+                for i, x in enumerate(vr):
+                    y = vi[i] if vi else 0
+                    ar[i] += sr * x - si * y
+                    ai[i] += sr * y + si * x
+            else:
+                for i, x in enumerate(vr):
+                    ar[i] += sr * x
+            full = (1 << len(vr)) - 1
+            k1 |= full if q1 >> k & 1 else v1
+            k2 |= full if q2 >> k & 1 else v2
+            if series:
+                top = max(top, len(vr))
+                while top and not (ar[top - 1] or ai[top - 1]):
+                    top -= 1
+                k1 &= (1 << top) - 1
+                k2 &= (1 << top) - 1
+        out.append([from_lanes(ar[i], ai[i], den, (k1 >> i & 1) + (k2 >> i & 1)) for i in range(top)])
+    return out if series else [c for c, in out]
+
+
 def apply_delta_series(coeffs, p):
     """Apply a shift-invariant series sum_k coeffs[k] d^k to a polynomial."""
-    steps = _steps(_hurwitz_weights(coeffs), len(p.coeffs))
-    return XSeries(_falling_apply(steps, p.coeffs, 0))
+    steps = _int_step_table(coeffs, len(p.coeffs))
+    return XSeries(_lanes_apply(steps, coeffs, p.coeffs, False))
 
 
 # ---------------------------------------------------------------------------

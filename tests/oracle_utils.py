@@ -7,8 +7,9 @@ route.  The last section keeps the field-arithmetic loops that the
 package's integer kernels replaced; they run on whatever scalars and
 XSeries they are given: the autonomous recursion, the basis expansion,
 the flow coefficients A_n * 1/n!, the Fraction route of the flows
-(coefficients divided out, then expanded as scalars) and the Horner
-orbit.  The Taylor sum form of composition, which Horner's rule
+(coefficients divided out, then expanded as scalars), composition by
+the powers of the inner series, Lagrange inversion, the step-table
+apply of a shift-invariant series, and the Horner orbit.  The Taylor sum form of composition, which Horner's rule
 replaced in the package, follows them, and then the bivariate forms of
 the group law, the flow PDE and the delta flow equation, which the
 package now evaluates at integer points.  These read autonomous_sequence, classical_flow and
@@ -203,6 +204,66 @@ def flow_by_fractions(aut, basis=None):
     if basis is None:
         return coeffs, coeffs
     return coeffs, tuple(basis.expand((XSeries.zero(),) + coeffs)[1:])
+
+
+def seq_compose_by_field_loop(outer, inner, order):
+    """outer(inner(u)) through the given order as the sum of c_k times
+    the powers inner^k, each power by series._mul_lists in the scalars'
+    own arithmetic."""
+    from deltadyn.series import _mul_lists
+
+    inner = list(inner)
+    if inner and inner[0] != 0:
+        raise ValueError("composition requires inner constant term 0")
+    out = [0] * (order + 1)
+    power = [1]
+    for k, c in enumerate(outer):
+        if k > order:
+            break
+        if c != 0:
+            for i, p in enumerate(power):
+                if i > order:
+                    break
+                out[i] = out[i] + c * p
+        power = _mul_lists(power, inner, cap=order)
+    return tuple(out)
+
+
+def compositional_inverse_by_field_loop(p, order):
+    """Lagrange inversion in the scalars' own arithmetic: coefficient n
+    is [u^(n-1)] w^n * Fraction(1, n), w = u/p(u), w^n by
+    series._mul_lists."""
+    from deltadyn.series import _mul_lists, seq_reciprocal
+
+    p = list(p)
+    if not p or (p[0] != 0):
+        raise ValueError("inverse requires constant term 0")
+    if len(p) < 2 or p[1] == 0:
+        raise ValueError("inverse requires a nonzero linear term")
+    w = seq_reciprocal(p[1:], order)
+    out = [0] * (order + 1)
+    power = [1]
+    for n in range(1, order + 1):
+        power = _mul_lists(power, list(w), cap=order)
+        out[n] = power[n - 1] * Fraction(1, n) if n - 1 < len(power) else 0
+    return tuple(out)
+
+
+def apply_by_step_table(coeffs, values, zero):
+    """The shift-invariant apply of sum_k coeffs[k] d^k on the list
+    values (index = power of t; scalars or XSeries), by the step table of
+    the Hurwitz weights h_k = k! coeffs[k] in the scalars' own
+    arithmetic: entry m is sum_k h_k C(m+k, k) values[m+k], accumulated
+    from zero over the nonzero h_k in increasing k."""
+    weights = [(k, math.factorial(k) * c) for k, c in enumerate(coeffs)]
+    out = []
+    for m in range(len(values)):
+        acc = zero
+        for k, h in weights:
+            if h != 0 and m + k < len(values):
+                acc = acc + values[m + k] * (h * math.comb(m + k, k))
+        out.append(acc)
+    return out
 
 
 def iterate_by_horner(g, x0, n):

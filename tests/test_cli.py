@@ -388,8 +388,12 @@ TOO_LONG = "error: a coefficient to print has more than %d digits, the int-to-st
         # a Gaussian top coefficient 1/S - S*i, not integral
         ["flow", "--f", "1/3+%s*i,2,1/%s-%s*i" % (SEVENS, SEVENS, SEVENS), "--field", "Qi",
          "--order", "16"],
+        # f(0) = 0: the x coefficient of basic row 96 is S^96 / 96!, under
+        # a top coefficient 1
+        ["flow", "--f", "0,%s,1" % SEVENS, "--order", "96"],
+        ["flow", "--f", "0,%s*i,1" % SEVENS, "--field", "Qi", "--order", "96"],
     ],
-    ids=["basis-abel", "flow-Q", "flow-Qi"],
+    ids=["basis-abel", "flow-Q", "flow-Qi", "flow-x-Q", "flow-x-Qi"],
 )
 def test_too_long_output_is_refused_before_any_work(capsys, monkeypatch, argv):
     for name in ("operator", "basic_sequence_from_delta", "delta_flow"):
@@ -424,6 +428,13 @@ NEAR_THE_LIMIT = [
     (["flow", "--f", "0,0," + _ten(80), "--order", "8"], True),
     (["flow", "--f", "0,0,1/3+%s/7*i" % _ten(79), "--field", "Qi", "--order", "8"], False),
     (["flow", "--f", "0,0,1/3+%s/7*i" % _ten(80), "--field", "Qi", "--order", "8"], True),
+    # c^8 / 8! at x for f = c x + x^2: 638 digits at c = 10^80, 646 at
+    # 10^81, 645 at 1/10^80, and the same at c = 10^80 i and 10^81 i
+    (["flow", "--f", "0,%s,1" % _ten(80), "--order", "8"], False),
+    (["flow", "--f", "0,%s,1" % _ten(81), "--order", "8"], True),
+    (["flow", "--f", "0,1/%s,1" % _ten(80), "--order", "8"], True),
+    (["flow", "--f", "0,%s*i,1" % _ten(80), "--field", "Qi", "--order", "8"], False),
+    (["flow", "--f", "0,%s*i,1" % _ten(81), "--field", "Qi", "--order", "8"], True),
 ]
 
 

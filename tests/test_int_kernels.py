@@ -6,6 +6,11 @@ give the same values as the loops in oracle_utils, over Z, Q and Q(i),
 for rational, Gaussian and composed bases and for scalar and XSeries
 inputs.  Every coefficient it builds has the one type of the field of
 its inputs: int over Z, Fraction over Q, GaussianRational over Q(i).
+
+The operator-series kernels (seq_compose, compositional_inverse and
+the shift-invariant apply of DeltaOp and apply_delta_series) run on
+integer lanes too, and give every entry the value and the type that the
+loops in the scalars' own arithmetic give it, entry by entry.
 """
 
 from fractions import Fraction
@@ -14,22 +19,29 @@ from hypothesis import given, settings, strategies as st
 
 from deltadyn.autonomous import autonomous_sequence, classical_flow, flow_from_autonomous
 from deltadyn.deltaflow import delta_flow
+from deltadyn.flows import TSeries
 from deltadyn.scalars import GaussianRational
-from deltadyn.series import XSeries
-from deltadyn.umbral import basic_sequence_from_delta, forward, touchard
+from deltadyn.series import XSeries, compositional_inverse, seq_compose
+from deltadyn.umbral import abel, apply_delta_series, basic_sequence_from_delta, forward, touchard
 
 from oracle_utils import (
+    apply_by_step_table,
     autonomous_by_field_loop,
+    compositional_inverse_by_field_loop,
     expand_by_field_loop,
     flow_coeffs_by_factorial,
+    seq_compose_by_field_loop,
 )
 from strategies import (
     DEPTH,
     FIELDS,
     GAUSSIAN_INTEGERS,
+    GAUSSIANS,
     INTS,
+    RATIONALS,
     SCALARS,
     bases,
+    delta_series,
     generators,
     polys,
 )
@@ -168,3 +180,83 @@ def test_autonomous_terms_stay_in_the_ring_of_the_generator(f, order):
                 assert c.re.denominator == c.im.denominator == 1
             else:
                 assert type(c) is int
+
+
+# (Q, depth): a random delta series over Z, Q or Q(i), or Abel's at a
+# Gaussian alpha, and a depth of 0 to 10 it covers
+OPERATORS = st.one_of(
+    delta_series(INTS),
+    delta_series(RATIONALS),
+    delta_series(GAUSSIANS),
+    st.builds(
+        lambda alpha, depth: (abel(alpha, max(depth, 1)), depth),
+        GAUSSIANS.filter(lambda c: c != 0),
+        st.integers(0, 10),
+    ),
+)
+
+
+def entries(values):
+    """(value, type) of each scalar of a list of scalars or XSeries,
+    listed by entry, so that equal lists have equal values and types."""
+    return [
+        [(c, type(c)) for c in v.coeffs] if isinstance(v, XSeries) else (v, type(v))
+        for v in values
+    ]
+
+
+@settings(max_examples=15, deadline=None)
+@given(OPERATORS, OPERATORS, FIELDS, st.integers(0, 10), st.data())
+def test_seq_compose_matches_field_loop(outer, inner, field, order, data):
+    # the outer series takes a constant term of any field
+    c0 = data.draw(SCALARS[field])
+    coeffs = (c0,) + outer[0].coeffs[1:]
+    got = seq_compose(coeffs, inner[0].coeffs, order)
+    assert entries(got) == entries(seq_compose_by_field_loop(coeffs, inner[0].coeffs, order))
+
+
+@settings(max_examples=15, deadline=None)
+@given(OPERATORS, st.integers(0, 10))
+def test_compositional_inverse_matches_field_loop(op, order):
+    got = compositional_inverse(op[0].coeffs, order)
+    assert entries(got) == entries(compositional_inverse_by_field_loop(op[0].coeffs, order))
+    assert type(got[0]) is int
+
+
+@settings(max_examples=15, deadline=None)
+@given(OPERATORS, FIELDS, st.data())
+def test_apply_to_polynomials_matches_step_table(op, field, data):
+    Q, depth = op
+    p = data.draw(polys(SCALARS[field], max_size=depth + 2))
+    if p.degree <= Q.order:
+        want = XSeries(apply_by_step_table(Q.coeffs, p.coeffs, 0))
+        assert entries(Q.apply_tpoly(p).coeffs) == entries(want.coeffs)
+    # a series with a constant term, as the shift operators have
+    series = data.draw(st.lists(SCALARS[field], max_size=depth + 2))
+    want = XSeries(apply_by_step_table(series, p.coeffs, 0))
+    assert entries(apply_delta_series(series, p).coeffs) == entries(want.coeffs)
+
+
+@settings(max_examples=15, deadline=None)
+@given(OPERATORS, st.data())
+def test_apply_to_tseries_matches_step_table(op, data):
+    # the coefficients of the TSeries mix ints, Fractions and Gaussians
+    Q = op[0]
+    order = data.draw(st.integers(0, Q.order))
+    coeffs = data.draw(st.lists(polys(SCALARS["mixed"], max_size=4), min_size=order + 1, max_size=order + 1))
+    w = TSeries(coeffs, order)
+    want = apply_by_step_table(Q.coeffs, w.coeffs, XSeries.zero())
+    got = Q.apply_tseries(w)
+    assert got.order == max(order - 1, 0)
+    assert entries(got.coeffs) == entries(want[: got.order + 1])
+
+
+def test_apply_to_tseries_drops_the_kinds_of_a_cancelled_top():
+    # forward has h_1 = h_2 = h_3 = 1, so the t^0 coefficient of Q w is
+    # v_1 + v_2 + v_3, added in that order: G(1) x - x cancels and
+    # XSeries addition drops the Gaussian zero, so the x coefficient
+    # that x/2 brings back is a Fraction, as is the zero constant term
+    v = [XSeries.zero(), XSeries((0, GaussianRational(1))), XSeries((0, -1)), XSeries((0, Fraction(1, 2)))]
+    got = forward(3).apply_tseries(TSeries(v, 3)).coefficient(0)
+    assert entries([got]) == [[(0, Fraction), (Fraction(1, 2), Fraction)]]
+    assert entries([got]) == entries(apply_by_step_table(forward(3).coeffs, v, XSeries.zero())[:1])

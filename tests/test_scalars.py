@@ -89,10 +89,20 @@ def test_format_parse_round_trip_gaussian(re, im):
     assert parse_scalar(format_scalar(z), "Qi") == z
 
 
+SIXTY_SEVENS = int("7" * 60)
+
+
 @given(RATIONALS, RATIONALS, st.integers(0, 12))
+# parts that share factors with the common denominator d of c: (1+i)^12
+# / 2^12 = -1/64 takes six rounds of gcds against d = 2, the real part
+# of (3+2i)^7 / 6^7 is divisible by 3, and 1/S - S*i is (1 - S^2 i) / S
+@example(Fraction(1, 2), Fraction(1, 2), 12)
+@example(Fraction(1, 2), Fraction(1, 3), 7)
+@example(Fraction(1, SIXTY_SEVENS), Fraction(-SIXTY_SEVENS), 9)
+@example(Fraction(2, 9), Fraction(4, 3), 12)
 def test_power_is_the_repeated_product_in_lowest_terms(re, im, e):
     # the power runs on integer lanes; each part is a Fraction in lowest
-    # terms, with or without the gcd it can skip
+    # terms, its common factors with d divided out by gcds against d
     c = GaussianRational(re, im)
     want = GaussianRational(1)
     for _ in range(e):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltadyn.deltaflow import connection_matrix
+from deltadyn.deltaflow import connection_matrix, matrix_product
 from deltadyn.flows import TSeries
 from deltadyn.scalars import GaussianRational, parse_scalar
 from deltadyn.series import XSeries, compositional_inverse, seq_mul
@@ -38,6 +38,7 @@ from oracle_utils import (
     bivariate_add,
     bivariate_of_shift,
     bivariate_product,
+    expand_by_field_loop,
     falling_factorial,
     rising_factorial,
     stirling2_by_enumeration,
@@ -464,6 +465,43 @@ def test_compose_associativity():
     left = umbral_compose(umbral_compose(a, b), c)
     right = umbral_compose(a, umbral_compose(b, c))
     assert left.polys == right.polys
+
+
+# The group over random bases of depth 6, over Q and Q(i) (strategies.bases).
+
+@settings(max_examples=6, deadline=None)
+@given(bases())
+def test_random_bases_have_inverses_on_both_sides(A):
+    mono = monomial_basis(A.depth)
+    inv = umbral_inverse(A)
+    assert umbral_compose(A, inv).polys == mono.polys
+    assert umbral_compose(inv, A).polys == mono.polys
+
+
+@settings(max_examples=5, deadline=None)
+@given(bases())
+def test_monomial_basis_is_the_identity_of_random_bases(A):
+    mono = monomial_basis(A.depth)
+    assert umbral_compose(A, mono).polys == A.polys
+    assert umbral_compose(mono, A).polys == A.polys
+
+
+@settings(max_examples=5, deadline=None)
+@given(bases(), bases(), bases())
+def test_umbral_composition_of_random_bases_is_associative(A, B, C):
+    AB = umbral_compose(A, B)
+    left = umbral_compose(AB, C)
+    right = umbral_compose(A, umbral_compose(B, C))
+    assert (left.operator, left.polys) == (right.operator, right.polys)
+    # r_n = sum_k beta_A(k, n) q^B_k: B's polynomials go into A's expansions
+    assert list(AB.polys) == [XSeries(expand_by_field_loop(B, p.coeffs)) for p in A.polys]
+
+
+@settings(max_examples=6, deadline=None)
+@given(bases(), bases())
+def test_connection_matrices_of_random_bases_are_anti_isomorphic(A, B):
+    left = connection_matrix(umbral_compose(A, B))
+    assert left == matrix_product(connection_matrix(B), connection_matrix(A))
 
 
 # --- first expansion theorem --------------------------------------------------
