@@ -45,7 +45,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .deltaflow import connection_matrix, delta_flow
+from .deltaflow import delta_flow
 from .numeric import (
     CLOSED_FORM_KINDS,
     LAMBERT_TOLERANCE,
@@ -266,8 +266,10 @@ def _cmd_basis(args):
         bits = (D - 1) * max((D * alpha.numerator).bit_length(), alpha.denominator.bit_length())
         _refuse_long(bits, lambda: (-D * alpha) ** (D - 1))
     Q = operator(args.op, max(D, 1), alpha)
-    basis = basic_sequence_from_delta(Q, D)
-    matrix = _spelled(lambda row: [format_scalar(b) for b in row], connection_matrix(basis))
+    # column n of the matrix is the integer row of q_n, spelled through
+    # its last nonzero entry
+    columns = _spelled(lambda row: format_lanes(*row), basic_sequence_from_delta(Q, D).numerators[1])
+    matrix = [[col[k] if k < len(col) else "0" for col in columns] for k in range(D + 1)]
     payload = {"basis": args.op, "order": args.depth, "coeffs": matrix}
     if args.format == "json":
         _emit(json.dumps(payload))

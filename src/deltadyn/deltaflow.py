@@ -178,7 +178,7 @@ def verify_delta_ode(f, Q, order, basis=None):
             y = value * rhs_scale[m]
             for k, b in beta[m]:
                 R[k] += b * y
-        return [q - r for q, r in zip(_falling_apply(steps, W, 0), R)]
+        return [q - r for q, r in zip(_falling_apply(steps, W), R)]
 
     scales = [Fraction(1, dq * db * d ** N * fact(N))] * N
     residuals = _certify(at, F, d, aut, scales, max(kind, basis_kind, q_kind))

@@ -160,13 +160,22 @@ def numeric_closed_form_check(kind, a, t, alpha=1.0, config=None):
     basis = basic_sequence_from_delta(
         operator(kind, config.depth, Fraction(alpha)), config.depth
     )
-    exact_a, exact_t = Fraction(a), Fraction(t)
+    # q_n(T/S) = (sum_k beta_k T^k S^(n-k)) / (db S^n) by Horner's rule
+    # on the integer row (db, beta) of q_n, and a^n / n! = A^n / (B^n n!):
+    # each term is one exact integer quotient, rounded once
+    A, B = Fraction(a).as_integer_ratio()
+    T, S = Fraction(t).as_integer_ratio()
+    _, rows = basis.numerators
     total = 0.0
     terms = []
-    an = Fraction(1)  # a^n / n!
+    num, den = 1, 1
     for n in range(1, config.depth + 1):
-        an = an * exact_a / n
-        term = float(an * basis.poly(n).evaluate(exact_t))
+        num, den = num * A, den * B * n
+        db, beta, _ = rows[n]
+        acc, scale = 0, 1
+        for c in reversed(beta):
+            acc, scale = acc * T + c * scale, scale * S
+        term = num * acc / (den * db * scale // S)
         total += term
         terms.append(abs(term))
     _check_cauchy(terms, config)

@@ -124,19 +124,86 @@ def seq_mul(a, b, order):
     return tuple(out)
 
 
-def seq_reciprocal(a, order):
-    """Multiplicative inverse of a sequence with nonzero constant term."""
-    a = list(a)
+def _hurwitz_reciprocal(a, order, shift=0):
+    """The reciprocal in Hurwitz coordinates, on integers, of the series
+    with the Hurwitz coefficients A_k = (k + shift)! a_k: sum_k a_k u^k
+    for shift 0, the derivative of sum_k a_k u^(k+1) for shift 1.
+
+    In the Hurwitz ring a series is a unit exactly when its constant
+    term is (Keigher, On the ring of Hurwitz series, 1997).  With u
+    scaled by an integer b, chosen greedily so that b^k A_k is integral
+    for k >= 1, the b^k A_k are integers N_k over their least common
+    denominator D, both multiplied by the conjugate of a non-real N_0.
+    Then C_0 = 1 and C_n = -sum_(k>=1) C(n, k) N_k N_0^(k-1) C_(n-k),
+    three real products per Gaussian product, give the Hurwitz
+    coefficients D C_n / (N_0^(n+1) b^n) of the reciprocal.
+
+    Returns (C, N_0, D, b, first): C as lanes (re, im), im None when
+    real, D as (re, im), and first the least n at which field
+    arithmetic (out_n = -sum_k a_k out_(n-k) / a_0) makes a
+    GaussianRational, order + 1 if none: the least k with a nonzero
+    Gaussian a_k.
+    """
+    order = max(order, 0)
+    a = list(a)[: order + 1]
     if not a or a[0] == 0:
         raise ValueError("reciprocal requires a nonzero constant term")
-    inv0 = invert_scalar(a[0])
-    out = [inv0] + [0] * order
+    den, re, im, _ = to_lanes(a)
+    im = im or [0] * len(a)
+    gaussian = _kinds(a)[1]
+    first = next((k for k in range(len(a)) if gaussian >> k & 1 and (re[k] or im[k])), order + 1)
+    fact = [math.factorial(k + shift) for k in range(len(a))]
+    b = 1
+    for k in range(1, len(a)):
+        x = fact[k] * b**k
+        b *= den // math.gcd(den, x * re[k], x * im[k])
+    nr = [fact[k] * b**k * x for k, x in enumerate(re)]
+    ni = [fact[k] * b**k * y for k, y in enumerate(im)]
+    g = math.gcd(den, *nr, *ni)
+    nr, ni, dr, di = [x // g for x in nr], [y // g for y in ni], den // g, 0
+    r0, i0 = nr[0], ni[0]
+    if i0:
+        nr, ni = [x * r0 + y * i0 for x, y in zip(nr, ni)], [y * r0 - x * i0 for x, y in zip(nr, ni)]
+        dr, di = dr * r0, -dr * i0
+    n0, cplx = nr[0], any(ni)
+    # (k, re, im, re + im) of N_k N_0^(k-1) for the nonzero N_k, k >= 1
+    weights = [
+        (k, x * n0 ** (k - 1), y * n0 ** (k - 1), (x + y) * n0 ** (k - 1))
+        for k, (x, y) in enumerate(zip(nr, ni)) if k and (x or y)
+    ]
+    cr, ci = [1], [0] if cplx else None
     for n in range(1, order + 1):
-        acc = 0
-        for k in range(1, n + 1):
-            if k < len(a) and a[k] != 0:
-                acc = acc + a[k] * out[n - k]
-        out[n] = -acc * inv0
+        s1 = s2 = s3 = 0
+        for k, wr, wi, ws in weights:
+            if k > n:
+                break
+            c, x = math.comb(n, k), cr[n - k]
+            s1 += c * wr * x
+            if cplx:
+                y = ci[n - k]
+                s2 += c * wi * y
+                s3 += c * ws * (x + y)
+        cr.append(s2 - s1)
+        if cplx:
+            ci.append(s1 + s2 - s3)
+    return (cr, ci), n0, (dr, di), b, first
+
+
+def seq_reciprocal(a, order):
+    """Multiplicative inverse of a sequence with nonzero constant term.
+
+    Read off the reciprocal in Hurwitz coordinates (_hurwitz_reciprocal):
+    coefficient n is D C_n / (N_0^(n+1) b^n n!), one division each, a
+    GaussianRational where field arithmetic would make one, else a
+    Fraction.
+    """
+    (cr, ci), n0, (dr, di), b, first = _hurwitz_reciprocal(a, order)
+    out, den = [], n0
+    for n, x in enumerate(cr):
+        if n:
+            den *= n0 * b * n
+        y = ci[n] if ci else 0
+        out.append(from_lanes(dr * x - di * y, dr * y + di * x, den, 1 + (n >= first)))
     return tuple(out)
 
 

@@ -58,14 +58,14 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .flows import TSeries, _rows_to_terms, _terms_to_rows
-from .scalars import GaussianRational, _kinds, from_lanes, to_lanes
+from .flows import TSeries, _rows_to_terms, _terms_to_rows, _TermRows
+from .scalars import _kind, _kinds, from_lanes, to_lanes
 from .series import (
     XSeries,
+    _hurwitz_reciprocal,
     compositional_inverse,
     invert_scalar,
     seq_compose,
-    seq_reciprocal,
 )
 
 __all__ = [
@@ -144,73 +144,69 @@ class DeltaOp:
         return "DeltaOp(%s, order=%d)" % (self.tag, self.order)
 
 
-def _hurwitz_weights(coeffs):
-    """h_k = k! c_k: sum_k c_k d^k takes t^(m+k) to h_k C(m+k, k) t^m."""
-    return [math.factorial(k) * c for k, c in enumerate(coeffs)]
-
-
-def _steps(weights, size):
-    """Step table of the apply of Hurwitz weights h_k on inputs of
-    length <= size: row m lists (k, h_k C(m+k, k)) for every nonzero
-    h_k with m + k < size, in increasing k."""
-    nonzero = [(k, h) for k, h in enumerate(weights) if h != 0]
+def _steps(lanes, size):
+    """Step table of the apply of Hurwitz weights h_k, given as lanes
+    (one or more lists of ints), on inputs of length <= size: row m
+    lists (k, h_k C(m+k, k) in each lane) for every k with m + k < size
+    at which a lane is nonzero, in increasing k."""
+    nonzero = [k for k in range(len(lanes[0])) if any(h[k] for h in lanes)]
     return [
-        [(k, h * math.comb(m + k, k)) for k, h in nonzero if m + k < size]
+        [(k, *[h[k] * math.comb(m + k, k) for h in lanes]) for k in nonzero if m + k < size]
         for m in range(size)
     ]
 
 
 def _int_step_table(coeffs, size):
     """The step table of sum_k coeffs[k] d^k for inputs of length <=
-    size over one denominator, (den, kind, complex, rows) as _int_table
-    gives it for _steps(_hurwitz_weights(coeffs), size), built on the
-    integer lanes of the nonzero weights."""
-    nonzero = [(k, h) for k, h in enumerate(_hurwitz_weights(coeffs[:size])) if h != 0]
-    den, re, im, kind = to_lanes([h for _, h in nonzero])
-    rows = [[] for _ in range(size)]
-    for j, (k, _) in enumerate(nonzero):
-        for m in range(size - k):
-            c = math.comb(m + k, k)
-            rows[m].append((k, re[j] * c, im[j] * c if im else 0))
-    return den, kind, im is not None, rows
+    size over one denominator, (den, kind, complex, rows): rows[m] lists
+    (k, re, im), (re + im*i) / den = h_k C(m+k, k), for the nonzero
+    Hurwitz weights h_k = k! coeffs[k] with m + k < size; kind is their
+    field as in to_lanes, and complex tells whether any im is nonzero."""
+    weights = [math.factorial(k) * c for k, c in enumerate(coeffs[:size])]
+    den, re, im, _ = to_lanes(weights)
+    kind = _kind([h for h in weights if h != 0])
+    return den, kind, im is not None, _steps((re, im or [0] * len(re)), size)
 
 
-def _int_table(table):
-    """(den, kind, complex, rows) for a table of rows of (k, value):
-    rows[n] lists (k, re, im) for every nonzero value of row n, equal to
-    (re + im*i) / den over the one common denominator den; kind is the
-    field of all the values as in to_lanes, and complex tells whether
-    any im is nonzero."""
-    den, re, im, kind = to_lanes([v for row in table for _, v in row])
-    rows, pos = [], 0
-    for row in table:
-        rows.append([
-            (k, re[j], im[j] if im else 0)
-            for j, (k, _) in enumerate(row, pos)
-            if re[j] or (im and im[j])
-        ])
-        pos += len(row)
-    return den, kind, im is not None, rows
-
-
-def _falling_apply(steps, v, zero):
+def _falling_apply(steps, v):
     """The shift-invariant apply sum_k h_k d^k / k! on the coefficient
     list v (index = power), by the step table of the weights h_k.
 
-    Entry m is sum_k h_k C(m+k, k) v[m+k], accumulated from zero; the
-    entries of v are ints, Gaussian rationals or the point values of
+    Entry m is sum_k h_k C(m+k, k) v[m+k], accumulated from the int 0;
+    the entries of v are ints or the point values of
     deltaflow.verify_delta_ode (see _lanes_apply for exact scalars).
     """
     size = len(v)
     out = []
     for m in range(size):
-        acc = zero
+        acc = 0
         for k, w in steps[m]:
             if m + k >= size:
                 break
             acc = acc + v[m + k] * w
         out.append(acc)
     return out
+
+
+def _gaussian_apply(steps, vr, vi):
+    """_falling_apply on the Gaussian integers vr + vi*i, three real
+    products per term: steps[m] lists (k, x, y, x + y) for each step
+    x + y*i, and with s1, s2 and s3 the sums of x vr, y vi and
+    (x + y)(vr + vi) at m + k, entry m is s1 - s2 + (s3 - s1 - s2)*i."""
+    vs = [x + y for x, y in zip(vr, vi)]
+    size, re, im = len(vr), [], []
+    for m, row in enumerate(steps[:size]):
+        s1 = s2 = s3 = 0
+        for k, x, y, z in row:
+            j = m + k
+            if j >= size:
+                break
+            s1 += x * vr[j]
+            s2 += y * vi[j]
+            s3 += z * vs[j]
+        re.append(s1 - s2)
+        im.append(s3 - s1 - s2)
+    return re, im
 
 
 def _lanes_apply(steps, coeffs, values, series):
@@ -325,20 +321,34 @@ def touchard(order=DEFAULT_DEPTH):
 # ---------------------------------------------------------------------------
 # basic sequences
 
-@dataclass(frozen=True)
-class BasicSequence:
+class BasicSequence(_TermRows):
     """The basic polynomials q_0 .. q_depth of a delta operator.
 
     beta(k, n) is the coefficient of t^k in q_n; the matrix is lower
     triangular in k with beta(n, n) != 0 and beta(0, n) = 0 for n >= 1.
+    The polynomials and their integer rows share the holder of Flow
+    (flows._TermRows): basic_sequence_from_delta gives rows, and polys,
+    poly and beta make the scalars on first read; a sequence given by
+    its polys (umbral_compose, basic_sequence_by_recurrence) reads its
+    rows off them.  Equality and hashing compare the operator and the
+    polys.
     """
 
-    operator: DeltaOp
-    polys: tuple  # exact XSeries in t, index n = 0 .. depth
+    def __init__(self, operator, polys):
+        self._terms, self._numerators = tuple(polys), None
+        self._set(operator)
+
+    def _set(self, operator):
+        self.operator = operator
+
+    @property
+    def polys(self):
+        """The exact XSeries in t, index n = 0 .. depth."""
+        return self._read_terms()
 
     @property
     def depth(self):
-        return len(self.polys) - 1
+        return self.order - 1
 
     def poly(self, n):
         if not 0 <= n <= self.depth:
@@ -350,9 +360,17 @@ class BasicSequence:
 
     @functools.cached_property
     def _int_rows(self):
-        """The matrix beta over one denominator (see _int_table): rows[n]
-        lists (k, re, im) for every nonzero beta(k, n)."""
-        return _int_table([list(enumerate(p.coeffs)) for p in self.polys])
+        """The matrix beta over one denominator, (db, kind, complex,
+        rows): rows[n] lists (k, re, im) for every nonzero beta(k, n) =
+        (re + im*i) / db, kind is the field of the basis as in to_lanes,
+        and complex tells whether any im is nonzero."""
+        kind, rows = self.numerators
+        db = math.lcm(*[den for den, _, _ in rows])
+        out = []
+        for den, re, im in rows:
+            s = db // den
+            out.append([(k, s * x, s * im[k] if im else 0) for k, x in enumerate(re) if x or im and im[k]])
+        return db, kind, any(im for _, _, im in rows), out
 
     def expand(self, coeffs):
         """Monomial coefficients of sum_n coeffs[n] q_n(t), index = power.
@@ -409,59 +427,65 @@ class BasicSequence:
         den = dc * db
         return max(kind, basis_kind), [(den, re, im) for re, im in lanes]
 
+    def __eq__(self, other):
+        if not isinstance(other, BasicSequence):
+            return NotImplemented
+        return self.operator == other.operator and self.polys == other.polys
+
+    def __hash__(self):
+        return hash((self.operator, self.polys))
+
     def __repr__(self):
         return "BasicSequence(%s, depth=%d)" % (self.operator.tag, self.depth)
 
 
 @functools.lru_cache(maxsize=64)
 def basic_sequence_from_delta(Q, depth):
-    """Basic sequence of Q by Rota's recurrence q_(n+1) = t r(d) q_n.
+    """Basic sequence of Q by Rota's recurrence q_(n+1) = t r(d) q_n
+    (Rota, Kahaner and Odlyzko, Finite operator calculus, 1973).
 
     Here r = 1/p' is the reciprocal of the Pincherle derivative of Q's
     series, so the coefficients obey
 
-        beta(m+1, n+1) = sum_k k! r_k C(m+k, k) beta(m+k, n),
+        beta(m+1, n+1) = sum_k B_k C(m+k, k) beta(m+k, n),
 
-    the shift-invariant apply of the Hurwitz weights k! r_k to q_n,
-    shifted up one power of t.
-
-    When every r_k is rational the recurrence runs on integers: with
-    a = denominator(r_0) and b chosen so that s_k = a k! b^k r_k are
-    all integers, gamma(j, n) = a^n b^(n-j) beta(j, n) satisfies the
-    same recurrence with weights s_k, and beta is recovered by one
-    division per coefficient.  Other fields (Gaussian rationals) run
-    the recurrence in their own exact arithmetic.
+    the shift-invariant apply of the Hurwitz coefficients B_k of r to
+    q_n, shifted up one power of t.  B_k = D C_k / (N_0^(k+1) b^k) with
+    integers C_k (series._hurwitz_reciprocal of p', t scaled by b), so
+    gamma(j, n) = N_0^(2n-j) b^(n-j) D^(-n) beta(j, n) obeys the same
+    recurrence with the weights C_k, on Z, or on Z[i] by three real
+    applies per step.  Row n is kept as the integers
+    gamma(j, n) D^n (N_0 b)^j over N_0^(2n) b^n.  Its scalars are all
+    Fractions, or all GaussianRationals where field arithmetic would
+    give r a Gaussian coefficient.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if Q.order < depth:
         raise ValueError("operator order too small for this depth")
     top = max(depth, 1)
-    r = seq_reciprocal([k * Q.coeffs[k] for k in range(1, top + 1)], top - 1)
-    rational = all(isinstance(rk, (int, Fraction)) for rk in r)
-    if rational:
-        zero = 0
-        a = Fraction(r[0]).denominator
-        b = 1
-        for k in range(1, top):
-            b *= Fraction(a * math.factorial(k) * b ** k * r[k]).denominator
-        weights = [int(a * math.factorial(k) * b ** k * rk) for k, rk in enumerate(r)]
+    (cr, ci), n0, (dr, di), b, first = _hurwitz_reciprocal(Q.coeffs[1 : top + 1], top - 1, 1)
+    lanes = [([1], None if ci is None else [0])]
+    if ci is None:
+        steps = _steps((cr,), depth)
+        for _ in range(depth):
+            lanes.append(([0] + _falling_apply(steps, lanes[-1][0]), None))
     else:
-        # Sums start at GaussianRational(0), so that q_0 and the constant
-        # terms no term reaches are Gaussian like every other coefficient.
-        zero = GaussianRational(0)
-        weights = _hurwitz_weights(r)
-    steps = _steps(weights, depth)
-    rows = [[zero + 1]]
-    for _ in range(depth):
-        rows.append([zero] + _falling_apply(steps, rows[-1], zero))
-    if rational:
-        bpow = [b ** i for i in range(depth + 1)]
-        rows = [
-            [Fraction(g, a ** n * bpow[n - j]) for j, g in enumerate(row)]
-            for n, row in enumerate(rows)
-        ]
-    return BasicSequence(Q, tuple(XSeries(row) for row in rows))
+        steps = _steps((cr, ci, [x + y for x, y in zip(cr, ci)]), depth)
+        for _ in range(depth):
+            re, im = _gaussian_apply(steps, *lanes[-1])
+            lanes.append(([0] + re, [0] + im))
+    nb = [(n0 * b) ** j for j in range(depth + 1)]
+    rows, den, pr, pi = [], 1, 1, 0  # pr + pi*i = D^n
+    for n, (gr, gi) in enumerate(lanes):
+        if n:
+            den *= n0 * n0 * b
+            pr, pi = pr * dr - pi * di, pr * di + pi * dr
+        gi = gi or [0] * len(gr)
+        re = [(x * pr - y * pi) * f for x, y, f in zip(gr, gi, nb)]
+        im = [(x * pi + y * pr) * f for x, y, f in zip(gr, gi, nb)]
+        rows.append((den, re, im if ci or di else None))
+    return BasicSequence._from_numerators((1 + (first < top), tuple(rows)), Q)
 
 
 def basic_sequence_by_recurrence(Q, depth):

@@ -7,9 +7,11 @@ route.  The last section keeps the field-arithmetic loops that the
 package's integer kernels replaced; they run on whatever scalars and
 XSeries they are given: the autonomous recursion, the basis expansion,
 the flow coefficients A_n * 1/n!, the Fraction route of the flows
-(coefficients divided out, then expanded as scalars), composition by
-the powers of the inner series, Lagrange inversion, the step-table
-apply of a shift-invariant series, and the Horner orbit.  The Taylor sum form of composition, which Horner's rule
+(coefficients divided out, then expanded as scalars), the series
+reciprocal in ordinary coordinates and Rota's recurrence on it,
+composition by the powers of the inner series, Lagrange inversion,
+the step-table apply of a shift-invariant series, and the Horner
+orbit.  The Taylor sum form of composition, which Horner's rule
 replaced in the package, follows them, and then the bivariate forms of
 the group law, the flow PDE and the delta flow equation, which the
 package now evaluates at integer points.  These read autonomous_sequence, classical_flow and
@@ -229,18 +231,63 @@ def seq_compose_by_field_loop(outer, inner, order):
     return tuple(out)
 
 
+def seq_reciprocal_by_field_loop(a, order):
+    """1/a through the given order in ordinary coordinates, in the
+    scalars' own arithmetic: out_0 = 1/a_0 and out_n = -(sum_k a_k
+    out_(n-k)) / a_0 over the nonzero a_k, the sum started from the int
+    0."""
+    from deltadyn.series import invert_scalar
+
+    a = list(a)
+    if not a or a[0] == 0:
+        raise ValueError("reciprocal requires a nonzero constant term")
+    inv0 = invert_scalar(a[0])
+    out = [inv0] + [0] * order
+    for n in range(1, order + 1):
+        acc = 0
+        for k in range(1, n + 1):
+            if k < len(a) and a[k] != 0:
+                acc = acc + a[k] * out[n - k]
+        out[n] = -acc * inv0
+    return tuple(out)
+
+
+def basic_sequence_by_field_loop(Q, depth):
+    """Rota's recurrence q_(n+1) = t r(d) q_n in the scalars' own
+    arithmetic: r = 1/p' by seq_reciprocal_by_field_loop, and each step
+    the apply of r by apply_by_step_table, accumulated from the zero of
+    the field of r (Fraction(0), or GaussianRational(0) when any r_k is
+    Gaussian)."""
+    from deltadyn.scalars import GaussianRational
+    from deltadyn.series import XSeries
+    from deltadyn.umbral import BasicSequence
+
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    if Q.order < depth:
+        raise ValueError("operator order too small for this depth")
+    top = max(depth, 1)
+    r = seq_reciprocal_by_field_loop([k * Q.coeffs[k] for k in range(1, top + 1)], top - 1)
+    gaussian = any(isinstance(rk, GaussianRational) for rk in r)
+    zero = GaussianRational(0) if gaussian else Fraction(0)
+    rows = [[zero + 1]]
+    for _ in range(depth):
+        rows.append([zero] + apply_by_step_table(r, rows[-1], zero))
+    return BasicSequence(Q, tuple(XSeries(row) for row in rows))
+
+
 def compositional_inverse_by_field_loop(p, order):
     """Lagrange inversion in the scalars' own arithmetic: coefficient n
     is [u^(n-1)] w^n * Fraction(1, n), w = u/p(u), w^n by
     series._mul_lists."""
-    from deltadyn.series import _mul_lists, seq_reciprocal
+    from deltadyn.series import _mul_lists
 
     p = list(p)
     if not p or (p[0] != 0):
         raise ValueError("inverse requires constant term 0")
     if len(p) < 2 or p[1] == 0:
         raise ValueError("inverse requires a nonzero linear term")
-    w = seq_reciprocal(p[1:], order)
+    w = seq_reciprocal_by_field_loop(p[1:], order)
     out = [0] * (order + 1)
     power = [1]
     for n in range(1, order + 1):
