@@ -70,9 +70,9 @@ def bases(draw):
 
 
 @st.composite
-def delta_series(draw, scalars=RATIONALS):
+def delta_series(draw, scalars=RATIONALS, max_depth=10):
     """(Q, depth): a random delta operator and a depth it covers."""
-    depth = draw(st.integers(min_value=0, max_value=10))
+    depth = draw(st.integers(min_value=0, max_value=max_depth))
     p1 = draw(scalars.filter(lambda c: c != 0))
     rest = draw(st.lists(scalars, min_size=max(depth - 1, 0),
                          max_size=max(depth - 1, 0)))

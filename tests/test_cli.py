@@ -9,7 +9,9 @@ import pytest
 
 from deltadyn import cli, scalars, solver
 from deltadyn.cli import cli_main
-from deltadyn.umbral import stirling2
+from deltadyn.deltaflow import connection_matrix
+from deltadyn.scalars import format_scalar
+from deltadyn.umbral import OPERATOR_NAMES, basic_sequence_from_delta, operator, stirling2
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -548,3 +550,50 @@ def test_numcheck_tolerance_must_be_finite_and_positive(capsys, tolerance):
 
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("depth", [0, 1, 16, 96])
+@pytest.mark.parametrize("op", OPERATOR_NAMES)
+def test_basis_rows_print_the_connection_matrix(capsys, op, depth):
+    # the matrix spelled from the integer rows of the basis, column by
+    # column, against format_scalar of each of its scalars
+    Q = operator(op, max(depth, 1), Fraction(-2, 3))
+    want = [[format_scalar(b) for b in row] for row in connection_matrix(basic_sequence_from_delta(Q, depth))]
+    argv = ["basis", "--op", op, "--alpha", "-2/3", "--depth", str(depth)]
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"basis": op, "order": depth, "coeffs": want}
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out == "\n".join(",".join(row) for row in want) + "\n"
+
+
+def test_basis_builds_and_prints_without_fraction_arithmetic(capsys, monkeypatch):
+    # Abel at 2/3 and Touchard at depth 48, built and printed on integers
+    # from the series of p' to the printed digits
+    ops = {"abel": operator("abel", 48, Fraction(2, 3)), "touchard": operator("touchard", 48)}
+    want = {}
+    for name in ops:
+        want[name] = run_cli(capsys, "basis", "--op", name, "--alpha", "2/3", "--depth", "48")
+    basic_sequence_from_delta.cache_clear()
+
+    def fails(*args):
+        raise AssertionError("Fraction arithmetic in the basis route")
+
+    for method in ("add", "mul", "truediv"):
+        monkeypatch.setattr(Fraction, "__%s__" % method, fails)
+        monkeypatch.setattr(Fraction, "__r%s__" % method, fails)
+    monkeypatch.setattr(cli, "operator", lambda name, order, alpha: ops[name])
+    for name in ops:
+        got = run_cli(capsys, "basis", "--op", name, "--alpha", "2/3", "--depth", "48")
+        assert got == want[name]
+    assert basic_sequence_from_delta.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("alpha", ["1+i", "x"])
+def test_basis_alpha_that_is_not_rational_is_an_input_error(capsys, alpha):
+    code = cli_main(["basis", "--op", "abel", "--alpha", alpha, "--depth", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: not a rational: %r\n" % alpha

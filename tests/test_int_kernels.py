@@ -9,8 +9,10 @@ its inputs: int over Z, Fraction over Q, GaussianRational over Q(i).
 
 The operator-series kernels (seq_compose, compositional_inverse and
 the shift-invariant apply of DeltaOp and apply_delta_series) run on
-integer lanes too, and give every entry the value and the type that the
-loops in the scalars' own arithmetic give it, entry by entry.
+integer lanes too, and so do the series reciprocal and Rota's
+recurrence in Hurwitz coordinates; each gives every entry the value and
+the type that the loops in the scalars' own arithmetic give it, entry
+by entry.
 """
 
 from fractions import Fraction
@@ -21,16 +23,26 @@ from deltadyn.autonomous import autonomous_sequence, classical_flow, flow_from_a
 from deltadyn.deltaflow import delta_flow
 from deltadyn.flows import TSeries
 from deltadyn.scalars import GaussianRational
-from deltadyn.series import XSeries, compositional_inverse, seq_compose
-from deltadyn.umbral import abel, apply_delta_series, basic_sequence_from_delta, forward, touchard
+from deltadyn.series import XSeries, compositional_inverse, seq_compose, seq_reciprocal
+from deltadyn.umbral import (
+    OPERATOR_NAMES,
+    abel,
+    apply_delta_series,
+    basic_sequence_from_delta,
+    forward,
+    operator,
+    touchard,
+)
 
 from oracle_utils import (
     apply_by_step_table,
     autonomous_by_field_loop,
+    basic_sequence_by_field_loop,
     compositional_inverse_by_field_loop,
     expand_by_field_loop,
     flow_coeffs_by_factorial,
     seq_compose_by_field_loop,
+    seq_reciprocal_by_field_loop,
 )
 from strategies import (
     DEPTH,
@@ -260,3 +272,51 @@ def test_apply_to_tseries_drops_the_kinds_of_a_cancelled_top():
     got = forward(3).apply_tseries(TSeries(v, 3)).coefficient(0)
     assert entries([got]) == [[(0, Fraction), (Fraction(1, 2), Fraction)]]
     assert entries([got]) == entries(apply_by_step_table(forward(3).coeffs, v, XSeries.zero())[:1])
+
+
+# The zeros of the three fields, drawn among the coefficients of any field.
+ZEROS = st.sampled_from([0, Fraction(0), GaussianRational(0)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(FIELDS, st.data())
+def test_seq_reciprocal_matches_field_loop(field, data):
+    # constant terms other than units, and zeros of every field (Gaussian
+    # ones included) among the coefficients of Z, Q, Q(i) or mixed lists
+    scalars = SCALARS[field]
+    c0 = data.draw(scalars.filter(lambda c: c != 0))
+    rest = data.draw(st.lists(st.one_of(scalars, ZEROS), max_size=12))
+    order = data.draw(st.integers(0, 14))
+    a = [c0] + rest
+    assert entries(seq_reciprocal(a, order)) == entries(seq_reciprocal_by_field_loop(a, order))
+
+
+# (Q, depth): the built-in operators, Abel's at a rational or Gaussian
+# alpha and random rational or Gaussian delta series, at depths 0 to 24
+BASIS_OPERATORS = st.one_of(
+    st.builds(
+        lambda name, alpha, depth: (operator(name, max(depth, 1), alpha), depth),
+        st.sampled_from(OPERATOR_NAMES),
+        RATIONALS,
+        st.integers(0, 24),
+    ),
+    st.builds(
+        lambda alpha, depth: (abel(alpha, max(depth, 1)), depth),
+        GAUSSIANS.filter(lambda c: c != 0),
+        st.integers(0, 24),
+    ),
+    delta_series(RATIONALS, max_depth=24),
+    delta_series(GAUSSIANS, max_depth=24),
+    delta_series(st.one_of(INTS, ZEROS, GAUSSIANS)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(BASIS_OPERATORS)
+def test_basis_matches_rota_recurrence_in_field_arithmetic(case):
+    # past the cache, which returns one basis for equal operators of
+    # different fields, such as derivative() and abel(i)
+    Q, depth = case
+    got = basic_sequence_from_delta.__wrapped__(Q, depth)
+    want = basic_sequence_by_field_loop(Q, depth)
+    assert entries(got.polys) == entries(want.polys)

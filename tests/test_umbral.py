@@ -295,6 +295,15 @@ def test_basis_cache_is_bounded():
     assert basic_sequence_from_delta.cache_info().maxsize == 64
 
 
+def test_equal_operator_is_a_basis_cache_hit():
+    first = basic_sequence_from_delta(abel(Fraction(5, 7), 11), 9)
+    before = basic_sequence_from_delta.cache_info()
+    again = basic_sequence_from_delta(abel(Fraction(5, 7), 11), 9)  # equal, a new object
+    after = basic_sequence_from_delta.cache_info()
+    assert again is first
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 def test_binomial_type():
     for Q in all_builtins(8):
         basis = basic_sequence_from_delta(Q, 8)
