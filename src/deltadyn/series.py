@@ -10,7 +10,10 @@ Lagrange inversion on plain coefficient sequences (index = power,
 scalar entries), the rational binomial coefficient, and the product
 of the Hurwitz ring: the binomial convolution of two sequences, which
 multiplies exponential generating functions and, by the Leibniz rule,
-derivative towers (f, f', f'', ...).
+derivative towers (f, f', f'', ...).  The reciprocal runs in that ring
+on integers (_hurwitz_reciprocal), with no division until each output
+coefficient; its integer form also gives Rota's recurrence in umbral
+its weights.
 
 _mul_lists, the one batch convolution, multiplies scalar sequences,
 XSeries (and so XSeries.shift), the coefficients of flows.TSeries and

@@ -8,9 +8,13 @@ recurrence
 
     q_(n+1)(t)  =  t * r(d/dt) q_n(t),    r = 1/p',
 
-one series reciprocal and then one shift-invariant apply per degree,
-on plain integers for every rational operator.  The same family is
-described by the exponential generating identity
+one series reciprocal and then one shift-invariant apply per degree.
+Both run on integers in Hurwitz coordinates, over Q and Q(i) alike:
+the reciprocal of p' in the Hurwitz ring (series._hurwitz_reciprocal)
+gives the integer weights of the apply, on Z or Z[i], and the basis
+keeps one integer row per polynomial, from which its scalars are made
+on first read.  The same family is described by the exponential
+generating identity
 
     sum_n q_n(t) u^n / n!  =  exp(t * pinv(u)),
 
@@ -34,14 +38,14 @@ per series, on integers over one denominator (DeltaOp._int_steps).  It
 serves every operator, on polynomials and in the t variable of a
 TSeries (one division per output coefficient, _lanes_apply), on the
 integer point values of deltaflow.verify_delta_ode, and each step of
-Rota's recurrence is one such apply (of the weights k! r_k) followed
-by a product with t.
+Rota's recurrence is one such apply (of the Hurwitz weights of 1/p')
+followed by a product with t.
 BasicSequence.expand maps coordinates over
 (q_n) to monomial ones through the triangular matrix beta(k, n).  Its
 integer core, BasicSequence._expand_rows, takes integer rows with one
 denominator each and returns rows over their common denominator times
-that of beta, each row of beta stored once as integer numerators and
-Gaussian scalars split into real and imaginary lanes.
+that of beta, read from the rows of the basis with real and imaginary
+lanes.
 flows.Flow.to_monomial runs the core on the rows of a flow; expand, for
 the umbral operators, reads its scalars into rows and its results out
 of them with the helpers of the one holder of terms and rows
@@ -361,9 +365,9 @@ class BasicSequence(_TermRows):
     @functools.cached_property
     def _int_rows(self):
         """The matrix beta over one denominator, (db, kind, complex,
-        rows): rows[n] lists (k, re, im) for every nonzero beta(k, n) =
-        (re + im*i) / db, kind is the field of the basis as in to_lanes,
-        and complex tells whether any im is nonzero."""
+        rows), read off the integer rows: rows[n] lists (k, re, im) for
+        every nonzero beta(k, n) = (re + im*i) / db, kind is the field of
+        the basis, and complex tells whether a row has imaginary parts."""
         kind, rows = self.numerators
         db = math.lcm(*[den for den, _, _ in rows])
         out = []
