@@ -160,7 +160,7 @@ def verify_delta_ode(f, Q, order, basis=None):
     aut = autonomous_sequence(f, N)
     d, F, kind = _integral(f)
     db, basis_kind, _, rows = basis._int_rows
-    dq, q_kind, _, steps = Q._int_steps
+    dq, q_kind, steps = Q._int_steps
     beta = [[(k, _lane(re, im)) for k, re, im in row] for row in rows[: N + 1]]
     steps = [[(k, _lane(re, im)) for k, re, im in row] for row in steps[: N + 1]]
     fact = math.factorial

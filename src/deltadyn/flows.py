@@ -9,11 +9,12 @@ the basic polynomials q_n(t) of a delta operator, together with the
 generator f of the flow when it has one.  Classical flows and delta
 flows are both Flows.  A Flow keeps its coefficients as integer rows,
 (P_n, d^n n!) for a flow from the kernel, and converts losslessly
-between the two bases through the triangular change-of-basis matrix,
-to monomials on those rows.  One holder, _TermRows, keeps the terms of
-a Flow or an AutonomousSequence and their integer rows, each made from
-the other on first read by _rows_to_terms and _terms_to_rows, the
-helpers BasicSequence.expand reads and writes its rows with too.
+between the two bases on those rows, both ways by the integer core
+BasicSequence._expand_rows: to monomials by the triangular matrix of
+the basis, back by that of its umbral inverse.  One holder, _TermRows,
+keeps the terms of a Flow or an AutonomousSequence and their integer
+rows, each made from the other on first read by _rows_to_terms and
+_terms_to_rows, the helpers BasicSequence.expand uses too.
 taylor_compose gives f(W) for a polynomial f and a Flow or TSeries W
 by Horner's rule.
 """
@@ -233,28 +234,21 @@ class Flow(_TermRows):
         if self.basis is None:
             return self
         kind, rows = self.numerators
-        kind, mono = self.basis._expand_rows(kind, ((1, (), None),) + rows)
+        kind, mono = self.basis._expand_rows(kind, ((1, (), None), *rows))
         return Flow._from_numerators((kind, mono[1:]), None, self.has_base, self.generator)
 
     def to_basic(self, basis):
-        """Inverse conversion: solve the triangular system against q_n."""
-        if self.basis is not None:
-            return self.to_monomial().to_basic(basis)
-        N = self.order
-        if basis.depth < N:
+        """Inverse conversion, lossless: the integer core of to_monomial
+        on the monomial rows, by the matrix of umbral_inverse(basis), as
+        t^n = sum_k betahat(k, n) q_k(t) for a basis of its own operator
+        (every basis the library makes)."""
+        from .umbral import umbral_inverse
+
+        if basis.depth < self.order:
             raise ValueError("basis depth is smaller than the flow order")
-        rest = list(self.coeffs)  # rest[k-1] = remaining coefficient of t^k
-        out = [XSeries.zero()] * N
-        for n in range(N, 0, -1):
-            q = basis.poly(n)
-            c = rest[n - 1] / q.coefficient(n)
-            out[n - 1] = c
-            if not c.is_zero:
-                for k in range(1, n + 1):
-                    b = q.coefficient(k)
-                    if b != 0:
-                        rest[k - 1] = rest[k - 1] - c * b
-        return Flow(out, basis, self.has_base, self.generator)
+        kind, rows = self.to_monomial().numerators
+        kind, out = umbral_inverse(basis)._expand_rows(kind, ((1, (), None), *rows))
+        return Flow._from_numerators((kind, out[1:]), basis, self.has_base, self.generator)
 
     def to_tseries(self):
         """Monomial TSeries including the base term (degree = order)."""

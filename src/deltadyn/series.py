@@ -372,10 +372,6 @@ class XSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar):
-        inv = invert_scalar(scalar)
-        return self * inv
-
     def derivative(self):
         """x-derivative."""
         return XSeries([i * c for i, c in enumerate(self.coeffs)][1:])

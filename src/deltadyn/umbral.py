@@ -46,7 +46,8 @@ integer core, BasicSequence._expand_rows, takes integer rows with one
 denominator each and returns rows over their common denominator times
 that of beta, read from the rows of the basis with real and imaginary
 lanes.
-flows.Flow.to_monomial runs the core on the rows of a flow; expand, for
+flows.Flow.to_monomial runs the core on the rows of a flow, and
+Flow.to_basic runs it with the basis of the umbral inverse; expand, for
 the umbral operators, reads its scalars into rows and its results out
 of them with the helpers of the one holder of terms and rows
 (flows._TermRows), dividing once per output coefficient.
@@ -107,13 +108,17 @@ class DeltaOp:
     coeffs[k] multiplies the k-th derivative; p0 must vanish and p1
     must be invertible.  The series is stored through a finite order,
     which bounds the polynomial degree the operator can act on.  The
-    tag is descriptive only and does not take part in equality.
+    tag is descriptive only and does not take part in equality; kinds,
+    the field of each nonzero coefficient (scalars._kinds), does, so
+    equal series of two fields do not share a cached basis.
     """
 
     coeffs: tuple
     tag: str = field(default="custom", compare=False)
+    kinds: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "kinds", _kinds([c if c != 0 else 0 for c in self.coeffs]))
         if len(self.coeffs) < 2:
             raise ValueError("delta operator needs at least order 1")
         if self.coeffs[0] != 0:
@@ -162,14 +167,13 @@ def _steps(lanes, size):
 
 def _int_step_table(coeffs, size):
     """The step table of sum_k coeffs[k] d^k for inputs of length <=
-    size over one denominator, (den, kind, complex, rows): rows[m] lists
-    (k, re, im), (re + im*i) / den = h_k C(m+k, k), for the nonzero
-    Hurwitz weights h_k = k! coeffs[k] with m + k < size; kind is their
-    field as in to_lanes, and complex tells whether any im is nonzero."""
+    size over one denominator, (den, kind, rows): rows[m] lists (k, re,
+    im), (re + im*i) / den = h_k C(m+k, k), for the nonzero Hurwitz
+    weights h_k = k! coeffs[k] with m + k < size; kind is their field."""
     weights = [math.factorial(k) * c for k, c in enumerate(coeffs[:size])]
     den, re, im, _ = to_lanes(weights)
     kind = _kind([h for h in weights if h != 0])
-    return den, kind, im is not None, _steps((re, im or [0] * len(re)), size)
+    return den, kind, _steps((re, im or [0] * len(re)), size)
 
 
 def _falling_apply(steps, v):
@@ -227,7 +231,7 @@ def _lanes_apply(steps, coeffs, values, series):
     their kinds, as XSeries addition does.
     """
     lists = values if series else [(c,) for c in values]
-    dq, _, _, rows = steps
+    dq, _, rows = steps
     q1, q2 = _kinds(coeffs)
     dp, re, im, _ = to_lanes([c for v in lists for c in v])
     lanes, pos = [], 0

@@ -7,7 +7,8 @@ route.  The last section keeps the field-arithmetic loops that the
 package's integer kernels replaced; they run on whatever scalars and
 XSeries they are given: the autonomous recursion, the basis expansion,
 the flow coefficients A_n * 1/n!, the Fraction route of the flows
-(coefficients divided out, then expanded as scalars), the series
+(coefficients divided out, then expanded as scalars), basic
+coordinates by back substitution against beta, the series
 reciprocal in ordinary coordinates and Rota's recurrence on it,
 composition by the powers of the inner series, Lagrange inversion,
 the step-table apply of a shift-invariant series, and the Horner
@@ -206,6 +207,34 @@ def flow_by_fractions(aut, basis=None):
     if basis is None:
         return coeffs, coeffs
     return coeffs, tuple(basis.expand((XSeries.zero(),) + coeffs)[1:])
+
+
+def to_basic_by_triangular_solve(flow, basis):
+    """The flow in coordinates over basis by back substitution against
+    the triangular beta, from the top coefficient down, in XSeries
+    arithmetic: the route Flow.to_basic took before it ran the matrix
+    of the umbral inverse.  A flow over another basis is read in its
+    monomial form first."""
+    from deltadyn.flows import Flow
+    from deltadyn.series import XSeries, invert_scalar
+
+    if flow.basis is not None:
+        flow = flow.to_monomial()
+    N = flow.order
+    if basis.depth < N:
+        raise ValueError("basis depth is smaller than the flow order")
+    rest = list(flow.coeffs)  # rest[k-1]: what is left of the t^k coefficient
+    out = [XSeries.zero()] * N
+    for n in range(N, 0, -1):
+        q = basis.poly(n)
+        c = rest[n - 1] * invert_scalar(q.coefficient(n))
+        out[n - 1] = c
+        if not c.is_zero:
+            for k in range(1, n + 1):
+                b = q.coefficient(k)
+                if b != 0:
+                    rest[k - 1] = rest[k - 1] - c * b
+    return Flow(out, basis, flow.has_base, flow.generator)
 
 
 def seq_compose_by_field_loop(outer, inner, order):

@@ -151,6 +151,53 @@ def test_numcheck_reports_divergent_cell(capsys):
     assert code == 1
 
 
+def csv_and_json(capsys, *argv):
+    """The exit code, CSV lines and JSON payload of one command."""
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    code_json, payload = run_cli(capsys, *argv, "--format", "json")
+    assert code == code_json
+    return code, out.splitlines(), json.loads(payload)
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_verify_csv_is_its_json_row_by_row(capsys, monkeypatch, broken):
+    from deltadyn import verifysuite
+    from deltadyn.flows import Flow
+
+    if broken:
+        # one more unit on the top coefficient fails connection-flow
+        real = verifysuite.connection_flow
+
+        def bumped(*args, **kwargs):
+            flow = real(*args, **kwargs)
+            coeffs = flow.coeffs[:-1] + (flow.coeffs[-1] + 1,)
+            return Flow(coeffs, flow.basis, flow.has_base, flow.generator)
+
+        monkeypatch.setattr(verifysuite, "connection_flow", bumped)
+    code, lines, payload = csv_and_json(capsys, "verify", "--order", "3", "--depth", "3")
+    assert code == (1 if broken else 0)
+    assert lines[0] == "group,name,pass,residual"
+    assert len(lines) == 1 + len(payload["checks"]) == 32
+    for line, check in zip(lines[1:], payload["checks"]):
+        group, name, passed, residual = line.split(",")
+        assert (group, name, residual) == (check["group"], check["name"], check["residual"])
+        assert passed == ("True" if check["pass"] else "False")
+    failed = [line for line in lines if ",False," in line]
+    assert failed == (["deltaflow,connection-flow,False,1"] if broken else [])
+
+
+def test_numcheck_csv_is_its_json_cell_by_cell(capsys):
+    code, lines, payload = csv_and_json(capsys, "numcheck")
+    assert code == 1  # the divergent Abel cell
+    assert lines[0] == "kind,a,t,deviation,status"
+    assert len(lines) == 2 + len(payload["cells"])
+    for line, cell in zip(lines[1:-1], payload["cells"]):
+        want = [cell[key] for key in ("kind", "a", "t", "deviation", "status")]
+        assert line.split(",", 4) == [str(v) for v in want]
+    assert lines[-1] == "lambert,max_residual=%s,pass=True" % payload["lambert_max_residual"]
+    assert payload["lambert_pass"] is True
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -12,7 +12,10 @@ alpha among them; equal flows hash alike whatever denominators they
 hold.  AutonomousSequence keeps its terms and rows in the same holder,
 so one from the kernel and one given by its terms agree in the same
 way.  The flow command prints the same strings as format_scalar of
-the coefficients.
+the coefficients.  to_basic, the same integer core run with the matrix
+of the umbral inverse of the basis, agrees with back substitution
+against beta (oracle_utils.to_basic_by_triangular_solve) in value and
+type, with no Fraction arithmetic.
 """
 
 import contextlib
@@ -20,18 +23,31 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltadyn import cli
 from deltadyn.autonomous import AutonomousSequence, autonomous_sequence
 from deltadyn.deltaflow import delta_flow
 from deltadyn.flows import Flow, TSeries
-from deltadyn.scalars import GaussianRational, format_scalar
+from deltadyn.scalars import _ZEROS, GaussianRational, _kind, format_scalar
 from deltadyn.series import XSeries
-from deltadyn.umbral import OPERATOR_NAMES, operator
+from deltadyn.umbral import (
+    OPERATOR_NAMES,
+    basic_sequence_from_delta,
+    forward,
+    operator,
+    touchard,
+    umbral_compose,
+)
 
-from oracle_utils import autonomous_by_field_loop, expand_by_field_loop, flow_by_fractions
-from strategies import GAUSSIANS, INTS, RATIONALS
+from oracle_utils import (
+    autonomous_by_field_loop,
+    expand_by_field_loop,
+    flow_by_fractions,
+    to_basic_by_triangular_solve,
+)
+from strategies import DEPTH, GAUSSIANS, INTS, RATIONALS, bases
 
 FIELDS = {"Z": INTS, "Q": RATIONALS, "Qi": GAUSSIANS}
 NONZERO_RATIONALS = RATIONALS.filter(lambda c: c != 0)
@@ -136,3 +152,76 @@ def test_flow_command_prints_format_scalar_of_the_coefficients(case, fmt):
     else:
         lines = [",".join([label, str(n)] + row) for label in want for n, row in enumerate(want[label])]
         assert out.getvalue() == "\n".join(lines) + "\n"
+
+
+@st.composite
+def to_basic_cases(draw):
+    """(flow, basis): a flow of flow_cases, of order <= DEPTH, over its
+    own basis or in monomial form, with or without its base; and a basis
+    of depth >= its order: a built-in one (Abel's at a rational or a
+    complex alpha), the umbral composite of two, or one of bases()."""
+    _, f, name, alpha, order = draw(flow_cases(max_order=DEPTH))
+    flow = delta_flow(f, operator(name, order, alpha), order)
+    if draw(st.booleans()):
+        flow = flow.to_monomial()
+    if draw(st.booleans()):
+        flow = flow.minus_base()
+    route = draw(st.sampled_from(["builtin", "composed", "random"]))
+    if route == "random":
+        return flow, draw(bases())
+    depth = draw(st.integers(order, order + 3))
+
+    def builtin():
+        name = draw(st.sampled_from(OPERATOR_NAMES))
+        alpha = draw(st.one_of(NONZERO_RATIONALS, COMPLEX_ALPHAS)) if name == "abel" else 1
+        return basic_sequence_from_delta(operator(name, depth, alpha), depth)
+
+    basis = builtin()
+    return flow, umbral_compose(basis, builtin()) if route == "composed" else basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(to_basic_cases())
+def test_to_basic_agrees_with_the_triangular_solve(case):
+    flow, basis = case
+    got = flow.to_basic(basis)
+    want = to_basic_by_triangular_solve(flow, basis)
+    assert got == want and hash(got) == hash(want)
+    assert_same(got.coeffs, want.coeffs)
+    # every coefficient has the one type of the field of the flow, its
+    # basis if it has one, and the new basis
+    over = (flow.basis.polys if flow.basis else ()) + basis.polys
+    values = [c for xs in flow.coeffs + over for c in xs.coeffs]
+    assert {type(c) for xs in got.coeffs for c in xs.coeffs} <= {type(_ZEROS[_kind(values)])}
+    assert got.to_monomial() == flow.to_monomial()
+
+
+def test_to_basic_refuses_a_basis_shallower_than_the_flow():
+    flow = delta_flow(XSeries((0, 1, -1)), forward(6), 6)
+    shallow = basic_sequence_from_delta(touchard(5), 5)
+    for given_ in (flow, flow.to_monomial()):
+        with pytest.raises(ValueError, match="basis depth is smaller than the flow order"):
+            given_.to_basic(shallow)
+
+
+def test_to_basic_runs_without_fraction_arithmetic(monkeypatch):
+    # a forward flow at order 10 onto Abel's basis at 2/3 and Touchard's,
+    # the bases of their umbral inverses built with Fraction arithmetic
+    # patched to fail
+    flow = delta_flow(XSeries((Fraction(1, 2), 1, Fraction(-2, 3))), forward(10), 10).to_monomial()
+    targets = [basic_sequence_from_delta(operator(name, 10, Fraction(2, 3)), 10) for name in ("abel", "touchard")]
+    want = [to_basic_by_triangular_solve(flow, basis) for basis in targets]
+    basic_sequence_from_delta.cache_clear()
+
+    def fails(*args):
+        raise AssertionError("Fraction arithmetic in to_basic")
+
+    for method in ("add", "sub", "mul", "truediv"):
+        monkeypatch.setattr(Fraction, "__%s__" % method, fails)
+        monkeypatch.setattr(Fraction, "__r%s__" % method, fails)
+    got = [flow.to_basic(basis) for basis in targets]
+    coeffs = [g.coeffs for g in got]
+    monkeypatch.undo()
+    assert basic_sequence_from_delta.cache_info().misses == 2
+    for c, w in zip(coeffs, want):
+        assert_same(c, w.coeffs)

@@ -1,10 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltadyn.deltaflow import connection_matrix, matrix_product
+from deltadyn.deltaflow import connection_matrix, delta_flow, matrix_product
 from deltadyn.flows import TSeries
 from deltadyn.scalars import GaussianRational, parse_scalar
 from deltadyn.series import XSeries, compositional_inverse, seq_mul
@@ -302,6 +305,41 @@ def test_equal_operator_is_a_basis_cache_hit():
     after = basic_sequence_from_delta.cache_info()
     assert again is first
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_equal_operators_of_two_fields_do_not_share_a_cached_basis():
+    # in a fresh interpreter, so that the Gaussian twin is built first
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "from deltadyn.scalars import GaussianRational\n"
+        "from deltadyn.umbral import abel, basic_sequence_from_delta, derivative\n"
+        "basic_sequence_from_delta(abel(GaussianRational(0, 1), 1), 0)\n"
+        "print(repr(basic_sequence_from_delta(derivative(1), 0).polys[0].coeffs))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "(Fraction(1, 1),)\n"
+
+
+def test_to_basic_types_do_not_depend_on_which_field_was_built_first():
+    # onto the forward basis, to_basic reads the basis of the inverse
+    # operator, Touchard's; its twin with GaussianRational coefficients
+    # is equal to it as a series
+    flow = delta_flow(XSeries((0, 1, -1)), forward(4), 4)
+    twin = DeltaOp(tuple(GaussianRational(c) for c in touchard(4).coeffs))
+    assert twin.coeffs == touchard(4).coeffs
+    for first in (touchard(4), twin):
+        basic_sequence_from_delta.cache_clear()
+        basic_sequence_from_delta(first, 4)
+        back = flow.to_monomial().to_basic(flow.basis)
+        assert back == flow
+        assert {type(c) for xs in back.coeffs for c in xs.coeffs} == {Fraction}
+        polys = basic_sequence_from_delta(touchard(4), 4).polys
+        assert {type(c) for q in polys for c in q.coeffs} == {Fraction}
+    polys = basic_sequence_from_delta(twin, 4).polys
+    assert {type(c) for q in polys for c in q.coeffs} == {GaussianRational}
 
 
 def test_binomial_type():
