@@ -19,16 +19,17 @@ _mul_lists, the one batch convolution, multiplies scalar sequences,
 XSeries (and so XSeries.shift), the coefficients of flows.TSeries and
 integer lanes; _mul_lanes, the product of integer lanes (three real
 products over Q(i)), serves autonomous.autonomous_sequence, composition
-and Lagrange inversion.  These two read each input once into lanes
-over one denominator (scalars.to_lanes), run on ints and divide once
-per output coefficient, giving it the type the products in the
-scalars would (_product_kinds).
+and Lagrange inversion.  Those kernels and the reciprocal read each
+input once into lanes over one denominator (scalars.to_lanes), run on
+ints and divide once per output coefficient, giving every coefficient,
+zeros included, the one type of the field of their inputs (at least Q
+for the reciprocal and the inverse, which divide).
 """
 
 import math
 from fractions import Fraction
 
-from .scalars import _ZEROS, _kind, _kinds, from_lanes, to_lanes
+from .scalars import _ZEROS, _kind, from_lanes, to_lanes
 
 __all__ = [
     "XSeries",
@@ -97,26 +98,6 @@ def _mul_lanes(a, b, cap=None):
     return [u - v for u, v in zip(rr, ii)], [s - u - v for s, u, v in zip(ss, rr, ii)]
 
 
-def _nonzero(re, im):
-    """The nonzero entries of integer lanes (re, im) as a bit mask."""
-    return sum(1 << j for j, x in enumerate(re) if x or im and im[j])
-
-
-def _product_kinds(a, b, cap):
-    """The kind masks (see scalars._kinds) of _mul_lists(x, y, cap) run
-    on scalars x and y given as (nonzero, k1, k2) masks: entry n takes
-    the largest kind of x[i] and y[j] over the nonzero pairs with
-    i + j = n, and one that no pair reaches stays the int 0."""
-    (anz, a1, a2), (bnz, b1, b2) = a, b
-    k1 = k2 = 0
-    for i in range(anz.bit_length()):
-        if anz >> i & 1:
-            k1 |= (bnz if a1 >> i & 1 else bnz & b1) << i
-            k2 |= (bnz if a2 >> i & 1 else bnz & b2) << i
-    top = (1 << cap + 1) - 1
-    return k1 & top, k2 & top
-
-
 # ---------------------------------------------------------------------------
 # kernels on plain scalar sequences
 
@@ -141,11 +122,10 @@ def _hurwitz_reciprocal(a, order, shift=0):
     three real products per Gaussian product, give the Hurwitz
     coefficients D C_n / (N_0^(n+1) b^n) of the reciprocal.
 
-    Returns (C, N_0, D, b, first): C as lanes (re, im), im None when
-    real, D as (re, im), and first the least n at which field
-    arithmetic (out_n = -sum_k a_k out_(n-k) / a_0) makes a
-    GaussianRational, order + 1 if none: the least k with a nonzero
-    Gaussian a_k.
+    Returns (C, N_0, D, b, gaussian): C as lanes (re, im), im None when
+    real, D as (re, im), and gaussian whether some a_k through the order
+    is a nonzero GaussianRational, which makes the field of the
+    reciprocal Q(i) rather than Q.
     """
     order = max(order, 0)
     a = list(a)[: order + 1]
@@ -153,8 +133,7 @@ def _hurwitz_reciprocal(a, order, shift=0):
         raise ValueError("reciprocal requires a nonzero constant term")
     den, re, im, _ = to_lanes(a)
     im = im or [0] * len(a)
-    gaussian = _kinds(a)[1]
-    first = next((k for k in range(len(a)) if gaussian >> k & 1 and (re[k] or im[k])), order + 1)
+    gaussian = _kind([c for c in a if c != 0]) == 2
     fact = [math.factorial(k + shift) for k in range(len(a))]
     b = 1
     for k in range(1, len(a)):
@@ -189,24 +168,24 @@ def _hurwitz_reciprocal(a, order, shift=0):
         cr.append(s2 - s1)
         if cplx:
             ci.append(s1 + s2 - s3)
-    return (cr, ci), n0, (dr, di), b, first
+    return (cr, ci), n0, (dr, di), b, gaussian
 
 
 def seq_reciprocal(a, order):
     """Multiplicative inverse of a sequence with nonzero constant term.
 
     Read off the reciprocal in Hurwitz coordinates (_hurwitz_reciprocal):
-    coefficient n is D C_n / (N_0^(n+1) b^n n!), one division each, a
-    GaussianRational where field arithmetic would make one, else a
-    Fraction.
+    coefficient n is D C_n / (N_0^(n+1) b^n n!), one division each.
+    Every coefficient is a GaussianRational when a nonzero one of a
+    through the order is, else a Fraction.
     """
-    (cr, ci), n0, (dr, di), b, first = _hurwitz_reciprocal(a, order)
+    (cr, ci), n0, (dr, di), b, gaussian = _hurwitz_reciprocal(a, order)
     out, den = [], n0
     for n, x in enumerate(cr):
         if n:
             den *= n0 * b * n
         y = ci[n] if ci else 0
-        out.append(from_lanes(dr * x - di * y, dr * y + di * x, den, 1 + (n >= first)))
+        out.append(from_lanes(dr * x - di * y, dr * y + di * x, den, 1 + gaussian))
     return tuple(out)
 
 
@@ -223,24 +202,28 @@ def seq_compose(outer, inner, order):
 
     On integer lanes: for outer = C/D_o and inner = I/D_i, the sum
     S_k = S_(k-1) D_i + C_k I^k through the last nonzero C_K is the
-    numerator over D_o D_i^K, divided once per coefficient.
+    numerator over D_o D_i^K, divided once per coefficient.  Every
+    coefficient, zeros included, has the one type of the field of outer
+    through the order and inner together.
+
+    >>> from fractions import Fraction as F
+    >>> seq_compose([0, F(1), F(1, 2)], [0, F(1)], 3)
+    (Fraction(0, 1), Fraction(1, 1), Fraction(1, 2), Fraction(0, 1))
     """
     inner = list(inner)
     if inner and inner[0] != 0:
         raise ValueError("composition requires inner constant term 0")
     outer = list(outer)[: order + 1]
-    do, cr, ci, _ = to_lanes(outer)
-    di, ir, ii, _ = to_lanes(inner)
-    c1, c2 = _kinds(outer)
-    step = (_nonzero(ir, ii),) + _kinds(inner)
-    power, kinds = ([1], None), (1, 0, 0)
+    do, cr, ci, outer_kind = to_lanes(outer)
+    di, ir, ii, inner_kind = to_lanes(inner)
+    kind = max(outer_kind, inner_kind)
+    last = max((k for k, x in enumerate(cr) if x or ci and ci[k]), default=-1)
+    power = [1], None
     sr, si = [0] * (order + 1), [0] * (order + 1)
-    o1 = o2 = 0  # the kinds of the output, as _product_kinds gives them
     den = do
-    for k in range(_nonzero(cr, ci).bit_length()):
+    for k in range(last + 1):
         if k:
             power = _mul_lanes(power, (ir, ii), order)
-            kinds = (_nonzero(*power),) + _product_kinds(kinds, step, order)
             den *= di
             sr, si = [x * di for x in sr], [y * di for y in si]
         a, b = cr[k], ci[k] if ci else 0
@@ -251,10 +234,7 @@ def seq_compose(outer, inner, order):
             y = pi[i] if pi else 0
             sr[i] += a * x - b * y
             si[i] += a * y + b * x
-        full = (1 << len(pr)) - 1
-        o1 |= full if c1 >> k & 1 else kinds[1]
-        o2 |= full if c2 >> k & 1 else kinds[2]
-    return tuple(from_lanes(x, si[i], den, (o1 >> i & 1) + (o2 >> i & 1)) for i, x in enumerate(sr))
+    return tuple(from_lanes(x, si[i], den, kind) for i, x in enumerate(sr))
 
 
 def compositional_inverse(p, order):
@@ -263,6 +243,8 @@ def compositional_inverse(p, order):
     Uses the Lagrange inversion formula: the n-th coefficient of the
     inverse is [u^(n-1)] (u/p(u))^n / n.  The round trip
     p(inverse(u)) == u holds exactly through the requested order.
+    Coefficients 1 .. order have the one type of w = u/p (see
+    seq_reciprocal); coefficient 0 is never computed and is the int 0.
 
     >>> from fractions import Fraction as F
     >>> exp_minus_one = [0] + [F(1, math.factorial(k)) for k in range(1, 6)]
@@ -275,16 +257,13 @@ def compositional_inverse(p, order):
     if len(p) < 2 or p[1] == 0:
         raise ValueError("inverse requires a nonzero linear term")
     w = seq_reciprocal(p[1:], order)  # u/p as a series in u
-    dw, wr, wi, _ = to_lanes(w)
-    step = (_nonzero(wr, wi),) + _kinds(w)
+    dw, wr, wi, kind = to_lanes(w)
     out = [0] * (order + 1)
-    power, kinds = ([1], None), (1, 0, 0)
+    power = [1], None
     for n in range(1, order + 1):
         # W^n over dw^n through u^(order-1), the last power read
         power = _mul_lanes(power, (wr, wi), order - 1)
-        kinds = (_nonzero(*power),) + _product_kinds(kinds, step, order - 1)
         pr, pi = power
-        kind = max(1, (kinds[1] >> n - 1 & 1) + (kinds[2] >> n - 1 & 1))
         out[n] = from_lanes(pr[n - 1], pi[n - 1] if pi else 0, dw**n * n, kind)
     return tuple(out)
 

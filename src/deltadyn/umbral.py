@@ -140,13 +140,13 @@ class DeltaOp:
         """Apply Q to an exact polynomial in t; degree drops by one."""
         if p.degree > self.order:
             raise ValueError("operator order too small for this polynomial")
-        return XSeries(_lanes_apply(self._int_steps, self.coeffs, p.coeffs, False))
+        return XSeries(_lanes_apply(self._int_steps, p.coeffs, False))
 
     def apply_tseries(self, w):
         """Apply Q in the t variable of a TSeries."""
         if w.order > self.order:
             raise ValueError("operator order too small for this t-order")
-        out = _lanes_apply(self._int_steps, self.coeffs, [c.coeffs for c in w.coeffs], True)
+        out = _lanes_apply(self._int_steps, [c.coeffs for c in w.coeffs], True)
         return TSeries(map(XSeries, out), max(w.order - 1, 0))
 
     def __repr__(self):
@@ -182,7 +182,7 @@ def _falling_apply(steps, v):
 
     Entry m is sum_k h_k C(m+k, k) v[m+k], accumulated from the int 0;
     the entries of v are ints or the point values of
-    deltaflow.verify_delta_ode (see _lanes_apply for exact scalars).
+    deltaflow.verify_delta_ode (_lanes_apply runs it on exact scalars).
     """
     size = len(v)
     out = []
@@ -217,39 +217,35 @@ def _gaussian_apply(steps, vr, vi):
     return re, im
 
 
-def _lanes_apply(steps, coeffs, values, series):
-    """_falling_apply of the integer step table steps of the series
-    coeffs (see _int_step_table) on values (index = power of t), in
-    integers over the denominator of the steps times the common one of
-    the values, divided once per output coefficient.
+def _lanes_apply(steps, values, series):
+    """_falling_apply of an integer step table (see _int_step_table) on
+    values (index = power of t), in integers over the denominator of the
+    steps times the common one of the values, divided once per output
+    coefficient.
 
     The values are scalars, or with series the coefficient lists of
-    XSeries, and so is each output entry.  Each output coefficient has
-    the type the apply in the scalars gives it: the largest kind of its
-    terms h_k C(m+k, k) values[m+k], and the int 0 when no term reaches
-    it.  A partial sum of XSeries drops its zero top coefficients, and
-    their kinds, as XSeries addition does.
+    XSeries, and so is each output entry.  Every output coefficient,
+    zeros included, has the one type of the field of the nonzero weights
+    of the steps and the values together.
     """
     lists = values if series else [(c,) for c in values]
-    dq, _, rows = steps
-    q1, q2 = _kinds(coeffs)
-    dp, re, im, _ = to_lanes([c for v in lists for c in v])
+    dq, kind, rows = steps
+    dp, re, im, values_kind = to_lanes([c for v in lists for c in v])
+    kind = max(kind, values_kind)
     lanes, pos = [], 0
     for v in lists:
         end = pos + len(v)
-        lanes.append((re[pos:end], im[pos:end] if im else None) + _kinds(v))
+        lanes.append((re[pos:end], im[pos:end] if im else None))
         pos = end
     den = dq * dp
     width = max(map(len, lists), default=0)
     out = []
     for m in range(len(lists)):
         ar, ai = [0] * width, [0] * width
-        top = 0 if series else width
-        k1 = k2 = 0
         for k, sr, si in rows[m]:
             if m + k >= len(lists):
                 break
-            vr, vi, v1, v2 = lanes[m + k]
+            vr, vi = lanes[m + k]
             if si or vi:
                 for i, x in enumerate(vr):
                     y = vi[i] if vi else 0
@@ -258,23 +254,14 @@ def _lanes_apply(steps, coeffs, values, series):
             else:
                 for i, x in enumerate(vr):
                     ar[i] += sr * x
-            full = (1 << len(vr)) - 1
-            k1 |= full if q1 >> k & 1 else v1
-            k2 |= full if q2 >> k & 1 else v2
-            if series:
-                top = max(top, len(vr))
-                while top and not (ar[top - 1] or ai[top - 1]):
-                    top -= 1
-                k1 &= (1 << top) - 1
-                k2 &= (1 << top) - 1
-        out.append([from_lanes(ar[i], ai[i], den, (k1 >> i & 1) + (k2 >> i & 1)) for i in range(top)])
+        out.append([from_lanes(x, ai[i], den, kind) for i, x in enumerate(ar)])
     return out if series else [c for c, in out]
 
 
 def apply_delta_series(coeffs, p):
     """Apply a shift-invariant series sum_k coeffs[k] d^k to a polynomial."""
     steps = _int_step_table(coeffs, len(p.coeffs))
-    return XSeries(_lanes_apply(steps, coeffs, p.coeffs, False))
+    return XSeries(_lanes_apply(steps, p.coeffs, False))
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +459,7 @@ def basic_sequence_from_delta(Q, depth):
     if Q.order < depth:
         raise ValueError("operator order too small for this depth")
     top = max(depth, 1)
-    (cr, ci), n0, (dr, di), b, first = _hurwitz_reciprocal(Q.coeffs[1 : top + 1], top - 1, 1)
+    (cr, ci), n0, (dr, di), b, gaussian = _hurwitz_reciprocal(Q.coeffs[1 : top + 1], top - 1, 1)
     lanes = [([1], None if ci is None else [0])]
     if ci is None:
         steps = _steps((cr,), depth)
@@ -493,7 +480,7 @@ def basic_sequence_from_delta(Q, depth):
         re = [(x * pr - y * pi) * f for x, y, f in zip(gr, gi, nb)]
         im = [(x * pi + y * pr) * f for x, y, f in zip(gr, gi, nb)]
         rows.append((den, re, im if ci or di else None))
-    return BasicSequence._from_numerators((1 + (first < top), tuple(rows)), Q)
+    return BasicSequence._from_numerators((1 + gaussian, tuple(rows)), Q)
 
 
 def basic_sequence_by_recurrence(Q, depth):
@@ -567,9 +554,11 @@ def umbral_compose(A, B):
 def umbral_inverse(A):
     """Basic sequence of the compositionally inverse operator.
 
-    Composing with it on either side yields the monomial basis.
+    Composing with it on either side yields the monomial basis.  A
+    basis of depth d reads its operator only through order d, so the
+    series is inverted through max(d, 1), the least order of a DeltaOp.
     """
-    inv = DeltaOp(compositional_inverse(A.operator.coeffs, A.operator.order))
+    inv = DeltaOp(compositional_inverse(A.operator.coeffs, max(A.depth, 1)))
     return basic_sequence_from_delta(inv, A.depth)
 
 

@@ -33,17 +33,19 @@ from deltadyn.scalars import GaussianRational
 from deltadyn.series import XSeries
 from deltadyn.solver import corpus_map
 from deltadyn.umbral import (
+    OPERATOR_NAMES,
     UmbralOperator,
     abel,
     backward,
     basic_sequence_from_delta,
     derivative,
     forward,
+    operator,
     touchard,
 )
 
 from oracle_utils import delta_ode_by_series
-from strategies import GAUSSIANS, RATIONALS, builtin_ops, delta_series, polys
+from strategies import GAUSSIANS, RATIONALS, builtin_ops, delta_series, generators, polys
 
 X = XSeries.x()
 N = 10
@@ -225,6 +227,30 @@ def test_rhoq_commutativity():
     a = rhoq_mul(rho_q(f, Q, 8), rho_q(g, Q, 8))
     b = rhoq_mul(rho_q(g, Q, 8), rho_q(f, Q, 8))
     assert a.coeffs == b.coeffs
+
+
+# The five built-in operators and Abel's at a Gaussian alpha, of order 6.
+RING_OPERATORS = st.one_of(
+    st.sampled_from(OPERATOR_NAMES).map(lambda name: operator(name, 6)),
+    GAUSSIANS.filter(lambda c: c != 0).map(lambda alpha: abel(alpha, 6)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generators(), generators(), RING_OPERATORS, st.integers(1, 6))
+def test_semiflow_ring_is_the_ring_of_generators(f, g, Q, order):
+    # rho_Q carries f + g and f * g to the ring sum and product of the
+    # semiflows, and the generator 1 to the unit q_1(t)
+    pf, pg = rho_q(f, Q, order), rho_q(g, Q, order)
+    total, product = rhoq_add(pf, pg), rhoq_mul(pf, pg)
+    assert total.generator == f + g
+    assert total.coeffs == rho_q(f + g, Q, order).coeffs
+    assert product.generator == f * g
+    assert product.coeffs == rho_q(f * g, Q, order).coeffs
+    unit = rhoq_unit(Q, order)
+    assert unit.coeffs == (XSeries.one(),) + (XSeries.zero(),) * (order - 1)
+    assert rhoq_mul(pf, unit).coeffs == pf.coeffs
+    assert rhoq_mul(unit, pf).coeffs == pf.coeffs
 
 
 def test_mixed_bases_error():

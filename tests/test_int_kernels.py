@@ -10,14 +10,19 @@ its inputs: int over Z, Fraction over Q, GaussianRational over Q(i).
 The operator-series kernels (seq_compose, compositional_inverse and
 the shift-invariant apply of DeltaOp and apply_delta_series) run on
 integer lanes too, and so do the series reciprocal and Rota's
-recurrence in Hurwitz coordinates; each gives every entry the value and
-the type that the loops in the scalars' own arithmetic give it, entry
-by entry.
+recurrence in Hurwitz coordinates.  Each gives every entry the value
+that the loops in the scalars' own arithmetic give it, entry by entry,
+and every entry, zeros included, the one type of the field of its
+inputs: for composition, that of the outer series through the order
+and the inner one; for the apply, that of the operator's nonzero
+weights and the values; for the reciprocal and Lagrange inversion,
+which divide, GaussianRational when a nonzero Gaussian coefficient
+enters, else Fraction.
 """
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from deltadyn.autonomous import autonomous_sequence, classical_flow, flow_from_autonomous
 from deltadyn.deltaflow import delta_flow
@@ -26,6 +31,7 @@ from deltadyn.scalars import GaussianRational
 from deltadyn.series import XSeries, compositional_inverse, seq_compose, seq_reciprocal
 from deltadyn.umbral import (
     OPERATOR_NAMES,
+    DeltaOp,
     abel,
     apply_delta_series,
     basic_sequence_from_delta,
@@ -217,40 +223,99 @@ def entries(values):
     ]
 
 
+def by_entry(values):
+    """The scalars of a list of scalars or XSeries, listed by entry."""
+    return [list(v.coeffs) if isinstance(v, XSeries) else v for v in values]
+
+
+def assert_one_type(values, kind):
+    """Every scalar of a list of scalars or XSeries, zeros included, is
+    exactly of type kind."""
+    types = [type(c) for v in values for c in (v.coeffs if isinstance(v, XSeries) else (v,))]
+    assert types == [kind] * len(types)
+
+
+def reciprocal_type(values):
+    """The one type of the reciprocal of a series: GaussianRational when
+    a nonzero coefficient is one, else Fraction (division leaves Z)."""
+    gaussian = any(type(c) is GaussianRational and c != 0 for c in values)
+    return GaussianRational if gaussian else Fraction
+
+
+def nonzero(values):
+    return [c for c in values if c != 0]
+
+
+class Draws:
+    """Fixed answers, in order, to the data.draw calls of a test that
+    draws from st.data(), for an explicit @example of it."""
+
+    def __init__(self, *values):
+        self.values, self.left = values, iter(values)
+
+    def draw(self, strategy):
+        return next(self.left)
+
+    def __repr__(self):
+        return "Draws%r" % (self.values,)
+
+
 @settings(max_examples=15, deadline=None)
 @given(OPERATORS, OPERATORS, FIELDS, st.integers(0, 10), st.data())
+# an outer constant term Fraction(0), which the loop skips and leaves
+# the int 0, is the only entry: the field of the inputs is Q
+@example((DeltaOp((0, 1)), 0), (DeltaOp((0, 1)), 0), "Q", 0, Draws(Fraction(0)))
 def test_seq_compose_matches_field_loop(outer, inner, field, order, data):
     # the outer series takes a constant term of any field
     c0 = data.draw(SCALARS[field])
     coeffs = (c0,) + outer[0].coeffs[1:]
     got = seq_compose(coeffs, inner[0].coeffs, order)
-    assert entries(got) == entries(seq_compose_by_field_loop(coeffs, inner[0].coeffs, order))
+    assert by_entry(got) == by_entry(seq_compose_by_field_loop(coeffs, inner[0].coeffs, order))
+    assert_one_type(got, field_type(coeffs[: order + 1], inner[0].coeffs))
 
 
 @settings(max_examples=15, deadline=None)
 @given(OPERATORS, st.integers(0, 10))
+# p = u + i u^2: w = 1/(1 + iu) is Gaussian throughout, and so is
+# coefficient 1 of the inverse, w_0 = 1
+@example((DeltaOp((0, 1, GaussianRational(0, 1))), 2), 2)
 def test_compositional_inverse_matches_field_loop(op, order):
     got = compositional_inverse(op[0].coeffs, order)
-    assert entries(got) == entries(compositional_inverse_by_field_loop(op[0].coeffs, order))
+    assert by_entry(got) == by_entry(compositional_inverse_by_field_loop(op[0].coeffs, order))
     assert type(got[0]) is int
+    # w = u/p through the order reads p_1 .. p_(order+1)
+    assert_one_type(got[1:], reciprocal_type(op[0].coeffs[1 : order + 2]))
 
 
 @settings(max_examples=15, deadline=None)
 @given(OPERATORS, FIELDS, st.data())
+# the derivative of 1 + 2t + i t^2 over Z[i]: the real 2 is Gaussian too
+@example((DeltaOp((0, 1, 0)), 2), "mixed", Draws(XSeries((1, 2, GaussianRational(1))), [0, 1]))
+# a rational operator on an integer polynomial: the field is Q
+@example((DeltaOp((0, Fraction(1))), 1), "Z", Draws(XSeries((0, 1)), [0, Fraction(1)]))
 def test_apply_to_polynomials_matches_step_table(op, field, data):
     Q, depth = op
     p = data.draw(polys(SCALARS[field], max_size=depth + 2))
     if p.degree <= Q.order:
         want = XSeries(apply_by_step_table(Q.coeffs, p.coeffs, 0))
-        assert entries(Q.apply_tpoly(p).coeffs) == entries(want.coeffs)
+        got = Q.apply_tpoly(p)
+        assert by_entry(got.coeffs) == by_entry(want.coeffs)
+        assert_one_type(got.coeffs, field_type(nonzero(Q.coeffs), p.coeffs))
     # a series with a constant term, as the shift operators have
     series = data.draw(st.lists(SCALARS[field], max_size=depth + 2))
     want = XSeries(apply_by_step_table(series, p.coeffs, 0))
-    assert entries(apply_delta_series(series, p).coeffs) == entries(want.coeffs)
+    got = apply_delta_series(series, p)
+    assert by_entry(got.coeffs) == by_entry(want.coeffs)
+    # the apply reads the series through the length of p
+    assert_one_type(got.coeffs, field_type(nonzero(series[: len(p.coeffs)]), p.coeffs))
 
 
 @settings(max_examples=15, deadline=None)
 @given(OPERATORS, st.data())
+# d/dt of x t, x given as (0, Fraction(1)): its int 0 is a Fraction too
+@example((DeltaOp((0, 1)), 0), Draws(1, [XSeries.zero(), XSeries((0, Fraction(1)))]))
+# a Gaussian operator on rational values: the field is Q(i)
+@example((DeltaOp((0, GaussianRational(1))), 1), Draws(1, [XSeries.zero(), XSeries((Fraction(1, 2),))]))
 def test_apply_to_tseries_matches_step_table(op, data):
     # the coefficients of the TSeries mix ints, Fractions and Gaussians
     Q = op[0]
@@ -260,18 +325,21 @@ def test_apply_to_tseries_matches_step_table(op, data):
     want = apply_by_step_table(Q.coeffs, w.coeffs, XSeries.zero())
     got = Q.apply_tseries(w)
     assert got.order == max(order - 1, 0)
-    assert entries(got.coeffs) == entries(want[: got.order + 1])
+    assert by_entry(got.coeffs) == by_entry(want[: got.order + 1])
+    values = [c for xs in w.coeffs for c in xs.coeffs]
+    assert_one_type(got.coeffs, field_type(nonzero(Q.coeffs), values))
 
 
 def test_apply_to_tseries_drops_the_kinds_of_a_cancelled_top():
     # forward has h_1 = h_2 = h_3 = 1, so the t^0 coefficient of Q w is
-    # v_1 + v_2 + v_3, added in that order: G(1) x - x cancels and
-    # XSeries addition drops the Gaussian zero, so the x coefficient
-    # that x/2 brings back is a Fraction, as is the zero constant term
+    # v_1 + v_2 + v_3: G(1) x - x cancels and x/2 brings the x
+    # coefficient back; the Gaussian input puts every coefficient, the
+    # zero constant term included, in Q(i), however the sum cancels
     v = [XSeries.zero(), XSeries((0, GaussianRational(1))), XSeries((0, -1)), XSeries((0, Fraction(1, 2)))]
     got = forward(3).apply_tseries(TSeries(v, 3)).coefficient(0)
-    assert entries([got]) == [[(0, Fraction), (Fraction(1, 2), Fraction)]]
-    assert entries([got]) == entries(apply_by_step_table(forward(3).coeffs, v, XSeries.zero())[:1])
+    assert by_entry([got]) == [[0, Fraction(1, 2)]]
+    assert by_entry([got]) == by_entry(apply_by_step_table(forward(3).coeffs, v, XSeries.zero())[:1])
+    assert [type(c) for c in got.coeffs] == [GaussianRational, GaussianRational]
 
 
 # The zeros of the three fields, drawn among the coefficients of any field.
@@ -280,6 +348,8 @@ ZEROS = st.sampled_from([0, Fraction(0), GaussianRational(0)])
 
 @settings(max_examples=80, deadline=None)
 @given(FIELDS, st.data())
+# 1/(1 + iu): the loop's 1/1 at u^0 is a Fraction, here Gaussian too
+@example("mixed", Draws(1, [GaussianRational(0, 1)], 1))
 def test_seq_reciprocal_matches_field_loop(field, data):
     # constant terms other than units, and zeros of every field (Gaussian
     # ones included) among the coefficients of Z, Q, Q(i) or mixed lists
@@ -288,7 +358,9 @@ def test_seq_reciprocal_matches_field_loop(field, data):
     rest = data.draw(st.lists(st.one_of(scalars, ZEROS), max_size=12))
     order = data.draw(st.integers(0, 14))
     a = [c0] + rest
-    assert entries(seq_reciprocal(a, order)) == entries(seq_reciprocal_by_field_loop(a, order))
+    got = seq_reciprocal(a, order)
+    assert by_entry(got) == by_entry(seq_reciprocal_by_field_loop(a, order))
+    assert_one_type(got, reciprocal_type(a[: order + 1]))
 
 
 # (Q, depth): the built-in operators, Abel's at a rational or Gaussian

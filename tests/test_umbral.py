@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,10 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltadyn.deltaflow import connection_matrix, delta_flow, matrix_product
+from deltadyn.deltaflow import connection_matrix, delta_flow, matrix_product, verify_delta_ode
 from deltadyn.flows import TSeries
 from deltadyn.scalars import GaussianRational, parse_scalar
-from deltadyn.series import XSeries, compositional_inverse, seq_mul
+from deltadyn.series import XSeries, compositional_inverse, seq_compose, seq_mul, seq_reciprocal
 from deltadyn.umbral import (
     OPERATOR_NAMES,
     BasicSequence,
@@ -505,6 +506,17 @@ def test_inverse_round_trips():
         assert umbral_inverse(inv).polys == basis.polys
 
 
+@pytest.mark.parametrize("depth", [0, 1, 5])
+def test_umbral_inverse_inverts_through_the_basis_depth(depth):
+    # forward(12) has order 12 > depth; the basis reads the inverse
+    # series only through its depth, and equals the full-order inverse
+    A = basic_sequence_from_delta(forward(12), depth)
+    inv = umbral_inverse(A)
+    assert inv.operator.order == max(A.depth, 1)
+    full = DeltaOp(compositional_inverse(A.operator.coeffs, A.operator.order))
+    assert inv.polys == basic_sequence_from_delta(full, depth).polys
+
+
 def test_compose_associativity():
     a = basic_sequence_from_delta(forward(12), 6)
     b = basic_sequence_from_delta(abel(1, 12), 6)
@@ -650,3 +662,56 @@ def test_umbral_operator_sends_monomials_to_basis():
         L = UmbralOperator(basis)
         for n in range(9):
             assert L.apply(XSeries.monomial(1, n)) == basis.poly(n)
+
+
+# Each guard of the operator and basis kernels and of the delta flow
+# equation, with its message.
+GUARDS = {
+    "reciprocal-constant-term": (
+        lambda: seq_reciprocal((0, 1), 3),
+        "reciprocal requires a nonzero constant term",
+    ),
+    "compose-inner-constant-term": (
+        lambda: seq_compose((0, 1), (1, 1), 3),
+        "composition requires inner constant term 0",
+    ),
+    "apply-tseries-order": (
+        lambda: forward(2).apply_tseries(TSeries([XSeries.one()] * 4, 3)),
+        "operator order too small for this t-order",
+    ),
+    "umbral-apply-tseries-depth": (
+        lambda: UmbralOperator(monomial_basis(2)).apply_tseries(TSeries([XSeries.one()] * 4, 3)),
+        "t-order exceeds the basis depth",
+    ),
+    "expand-past-depth": (
+        lambda: monomial_basis(2).expand([1, 1, 1, 1]),
+        "basis index out of range",
+    ),
+    "basis-from-delta-order": (
+        lambda: basic_sequence_from_delta(forward(2), 3),
+        "operator order too small for this depth",
+    ),
+    "basis-by-recurrence-order": (
+        lambda: basic_sequence_by_recurrence(forward(2), 3),
+        "operator order too small for this depth",
+    ),
+    "compose-depth-mismatch": (
+        lambda: umbral_compose(monomial_basis(2), monomial_basis(3)),
+        "depth mismatch",
+    ),
+    "delta-ode-basis-depth": (
+        lambda: verify_delta_ode(XSeries((0, 1, -1)), forward(6), 4, monomial_basis(3)),
+        "basis depth is smaller than the flow order",
+    ),
+    "delta-ode-operator-order": (
+        lambda: verify_delta_ode(XSeries((0, 1, -1)), forward(3), 4, monomial_basis(4)),
+        "operator order too small for this t-order",
+    ),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(GUARDS))
+def test_value_error_guards(guard):
+    call, message = GUARDS[guard]
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()
