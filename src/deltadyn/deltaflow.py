@@ -43,7 +43,8 @@ from .scalars import from_lanes, to_lanes
 from .series import XSeries, _add_lists, _mul_lanes, rational_binomial
 from .umbral import (
     UmbralOperator,
-    _falling_apply,
+    _int_apply,
+    _is_gaussian,
     basic_sequence_from_delta,
     derivative,
     umbral_compose,
@@ -141,12 +142,13 @@ def verify_delta_ode(f, Q, order, basis=None):
     basis.  At a point x0, with u the Hurwitz coefficients there of the
     flow of F = d f (the flow of f with t scaled by d), the delta flow is
     x0 + sum_n beta(k, n) u_n t^k / (d^n n!) and f(Phi) is
-    sum_m F(u)_m t^m / (d^(m+1) m!).  With the rows of beta over their
-    denominator db (BasicSequence._int_rows) and the step table of Q
+    sum_m F(u)_m t^m / (d^(m+1) m!).  With the matrix of beta over its
+    denominator db (BasicSequence._int_rows) and the step matrix of Q
     over its denominator dq (DeltaOp._int_steps), both sides times
-    dq db d^N N! are sums of integer products; Q is applied by
-    umbral._falling_apply on those integers.  The residual is computed
-    at integer points by points._certify.
+    dq db d^N N! are products of those matrices and point values by
+    umbral._int_apply; a Gaussian matrix is first made point values, so
+    that no value, a points._Degree included, is split into lanes.  The
+    residual is computed at integer points by points._certify.
     """
     from .points import _certify, _hurwitz_composite, _integral, _lane
 
@@ -159,26 +161,23 @@ def verify_delta_ode(f, Q, order, basis=None):
     N = order
     aut = autonomous_sequence(f, N)
     d, F, kind = _integral(f)
-    db, basis_kind, _, rows = basis._int_rows
+    db, basis_kind, beta = basis._int_rows
     dq, q_kind, steps = Q._int_steps
-    beta = [[(k, _lane(re, im)) for k, re, im in row] for row in rows[: N + 1]]
-    steps = [[(k, _lane(re, im)) for k, re, im in row] for row in steps[: N + 1]]
+    beta, steps = (
+        [[(j, _lane(x, y)) for j, x, y, _ in row] for row in m[: N + 1]] if _is_gaussian(m) else m
+        for m in (beta, steps)
+    )
     fact = math.factorial
     lhs_scale = [fact(N) // fact(n) * d ** (N - n) for n in range(N + 1)]
     rhs_scale = [dq * fact(N) // fact(m) * d ** (N - 1 - m) for m in range(N)]
 
     def at(F, u):
-        W = [0] * (N + 1)  # the monomial coefficients of Phi_Q
-        for n in range(1, N + 1):
-            v = u[n] * lhs_scale[n]
-            for k, b in beta[n]:
-                W[k] += b * v
-        R = [0] * N  # the right side, from F(u): a series in t alone
-        for m, (value,) in enumerate(_hurwitz_composite(F, [[c] for c in u], [1] * N)):
-            y = value * rhs_scale[m]
-            for k, b in beta[m]:
-                R[k] += b * y
-        return [q - r for q, r in zip(_falling_apply(steps, W), R)]
+        # the monomial coefficients of Phi_Q, and the right side from
+        # F(u), a series in t alone
+        W, _ = _int_apply(beta, [0] + [c * s for c, s in zip(u[1:], lhs_scale[1:])])
+        F_u = _hurwitz_composite(F, [[c] for c in u], [1] * N)
+        R, _ = _int_apply(beta, [value * s for (value,), s in zip(F_u, rhs_scale)])
+        return [q - r for q, r in zip(_int_apply(steps, W)[0], R)]
 
     scales = [Fraction(1, dq * db * d ** N * fact(N))] * N
     residuals = _certify(at, F, d, aut, scales, max(kind, basis_kind, q_kind))

@@ -10,7 +10,8 @@ generator f of the flow when it has one.  Classical flows and delta
 flows are both Flows.  A Flow keeps its coefficients as integer rows,
 (P_n, d^n n!) for a flow from the kernel, and converts losslessly
 between the two bases on those rows, both ways by the integer core
-BasicSequence._expand_rows: to monomials by the triangular matrix of
+BasicSequence._expand_rows, umbral's one sparse integer matrix kernel
+run one power of x at a time: to monomials by the triangular matrix of
 the basis, back by that of its umbral inverse.  One holder, _TermRows,
 keeps the terms of a Flow or an AutonomousSequence and their integer
 rows, each made from the other on first read by _rows_to_terms and

@@ -243,8 +243,9 @@ def compositional_inverse(p, order):
     Uses the Lagrange inversion formula: the n-th coefficient of the
     inverse is [u^(n-1)] (u/p(u))^n / n.  The round trip
     p(inverse(u)) == u holds exactly through the requested order.
-    Coefficients 1 .. order have the one type of w = u/p (see
-    seq_reciprocal); coefficient 0 is never computed and is the int 0.
+    w = u/p is taken through u^(order-1), the last power read, so
+    coefficients 1 .. order have the one type of w, set by p_1 .. p_order
+    (see seq_reciprocal); coefficient 0 is never computed: the int 0.
 
     >>> from fractions import Fraction as F
     >>> exp_minus_one = [0] + [F(1, math.factorial(k)) for k in range(1, 6)]
@@ -256,7 +257,7 @@ def compositional_inverse(p, order):
         raise ValueError("inverse requires constant term 0")
     if len(p) < 2 or p[1] == 0:
         raise ValueError("inverse requires a nonzero linear term")
-    w = seq_reciprocal(p[1:], order)  # u/p as a series in u
+    w = seq_reciprocal(p[1:], order - 1)  # u/p as a series in u
     dw, wr, wi, kind = to_lanes(w)
     out = [0] * (order + 1)
     power = [1], None

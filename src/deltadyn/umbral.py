@@ -31,21 +31,25 @@ set polynomials).  They live in one table, _SERIES, which gives the
 coefficient p_k of each series by name; operator(name, order, alpha)
 reads it, and derivative(), forward(), ... are calls of operator.
 
-Two kernels carry the linear algebra.  The shift-invariant apply
-sum_k p_k d^k takes t^(m+k) to h_k C(m+k, k) t^m, where h_k = k! p_k
-are the Hurwitz weights of the series, reading a step table built once
-per series, on integers over one denominator (DeltaOp._int_steps).  It
-serves every operator, on polynomials and in the t variable of a
-TSeries (one division per output coefficient, _lanes_apply), on the
-integer point values of deltaflow.verify_delta_ode, and each step of
-Rota's recurrence is one such apply (of the Hurwitz weights of 1/p')
-followed by a product with t.
-BasicSequence.expand maps coordinates over
-(q_n) to monomial ones through the triangular matrix beta(k, n).  Its
-integer core, BasicSequence._expand_rows, takes integer rows with one
-denominator each and returns rows over their common denominator times
-that of beta, read from the rows of the basis with real and imaginary
-lanes.
+One kernel carries the linear algebra.  Every matrix here has one
+sparse integer layout (_int_matrix): row i lists (j, x), or
+(j, x, y, x + y) when some entry has an imaginary part, for its nonzero
+entries x + y*i, in increasing column j.  _int_apply multiplies one by
+a lane of integers or point values into as many entries as the lane
+has, and _int_apply_rows runs it on rows of polynomials in x, one power
+of x at a time.  The shift-invariant apply sum_k p_k d^k takes t^(m+k)
+to h_k C(m+k, k) t^m, where h_k = k! p_k are the Hurwitz weights of
+the series, by a step matrix built once per series, on integers over
+one denominator (DeltaOp._int_steps).  It serves every operator, on
+polynomials and in the t variable of a TSeries (one division per
+output coefficient, _lanes_apply), on the integer point values of
+deltaflow.verify_delta_ode, and each step of Rota's recurrence is one
+such apply (of the Hurwitz weights of 1/p') followed by a product with t.
+BasicSequence.expand maps coordinates over (q_n) to monomial ones
+through the triangular matrix beta(k, n), kept by output power k with
+column n (BasicSequence._int_rows).  Its integer core,
+BasicSequence._expand_rows, takes integer rows with one denominator
+each and returns rows over their common denominator times that of beta.
 flows.Flow.to_monomial runs the core on the rows of a flow, and
 Flow.to_basic runs it with the basis of the umbral inverse; expand, for
 the umbral operators, reads its scalars into rows and its results out
@@ -64,7 +68,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .flows import TSeries, _rows_to_terms, _terms_to_rows, _TermRows
-from .scalars import _kind, _kinds, from_lanes, to_lanes
+from .scalars import _kind, _kinds, to_lanes
 from .series import (
     XSeries,
     _hurwitz_reciprocal,
@@ -132,7 +136,7 @@ class DeltaOp:
 
     @functools.cached_property
     def _int_steps(self):
-        """The step table over one denominator for inputs of degree <=
+        """The step matrix over one denominator for inputs of degree <=
         order (see _int_step_table)."""
         return _int_step_table(self.coeffs, self.order + 1)
 
@@ -140,128 +144,150 @@ class DeltaOp:
         """Apply Q to an exact polynomial in t; degree drops by one."""
         if p.degree > self.order:
             raise ValueError("operator order too small for this polynomial")
-        return XSeries(_lanes_apply(self._int_steps, p.coeffs, False))
+        return XSeries(c for c, in _lanes_apply(self._int_steps, [(c,) for c in p.coeffs]))
 
     def apply_tseries(self, w):
         """Apply Q in the t variable of a TSeries."""
         if w.order > self.order:
             raise ValueError("operator order too small for this t-order")
-        out = _lanes_apply(self._int_steps, [c.coeffs for c in w.coeffs], True)
+        out = _lanes_apply(self._int_steps, [c.coeffs for c in w.coeffs])
         return TSeries(map(XSeries, out), max(w.order - 1, 0))
 
     def __repr__(self):
         return "DeltaOp(%s, order=%d)" % (self.tag, self.order)
 
 
-def _steps(lanes, size):
-    """Step table of the apply of Hurwitz weights h_k, given as lanes
-    (one or more lists of ints), on inputs of length <= size: row m
-    lists (k, h_k C(m+k, k) in each lane) for every k with m + k < size
-    at which a lane is nonzero, in increasing k."""
-    nonzero = [k for k in range(len(lanes[0])) if any(h[k] for h in lanes)]
-    return [
-        [(k, *[h[k] * math.comb(m + k, k) for h in lanes]) for k in nonzero if m + k < size]
-        for m in range(size)
+def _int_matrix(rows):
+    """The one layout of the sparse integer matrices of this module, from
+    rows listing (j, x, y), the entry x + y*i at column j, in increasing
+    j: row i lists (j, x) for each nonzero entry, or (j, x, y, x + y)
+    when some entry of the matrix has an imaginary part."""
+    rows = [[(j, x, y) for j, x, y in row if x or y] for row in rows]
+    if any(y for row in rows for _, _, y in row):
+        return [[(j, x, y, x + y) for j, x, y in row] for row in rows]
+    return [[(j, x) for j, x, _ in row] for row in rows]
+
+
+def _is_gaussian(matrix):
+    # the layout is one for the whole matrix: its first entry tells it
+    return next((len(row[0]) == 4 for row in matrix if row), False)
+
+
+def _int_apply(matrix, re, im=None):
+    """The product (re, im) of a sparse integer matrix (_int_matrix) and
+    the lane re + im*i, summed over the columns j < len(re), so with as
+    many entries as the lane; im is None for a real lane, and in the
+    result when the lane and the matrix are both real.
+
+    A real matrix runs acc = acc + v[j] * x from the int 0 on each lane,
+    so v may hold the point values of deltaflow.verify_delta_ode.  A
+    Gaussian one takes three real products per term: with s1, s2 and s3
+    the sums of x re, y im and (x + y)(re + im), entry i is
+    s1 - s2 + (s3 - s1 - s2)*i.  The step matrix of the forward
+    difference, whose Hurwitz weights are all 1, takes t^2 to 1 + 2t:
+
+    >>> _int_apply([[(1, 1), (2, 1)], [(2, 2)], []], [0, 0, 1])
+    ([1, 2, 0], None)
+    >>> _int_apply([[(1, 1, 0, 1), (2, 1, 0, 1)], [(2, 2, 0, 2)], []], [0, 0, 1])
+    ([1, 2, 0], [0, 0, 0])
+    """
+    size = len(re)
+    rows = matrix[:size]
+    if _is_gaussian(matrix):
+        im = im or [0] * size
+        vs = [x + y for x, y in zip(re, im)]
+        out_re, out_im = [], []
+        for row in rows:
+            s1 = s2 = s3 = 0
+            for j, x, y, z in row:
+                if j >= size:
+                    break
+                s1 += x * re[j]
+                s2 += y * im[j]
+                s3 += z * vs[j]
+            out_re.append(s1 - s2)
+            out_im.append(s3 - s1 - s2)
+        return out_re, out_im
+
+    def sums(v):
+        out = []
+        for row in rows:
+            acc = 0
+            for j, x in row:
+                if j >= size:
+                    break
+                acc = acc + v[j] * x
+            out.append(acc)
+        return out
+
+    return sums(re), None if im is None else sums(im)
+
+
+def _int_apply_rows(matrix, kind, rows):
+    """_int_apply of a matrix over one denominator, (dm, kind, matrix),
+    on the integer form (kind, rows) of polynomials in x, one power of x
+    at a time: the integer form of the product, its rows over lcm(den) dm
+    and as wide as the widest given (see AutonomousSequence.numerators)."""
+    dm, matrix_kind, matrix = matrix
+    dc = math.lcm(*[den for den, _, _ in rows])
+    rows = [(dc // den, re, im) for den, re, im in rows]
+    cplx = any(im is not None for _, _, im in rows)
+    columns = [
+        _int_apply(
+            matrix,
+            [s * re[i] if i < len(re) else 0 for s, re, _ in rows],
+            [s * im[i] if im and i < len(im) else 0 for s, _, im in rows] if cplx else None,
+        )
+        for i in range(max((len(re) for _, re, _ in rows), default=0))
+    ]
+    cplx = cplx or _is_gaussian(matrix)
+    return max(kind, matrix_kind), [
+        (dc * dm, [c[0][n] for c in columns], [c[1][n] for c in columns] if cplx else None)
+        for n in range(len(rows))
     ]
 
 
+def _steps(re, im, size):
+    """Step matrix of the apply of the Hurwitz weights h_k = re[k] +
+    im[k]*i (im None when real) on inputs of length <= size: row m lists
+    column m + k, entry h_k C(m+k, k), for every nonzero h_k with
+    m + k < size."""
+    nonzero = [k for k in range(len(re)) if re[k] or im and im[k]]
+    return _int_matrix(
+        [(m + k, re[k] * math.comb(m + k, k), im[k] * math.comb(m + k, k) if im else 0)
+         for k in nonzero if m + k < size]
+        for m in range(size)
+    )
+
+
 def _int_step_table(coeffs, size):
-    """The step table of sum_k coeffs[k] d^k for inputs of length <=
-    size over one denominator, (den, kind, rows): rows[m] lists (k, re,
-    im), (re + im*i) / den = h_k C(m+k, k), for the nonzero Hurwitz
-    weights h_k = k! coeffs[k] with m + k < size; kind is their field."""
+    """The step matrix of sum_k coeffs[k] d^k for inputs of length <=
+    size over one denominator, (den, kind, matrix): _steps of the Hurwitz
+    weights h_k = k! coeffs[k], and kind the field of the nonzero ones."""
     weights = [math.factorial(k) * c for k, c in enumerate(coeffs[:size])]
     den, re, im, _ = to_lanes(weights)
     kind = _kind([h for h in weights if h != 0])
-    return den, kind, _steps((re, im or [0] * len(re)), size)
+    return den, kind, _steps(re, im, size)
 
 
-def _falling_apply(steps, v):
-    """The shift-invariant apply sum_k h_k d^k / k! on the coefficient
-    list v (index = power), by the step table of the weights h_k.
-
-    Entry m is sum_k h_k C(m+k, k) v[m+k], accumulated from the int 0;
-    the entries of v are ints or the point values of
-    deltaflow.verify_delta_ode (_lanes_apply runs it on exact scalars).
-    """
-    size = len(v)
-    out = []
-    for m in range(size):
-        acc = 0
-        for k, w in steps[m]:
-            if m + k >= size:
-                break
-            acc = acc + v[m + k] * w
-        out.append(acc)
-    return out
-
-
-def _gaussian_apply(steps, vr, vi):
-    """_falling_apply on the Gaussian integers vr + vi*i, three real
-    products per term: steps[m] lists (k, x, y, x + y) for each step
-    x + y*i, and with s1, s2 and s3 the sums of x vr, y vi and
-    (x + y)(vr + vi) at m + k, entry m is s1 - s2 + (s3 - s1 - s2)*i."""
-    vs = [x + y for x, y in zip(vr, vi)]
-    size, re, im = len(vr), [], []
-    for m, row in enumerate(steps[:size]):
-        s1 = s2 = s3 = 0
-        for k, x, y, z in row:
-            j = m + k
-            if j >= size:
-                break
-            s1 += x * vr[j]
-            s2 += y * vi[j]
-            s3 += z * vs[j]
-        re.append(s1 - s2)
-        im.append(s3 - s1 - s2)
-    return re, im
-
-
-def _lanes_apply(steps, values, series):
-    """_falling_apply of an integer step table (see _int_step_table) on
-    values (index = power of t), in integers over the denominator of the
-    steps times the common one of the values, divided once per output
-    coefficient.
-
-    The values are scalars, or with series the coefficient lists of
-    XSeries, and so is each output entry.  Every output coefficient,
-    zeros included, has the one type of the field of the nonzero weights
-    of the steps and the values together.
-    """
-    lists = values if series else [(c,) for c in values]
-    dq, kind, rows = steps
-    dp, re, im, values_kind = to_lanes([c for v in lists for c in v])
-    kind = max(kind, values_kind)
-    lanes, pos = [], 0
+def _lanes_apply(steps, lists):
+    """_int_apply_rows of a step table on the coefficient lists of XSeries
+    (index = power of t), read over one common denominator and divided
+    once per output coefficient.  Every output coefficient, zeros
+    included, has the one type of the field of the nonzero weights of
+    the steps and the values together."""
+    den, re, im, kind = to_lanes([c for v in lists for c in v])
+    rows, pos = [], 0
     for v in lists:
-        end = pos + len(v)
-        lanes.append((re[pos:end], im[pos:end] if im else None))
-        pos = end
-    den = dq * dp
-    width = max(map(len, lists), default=0)
-    out = []
-    for m in range(len(lists)):
-        ar, ai = [0] * width, [0] * width
-        for k, sr, si in rows[m]:
-            if m + k >= len(lists):
-                break
-            vr, vi = lanes[m + k]
-            if si or vi:
-                for i, x in enumerate(vr):
-                    y = vi[i] if vi else 0
-                    ar[i] += sr * x - si * y
-                    ai[i] += sr * y + si * x
-            else:
-                for i, x in enumerate(vr):
-                    ar[i] += sr * x
-        out.append([from_lanes(x, ai[i], den, kind) for i, x in enumerate(ar)])
-    return out if series else [c for c, in out]
+        rows.append((den, re[pos : pos + len(v)], im and im[pos : pos + len(v)]))
+        pos += len(v)
+    return _rows_to_terms(*_int_apply_rows(steps, kind, rows), list)
 
 
 def apply_delta_series(coeffs, p):
     """Apply a shift-invariant series sum_k coeffs[k] d^k to a polynomial."""
     steps = _int_step_table(coeffs, len(p.coeffs))
-    return XSeries(_lanes_apply(steps, p.coeffs, False))
+    return XSeries(c for c, in _lanes_apply(steps, [(c,) for c in p.coeffs]))
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +381,17 @@ class BasicSequence(_TermRows):
 
     @functools.cached_property
     def _int_rows(self):
-        """The matrix beta over one denominator, (db, kind, complex,
-        rows), read off the integer rows: rows[n] lists (k, re, im) for
-        every nonzero beta(k, n) = (re + im*i) / db, kind is the field of
-        the basis, and complex tells whether a row has imaginary parts."""
+        """The matrix beta over one denominator, (db, kind, matrix), read
+        off the integer rows: row k of the matrix lists column n, entry
+        beta(k, n) db, for every nonzero beta(k, n) (see _int_matrix),
+        and kind is the field of the basis."""
         kind, rows = self.numerators
         db = math.lcm(*[den for den, _, _ in rows])
-        out = []
-        for den, re, im in rows:
-            s = db // den
-            out.append([(k, s * x, s * im[k] if im else 0) for k, x in enumerate(re) if x or im and im[k]])
-        return db, kind, any(im for _, _, im in rows), out
+        scaled = [(db // den, re, im) for den, re, im in rows]
+        return db, kind, _int_matrix(
+            [(n, s * re[k], s * im[k] if im else 0) for n, (s, re, im) in enumerate(scaled) if k < len(re)]
+            for k in range(len(rows))
+        )
 
     def expand(self, coeffs):
         """Monomial coefficients of sum_n coeffs[n] q_n(t), index = power.
@@ -392,35 +418,11 @@ class BasicSequence(_TermRows):
         coefficients, out[k] for t^k, over the one denominator
         lcm(den) * db, db that of beta (d^N N! db for a delta flow,
         whose rows are over d^n n!); kind is that of the basis and the
-        rows together.
+        rows together: _int_apply_rows with the matrix of beta.
         """
         if len(rows) > self.depth + 1:
             raise ValueError("basis index out of range")
-        db, basis_kind, basis_complex, beta = self._int_rows
-        dc = math.lcm(*[den for den, _, _ in rows])
-        cplx = basis_complex or any(ui is not None for _, _, ui in rows)
-        # lanes[k]: the integer sums (re, im) of the coefficients of t^k
-        lanes = [([], [] if cplx else None) for _ in rows]
-        for n, (den, ur, ui) in enumerate(rows):
-            m = len(ur)
-            if not m:
-                continue
-            scale = dc // den
-            if scale != 1:
-                ur = [scale * x for x in ur]
-                if ui is not None:
-                    ui = [scale * x for x in ui]
-            for k, br, bi in beta[n]:
-                re, im = lanes[k]
-                for acc in (re, im) if cplx else (re,):
-                    if len(acc) < m:
-                        acc.extend([0] * (m - len(acc)))
-                for acc, b, u in ((re, br, ur), (re, -bi, ui), (im, br, ui), (im, bi, ur)):
-                    if b and u is not None:
-                        for i, x in enumerate(u):
-                            acc[i] += b * x
-        den = dc * db
-        return max(kind, basis_kind), [(den, re, im) for re, im in lanes]
+        return _int_apply_rows(self._int_rows, kind, rows)
 
     def __eq__(self, other):
         if not isinstance(other, BasicSequence):
@@ -448,8 +450,8 @@ def basic_sequence_from_delta(Q, depth):
     q_n, shifted up one power of t.  B_k = D C_k / (N_0^(k+1) b^k) with
     integers C_k (series._hurwitz_reciprocal of p', t scaled by b), so
     gamma(j, n) = N_0^(2n-j) b^(n-j) D^(-n) beta(j, n) obeys the same
-    recurrence with the weights C_k, on Z, or on Z[i] by three real
-    applies per step.  Row n is kept as the integers
+    recurrence with the weights C_k, on Z or on Z[i], one _int_apply of
+    their step matrix per step.  Row n is kept as the integers
     gamma(j, n) D^n (N_0 b)^j over N_0^(2n) b^n.  Its scalars are all
     Fractions, or all GaussianRationals where field arithmetic would
     give r a Gaussian coefficient.
@@ -460,25 +462,17 @@ def basic_sequence_from_delta(Q, depth):
         raise ValueError("operator order too small for this depth")
     top = max(depth, 1)
     (cr, ci), n0, (dr, di), b, gaussian = _hurwitz_reciprocal(Q.coeffs[1 : top + 1], top - 1, 1)
-    lanes = [([1], None if ci is None else [0])]
-    if ci is None:
-        steps = _steps((cr,), depth)
-        for _ in range(depth):
-            lanes.append(([0] + _falling_apply(steps, lanes[-1][0]), None))
-    else:
-        steps = _steps((cr, ci, [x + y for x, y in zip(cr, ci)]), depth)
-        for _ in range(depth):
-            re, im = _gaussian_apply(steps, *lanes[-1])
-            lanes.append(([0] + re, [0] + im))
+    steps = _steps(cr, ci, depth)
     nb = [(n0 * b) ** j for j in range(depth + 1)]
-    rows, den, pr, pi = [], 1, 1, 0  # pr + pi*i = D^n
-    for n, (gr, gi) in enumerate(lanes):
+    gr, gi, rows, den, pr, pi = [1], None, [], 1, 1, 0  # pr + pi*i = D^n
+    for n in range(depth + 1):
         if n:
-            den *= n0 * n0 * b
+            gr, gi = _int_apply(steps, gr, gi)
+            gr, gi, den = [0] + gr, gi and [0] + gi, den * n0 * n0 * b
             pr, pi = pr * dr - pi * di, pr * di + pi * dr
-        gi = gi or [0] * len(gr)
-        re = [(x * pr - y * pi) * f for x, y, f in zip(gr, gi, nb)]
-        im = [(x * pi + y * pr) * f for x, y, f in zip(gr, gi, nb)]
+        yi = gi or [0] * len(gr)
+        re = [(x * pr - y * pi) * f for x, y, f in zip(gr, yi, nb)]
+        im = [(x * pi + y * pr) * f for x, y, f in zip(gr, yi, nb)]
         rows.append((den, re, im if ci or di else None))
     return BasicSequence._from_numerators((1 + gaussian, tuple(rows)), Q)
 

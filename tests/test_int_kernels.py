@@ -20,8 +20,10 @@ which divide, GaussianRational when a nonzero Gaussian coefficient
 enters, else Fraction.
 """
 
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from deltadyn.autonomous import autonomous_sequence, classical_flow, flow_from_autonomous
@@ -32,6 +34,10 @@ from deltadyn.series import XSeries, compositional_inverse, seq_compose, seq_rec
 from deltadyn.umbral import (
     OPERATOR_NAMES,
     DeltaOp,
+    _int_apply,
+    _int_apply_rows,
+    _int_matrix,
+    _is_gaussian,
     abel,
     apply_delta_series,
     basic_sequence_from_delta,
@@ -279,12 +285,15 @@ def test_seq_compose_matches_field_loop(outer, inner, field, order, data):
 # p = u + i u^2: w = 1/(1 + iu) is Gaussian throughout, and so is
 # coefficient 1 of the inverse, w_0 = 1
 @example((DeltaOp((0, 1, GaussianRational(0, 1))), 2), 2)
+# p through order 1 is real, so the inverse is too: the Gaussian p_2 is
+# never read
+@example((DeltaOp((0, 1, GaussianRational(1))), 2), 1)
 def test_compositional_inverse_matches_field_loop(op, order):
     got = compositional_inverse(op[0].coeffs, order)
     assert by_entry(got) == by_entry(compositional_inverse_by_field_loop(op[0].coeffs, order))
     assert type(got[0]) is int
-    # w = u/p through the order reads p_1 .. p_(order+1)
-    assert_one_type(got[1:], reciprocal_type(op[0].coeffs[1 : order + 2]))
+    # w = u/p through order - 1 reads p_1 .. p_order
+    assert_one_type(got[1:], reciprocal_type(op[0].coeffs[1 : order + 1]))
 
 
 @settings(max_examples=15, deadline=None)
@@ -392,3 +401,131 @@ def test_basis_matches_rota_recurrence_in_field_arithmetic(case):
     got = basic_sequence_from_delta.__wrapped__(Q, depth)
     want = basic_sequence_by_field_loop(Q, depth)
     assert entries(got.polys) == entries(want.polys)
+
+
+# ---------------------------------------------------------------------------
+# the sparse integer matrix kernel of umbral on its own
+
+COMPLEX_ALPHA = GaussianRational(Fraction(2, 3), Fraction(-5, 7))
+
+
+def exact(x, y, cplx):
+    """x + y*i in the field arithmetic: Fraction when real, else
+    GaussianRational."""
+    return GaussianRational(x, y) if cplx else Fraction(x)
+
+
+@st.composite
+def sparse_matrices(draw, gaussian):
+    """(dense, matrix): a random sparse integer matrix as dense rows of
+    pairs (x, y) for x + y*i, and in the layout of umbral._int_matrix.
+    A Gaussian one has at least one entry with an imaginary part."""
+    size = draw(st.integers(1, 7))
+    part = st.one_of(st.just(0), st.integers(-50, 50))
+    dense = [
+        [(draw(part), draw(part) if gaussian else 0) for _ in range(size)] for _ in range(size)
+    ]
+    if gaussian:
+        i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        dense[i][j] = (dense[i][j][0], draw(st.integers(1, 50)))
+    matrix = _int_matrix([[(j, x, y) for j, (x, y) in enumerate(row)] for row in dense])
+    return dense, matrix
+
+
+def assert_layout(dense, matrix, gaussian):
+    """matrix lists the nonzero entries of dense in increasing column,
+    as (j, x) for a real matrix and (j, x, y, x + y) for a Gaussian one."""
+    want = [
+        [(j, x, y, x + y) if gaussian else (j, x) for j, (x, y) in enumerate(row) if x or y]
+        for row in dense
+    ]
+    assert matrix == want
+    assert _is_gaussian(matrix) == gaussian
+
+
+@pytest.mark.parametrize("gaussian_lane", [False, True])
+@pytest.mark.parametrize("gaussian_matrix", [False, True])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_int_apply_matches_a_double_loop(gaussian_matrix, gaussian_lane, data):
+    dense, matrix = data.draw(sparse_matrices(gaussian_matrix))
+    assert_layout(dense, matrix, gaussian_matrix)
+    # lanes as long as the matrix or shorter
+    size = data.draw(st.integers(0, len(dense)))
+    re = data.draw(st.lists(st.integers(-10**30, 10**30), min_size=size, max_size=size))
+    im = data.draw(st.lists(INTS, min_size=size, max_size=size)) if gaussian_lane else None
+    cplx = gaussian_matrix or gaussian_lane
+    want = []
+    for row in dense:
+        acc = exact(0, 0, cplx)
+        for j in range(size):
+            acc += exact(*row[j], cplx) * exact(re[j], im[j] if im else 0, cplx)
+        want.append(acc)
+    got_re, got_im = _int_apply(matrix, re, im)
+    assert (got_im is None) == (not cplx)
+    assert len(got_re) == size and (got_im is None or len(got_im) == size)
+    got = [exact(x, got_im[i] if cplx else 0, cplx) for i, x in enumerate(got_re)]
+    assert got == want[:size]
+
+
+@pytest.mark.parametrize("gaussian_matrix", [False, True])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_int_apply_rows_matches_a_double_loop(gaussian_matrix, data):
+    dense, matrix = data.draw(sparse_matrices(gaussian_matrix))
+    dm, matrix_kind = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 2))
+    size = data.draw(st.integers(0, len(dense)))
+    rows = []
+    for _ in range(size):
+        # each row real (im None) or Gaussian on its own, so that real
+        # and Gaussian rows mix
+        re = data.draw(st.lists(INTS, max_size=4))
+        im = data.draw(st.one_of(st.none(), st.lists(INTS, min_size=len(re), max_size=len(re))))
+        rows.append((data.draw(st.integers(1, 6)), re, im))
+    kind = data.draw(st.integers(0, 2))
+    got_kind, got = _int_apply_rows((dm, matrix_kind, matrix), kind, rows)
+    assert got_kind == max(kind, matrix_kind)
+    width = max((len(re) for _, re, _ in rows), default=0)
+    cplx = gaussian_matrix or any(im is not None for _, _, im in rows)
+    assert len(got) == size
+    for k, (den, re, im) in enumerate(got):
+        assert den == dm * math.lcm(*[d for d, _, _ in rows])
+        assert len(re) == width and (im is None) == (not cplx)
+        assert im is None or len(im) == width
+        want = [GaussianRational(0)] * width
+        for n, (d, r, i) in enumerate(rows):
+            entry = GaussianRational(*dense[k][n]) / dm
+            for p, x in enumerate(r):
+                want[p] += entry * GaussianRational(Fraction(x, d), Fraction(i[p] if i else 0, d))
+        assert [GaussianRational(Fraction(x, den), Fraction(im[p] if im else 0, den))
+                for p, x in enumerate(re)] == want
+
+
+def test_int_apply_rows_mixes_a_real_row_with_gaussian_rows():
+    # a Gaussian matrix on a real row after a Gaussian one, and a real
+    # matrix on a real row before a Gaussian one: the real row reads as
+    # imaginary parts 0
+    gaussian = _int_matrix([[(0, 1, 1), (1, 2, 0)], [(1, 1, 0)]])
+    kind, rows = _int_apply_rows((1, 2, gaussian), 0, [(1, [1], [1]), (1, [3, 4], None)])
+    # row 0: (1 + i)(1 + i) + 2 (3 + 4x), row 1: 3 + 4x
+    assert (kind, rows) == (2, [(1, [6, 8], [2, 0]), (1, [3, 4], [0, 0])])
+    real = _int_matrix([[(0, 1, 0), (1, 1, 0)], [(1, 2, 0)]])
+    assert _int_apply_rows((2, 1, real), 0, [(1, [5], None), (1, [1], [1])]) == (
+        1,
+        [(2, [6], [1]), (2, [2], [2])],
+    )
+
+
+@pytest.mark.parametrize("depth", [0, 1, 16])
+@pytest.mark.parametrize("name", OPERATOR_NAMES)
+def test_basis_row_n_holds_n_plus_one_entries(name, depth):
+    # a kernel padding each apply to the height of the step matrix
+    # would give every row depth + 1 entries, with the same values
+    _, rows = basic_sequence_from_delta(operator(name, max(depth, 1)), depth).numerators
+    assert [len(re) for _, re, _ in rows] == list(range(1, depth + 2))
+    assert all(im is None for _, _, im in rows)
+
+
+def test_complex_abel_basis_row_n_holds_n_plus_one_entries():
+    _, rows = basic_sequence_from_delta(abel(COMPLEX_ALPHA, 16), 16).numerators
+    assert [(len(re), len(im)) for _, re, im in rows] == [(n + 1, n + 1) for n in range(17)]
