@@ -22,10 +22,9 @@ SeriesDivergence rather than reporting a meaningless deviation.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .umbral import basic_sequence_from_delta, operator
+from .umbral import _Record, basic_sequence_from_delta, operator
 
 __all__ = [
     "NumericConfig",
@@ -56,16 +55,17 @@ SAMPLES = ((0.5, 0.1), (0.25, 0.5))
 LAMBERT_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class NumericConfig:
+class NumericConfig(_Record):
     """Float tolerance and partial-sum depth.
 
     depth bounds the partial sums; 64 terms push every convergent
     sample well below the tolerance.
     """
 
-    tolerance: float = 1e-9
-    depth: int = 64
+    _fields = ("tolerance", "depth")
+
+    def __init__(self, tolerance=1e-9, depth=64):
+        vars(self).update(tolerance=tolerance, depth=depth)
 
 
 class SeriesDivergence(ArithmeticError):
@@ -127,15 +127,14 @@ def lambert_w_residual(x):
     return abs(w * math.exp(w) - x)
 
 
-@dataclass(frozen=True)
-class ClosedFormReport:
-    kind: str
-    a: float
-    t: float
-    partial_sum: float
-    closed_form: float
-    deviation: float
-    terms: int
+class ClosedFormReport(_Record):
+    _fields = ("kind", "a", "t", "partial_sum", "closed_form", "deviation", "terms")
+
+    def __init__(self, kind, a, t, partial_sum, closed_form, deviation, terms):
+        vars(self).update(
+            kind=kind, a=a, t=t, partial_sum=partial_sum,
+            closed_form=closed_form, deviation=deviation, terms=terms,
+        )
 
 
 def numeric_closed_form_check(kind, a, t, alpha=1.0, config=None):

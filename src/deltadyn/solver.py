@@ -19,7 +19,6 @@ forward, backward and Abel flows together.
 """
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from math import gcd
@@ -36,7 +35,7 @@ from .scalars import (
     to_lanes,
 )
 from .series import XSeries
-from .umbral import abel, backward, basic_sequence_from_delta, forward
+from .umbral import _Record, abel, backward, basic_sequence_from_delta, forward
 
 __all__ = [
     "IterateTable",
@@ -53,11 +52,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IterateTable:
+class IterateTable(_Record):
     """Rows (n, closed, iterated, equal) for a difference problem."""
 
-    rows: tuple
+    _fields = ("rows",)
+
+    def __init__(self, rows):
+        vars(self).update(rows=rows)
 
     @property
     def all_equal(self):

@@ -64,7 +64,6 @@ f(g(delta)).
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .flows import TSeries, _rows_to_terms, _terms_to_rows, _TermRows
@@ -105,8 +104,41 @@ __all__ = [
 DEFAULT_DEPTH = 16
 
 
-@dataclass(frozen=True)
-class DeltaOp:
+class _Record:
+    """A frozen record, written out rather than made by dataclasses,
+    whose import (inspect, ast, dis, ...) would cost every cold request
+    several ms.  __init__ sets the fields once; a record equals, and
+    hashes as, the tuple of its _fields, and only a record of its own
+    class; the repr lists _fields by name; assigning or deleting an
+    attribute raises AttributeError.  No __slots__: pickle and copy
+    restore a __dict__ without __setattr__, and cached_property needs
+    one."""
+
+    _fields = ()
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields)
+        return "%s(%s)" % (type(self).__name__, fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class DeltaOp(_Record):
     """A delta operator as ordinary coefficients of p(d/dt).
 
     coeffs[k] multiplies the k-th derivative; p0 must vanish and p1
@@ -117,17 +149,15 @@ class DeltaOp:
     equal series of two fields do not share a cached basis.
     """
 
-    coeffs: tuple
-    tag: str = field(default="custom", compare=False)
-    kinds: tuple = field(init=False, repr=False)
+    _fields = ("coeffs", "kinds")
 
-    def __post_init__(self):
-        object.__setattr__(self, "kinds", _kinds([c if c != 0 else 0 for c in self.coeffs]))
-        if len(self.coeffs) < 2:
+    def __init__(self, coeffs, tag="custom"):
+        vars(self).update(coeffs=coeffs, tag=tag, kinds=_kinds([c if c != 0 else 0 for c in coeffs]))
+        if len(coeffs) < 2:
             raise ValueError("delta operator needs at least order 1")
-        if self.coeffs[0] != 0:
+        if coeffs[0] != 0:
             raise ValueError("delta operator must annihilate constants (p0 = 0)")
-        if self.coeffs[1] == 0:
+        if coeffs[1] == 0:
             raise ValueError("delta operator needs p1 != 0")
 
     @property
@@ -512,11 +542,13 @@ def monomial_basis(depth):
 # ---------------------------------------------------------------------------
 # umbral operators and composition
 
-@dataclass(frozen=True)
-class UmbralOperator:
+class UmbralOperator(_Record):
     """The linear map sending t^n to q_n(t) for a basic sequence."""
 
-    basis: BasicSequence
+    _fields = ("basis",)
+
+    def __init__(self, basis):
+        vars(self).update(basis=basis)
 
     def apply(self, p):
         if p.degree > self.basis.depth:

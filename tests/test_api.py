@@ -77,6 +77,21 @@ def test_worker_import_line_loads_every_tracer_module():
     assert {modname for modname, _, _ in tracer.TARGETS} - loaded == set()
 
 
+def test_worker_import_line_loads_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize, several ms of
+    # every cold request; the records are plain classes instead
+    code = (
+        "import sys; import deltadyn; from deltadyn import cli, solver, umbral; "
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    loaded = set(proc.stdout.split())
+    assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+
+
 # The report order of `verify`: checks register themselves in definition
 # order, so moving a function moves its row.
 VERIFY_ROWS = [
