@@ -12,16 +12,14 @@ flow equation lives in the transported ring: the defining identity is
 
     Q Phi_Q = L[f(Phi)] = f(x) dPhi_Q/dx.
 
-verify_delta_ode checks the first equality at integer points in
-Hurwitz coordinates, as autonomous does for the group law: each
-coefficient of its residual is a polynomial in x, zero at more points
-than its degree only if identically zero.  At Q = d/dt, whose basic
-sequence is the monomials, L is the identity and the equation is the
-flow PDE d/dt Phi = f(Phi) of the classical flow, which
-autonomous.pde_residual certifies through it.
-delta_pde_identity_residuals checks the second in basic coordinates
-on the integer rows of the flow, where each coefficient times its
-denominator is an integer polynomial identity.
+verify_delta_ode checks the first equality and
+delta_pde_identity_residuals the second, in basic coordinates, both at
+integer points through points, as autonomous does for the group law:
+each coefficient of a residual is a polynomial in x, zero at more
+points than its degree only if identically zero.  At Q = d/dt, whose
+basic sequence is the monomials, L is the identity and the equation is
+the flow PDE d/dt Phi = f(Phi) of the classical flow, which
+autonomous.pde_residual certifies through verify_delta_ode.
 
 Semiflows of fixed Q form a ring under the transported sum (cross
 terms H_n) and product (pullback to the product of generators); flows
@@ -39,8 +37,7 @@ from .autonomous import (
     h_sequence,
 )
 from .flows import Flow, TSeries
-from .scalars import from_lanes, to_lanes
-from .series import XSeries, _add_lists, _mul_lanes, rational_binomial
+from .series import XSeries, rational_binomial
 from .umbral import (
     UmbralOperator,
     _int_apply,
@@ -187,29 +184,30 @@ def verify_delta_ode(f, Q, order, basis=None):
 def delta_pde_identity_residuals(f, Q, order):
     """Residuals of Q Phi_Q = f(x) dPhi_Q/dx in basic coordinates.
 
-    Both sides expand over q_0 .. q_{N-1}: the left side has
-    coefficient (m+1) c_{m+1}, the right side f at q_0 and f * c_m'
-    beyond.  Returns the list of differences (all zero).
-
-    The flow's coefficients are read as its integer rows (N_m, D_m) and
-    f as F/d, so that residual m times L = lcm(D_m, d D_(m-1)) is the
-    integer polynomial (m+1) N_m L/D_m - F N_(m-1)' L/(d D_(m-1)), with
-    N_(-1)' = 1 and D_(-1) = 1; it is divided once per coefficient.
+    As Q q_n = n q_(n-1), residual m < N, at q_m, is A_(m+1)/m! less
+    f A_m'/m!, with A_0' = 1; all are zero.  points._certify computes
+    them at integer points x0: with f = F/d, residual m times d^(m+1) m!
+    is d^(m+1) A_(m+1)(x0) - F(x0) d^m A_m'(x0), the rows of the A_m'
+    read as points._flow_at reads those of the A_m.
     """
-    kind, rows = delta_flow(f, Q, order).numerators
-    d, fr, fi, f_kind = to_lanes(f.coeffs)
-    residuals = []
-    prev = d, ([1], None)  # d D_(m-1) and the lanes of N_(m-1)'
-    for m, (den, re, im) in enumerate(rows):
-        L = math.lcm(den, prev[0])
-        a, b = (m + 1) * (L // den), L // prev[0]
-        rr, ri = _mul_lanes((fr, fi), prev[1])
-        xs = _add_lists([a * x for x in re], [-b * x for x in rr])
-        ys = _add_lists([a * y for y in im or ()], [-b * y for y in ri or ()])
-        ys += [0] * (len(xs) - len(ys))
-        residuals.append(XSeries([from_lanes(x, y, L, max(kind, f_kind)) for x, y in zip(xs, ys)]))
-        prev = d * den, tuple(None if v is None else [j * x for j, x in enumerate(v)][1:] for v in (re, im))
-    return residuals
+    from .points import _Degree, _certify, _flow_at, _flow_degrees, _horner, _integral
+
+    if Q.order < order:
+        raise ValueError("operator order too small for this depth")
+    aut = autonomous_sequence(f, order)
+    d, F, kind = _integral(f)
+    drows = [
+        (den,) + tuple(v and [j * c for j, c in enumerate(v)][1:] for v in (re, im))
+        for den, re, im in aut.numerators[1][: order - 1]
+    ]
+
+    def at(F, u):
+        du = _flow_degrees(drows) if type(u[0]) is _Degree else _flow_at(drows, d, u[0])
+        fx = _horner(F, u[0])
+        return [v - fx * w for v, w in zip(u[1:], [1] + du[1:])]
+
+    scales = [Fraction(1, d ** (m + 1) * math.factorial(m)) for m in range(order)]
+    return _certify(at, F, d, aut, scales, kind)
 
 
 # ---------------------------------------------------------------------------

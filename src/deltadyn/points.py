@@ -1,15 +1,16 @@
 """The flow identities certified at integer points, in Hurwitz coordinates.
 
-The group law (autonomous) and the delta flow equation (deltaflow),
-whose case Q = d/dt is the flow PDE, are identities between series in
-t (and s) whose coefficients are polynomials in x.  Setting x = x0
+The group law (autonomous), the delta flow equation (deltaflow), whose
+case Q = d/dt is the flow PDE, and its form in basic coordinates are
+identities whose coefficients are polynomials in x.  Setting x = x0
 commutes with every operation they use, and in the paper's Hurwitz
 ring over an integral domain each point is integral: for f = F/d with
 F integral, the flow of f is the flow of F with t scaled by 1/d, whose
 Hurwitz coefficients (of t^n/n!) at an integer x0 are the integers
 P_n(x0) of autonomous_sequence.  f(Phi) is then a chain of binomial
 convolutions (_hurwitz_composite) with no division (Keigher, "On the
-ring of Hurwitz series", Comm. Algebra 25, 1997).
+ring of Hurwitz series", Comm. Algebra 25, 1997), and the form in basic
+coordinates needs only F(x0) and the derivative rows at x0 (_horner).
 
 _certify runs a check first on degrees, to bound the degree D of every
 residual by the actual degrees of f and of the A_n, and then at the

@@ -14,8 +14,9 @@ composition by the powers of the inner series, Lagrange inversion,
 the step-table apply of a shift-invariant series, and the Horner
 orbit.  The Taylor sum form of composition, which Horner's rule
 replaced in the package, follows them, and then the bivariate forms of
-the group law, the flow PDE and the delta flow equation, which the
-package now evaluates at integer points.  These read autonomous_sequence, classical_flow and
+the group law, the flow PDE and the delta flow equation, and the delta
+PDE identity in basic coordinates, which the package now evaluates at
+integer points.  These read autonomous_sequence, classical_flow and
 delta_flow through their modules, so a test that replaces one of them
 there changes the oracle and the package alike.
 """
@@ -456,3 +457,14 @@ def delta_ode_by_series(f, Q, order, basis=None):
     df = deltaflow.delta_flow(f, Q, order, basis)
     lhs = Q.apply_tseries(df.to_tseries())
     return lhs - UmbralOperator(df.basis).apply_tseries(_composite_by_series(f, order))
+
+
+def delta_pde_identity_by_series(f, order):
+    """A_(m+1)/m! - f A_m'/m! for m = 0..N-1 on XSeries, with A_0 = x
+    so that A_0' = 1: the coefficients of q_m in
+    Q Phi_Q - f(x) dPhi_Q/dx."""
+    from deltadyn import autonomous
+    from deltadyn.series import XSeries
+
+    A = (XSeries.x(),) + autonomous.autonomous_sequence(f, order).terms
+    return [(A[m + 1] - f * A[m].derivative()) * Fraction(1, math.factorial(m)) for m in range(order)]

@@ -2,6 +2,7 @@
 the benchmark tracer refer to must exist, so that removing a function
 fails here rather than at a later run of the benchmark."""
 
+import functools
 import importlib
 import importlib.util
 import os
@@ -60,36 +61,39 @@ def test_tracer_targets_exist():
     assert callable(basic_sequence_from_delta.cache_info)
 
 
+@functools.cache
+def worker_modules():
+    """The modules that the benchmark worker's import line loads in a
+    fresh interpreter."""
+    code = (
+        "import sys; import deltadyn; from deltadyn import cli, solver, umbral; "
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return frozenset(proc.stdout.split())
+
+
 def test_worker_import_line_loads_every_tracer_module():
     # Tracer.install reads each target's module from sys.modules, so a
     # module the worker's import line no longer loads would crash a
     # traced benchmark run
     tracer = load_tracer()
-    code = (
-        "import sys; import deltadyn; from deltadyn import cli, solver, umbral; "
-        "print(' '.join(sorted(sys.modules)))"
-    )
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    loaded = set(proc.stdout.split())
-    assert {modname for modname, _, _ in tracer.TARGETS} - loaded == set()
+    assert {modname for modname, _, _ in tracer.TARGETS} - worker_modules() == set()
 
 
 def test_worker_import_line_loads_no_dataclasses():
     # dataclasses pulls in inspect, ast, dis and tokenize, several ms of
     # every cold request; the records are plain classes instead
-    code = (
-        "import sys; import deltadyn; from deltadyn import cli, solver, umbral; "
-        "print(' '.join(sorted(sys.modules)))"
-    )
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    loaded = set(proc.stdout.split())
-    assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+    assert worker_modules() & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+
+
+def test_worker_import_line_loads_no_points():
+    # the integer-point certification is imported inside the checks
+    # that run it, so a cold basis, flow or solve request never loads it
+    assert "deltadyn.points" not in worker_modules()
 
 
 # The report order of `verify`: checks register themselves in definition

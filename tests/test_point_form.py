@@ -1,9 +1,9 @@
 """The point form of the flow identities against their bivariate form.
 
-group_law_residuals, pde_residual and verify_delta_ode evaluate their
-residuals at D + 1 integer points in Hurwitz coordinates; the oracles
-in oracle_utils expand the same identities as series in t (and s) with
-polynomial coefficients.  The two must return equal residuals, zero or
+group_law_residuals, pde_residual, verify_delta_ode and
+delta_pde_identity_residuals evaluate their residuals at D + 1 integer
+points; the oracles in oracle_utils expand the same identities as
+series in t (and s) with polynomial coefficients, or on the terms A_n.  The two must return equal residuals, zero or
 nonzero, including on autonomous sequences with a wrong term.
 """
 
@@ -17,14 +17,19 @@ from hypothesis import given, settings, strategies as st
 
 from deltadyn import autonomous, deltaflow
 from deltadyn.autonomous import AutonomousSequence, group_law_residuals, pde_residual
-from deltadyn.deltaflow import verify_delta_ode
+from deltadyn.deltaflow import delta_pde_identity_residuals, verify_delta_ode
 from deltadyn.points import _points
 from deltadyn.scalars import GaussianRational
 from deltadyn.series import XSeries
 from deltadyn.umbral import DeltaOp, abel, basic_sequence_from_delta, forward, touchard
 from deltadyn.verifysuite import _max_abs
 
-from oracle_utils import delta_ode_by_series, group_law_by_series, pde_residual_by_series
+from oracle_utils import (
+    delta_ode_by_series,
+    delta_pde_identity_by_series,
+    group_law_by_series,
+    pde_residual_by_series,
+)
 from strategies import GAUSSIANS, RATIONALS, polys
 
 FIELDS = st.sampled_from((RATIONALS, GAUSSIANS))
@@ -66,6 +71,7 @@ def test_point_form_equals_the_bivariate_form(case):
     _assert_same(group_law_residuals(f, N), group_law_by_series(f, N))
     _assert_same(pde_residual(f, N), pde_residual_by_series(f, N))
     _assert_same(verify_delta_ode(f, Q, N, basis), delta_ode_by_series(f, Q, N, basis))
+    _assert_same(delta_pde_identity_residuals(f, Q, N), delta_pde_identity_by_series(f, N))
 
 
 def _formula_degree(f, N):
@@ -115,8 +121,11 @@ def test_point_form_reports_a_wrong_term_like_the_bivariate_form(case, extra):
         _assert_same(pde, pde_residual_by_series(f, N))
         ode = verify_delta_ode(f, Q, N, basis)
         _assert_same(ode, delta_ode_by_series(f, Q, N, basis))
+        identity = delta_pde_identity_residuals(f, Q, N)
+        _assert_same(identity, delta_pde_identity_by_series(f, N))
     assert any(not r.is_zero for r in group)
     assert not pde.is_zero
+    assert any(not r.is_zero for r in identity)
 
 
 @pytest.mark.parametrize("f", [XSeries((0, 1, -1)), XSeries((GaussianRational(0, 1), 0, 1))])
@@ -148,6 +157,15 @@ def test_a_wrong_term_of_lower_degree_is_recovered_exactly(f):
         assert verify_delta_ode(f, forward(N), N) == delta_ode_by_series(f, forward(N), N)
     assert max(r.degree for r in group) == _formula_degree(f, N)
     assert pde.coefficient(N - 1).degree == _formula_degree(f, N)
+
+
+def test_the_delta_pde_identity_keeps_its_errors_and_its_zero():
+    f = XSeries((0, 1, -1))
+    with pytest.raises(ValueError, match="operator order too small for this depth"):
+        delta_pde_identity_residuals(f, forward(4), 5)
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        delta_pde_identity_residuals(f, forward(4), 0)
+    assert delta_pde_identity_residuals(XSeries.zero(), forward(6), 6) == [XSeries.zero()] * 6
 
 
 def test_residual_polynomials_are_recovered_exactly():
