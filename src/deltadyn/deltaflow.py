@@ -13,10 +13,12 @@ flow equation lives in the transported ring: the defining identity is
     Q Phi_Q = L[f(Phi)] = f(x) dPhi_Q/dx.
 
 verify_delta_ode checks the first equality and
-delta_pde_identity_residuals the second, in basic coordinates, both at
-integer points through points, as autonomous does for the group law:
-each coefficient of a residual is a polynomial in x, zero at more
-points than its degree only if identically zero.  At Q = d/dt, whose
+delta_pde_identity_residuals the second in basic coordinates, where it
+reads A_(m+1) = f A_m' for every Q and takes f alone.  Both run at
+integer points through points, the second with the rows of the A_m' as
+a further row set, as autonomous does for the group law: each
+coefficient of a residual is a polynomial in x, zero at more points
+than its degree only if identically zero.  At Q = d/dt, whose
 basic sequence is the monomials, L is the identity and the equation is
 the flow PDE d/dt Phi = f(Phi) of the classical flow, which
 autonomous.pde_residual certifies through verify_delta_ode.
@@ -37,7 +39,7 @@ from .autonomous import (
     h_sequence,
 )
 from .flows import Flow, TSeries
-from .series import XSeries, rational_binomial
+from .series import XSeries, _horner, rational_binomial
 from .umbral import (
     UmbralOperator,
     _int_apply,
@@ -181,19 +183,17 @@ def verify_delta_ode(f, Q, order, basis=None):
     return TSeries(residuals, N - 1)
 
 
-def delta_pde_identity_residuals(f, Q, order):
+def delta_pde_identity_residuals(f, order):
     """Residuals of Q Phi_Q = f(x) dPhi_Q/dx in basic coordinates.
 
     As Q q_n = n q_(n-1), residual m < N, at q_m, is A_(m+1)/m! less
-    f A_m'/m!, with A_0' = 1; all are zero.  points._certify computes
-    them at integer points x0: with f = F/d, residual m times d^(m+1) m!
-    is d^(m+1) A_(m+1)(x0) - F(x0) d^m A_m'(x0), the rows of the A_m'
-    read as points._flow_at reads those of the A_m.
+    f A_m'/m!, with A_0' = 1, the same for every delta operator Q; all
+    are zero.  points._certify computes them at integer points x0: with
+    f = F/d, residual m times d^(m+1) m! is d^(m+1) A_(m+1)(x0) less
+    F(x0) d^m A_m'(x0), the rows of the A_m' read as a further row set.
     """
-    from .points import _Degree, _certify, _flow_at, _flow_degrees, _horner, _integral
+    from .points import _certify, _integral
 
-    if Q.order < order:
-        raise ValueError("operator order too small for this depth")
     aut = autonomous_sequence(f, order)
     d, F, kind = _integral(f)
     drows = [
@@ -201,13 +201,12 @@ def delta_pde_identity_residuals(f, Q, order):
         for den, re, im in aut.numerators[1][: order - 1]
     ]
 
-    def at(F, u):
-        du = _flow_degrees(drows) if type(u[0]) is _Degree else _flow_at(drows, d, u[0])
+    def at(F, u, du):
         fx = _horner(F, u[0])
         return [v - fx * w for v, w in zip(u[1:], [1] + du[1:])]
 
     scales = [Fraction(1, d ** (m + 1) * math.factorial(m)) for m in range(order)]
-    return _certify(at, F, d, aut, scales, kind)
+    return _certify(at, F, d, aut, scales, kind, drows)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ Hurwitz coefficients (of t^n/n!) at an integer x0 are the integers
 P_n(x0) of autonomous_sequence.  f(Phi) is then a chain of binomial
 convolutions (_hurwitz_composite) with no division (Keigher, "On the
 ring of Hurwitz series", Comm. Algebra 25, 1997), and the form in basic
-coordinates needs only F(x0) and the derivative rows at x0 (_horner).
+coordinates needs only F(x0) and a further row set, the A_n' at x0.
 
 _certify runs a check first on degrees, to bound the degree D of every
-residual by the actual degrees of f and of the A_n, and then at the
+residual by the actual degrees of f and of the rows, and then at the
 D + 1 points 0, 1, -1, 2, ...: a nonzero polynomial of degree <= D has
 at most D roots, so residuals zero at all of them are identically zero.
 Nonzero residuals are interpolated back exactly.  Values run on ints,
@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .scalars import GaussianRational, to_lanes
-from .series import XSeries
+from .series import XSeries, _horner
 
 __all__ = []
 
@@ -164,13 +164,6 @@ def _points(count):
     return [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(count)]
 
 
-def _horner(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _flow_at(rows, d, x):
     """u_0 = x and u_n = d^n A_n(x) for the numerator rows of A_n: the
     Hurwitz coefficients at x of the flow of F = d f, integers for the
@@ -227,14 +220,14 @@ def _interpolate(xs, ys, scale, kind):
     return XSeries([GaussianRational(r * scale, i * scale) for r, i in zip(re, im)])
 
 
-def _certify(at, F, d, aut, scales, kind):
+def _certify(at, F, d, aut, scales, kind, *more):
     """The residual polynomials of a flow identity, from integer points.
 
-    at(F, u) lists the numerators of the residuals at one point from
-    the point values F of the integral generator F = d f and the
-    Hurwitz coefficients u of its flow there (_flow_at of aut's
-    numerator rows); residual r is the polynomial in x whose value at
-    the point is scales[r] times entry r.
+    at(F, u, *v) lists the numerators of the residuals at one point from
+    the point values F of the integral generator F = d f, the Hurwitz
+    coefficients u of its flow there (_flow_at of aut's numerator rows)
+    and those v of each row set in more, read alike; residual r is the
+    polynomial in x whose value at the point is scales[r] times entry r.
 
     at runs first on degrees (_Degree): the actual degrees of F's
     coefficients and of the rows give a bound D on the degree of every
@@ -246,10 +239,11 @@ def _certify(at, F, d, aut, scales, kind):
     coefficients of the given kind (see _interpolate).
     """
     aut_kind, rows = aut.numerators
-    bounds = at([_Degree(0) if c else 0 for c in F], _flow_degrees(rows))
+    row_sets = (rows, *more)
+    bounds = at([_Degree(0) if c else 0 for c in F], *map(_flow_degrees, row_sets))
     D = max((b.d for b in bounds if b), default=0)
     xs = _points(D + 1)
-    values = [at(F, _flow_at(rows, d, x)) for x in xs]
+    values = [at(F, *(_flow_at(r, d, x) for r in row_sets)) for x in xs]
     if not any(any(v) for v in values):
         return [XSeries.zero()] * len(bounds)
     kind = max(kind, aut_kind)

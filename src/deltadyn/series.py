@@ -62,6 +62,14 @@ def _add_lists(a, b):
     ]
 
 
+def _horner(coeffs, x):
+    """The polynomial with coefficients coeffs, lowest first, at x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def _mul_lists(a, b, cap=None, zero=0):
     """Convolution of lists of scalars or XSeries, keeping powers <= cap;
     the sums start from zero, the ring's zero."""
@@ -358,10 +366,7 @@ class XSeries:
 
     def evaluate(self, value):
         """Evaluate at a scalar (Horner)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        return _horner(self.coeffs, value)
 
     def shift(self, a):
         """p(x + a), by Horner's rule in x + a."""

@@ -365,9 +365,9 @@ def _check_first_expansion(order, depth):
 def _check_delta_ode(order, depth):
     ops = _builtin_ops(max(order, depth))
     for _, f in _corpus_generators():
+        yield delta_pde_identity_residuals(f, order)
         for Q in ops:
             yield verify_delta_ode(f, Q, order)
-            yield delta_pde_identity_residuals(f, Q, order)
 
 
 @_check("deltaflow", "basis-roundtrip")

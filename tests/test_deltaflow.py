@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deltadyn import verifysuite
 from deltadyn.autonomous import (
     autonomous_sequence,
     classical_flow,
@@ -119,7 +120,21 @@ def test_verify_delta_ode_zero_everywhere():
     for f in corpus_generators():
         for Q in builtin_ops():
             assert verify_delta_ode(f, Q, N).is_zero
-            assert all(r.is_zero for r in delta_pde_identity_residuals(f, Q, N))
+            assert all(r.is_zero for r in delta_pde_identity_residuals(f, N))
+
+
+def test_the_delta_ode_check_certifies_the_basic_form_once_per_generator(monkeypatch):
+    # A_(m+1) = f A_m' is the same identity over every operator
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return delta_pde_identity_residuals(*args)
+
+    monkeypatch.setattr(verifysuite, "delta_pde_identity_residuals", counting)
+    rows = {row["name"]: row for row in verifysuite.run_checks(8, 12, "deltaflow")}
+    assert rows["delta-ode"]["residual"] == "0"
+    assert [args[0] for args in calls] == [f for _, f in verifysuite._corpus_generators()]
 
 
 @pytest.mark.parametrize(
@@ -158,7 +173,7 @@ def test_delta_flow_equation_on_random_generators_and_operators(case):
     # and Q Phi_Q = f(x) dPhi_Q/dx in basic coordinates
     f, Q, order = case
     assert verify_delta_ode(f, Q, order).is_zero
-    assert all(r.is_zero for r in delta_pde_identity_residuals(f, Q, order))
+    assert all(r.is_zero for r in delta_pde_identity_residuals(f, order))
 
 
 def test_verify_delta_ode_gaussian_field():

@@ -22,7 +22,7 @@ import pytest
 import deltadyn
 from deltadyn.deltaflow import delta_pde_identity_residuals
 from deltadyn.points import _Degree
-from deltadyn.umbral import basic_sequence_from_delta, forward
+from deltadyn.umbral import basic_sequence_from_delta
 from deltadyn.verifysuite import _corpus_generators, run_checks
 
 MODULES = [importlib.import_module("deltadyn." + m.name) for m in pkgutil.iter_modules(deltadyn.__path__)]
@@ -224,4 +224,4 @@ def test_the_delta_pde_identity_sees_a_wrong_lane_product(name, monkeypatch, fre
     # the A_n that a broken product built no longer satisfy it
     f = dict(_corpus_generators())[name]
     _mutate(monkeypatch, "series._mul_lanes")
-    assert any(not r.is_zero for r in delta_pde_identity_residuals(f, forward(12), 8))
+    assert any(not r.is_zero for r in delta_pde_identity_residuals(f, 8))

@@ -15,13 +15,21 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltadyn import autonomous, deltaflow
+from deltadyn import autonomous, deltaflow, points
 from deltadyn.autonomous import AutonomousSequence, group_law_residuals, pde_residual
 from deltadyn.deltaflow import delta_pde_identity_residuals, verify_delta_ode
-from deltadyn.points import _points
+from deltadyn.points import _Degree, _Gaussian, _points
 from deltadyn.scalars import GaussianRational
 from deltadyn.series import XSeries
-from deltadyn.umbral import DeltaOp, abel, basic_sequence_from_delta, forward, touchard
+from deltadyn.umbral import (
+    DeltaOp,
+    abel,
+    backward,
+    basic_sequence_from_delta,
+    derivative,
+    forward,
+    touchard,
+)
 from deltadyn.verifysuite import _max_abs
 
 from oracle_utils import (
@@ -30,7 +38,7 @@ from oracle_utils import (
     group_law_by_series,
     pde_residual_by_series,
 )
-from strategies import GAUSSIANS, RATIONALS, polys
+from strategies import GAUSSIAN_INTEGERS, GAUSSIANS, INTS, RATIONALS, polys
 
 FIELDS = st.sampled_from((RATIONALS, GAUSSIANS))
 
@@ -71,7 +79,7 @@ def test_point_form_equals_the_bivariate_form(case):
     _assert_same(group_law_residuals(f, N), group_law_by_series(f, N))
     _assert_same(pde_residual(f, N), pde_residual_by_series(f, N))
     _assert_same(verify_delta_ode(f, Q, N, basis), delta_ode_by_series(f, Q, N, basis))
-    _assert_same(delta_pde_identity_residuals(f, Q, N), delta_pde_identity_by_series(f, N))
+    _assert_same(delta_pde_identity_residuals(f, N), delta_pde_identity_by_series(f, N))
 
 
 def _formula_degree(f, N):
@@ -121,7 +129,7 @@ def test_point_form_reports_a_wrong_term_like_the_bivariate_form(case, extra):
         _assert_same(pde, pde_residual_by_series(f, N))
         ode = verify_delta_ode(f, Q, N, basis)
         _assert_same(ode, delta_ode_by_series(f, Q, N, basis))
-        identity = delta_pde_identity_residuals(f, Q, N)
+        identity = delta_pde_identity_residuals(f, N)
         _assert_same(identity, delta_pde_identity_by_series(f, N))
     assert any(not r.is_zero for r in group)
     assert not pde.is_zero
@@ -161,11 +169,9 @@ def test_a_wrong_term_of_lower_degree_is_recovered_exactly(f):
 
 def test_the_delta_pde_identity_keeps_its_errors_and_its_zero():
     f = XSeries((0, 1, -1))
-    with pytest.raises(ValueError, match="operator order too small for this depth"):
-        delta_pde_identity_residuals(f, forward(4), 5)
     with pytest.raises(ValueError, match="order must be >= 1"):
-        delta_pde_identity_residuals(f, forward(4), 0)
-    assert delta_pde_identity_residuals(XSeries.zero(), forward(6), 6) == [XSeries.zero()] * 6
+        delta_pde_identity_residuals(f, 0)
+    assert delta_pde_identity_residuals(XSeries.zero(), 6) == [XSeries.zero()] * 6
 
 
 def test_residual_polynomials_are_recovered_exactly():
@@ -206,3 +212,48 @@ SESSION_GENERATORS = [
 )
 def test_the_flow_session_oracle_holds(f, Q):
     assert verify_delta_ode(f, Q, 4).is_zero
+
+
+def _is_integral(value):
+    if type(value) is _Gaussian:
+        return type(value.re) is int and type(value.im) is int
+    return type(value) is int
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from((INTS, GAUSSIAN_INTEGERS)).flatmap(lambda s: polys(s, max_size=4)),
+    st.integers(1, 8),
+    st.sampled_from((derivative, forward, backward, touchard)),
+)
+def test_an_integral_generator_gives_integral_point_values(f, N, make_q):
+    # over Z and Z[i] the Hurwitz coefficients of the flow at an integer
+    # point are the integers P_n(x0), and the rows of the A_n' give
+    # integers too: every value _certify passes to an identity's at (F,
+    # u and any further row set), and every residual numerator at
+    # returns over an operator with integer Hurwitz weights, is one,
+    # with no division on the way
+    calls = []
+    real = points._certify
+
+    def spying(at, *args):
+        seen = []
+        calls.append(seen)
+
+        def spy(*values):
+            out = at(*values)
+            seen.append(values + (out,))
+            return out
+
+        return real(spy, *args)
+
+    with mock.patch.object(points, "_certify", spying):
+        group_law_residuals(f, N)
+        verify_delta_ode(f, make_q(N), N)
+        delta_pde_identity_residuals(f, N)
+    assert [len(seen[0]) for seen in calls] == [3, 3, 4]
+    for degrees, *at_points in calls:
+        # the degree pass first, then one call per point
+        assert type(degrees[1][0]) is _Degree and at_points
+        for values in at_points:
+            assert all(_is_integral(v) for row_set in values for v in row_set)
