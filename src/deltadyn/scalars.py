@@ -124,7 +124,8 @@ class GaussianRational:
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
         # (a + b*i)^e / d^e for self = (a + b*i) / d, by squaring on
-        # integers; each part is put in lowest terms by _reduce_power
+        # integers; each part is put in lowest terms against d, which
+        # every prime of d^e divides
         d, (a,), b, _ = to_lanes([self])
         b = b[0] if b else 0
         x, y, e = 1, 0, exponent
@@ -134,7 +135,8 @@ class GaussianRational:
             e >>= 1
             if e:
                 a, b = a * a - b * b, 2 * a * b
-        return GaussianRational(*[_reduce_power(p, d, exponent) for p in (x, y)])
+        den = d**exponent
+        return GaussianRational(_reduce_over(x, den, d), _reduce_over(y, den, d))
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -227,15 +229,25 @@ def _lowest_terms(num, den):
     return q
 
 
-def _reduce_power(num, d, e):
-    """Fraction(num, d**e), its common factors divided out by gcds
-    against d rather than one gcd of two long ints: every prime they
-    share divides d, and each round divides out the primes of d that
-    num and the denominator left still share."""
-    den = d**e
-    while (g := math.gcd(math.gcd(num, d), den)) > 1:
+def _reduce_over(num, den, r):
+    """Fraction(num, den) for den > 0 whose every prime divides r > 0,
+    reduced by gcds of residues mod q, where q is r or the square of a
+    factor already divided out, never by one gcd of num and den.
+
+    A zero num gives 0 at once.  Otherwise each round divides out
+    g = gcd(num mod q, den mod q, q), starting at q = r; as every prime
+    of den divides r, the first round finds every prime num and den
+    share.  The next round takes q = g^2, so each shared prime is
+    divided out to at most twice the power the round before it did,
+    and a prime shared to the power m costs O(log m) rounds.
+    """
+    if not num:
+        return _lowest_terms(0, 1)
+    q = r
+    while (g := math.gcd(num % q, den % q, q)) > 1:
         num //= g
         den //= g
+        q = g * g
     return _lowest_terms(num, den)
 
 

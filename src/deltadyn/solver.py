@@ -28,6 +28,7 @@ from .deltaflow import delta_flow, poly_flow_product
 from .scalars import (
     GaussianRational,
     _lowest_terms,
+    _reduce_over,
     digits_over,
     from_lanes,
     parse_scalar,
@@ -101,9 +102,15 @@ def iterate(g, x0, n, max_digits=None):
 
     Over Q(i), y = (a_r + a_i i)/b over the least common denominator
     b, and each Horner step multiplies by a_r + a_i i with three real
-    products.  The two parts N_r/D and N_i/D are reduced as Fractions;
-    those are the only gcds of long integers, and the next common
-    denominator is D over gcd(D/den(N_r/D), D/den(N_i/D)).
+    products.  Each part N_r/D and N_i/D is put in lowest terms by gcds
+    against the short r = C b_0, b_0 the common denominator of x0, or
+    against factors of its powers (scalars._reduce_over), never by a
+    gcd of two long integers.  This suffices because every prime of D
+    divides r, by induction on the orbit: every prime of b_0 does, and
+    if every prime of b_k does, so does every prime of D = C b_k^d and
+    of its divisor b_(k+1), the next common denominator.  That is D/h
+    for h = gcd(D/den(N_r/D), D/den(N_i/D)), the gcd of the factors
+    the two parts divided out.
 
     Over Q(i), with a = a_r + a_i i and gcd(a_r, a_i, b) = 1, the
     common denominator D/h of the next value, h = gcd(N_r, N_i, D),
@@ -214,9 +221,11 @@ def _qi_orbit(Gr, Gi, C, ar, ai, b, bits):
     """g(y), g(g(y)), ... as GaussianRationals, for g = (Gr + Gi i)/C
     and y = (ar + ai i)/b over the least common denominator b (see
     iterate); stops before a value with a part whose denominator is
-    proven to exceed 2^bits."""
+    proven to exceed 2^bits.  Each part is reduced against r = C b,
+    whose primes include every prime of every later denominator."""
     d = len(Gr) - 1
     K = _qi_factor(Gr, Gi, C)
+    r = C * b
     while True:
         if bits is not None and _proven_over(C, b, d, K, 2 * bits):
             return
@@ -232,7 +241,7 @@ def _qi_orbit(Gr, Gi, C, ar, ai, b, bits):
             nr += Gr[k] * p
             ni += Gi[k] * p
         D = C * bp[d]
-        re, im = Fraction(nr, D), Fraction(ni, D)
+        re, im = _reduce_over(nr, D, r), _reduce_over(ni, D, r)
         h = gcd(D // re.denominator, D // im.denominator)
         ar, ai, b = nr // h, ni // h, D // h
         yield GaussianRational(re, im)

@@ -118,9 +118,9 @@ def test_evaluate_at_zero():
 
 def test_verify_delta_ode_zero_everywhere():
     for f in corpus_generators():
+        assert all(r.is_zero for r in delta_pde_identity_residuals(f, N))
         for Q in builtin_ops():
             assert verify_delta_ode(f, Q, N).is_zero
-            assert all(r.is_zero for r in delta_pde_identity_residuals(f, N))
 
 
 def test_the_delta_ode_check_certifies_the_basic_form_once_per_generator(monkeypatch):

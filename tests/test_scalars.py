@@ -94,7 +94,7 @@ SIXTY_SEVENS = int("7" * 60)
 
 @given(RATIONALS, RATIONALS, st.integers(0, 12))
 # parts that share factors with the common denominator d of c: (1+i)^12
-# / 2^12 = -1/64 takes six rounds of gcds against d = 2, the real part
+# / 2^12 = -1/64 divides out 2, 4 and 8 in three rounds, the real part
 # of (3+2i)^7 / 6^7 is divisible by 3, and 1/S - S*i is (1 - S^2 i) / S
 @example(Fraction(1, 2), Fraction(1, 2), 12)
 @example(Fraction(1, 2), Fraction(1, 3), 7)
@@ -102,7 +102,8 @@ SIXTY_SEVENS = int("7" * 60)
 @example(Fraction(2, 9), Fraction(4, 3), 12)
 def test_power_is_the_repeated_product_in_lowest_terms(re, im, e):
     # the power runs on integer lanes; each part is a Fraction in lowest
-    # terms, its common factors with d divided out by gcds against d
+    # terms, its common factors with d divided out by gcds against d and
+    # the squares of the factors divided out
     c = GaussianRational(re, im)
     want = GaussianRational(1)
     for _ in range(e):
@@ -112,6 +113,33 @@ def test_power_is_the_repeated_product_in_lowest_terms(re, im, e):
     for part in (got.re, got.im):
         assert type(part) is Fraction and part.denominator > 0
         assert math.gcd(part.numerator, part.denominator) == 1
+
+
+@pytest.mark.parametrize(
+    "c,e,want",
+    [
+        # (1+i)^2 = 2i, so both powers are real, over 2^64000 and 3^16000
+        (GaussianRational(Fraction(1, 2), Fraction(1, 2)), 64000, Fraction(2**32000, 2**64000)),
+        (GaussianRational(Fraction(1, 3), Fraction(1, 3)), 16000, Fraction(2**8000, 3**16000)),
+    ],
+    ids=["(1+i)/2", "(1+i)/3"],
+)
+def test_a_long_power_takes_logarithmically_many_gcds(monkeypatch, c, e, want):
+    # the common factor 2^32000 of the first comes out in one round per
+    # doubling of the power divided out, plus the last, by squaring the
+    # divisor; the zero imaginary part of each takes no gcd at all
+    calls = []
+    real_gcd = math.gcd
+
+    def spy(*args):
+        calls.append(args)
+        return real_gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", spy)
+    got = c**e
+    monkeypatch.undo()
+    assert got == GaussianRational(want)
+    assert len(calls) <= e.bit_length() + 1
 
 
 def test_parse_errors():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from deltadyn.scalars import GaussianRational, digits_over, format_scalar
+from deltadyn.scalars import GaussianRational, I, digits_over, format_scalar
 from deltadyn.series import XSeries
 from deltadyn.solver import (
     backward_relation_check,
@@ -74,6 +74,16 @@ MAPS = st.sampled_from([*SCALARS.values(), SHARED_PRIMES]).flatmap(
 @example(XSeries((F(1, 4), 0, F(2, 3))), F(3, 8), 4)
 @example(XSeries((F(-1, 4), 0, 1)), F(1, 2), 3)  # the value 0 reduces all of D
 @example(XSeries((0, 1, 2)), F(1, 2), 3)  # gcd(N, D) = 4 = G_d^d at the first step
+# x^2 from (1+i)/3: 2i/9, then -4/81, so one part is zero from the first step on
+@example(XSeries((0, 0, 1)), GaussianRational(F(1, 3), F(1, 3)), 4)
+# x^2 + i from (1+i)/2: x0 over 2, where 1 + i divides the numerator
+@example(XSeries((I, 0, 1)), GaussianRational(F(1, 2), F(1, 2)), 4)
+# x^2 + 1/2 from 1 + i/5, over the split prime 5 = (2 + i)(2 - i):
+# (5 + i)^2 / 25 = 24/25 + 10/25 i, and only the imaginary part divides out a 5
+@example(XSeries((F(1, 2), 0, 1)), GaussianRational(1, F(1, 5)), 4)
+# (2x^2 + i)/3 from (1+2i)/3: C = 3 shares its prime with x0's denominator,
+# and the first value is -2/9 + 17/27 i
+@example(XSeries((I / 3, 0, F(2, 3))), GaussianRational(F(1, 3), F(2, 3)), 4)
 def test_iterate_matches_the_horner_orbit(g, x0, n):
     # value and type of every orbit value, as Horner's rule gives them
     got = iterate(g, x0, n)
@@ -97,6 +107,25 @@ def test_the_rational_orbit_takes_no_gcd_of_two_long_integers(monkeypatch):
     orbit = iterate(XSeries((F(1, 3), F(-2, 5), F(7, 2))), F(4, 9), 9)
     monkeypatch.undo()
     assert orbit[-1].denominator.bit_length() > 2000
+    assert calls and all(bits[-2] <= 64 for bits in calls)
+
+
+def test_the_gaussian_orbit_takes_no_gcd_of_two_long_integers(monkeypatch):
+    # each part is reduced against r = C b_0 = 22 or the square of a
+    # factor it divided out, and no Fraction is built by its normalising
+    # constructor
+    calls = []
+    real_gcd = math.gcd
+
+    def spy(*args):
+        calls.append(sorted(a.bit_length() for a in args))
+        return real_gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", spy)
+    monkeypatch.setattr(solver, "gcd", spy)
+    orbit = iterate(quadratic_map(F(1, 2)), GaussianRational(F(3, 11), F(5, 11)), 12)
+    monkeypatch.undo()
+    assert orbit[-1].re.denominator.bit_length() > 2000
     assert calls and all(bits[-2] <= 64 for bits in calls)
 
 
