@@ -263,4 +263,4 @@ def group_law_residuals(f, order):
     scales = [
         Fraction(1, d ** (i + j) * fact(i) * fact(j)) for i in range(N + 1) for j in range(N + 1 - i)
     ]
-    return _certify(at, F, d, aut, scales, kind)
+    return _certify(at, F, d, aut, scales, [kind] * len(scales))

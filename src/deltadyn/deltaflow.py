@@ -18,7 +18,10 @@ reads A_(m+1) = f A_m' for every Q and takes f alone.  Both run at
 integer points through points, the second with the rows of the A_m' as
 a further row set, as autonomous does for the group law: each
 coefficient of a residual is a polynomial in x, zero at more points
-than its degree only if identically zero.  At Q = d/dt, whose
+than its degree only if identically zero.  The right side of the first
+does not depend on Q either, so _delta_ode_residuals checks it for
+several operators in one pass over the points, with the flow and
+f(Phi) at each point computed once.  At Q = d/dt, whose
 basic sequence is the monomials, L is the identity and the equation is
 the flow PDE d/dt Phi = f(Phi) of the classical flow, which
 autonomous.pde_residual certifies through verify_delta_ode.
@@ -134,6 +137,13 @@ def rhoq_unit(Q, order):
 def verify_delta_ode(f, Q, order, basis=None):
     """Residual of Q Phi_Q = L[f(Phi)] through t-order N-1, over the
     given basis or else Q's own of depth N; zero when the basis is Q's.
+    It is _delta_ode_residuals of the one pair (Q, basis)."""
+    return _delta_ode_residuals(f, [(Q, basis)], order)[0]
+
+
+def _delta_ode_residuals(f, pairs, order):
+    """verify_delta_ode of f for each (Q, basis) of pairs, a residual
+    TSeries each, with the flow and f(Phi) computed once for all.
 
     The left side applies Q in t to the monomial form of the delta
     flow; the right side maps the monomials of f(Phi), Phi the
@@ -141,46 +151,61 @@ def verify_delta_ode(f, Q, order, basis=None):
     basis.  At a point x0, with u the Hurwitz coefficients there of the
     flow of F = d f (the flow of f with t scaled by d), the delta flow is
     x0 + sum_n beta(k, n) u_n t^k / (d^n n!) and f(Phi) is
-    sum_m F(u)_m t^m / (d^(m+1) m!).  With the matrix of beta over its
-    denominator db (BasicSequence._int_rows) and the step matrix of Q
-    over its denominator dq (DeltaOp._int_steps), both sides times
-    dq db d^N N! are products of those matrices and point values by
+    sum_m F(u)_m t^m / (d^(m+1) m!); neither u nor F(u) depends on Q.
+    With the matrix of beta over its denominator db
+    (BasicSequence._int_rows) and the step matrix of Q over its
+    denominator dq (DeltaOp._int_steps), both sides times dq db d^N N!
+    are products of those matrices and point values by
     umbral._int_apply; a Gaussian matrix is first made point values, so
     that no value, a points._Degree included, is split into lanes.  The
-    residual is computed at integer points by points._certify.
+    residuals of every pair are computed at the same integer points by
+    one points._certify, with the largest degree bound of the batch:
+    more points interpolate to the same polynomials, each with the
+    coefficient kind of its own pair.
     """
     from .points import _certify, _hurwitz_composite, _integral, _lane
 
-    if basis is None:
-        basis = basic_sequence_from_delta(Q, order)
-    elif basis.depth < order:
-        raise ValueError("basis depth is smaller than the flow order")
-    if Q.order < order:
-        raise ValueError("operator order too small for this t-order")
     N = order
+    fact = math.factorial
+    ops = []
+    for Q, basis in pairs:
+        if basis is None:
+            basis = basic_sequence_from_delta(Q, order)
+        elif basis.depth < order:
+            raise ValueError("basis depth is smaller than the flow order")
+        if Q.order < order:
+            raise ValueError("operator order too small for this t-order")
+        db, basis_kind, beta = basis._int_rows
+        dq, q_kind, steps = Q._int_steps
+        beta, steps = (
+            [[(j, _lane(x, y)) for j, x, y, _ in row] for row in m[: N + 1]] if _is_gaussian(m) else m
+            for m in (beta, steps)
+        )
+        ops.append((beta, steps, dq, db, max(basis_kind, q_kind)))
     aut = autonomous_sequence(f, N)
     d, F, kind = _integral(f)
-    db, basis_kind, beta = basis._int_rows
-    dq, q_kind, steps = Q._int_steps
-    beta, steps = (
-        [[(j, _lane(x, y)) for j, x, y, _ in row] for row in m[: N + 1]] if _is_gaussian(m) else m
-        for m in (beta, steps)
-    )
-    fact = math.factorial
     lhs_scale = [fact(N) // fact(n) * d ** (N - n) for n in range(N + 1)]
-    rhs_scale = [dq * fact(N) // fact(m) * d ** (N - 1 - m) for m in range(N)]
+    rhs_scale = [fact(N) // fact(m) * d ** (N - 1 - m) for m in range(N)]
 
     def at(F, u):
         # the monomial coefficients of Phi_Q, and the right side from
         # F(u), a series in t alone
-        W, _ = _int_apply(beta, [0] + [c * s for c, s in zip(u[1:], lhs_scale[1:])])
+        lhs = [0] + [c * s for c, s in zip(u[1:], lhs_scale[1:])]
         F_u = _hurwitz_composite(F, [[c] for c in u], [1] * N)
-        R, _ = _int_apply(beta, [value * s for (value,), s in zip(F_u, rhs_scale)])
-        return [q - r for q, r in zip(_int_apply(steps, W)[0], R)]
+        rhs = [value * s for (value,), s in zip(F_u, rhs_scale)]
+        out = []
+        for beta, steps, dq, _, _ in ops:
+            W, _ = _int_apply(beta, lhs)
+            R, _ = _int_apply(beta, [dq * v for v in rhs])
+            out += [q - r for q, r in zip(_int_apply(steps, W)[0], R)]
+        return out
 
-    scales = [Fraction(1, dq * db * d ** N * fact(N))] * N
-    residuals = _certify(at, F, d, aut, scales, max(kind, basis_kind, q_kind))
-    return TSeries(residuals, N - 1)
+    scales, kinds = [], []
+    for _, _, dq, db, op_kind in ops:
+        scales += [Fraction(1, dq * db * d ** N * fact(N))] * N
+        kinds += [max(kind, op_kind)] * N
+    residuals = _certify(at, F, d, aut, scales, kinds)
+    return [TSeries(residuals[i * N : (i + 1) * N], N - 1) for i in range(len(ops))]
 
 
 def delta_pde_identity_residuals(f, order):
@@ -206,7 +231,7 @@ def delta_pde_identity_residuals(f, order):
         return [v - fx * w for v, w in zip(u[1:], [1] + du[1:])]
 
     scales = [Fraction(1, d ** (m + 1) * math.factorial(m)) for m in range(order)]
-    return _certify(at, F, d, aut, scales, kind, drows)
+    return _certify(at, F, d, aut, scales, [kind] * order, drows)
 
 
 # ---------------------------------------------------------------------------

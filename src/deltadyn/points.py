@@ -220,7 +220,7 @@ def _interpolate(xs, ys, scale, kind):
     return XSeries([GaussianRational(r * scale, i * scale) for r, i in zip(re, im)])
 
 
-def _certify(at, F, d, aut, scales, kind, *more):
+def _certify(at, F, d, aut, scales, kinds, *more):
     """The residual polynomials of a flow identity, from integer points.
 
     at(F, u, *v) lists the numerators of the residuals at one point from
@@ -236,7 +236,8 @@ def _certify(at, F, d, aut, scales, kind, *more):
     that vanish at the D + 1 points 0, 1, -1, 2, ... are identically
     zero, and they are returned as zero XSeries.  Otherwise each
     residual is interpolated back exactly from its D + 1 values, with
-    coefficients of the given kind (see _interpolate).
+    coefficients of the kind kinds[r], or aut's if larger (see
+    _interpolate).
     """
     aut_kind, rows = aut.numerators
     row_sets = (rows, *more)
@@ -246,5 +247,7 @@ def _certify(at, F, d, aut, scales, kind, *more):
     values = [at(F, *(_flow_at(r, d, x) for r in row_sets)) for x in xs]
     if not any(any(v) for v in values):
         return [XSeries.zero()] * len(bounds)
-    kind = max(kind, aut_kind)
-    return [_interpolate(xs, ys, s, kind) for ys, s in zip(zip(*values), scales)]
+    return [
+        _interpolate(xs, ys, s, max(kind, aut_kind))
+        for ys, s, kind in zip(zip(*values), scales, kinds)
+    ]

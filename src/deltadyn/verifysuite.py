@@ -29,6 +29,7 @@ from .autonomous import (
     pde_residual,
 )
 from .deltaflow import (
+    _delta_ode_residuals,
     classical_delta_flow,
     connection_flow,
     connection_matrix,
@@ -45,7 +46,6 @@ from .deltaflow import (
     rhoq_add,
     rhoq_mul,
     rhoq_unit,
-    verify_delta_ode,
 )
 from .flows import TSeries, taylor_compose
 from .scalars import GaussianRational
@@ -363,11 +363,10 @@ def _check_first_expansion(order, depth):
 
 @_check("deltaflow", "delta-ode")
 def _check_delta_ode(order, depth):
-    ops = _builtin_ops(max(order, depth))
+    pairs = [(Q, None) for Q in _builtin_ops(max(order, depth))]
     for _, f in _corpus_generators():
         yield delta_pde_identity_residuals(f, order)
-        for Q in ops:
-            yield verify_delta_ode(f, Q, order)
+        yield _delta_ode_residuals(f, pairs, order)
 
 
 @_check("deltaflow", "basis-roundtrip")

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltadyn import verifysuite
+from deltadyn import points, verifysuite
 from deltadyn.autonomous import (
     autonomous_sequence,
     classical_flow,
 )
 from deltadyn.deltaflow import (
+    _delta_ode_residuals,
     classical_delta_flow,
     connection_flow,
     connection_matrix,
@@ -135,6 +136,75 @@ def test_the_delta_ode_check_certifies_the_basic_form_once_per_generator(monkeyp
     rows = {row["name"]: row for row in verifysuite.run_checks(8, 12, "deltaflow")}
     assert rows["delta-ode"]["residual"] == "0"
     assert [args[0] for args in calls] == [f for _, f in verifysuite._corpus_generators()]
+
+
+def test_the_delta_ode_check_shares_the_flow_and_f_of_phi_over_the_operators(monkeypatch):
+    # per corpus generator, one certification of the basic form and one
+    # of the transported equation for all six operators at once, which
+    # computes F(u) once per point, not once per point and operator
+    certified, composites = [], []
+    certify, composite = points._certify, points._hurwitz_composite
+
+    def spying_certify(at, *args):
+        seen = []
+        certified.append(seen)
+
+        def spy(*values):
+            seen.append(values)
+            return at(*values)
+
+        return certify(spy, *args)
+
+    def spying_composite(*args):
+        composites.append(args)
+        return composite(*args)
+
+    monkeypatch.setattr(points, "_certify", spying_certify)
+    monkeypatch.setattr(points, "_hurwitz_composite", spying_composite)
+    assert verifysuite._check_delta_ode(8, 12) == 0
+    # the basic form reads a further row set, the A_m'; the batch does not
+    assert [len(seen[0]) for seen in certified] == [3, 2] * len(verifysuite._corpus_generators())
+    # the degree pass and every point of each batch, one F(u) apiece
+    assert len(composites) == sum(len(seen) for seen in certified[1::2])
+
+
+def residual_entries(ts):
+    """(value, type) of every coefficient of a residual TSeries."""
+    return [[(c, type(c)) for c in x.coeffs] for x in ts.coeffs]
+
+
+@pytest.mark.parametrize(
+    "f, nonzero_kinds",
+    [
+        (XSeries((0, 3, -4)), {Fraction, GaussianRational}),
+        (corpus_map("quadratic-1/2")["g"] - X, {GaussianRational}),
+        (XSeries((GaussianRational(0, 1), Fraction(1, 2), -1)), {GaussianRational}),
+    ],
+    ids=["logistic-4", "quadratic-1/2 over Q(i)", "i + x/2 - x^2"],
+)
+def test_one_batch_gives_what_one_call_per_operator_gives(f, nonzero_kinds):
+    # the points of the batch cover the largest degree bound of all its
+    # operators, which interpolates every residual to the same
+    # polynomial, and each keeps the coefficient kind of its own call:
+    # a real operator over a real basis stays real beside Abel's at a
+    # Gaussian alpha
+    order = 6
+    ops = builtin_ops(order) + (abel(GaussianRational(Fraction(2, 3), Fraction(-5, 7)), order),)
+    bases = [basic_sequence_from_delta(Q, order) for Q in ops]
+    pairs = (
+        [(Q, None) for Q in ops]
+        + list(zip(ops, bases))
+        + [(Q, bases[(i + 1) % len(ops)]) for i, Q in enumerate(ops)]
+    )
+    batch = _delta_ode_residuals(f, pairs, order)
+    assert len(batch) == len(pairs)
+    kinds = set()
+    for (Q, basis), got in zip(pairs, batch):
+        want = verify_delta_ode(f, Q, order, basis)
+        assert residual_entries(got) == residual_entries(want)
+        kinds |= {kind for x in residual_entries(want) for _, kind in x}
+    # the mismatched bases give nonzero residuals, interpolated back
+    assert kinds == nonzero_kinds
 
 
 @pytest.mark.parametrize(

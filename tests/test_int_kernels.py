@@ -206,6 +206,29 @@ def test_autonomous_terms_stay_in_the_ring_of_the_generator(f, order):
                 assert type(c) is int
 
 
+
+@settings(max_examples=100, deadline=None)
+@given(polys(INTS, max_size=4))
+@example(XSeries((1, 2)))
+@example(XSeries((0, -1, 0, 1)))
+def test_the_forward_flow_at_integer_times_stays_in_z_x(f):
+    # over the forward difference q_k(t)/k! = C(t, k), so the delta flow
+    # at an integer time n is x + sum_k A_k C(n, k): in Z[x] for f in
+    # Z[x].  It is the n-th iterate of x + f when f is affine, and for
+    # no n >= 2 when f is not, as the iterate then has the larger degree
+    # (acceptance criterion 1)
+    aut = autonomous_sequence(f, 8)
+    flow = delta_flow(f, forward(8), 8)
+    X = XSeries.x()
+    iterate = X
+    for n in range(9):
+        at_n = X + sum((aut.term(k) * math.comb(n, k) for k in range(1, n + 1)), XSeries.zero())
+        assert all(type(c) is int for c in at_n.coeffs)
+        assert flow.evaluate(n, 2) == at_n.evaluate(2)
+        if f.degree <= 1 or n <= 2:
+            assert (at_n == iterate) == (f.degree <= 1 or n < 2)
+            iterate = iterate + f.evaluate(iterate)
+
 # (Q, depth): a random delta series over Z, Q or Q(i), or Abel's at a
 # Gaussian alpha, and a depth of 0 to 10 it covers
 OPERATORS = st.one_of(
