@@ -206,7 +206,6 @@ def test_autonomous_terms_stay_in_the_ring_of_the_generator(f, order):
                 assert type(c) is int
 
 
-
 @settings(max_examples=100, deadline=None)
 @given(polys(INTS, max_size=4))
 @example(XSeries((1, 2)))
@@ -228,6 +227,7 @@ def test_the_forward_flow_at_integer_times_stays_in_z_x(f):
         if f.degree <= 1 or n <= 2:
             assert (at_n == iterate) == (f.degree <= 1 or n < 2)
             iterate = iterate + f.evaluate(iterate)
+
 
 # (Q, depth): a random delta series over Z, Q or Q(i), or Abel's at a
 # Gaussian alpha, and a depth of 0 to 10 it covers
