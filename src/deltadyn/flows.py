@@ -102,7 +102,7 @@ class TSeries:
     def coefficient(self, m):
         if m > self.order:
             raise ValueError("coefficient %d beyond t-order %d" % (m, self.order))
-        return self.coeffs[m]
+        return self.coeffs[m] if m >= 0 else XSeries.zero()
 
     def truncate(self, order):
         return TSeries(self.coeffs, min(order, self.order))

@@ -152,10 +152,10 @@ def numeric_closed_form_check(kind, a, t, alpha=1.0, config=None):
     """
     if config is None:
         config = NumericConfig()
-    if a == 0.0:
-        return ClosedFormReport(kind, a, t, 0.0, 0.0, 0.0, 0)
     if kind not in _PINV:
         raise ValueError("unknown kind %r" % kind)
+    if a == 0.0:
+        return ClosedFormReport(kind, a, t, 0.0, 0.0, 0.0, 0)
     basis = basic_sequence_from_delta(
         operator(kind, config.depth, Fraction(alpha)), config.depth
     )

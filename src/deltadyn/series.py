@@ -5,25 +5,24 @@ in one variable.  XSeries also serve as the polynomials in t (basic
 polynomials and the like); printing always names the variable x.
 
 Module level functions provide the formal-series kernels shared by the
-rest of the package: multiplication, reciprocal, composition and
-Lagrange inversion on plain coefficient sequences (index = power,
-scalar entries), the rational binomial coefficient, and the product
-of the Hurwitz ring: the binomial convolution of two sequences, which
-multiplies exponential generating functions and, by the Leibniz rule,
-derivative towers (f, f', f'', ...).  The reciprocal runs in that ring
-on integers (_hurwitz_reciprocal), with no division until each output
-coefficient; its integer form also gives Rota's recurrence in umbral
-its weights.
+rest of the package: multiplication and composition on plain
+coefficient sequences (index = power, scalar entries), the
+compositional inverse, read off the basic sequence of umbral, the
+rational binomial coefficient, and the product of the Hurwitz ring:
+the binomial convolution of two sequences, which multiplies
+exponential generating functions and, by the Leibniz rule, derivative
+towers (f, f', f'', ...).  The reciprocal of a derivative runs in that
+ring on integers (_hurwitz_reciprocal), with no division; it gives
+Rota's recurrence in umbral its weights.
 
 _mul_lists, the one batch convolution, multiplies scalar sequences,
 XSeries (and so XSeries.shift), the coefficients of flows.TSeries and
 integer lanes; _mul_lanes, the product of integer lanes (three real
-products over Q(i)), serves autonomous.autonomous_sequence, composition
-and Lagrange inversion.  Those kernels and the reciprocal read each
-input once into lanes over one denominator (scalars.to_lanes), run on
-ints and divide once per output coefficient, giving every coefficient,
-zeros included, the one type of the field of their inputs (at least Q
-for the reciprocal and the inverse, which divide).
+products over Q(i)), serves autonomous.autonomous_sequence and
+composition.  Those kernels read each input once into lanes over one
+denominator (scalars.to_lanes), run on ints and divide once per output
+coefficient, giving every coefficient, zeros included, the one type of
+the field of their inputs.
 """
 
 import math
@@ -36,7 +35,6 @@ __all__ = [
     "derivative_sequence",
     "hurwitz_product",
     "seq_mul",
-    "seq_reciprocal",
     "seq_compose",
     "compositional_inverse",
     "rational_binomial",
@@ -94,7 +92,8 @@ def _mul_lanes(a, b, cap=None):
     """The product of two integer lanes (re, im), im None for a real
     one, by _mul_lists; over the Gaussian integers by three real
     products (Karatsuba): re = ar br - ai bi and
-    im = (ar + ai)(br + bi) - ar br - ai bi."""
+    im = (ar + ai)(br + bi) - ar br - ai bi.  It serves the autonomous
+    recursion and the powers of the inner series of seq_compose."""
     (ar, ai), (br, bi) = a, b
     rr = _mul_lists(ar, br, cap)
     if ai is None or bi is None:
@@ -116,10 +115,10 @@ def seq_mul(a, b, order):
     return tuple(out)
 
 
-def _hurwitz_reciprocal(a, order, shift=0):
+def _hurwitz_reciprocal(a, order):
     """The reciprocal in Hurwitz coordinates, on integers, of the series
-    with the Hurwitz coefficients A_k = (k + shift)! a_k: sum_k a_k u^k
-    for shift 0, the derivative of sum_k a_k u^(k+1) for shift 1.
+    with the Hurwitz coefficients A_k = (k + 1)! a_k: the derivative of
+    sum_k a_k u^(k+1), as p' of p = sum_k p_k u^k from a = p_1, p_2, ...
 
     In the Hurwitz ring a series is a unit exactly when its constant
     term is (Keigher, On the ring of Hurwitz series, 1997).  With u
@@ -142,7 +141,7 @@ def _hurwitz_reciprocal(a, order, shift=0):
     den, re, im, _ = to_lanes(a)
     im = im or [0] * len(a)
     gaussian = _kind([c for c in a if c != 0]) == 2
-    fact = [math.factorial(k + shift) for k in range(len(a))]
+    fact = [math.factorial(k + 1) for k in range(len(a))]
     b = 1
     for k in range(1, len(a)):
         x = fact[k] * b**k
@@ -177,24 +176,6 @@ def _hurwitz_reciprocal(a, order, shift=0):
         if cplx:
             ci.append(s1 + s2 - s3)
     return (cr, ci), n0, (dr, di), b, gaussian
-
-
-def seq_reciprocal(a, order):
-    """Multiplicative inverse of a sequence with nonzero constant term.
-
-    Read off the reciprocal in Hurwitz coordinates (_hurwitz_reciprocal):
-    coefficient n is D C_n / (N_0^(n+1) b^n n!), one division each.
-    Every coefficient is a GaussianRational when a nonzero one of a
-    through the order is, else a Fraction.
-    """
-    (cr, ci), n0, (dr, di), b, gaussian = _hurwitz_reciprocal(a, order)
-    out, den = [], n0
-    for n, x in enumerate(cr):
-        if n:
-            den *= n0 * b * n
-        y = ci[n] if ci else 0
-        out.append(from_lanes(dr * x - di * y, dr * y + di * x, den, 1 + gaussian))
-    return tuple(out)
 
 
 def invert_scalar(c):
@@ -248,33 +229,29 @@ def seq_compose(outer, inner, order):
 def compositional_inverse(p, order):
     """Formal compositional inverse of p, with p(0)=0 and p'(0) != 0.
 
-    Uses the Lagrange inversion formula: the n-th coefficient of the
-    inverse is [u^(n-1)] (u/p(u))^n / n.  The round trip
-    p(inverse(u)) == u holds exactly through the requested order.
-    w = u/p is taken through u^(order-1), the last power read, so
-    coefficients 1 .. order have the one type of w, set by p_1 .. p_order
-    (see seq_reciprocal); coefficient 0 is never computed: the int 0.
+    Read off the basic sequence of the delta operator p(d): its
+    generating function sum_n q_n(t) u^n / n! is exp(t pinv(u)), so
+    coefficient n of the inverse is beta(1, n) / n!, the t coefficient
+    of q_n over n! (umbral._inverse_series).  The basis of depth order
+    reads p_1 .. p_order, and so coefficients 1 .. order are all
+    Fractions, or all GaussianRationals when a nonzero one of those is;
+    coefficient 0 is the int 0.  The round trip p(inverse(u)) == u holds
+    exactly through the requested order.
 
     >>> from fractions import Fraction as F
     >>> exp_minus_one = [0] + [F(1, math.factorial(k)) for k in range(1, 6)]
     >>> compositional_inverse(exp_minus_one, 4)
     (0, Fraction(1, 1), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 4))
     """
-    p = list(p)
+    from .umbral import DeltaOp, _inverse_series, basic_sequence_from_delta
+
+    p = tuple(p)
     if not p or (p[0] != 0):
         raise ValueError("inverse requires constant term 0")
     if len(p) < 2 or p[1] == 0:
         raise ValueError("inverse requires a nonzero linear term")
-    w = seq_reciprocal(p[1:], order - 1)  # u/p as a series in u
-    dw, wr, wi, kind = to_lanes(w)
-    out = [0] * (order + 1)
-    power = [1], None
-    for n in range(1, order + 1):
-        # W^n over dw^n through u^(order-1), the last power read
-        power = _mul_lanes(power, (wr, wi), order - 1)
-        pr, pi = power
-        out[n] = from_lanes(pr[n - 1], pi[n - 1] if pi else 0, dw**n * n, kind)
-    return tuple(out)
+    p += (0,) * (order + 1 - len(p))
+    return _inverse_series(basic_sequence_from_delta(DeltaOp(p), order))
 
 
 def rational_binomial(r, k):
@@ -331,7 +308,7 @@ class XSeries:
         return len(self.coeffs) - 1
 
     def coefficient(self, k):
-        return self.coeffs[k] if k < len(self.coeffs) else 0
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):

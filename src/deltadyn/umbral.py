@@ -20,8 +20,10 @@ generating identity
 
 where pinv is the compositional inverse of p, so the coefficient of
 t^k in q_n is (n!/k!) [u^n] pinv(u)^k; the tests check the recurrence
-against it.  A slower route that solves Q q_n = n q_{n-1} degree by
-degree is kept as an independent check.
+against it.  At k = 1 it gives pinv itself, beta(1, n) / n!: the one
+route to the inverse series (_inverse_series).  A slower route that
+solves Q q_n = n q_{n-1} degree by degree is kept as an independent
+check.
 
 Built-in operators: the derivative itself, the forward difference
 exp(d)-1 (falling factorials), the backward difference 1-exp(-d)
@@ -67,14 +69,8 @@ import math
 from fractions import Fraction
 
 from .flows import TSeries, _rows_to_terms, _terms_to_rows, _TermRows
-from .scalars import _kind, _kinds, to_lanes
-from .series import (
-    XSeries,
-    _hurwitz_reciprocal,
-    compositional_inverse,
-    invert_scalar,
-    seq_compose,
-)
+from .scalars import _kind, _kinds, from_lanes, to_lanes
+from .series import XSeries, _hurwitz_reciprocal, invert_scalar, seq_compose
 
 __all__ = [
     "DeltaOp",
@@ -491,7 +487,7 @@ def basic_sequence_from_delta(Q, depth):
     if Q.order < depth:
         raise ValueError("operator order too small for this depth")
     top = max(depth, 1)
-    (cr, ci), n0, (dr, di), b, gaussian = _hurwitz_reciprocal(Q.coeffs[1 : top + 1], top - 1, 1)
+    (cr, ci), n0, (dr, di), b, gaussian = _hurwitz_reciprocal(Q.coeffs[1 : top + 1], top - 1)
     steps = _steps(cr, ci, depth)
     nb = [(n0 * b) ** j for j in range(depth + 1)]
     gr, gi, rows, den, pr, pi = [1], None, [], 1, 1, 0  # pr + pi*i = D^n
@@ -577,14 +573,30 @@ def umbral_compose(A, B):
     return BasicSequence(op, polys)
 
 
+def _inverse_series(basis):
+    """pinv through the depth of a basis, coefficient n beta(1, n) / n!
+    (see the module docstring), one division each on the integer rows,
+    in the field of the basis and at least Q, as a basis given by polys
+    may hold int rows; coefficient 0 is the int 0."""
+    kind, rows = basis.numerators
+    kind = max(kind, 1)
+    out, fact = [0], 1
+    for n, (den, re, im) in enumerate(rows[1:], 1):
+        fact *= n
+        out.append(from_lanes(re[1], im[1] if im else 0, den * fact, kind))
+    return tuple(out)
+
+
 def umbral_inverse(A):
     """Basic sequence of the compositionally inverse operator.
 
     Composing with it on either side yields the monomial basis.  A
     basis of depth d reads its operator only through order d, so the
-    series is inverted through max(d, 1), the least order of a DeltaOp.
+    series is inverted through max(d, 1), the least order of a DeltaOp:
+    read off A's own rows, or, at depth 0, which has no row 1, off the
+    depth-1 basis of its operator.
     """
-    inv = DeltaOp(compositional_inverse(A.operator.coeffs, max(A.depth, 1)))
+    inv = DeltaOp(_inverse_series(A if A.depth else basic_sequence_from_delta(A.operator, 1)))
     return basic_sequence_from_delta(inv, A.depth)
 
 

@@ -185,3 +185,11 @@ def test_taylor_compose_raises_past_the_truncation_order():
     w = classical_flow(XSeries((1,)), 3)
     for c in (5, 7):
         assert taylor_compose(XSeries((1, 1, c)), w).coefficient(2) == XSeries((c,))
+
+
+def test_a_negative_power_has_coefficient_zero():
+    # not the entry counted from the top, which a negative index reads
+    assert basic_sequence_from_delta(forward(4), 4).beta(-1, 3) == 0
+    assert XSeries((1, 2, 3)).coefficient(-1) == 0
+    w = TSeries([XSeries.one(), XSeries.x()], 1)
+    assert w.coefficient(-1) == XSeries.zero()

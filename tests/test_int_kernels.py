@@ -7,17 +7,17 @@ for rational, Gaussian and composed bases and for scalar and XSeries
 inputs.  Every coefficient it builds has the one type of the field of
 its inputs: int over Z, Fraction over Q, GaussianRational over Q(i).
 
-The operator-series kernels (seq_compose, compositional_inverse and
-the shift-invariant apply of DeltaOp and apply_delta_series) run on
-integer lanes too, and so do the series reciprocal and Rota's
-recurrence in Hurwitz coordinates.  Each gives every entry the value
-that the loops in the scalars' own arithmetic give it, entry by entry,
-and every entry, zeros included, the one type of the field of its
-inputs: for composition, that of the outer series through the order
-and the inner one; for the apply, that of the operator's nonzero
-weights and the values; for the reciprocal and Lagrange inversion,
-which divide, GaussianRational when a nonzero Gaussian coefficient
-enters, else Fraction.
+The operator-series kernels (seq_compose and the shift-invariant apply
+of DeltaOp and apply_delta_series) run on integer lanes too, and so
+does Rota's recurrence in Hurwitz coordinates, off whose basis
+compositional_inverse reads the inverse series.  Each gives every
+entry the value that the loops in the scalars' own arithmetic give it,
+entry by entry, and every entry, zeros included, the one type of the
+field of its inputs: for composition, that of the outer series through
+the order and the inner one; for the apply, that of the operator's
+nonzero weights and the values; for the inverse, which divides,
+GaussianRational when a nonzero Gaussian coefficient enters, else
+Fraction.
 """
 
 import math
@@ -30,7 +30,7 @@ from deltadyn.autonomous import autonomous_sequence, classical_flow, flow_from_a
 from deltadyn.deltaflow import delta_flow
 from deltadyn.flows import TSeries
 from deltadyn.scalars import GaussianRational
-from deltadyn.series import XSeries, compositional_inverse, seq_compose, seq_reciprocal
+from deltadyn.series import XSeries, compositional_inverse, seq_compose
 from deltadyn.umbral import (
     OPERATOR_NAMES,
     DeltaOp,
@@ -54,7 +54,6 @@ from oracle_utils import (
     expand_by_field_loop,
     flow_coeffs_by_factorial,
     seq_compose_by_field_loop,
-    seq_reciprocal_by_field_loop,
 )
 from strategies import (
     DEPTH,
@@ -376,23 +375,6 @@ def test_apply_to_tseries_drops_the_kinds_of_a_cancelled_top():
 
 # The zeros of the three fields, drawn among the coefficients of any field.
 ZEROS = st.sampled_from([0, Fraction(0), GaussianRational(0)])
-
-
-@settings(max_examples=80, deadline=None)
-@given(FIELDS, st.data())
-# 1/(1 + iu): the loop's 1/1 at u^0 is a Fraction, here Gaussian too
-@example("mixed", Draws(1, [GaussianRational(0, 1)], 1))
-def test_seq_reciprocal_matches_field_loop(field, data):
-    # constant terms other than units, and zeros of every field (Gaussian
-    # ones included) among the coefficients of Z, Q, Q(i) or mixed lists
-    scalars = SCALARS[field]
-    c0 = data.draw(scalars.filter(lambda c: c != 0))
-    rest = data.draw(st.lists(st.one_of(scalars, ZEROS), max_size=12))
-    order = data.draw(st.integers(0, 14))
-    a = [c0] + rest
-    got = seq_reciprocal(a, order)
-    assert by_entry(got) == by_entry(seq_reciprocal_by_field_loop(a, order))
-    assert_one_type(got, reciprocal_type(a[: order + 1]))
 
 
 # (Q, depth): the built-in operators, Abel's at a rational or Gaussian

@@ -120,18 +120,18 @@ CASES = {
             ("autonomous", "flow-pde"),
             ("autonomous", "flow-group-law"),
             ("deltaflow", "delta-ode"),
-            ("deltaflow", "basis-roundtrip"),
             ("deltaflow", "semiflow-ring"),
             ("deltaflow", "power-identity"),
-            ("deltaflow", "flow-composition-group"),
         ],
     ),
     # every linear map of umbral; the Stirling triangles and the Abel
-    # closed form share none of it, and flow-pde, outside the layer,
-    # runs it on point values against the rows of the autonomous recursion
+    # closed form share none of it, flow-pde, outside the layer, runs it
+    # on point values against the rows of the autonomous recursion, and
+    # the inverse round trip composes the series read off a basis
     "umbral._int_apply": (
         "umbral",
         [
+            ("core", "compositional-inverse-roundtrip"),
             ("autonomous", "flow-pde"),
             ("umbral", "basic-set-axioms"),
             ("umbral", "recurrence-oracle"),
@@ -143,8 +143,9 @@ CASES = {
             ("umbral", "first-expansion"),
         ],
     ),
-    # Rota's recurrence and Lagrange inversion; the Stirling and Abel
-    # closed forms and the recurrence oracle never take a reciprocal
+    # Rota's recurrence, and so the inverse series read off its basis;
+    # the Stirling and Abel closed forms and the recurrence oracle never
+    # take a reciprocal
     "series._hurwitz_reciprocal": (
         "core",
         [

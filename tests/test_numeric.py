@@ -88,6 +88,12 @@ def test_unknown_kind():
         numeric_closed_form_check("sideways", 0.1, 0.1)
 
 
+def test_unknown_kind_is_refused_at_a_zero_too():
+    # the kind is checked before the shortcut that a = 0 takes
+    with pytest.raises(ValueError, match="unknown kind 'bogus'"):
+        numeric_closed_form_check("bogus", 0.0, 1.0)
+
+
 def test_abel_beyond_float_range_diverges():
     # at depth 144 the exact Abel coefficients pass float range; the
     # check still reaches its verdict instead of overflowing

@@ -8,10 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deltadyn import series
 from deltadyn.deltaflow import connection_matrix, delta_flow, matrix_product, verify_delta_ode
 from deltadyn.flows import TSeries
 from deltadyn.scalars import GaussianRational, parse_scalar
-from deltadyn.series import XSeries, compositional_inverse, seq_compose, seq_mul, seq_reciprocal
+from deltadyn.series import XSeries, compositional_inverse, seq_compose, seq_mul
 from deltadyn.umbral import (
     OPERATOR_NAMES,
     BasicSequence,
@@ -42,6 +43,7 @@ from oracle_utils import (
     bivariate_add,
     bivariate_of_shift,
     bivariate_product,
+    compositional_inverse_by_field_loop,
     expand_by_field_loop,
     falling_factorial,
     rising_factorial,
@@ -171,8 +173,10 @@ def test_recurrence_oracle_agrees():
 
 
 def generating_identity_matrix(Q, depth):
-    """beta(k, n) = (n!/k!) [u^n] pinv(u)^k, read off exp(t pinv(u))."""
-    pinv = compositional_inverse(Q.coeffs, depth)
+    """beta(k, n) = (n!/k!) [u^n] pinv(u)^k, read off exp(t pinv(u)),
+    pinv by Lagrange inversion in field arithmetic, which shares no code
+    with the basis: compositional_inverse reads pinv off the basis."""
+    pinv = compositional_inverse_by_field_loop(Q.coeffs, depth)
     powers = []
     power = (1,) + (0,) * depth
     for _ in range(depth + 1):
@@ -306,6 +310,36 @@ def test_equal_operator_is_a_basis_cache_hit():
     after = basic_sequence_from_delta.cache_info()
     assert again is first
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+@pytest.mark.parametrize(
+    "Q", [touchard(12), abel(GaussianRational(Fraction(2, 3), Fraction(-5, 7)), 12)], ids=["touchard", "abel-Qi"]
+)
+def test_the_inverse_series_is_read_off_the_basis(monkeypatch, Q):
+    # compositional_inverse and umbral_inverse read pinv off row 1 of
+    # beta and multiply no lanes; the inverse of an operator whose basis
+    # is cached at its depth builds no basis, and umbral_inverse builds
+    # only the basis of the inverse
+    calls = []
+    real = series._mul_lanes
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(series, "_mul_lanes", spy)
+    basic_sequence_from_delta.cache_clear()
+    A = basic_sequence_from_delta(Q, 8)
+    pinv = compositional_inverse(Q.coeffs, 8)
+    assert basic_sequence_from_delta.cache_info().misses == 1
+    inv = umbral_inverse(A)
+    assert basic_sequence_from_delta.cache_info().misses == 2
+    assert calls == []
+    assert pinv == compositional_inverse_by_field_loop(Q.coeffs, 8)
+    assert inv.operator.coeffs == pinv
+    # the spy sees the products of the composition that checks pinv
+    assert seq_compose(Q.coeffs, pinv, 8) == (0, 1) + (0,) * 7
+    assert calls
 
 
 def test_equal_operators_of_two_fields_do_not_share_a_cached_basis():
@@ -668,7 +702,7 @@ def test_umbral_operator_sends_monomials_to_basis():
 # equation, with its message.
 GUARDS = {
     "reciprocal-constant-term": (
-        lambda: seq_reciprocal((0, 1), 3),
+        lambda: series._hurwitz_reciprocal((0, 1), 3),
         "reciprocal requires a nonzero constant term",
     ),
     "compose-inner-constant-term": (
