@@ -242,7 +242,8 @@ def group_law_residuals(f, order):
     products.  Entry (i, j) is their difference over d^(i+j) i! j!,
     computed at integer points by points._certify.
     """
-    from .points import _certify, _hurwitz_composite, _integral
+    from .points import _certify, _integral
+    from .series import _hurwitz_composite
 
     N = order
     aut = autonomous_sequence(f, N)

@@ -31,9 +31,11 @@ built.  A reader closing stdout early gives a quiet exit with code
 --max-digits keep the slowest run measured at a cap under 20 s on a
 2-CPU machine.  A solve refuses a value before
 computing it when a lower bound on its denominator already passes
---max-digits (see solver.iterate), and computes no autonomous
-polynomial for a refused orbit: a cubic map over Q(i) at --steps 48
-refuses at n = 11 in under 1 s, where computing that value took 4 s.
+--max-digits (see solver.iterate), and computes no closed column
+for a refused orbit: a cubic map over Q(i) at --steps 48 refuses at
+n = 11 in under 1 s, where computing that value took 4 s.  The closed
+column comes from the Taylor recursion at x0 and builds no
+autonomous polynomial (see solver.solve_forward).
 """
 
 import argparse

@@ -163,7 +163,8 @@ def _delta_ode_residuals(f, pairs, order):
     more points interpolate to the same polynomials, each with the
     coefficient kind of its own pair.
     """
-    from .points import _certify, _hurwitz_composite, _integral, _lane
+    from .points import _certify, _integral
+    from .series import _hurwitz_composite, _lane
 
     N = order
     fact = math.factorial

@@ -8,67 +8,25 @@ ring over an integral domain each point is integral: for f = F/d with
 F integral, the flow of f is the flow of F with t scaled by 1/d, whose
 Hurwitz coefficients (of t^n/n!) at an integer x0 are the integers
 P_n(x0) of autonomous_sequence.  f(Phi) is then a chain of binomial
-convolutions (_hurwitz_composite) with no division (Keigher, "On the
-ring of Hurwitz series", Comm. Algebra 25, 1997), and the form in basic
-coordinates needs only F(x0) and a further row set, the A_n' at x0.
+convolutions (series._hurwitz_composite) with no division (Keigher, "On
+the ring of Hurwitz series", Comm. Algebra 25, 1997), and the form in
+basic coordinates needs only F(x0) and a further row set, the A_n' at x0.
 
 _certify runs a check first on degrees, to bound the degree D of every
 residual by the actual degrees of f and of the rows, and then at the
 D + 1 points 0, 1, -1, 2, ...: a nonzero polynomial of degree <= D has
 at most D roots, so residuals zero at all of them are identically zero.
 Nonzero residuals are interpolated back exactly.  Values run on ints,
-on _Gaussian (two ints) where an imaginary part occurs, and on
+on series._Gaussian (two ints) where an imaginary part occurs, and on
 Fractions only for a sequence given by its terms.
 """
 
-import functools
-import math
 from fractions import Fraction
 
 from .scalars import GaussianRational, to_lanes
-from .series import XSeries, _horner
+from .series import XSeries, _Gaussian, _horner, _lane
 
 __all__ = []
-
-
-class _Gaussian:
-    """A Gaussian integer re + im*i as a point value (the parts are
-    rational only for a sequence given by its terms)."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re, self.im = re, im
-
-    def __add__(self, o):
-        if type(o) is _Gaussian:
-            return _Gaussian(self.re + o.re, self.im + o.im)
-        if isinstance(o, (int, Fraction)):
-            return _Gaussian(self.re + o, self.im)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Gaussian(-self.re, -self.im)
-
-    def __sub__(self, o):
-        return self + -o
-
-    def __rsub__(self, o):
-        return -self + o
-
-    def __mul__(self, o):
-        if type(o) is _Gaussian:
-            return _Gaussian(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-        if isinstance(o, (int, Fraction)):
-            return _Gaussian(self.re * o, self.im * o)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.re or self.im)
 
 
 class _Degree:
@@ -101,62 +59,11 @@ class _Degree:
     __rmul__ = __mul__
 
 
-def _lane(re, im):
-    """The point value re + im*i: an int unless im is nonzero."""
-    return _Gaussian(re, im) if im else re
-
-
 def _integral(f):
     """(d, F, kind) for f = F/d with F integral: F's coefficients as
     point values, and kind the field of f as in scalars.to_lanes."""
     d, fr, fi, kind = to_lanes(f.coeffs)
     return d, [_lane(r, fi[k] if fi else 0) for k, r in enumerate(fr)], kind
-
-
-@functools.lru_cache(maxsize=128)
-def _binomials(n):
-    """Row n of Pascal's triangle."""
-    return tuple(math.comb(n, k) for k in range(n + 1))
-
-
-def _hurwitz_composite(F, psi, widths):
-    """Yield F(psi)_0, F(psi)_1, ...: f(Phi) at a point, in Hurwitz
-    coordinates.
-
-    psi[i] is the coefficient of t^i/i! of a series, given as the list
-    of its coefficients of s^j/j! in a second variable s (one entry for
-    a series in t alone), and F lists the point values of a
-    polynomial's coefficients, lowest first.  Products are binomial
-    convolutions in both variables, the product of the Hurwitz ring, so
-    integer inputs give integers with no division.  F(psi)_i is
-    yielded through s-index widths[i] - 1 and reads psi[0 .. i] only,
-    so a caller may append it to psi as psi[i+1] before asking for the
-    next one: that is the Taylor recursion of phi' = F(phi).  The
-    powers psi^k are kept per t-index and grow by one entry a step.
-    """
-    widths = list(widths)
-    pascal = [_binomials(j) for j in range(max(widths, default=0))]
-    powers = [[] for _ in F[2:]]  # powers[k-2][i] = (psi^k)_i
-    for i, width in enumerate(widths):
-        ci = _binomials(i)
-        out = [F[1] * c for c in psi[i][:width]] if len(F) > 1 else [0] * width
-        if i == 0 and F:
-            out[0] += F[0]
-        lower, rev = psi, psi[i::-1]
-        for k, power in enumerate(powers, 2):
-            # (psi^k)_(i,j) = sum C(i,p) C(j,q) (psi^(k-1))_(p,q) psi_(i-p,j-q)
-            row = [
-                sum(
-                    cj[q] * sum(c * a[q] * b[j - q] for c, a, b in zip(ci, lower, rev))
-                    for q in range(j + 1)
-                )
-                for j, cj in zip(range(width), pascal)
-            ]
-            power.append(row)
-            if F[k]:
-                out = [o + F[k] * r for o, r in zip(out, row)]
-            lower = power
-        yield out
 
 
 def _points(count):

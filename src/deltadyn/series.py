@@ -13,7 +13,10 @@ the binomial convolution of two sequences, which multiplies
 exponential generating functions and, by the Leibniz rule, derivative
 towers (f, f', f'', ...).  The reciprocal of a derivative runs in that
 ring on integers (_hurwitz_reciprocal), with no division; it gives
-Rota's recurrence in umbral its weights.
+Rota's recurrence in umbral its weights.  f(Phi) at a point runs there
+too (_hurwitz_composite); its Taylor recursion gives the point checks
+of points their right sides and solver the values A_k(x0) of its
+closed form.
 
 _mul_lists, the one batch convolution, multiplies scalar sequences,
 XSeries (and so XSeries.shift), the coefficients of flows.TSeries and
@@ -25,6 +28,7 @@ coefficient, giving every coefficient, zeros included, the one type of
 the field of their inputs.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -176,6 +180,107 @@ def _hurwitz_reciprocal(a, order):
         if cplx:
             ci.append(s1 + s2 - s3)
     return (cr, ci), n0, (dr, di), b, gaussian
+
+
+class _Gaussian:
+    """A Gaussian integer re + im*i as a point value of a Hurwitz
+    recursion (the parts are rational only for a sequence given by its
+    terms)."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    def __add__(self, o):
+        if type(o) is _Gaussian:
+            return _Gaussian(self.re + o.re, self.im + o.im)
+        if isinstance(o, (int, Fraction)):
+            return _Gaussian(self.re + o, self.im)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Gaussian(-self.re, -self.im)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if type(o) is _Gaussian:
+            return _Gaussian(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        if isinstance(o, (int, Fraction)):
+            return _Gaussian(self.re * o, self.im * o)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+
+def _lane(re, im):
+    """The point value re + im*i: an int unless im is nonzero."""
+    return _Gaussian(re, im) if im else re
+
+
+@functools.lru_cache(maxsize=128)
+def _binomials(n):
+    """Row n of Pascal's triangle."""
+    return tuple(math.comb(n, k) for k in range(n + 1))
+
+
+def _hurwitz_composite(F, psi, widths):
+    """Yield F(psi)_0, F(psi)_1, ...: f(Phi) at a point, in Hurwitz
+    coordinates.
+
+    psi[i] is the coefficient of t^i/i! of a series, given as the list
+    of its coefficients of s^j/j! in a second variable s (one entry for
+    a series in t alone), and F lists the point values of a
+    polynomial's coefficients, lowest first.  Products are binomial
+    convolutions in both variables, the product of the Hurwitz ring, so
+    integer inputs give integers with no division.  F(psi)_i is
+    yielded through s-index widths[i] - 1 and reads psi[0 .. i] only,
+    so a caller may append it to psi as psi[i+1] before asking for the
+    next one: that is the Taylor recursion of phi' = F(phi).  The
+    powers psi^k are kept per t-index and grow by one entry a step.
+
+    The flow of phi' = phi^2 from phi(0) = 1 is 1/(1 - t), whose
+    Hurwitz coefficients are the factorials:
+
+    >>> psi = [[1]]
+    >>> for value in _hurwitz_composite([0, 0, 1], psi, [1] * 4):
+    ...     psi.append(value)
+    >>> psi
+    [[1], [1], [2], [6], [24]]
+    """
+    widths = list(widths)
+    pascal = [_binomials(j) for j in range(max(widths, default=0))]
+    powers = [[] for _ in F[2:]]  # powers[k-2][i] = (psi^k)_i
+    for i, width in enumerate(widths):
+        ci = _binomials(i)
+        out = [F[1] * c for c in psi[i][:width]] if len(F) > 1 else [0] * width
+        if i == 0 and F:
+            out[0] += F[0]
+        lower, rev = psi, psi[i::-1]
+        for k, power in enumerate(powers, 2):
+            # (psi^k)_(i,j) = sum C(i,p) C(j,q) (psi^(k-1))_(p,q) psi_(i-p,j-q)
+            row = [
+                sum(
+                    cj[q] * sum(c * a[q] * b[j - q] for c, a, b in zip(ci, lower, rev))
+                    for q in range(j + 1)
+                )
+                for j, cj in zip(range(width), pascal)
+            ]
+            power.append(row)
+            if F[k]:
+                out = [o + F[k] * r for o, r in zip(out, row)]
+            lower = power
+        yield out
 
 
 def invert_scalar(c):

@@ -8,7 +8,11 @@ solve_forward() evaluates the umbral closed form
 
     x + sum_k A_k(f)(x) C(n, k)
 
-which terminates for integer n.  The closed form reproduces affine
+which terminates for integer n.  The values A_k(x0) are the Hurwitz
+coefficients at x0 of the flow of phi' = f(phi), and they come from
+its Taylor recursion u_(k+1) = f(u)_k on integers (or Gaussian
+integers), the Hurwitz-ring kernel series._hurwitz_composite, with no
+autonomous polynomial built.  The closed form reproduces affine
 maps and every polynomial fixed point exactly; for nonlinear maps away
 from fixed points the umbral solution and the pointwise orbit are
 different objects (the flow equation holds in the transported ring,
@@ -35,7 +39,7 @@ from .scalars import (
     rational_sqrt,
     to_lanes,
 )
-from .series import XSeries
+from .series import XSeries, _Gaussian, _hurwitz_composite, _lane
 from .umbral import _Record, abel, backward, basic_sequence_from_delta, forward
 
 __all__ = [
@@ -267,30 +271,65 @@ def _closed_forms(x0, values, n_max):
         yield from_lanes(r, i, den, kind)
 
 
+def _autonomous_values(f, x0, n):
+    """A_1(x0) .. A_n(x0) for the autonomous polynomials A_k of f, by
+    the Taylor recursion at x0; no polynomial is built.
+
+    A_k(x0) is the Hurwitz coefficient u_k at x0 of the flow of
+    phi' = f(phi), and u_(k+1) = f(u)_k (series._hurwitz_composite).
+    With f = F/d of degree m >= 1 and x0 = a/b over the least common
+    denominator b, b f(y/b) = G(y)/c for G_j = F_j b^(m-j) and
+    c = d b^(m-1), so b phi(c t) is the flow of G from a.  Its Hurwitz
+    coefficients v_k are integers, or Gaussian integers over Q(i), and
+    A_k(x0) = v_k / (b c^k), one division each.
+
+    Each value has the type Horner's rule at x0 gives A_k: the field of
+    f and x0 together, and the int 0 for the zero polynomial, that is
+    for every A_k of f = 0 and for A_2, A_3, ... of a constant f.
+    """
+    if f.degree < 1:
+        return [f.evaluate(x0)] * min(n, 1) + [0] * (n - 1)
+    d, fr, fi, kind = to_lanes(f.coeffs)
+    b, (ar,), ai, x0_kind = to_lanes([x0])
+    m = len(fr) - 1
+    G = [_lane(r * b ** (m - j), fi[j] * b ** (m - j) if fi else 0) for j, r in enumerate(fr)]
+    c = d * b ** (m - 1)
+    psi = [[_lane(ar, ai[0] if ai else 0)]]
+    for value in _hurwitz_composite(G, psi, [1] * n):
+        psi.append(value)
+    kind = max(kind, x0_kind)
+    values, den = [], b
+    for (v,) in psi[1:]:
+        den *= c
+        re, im = (v.re, v.im) if type(v) is _Gaussian else (v, 0)
+        values.append(from_lanes(re, im, den, kind))
+    return values
+
+
 def solve_forward(g, x0, n):
     """Evaluate the forward closed form x0 + sum_k A_k(x0) C(n, k).
 
     The binomial coefficients vanish for k > n, so the sum is finite
-    and exact.
+    and exact; the A_k(x0) come from the Taylor recursion at x0
+    (_autonomous_values).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    aut = autonomous_sequence(g - XSeries.x(), max(n, 1))
-    *_, closed = _closed_forms(x0, [aut.term(k).evaluate(x0) for k in range(1, n + 1)], n)
+    *_, closed = _closed_forms(x0, _autonomous_values(g - XSeries.x(), x0, n), n)
     return closed
 
 
 def iterate_table(g, x0, n_max, max_digits=None):
     """Closed form against the iteration oracle, row by row.
 
-    The orbit comes first, so that a refusal costs no autonomous
-    polynomials; each A_k(x0) is then evaluated once and shared by
-    every row.  With max_digits, a value of either column past the cap
-    raises DigitLimitError (see iterate).
+    The orbit comes first, so that a refused orbit costs no closed
+    column; each A_k(x0) is then computed once, by the Taylor recursion
+    at x0 (_autonomous_values), and shared by every row.  With
+    max_digits, a value of either column past the cap raises
+    DigitLimitError (see iterate).
     """
     orbit = iterate(g, x0, n_max, max_digits)
-    aut = autonomous_sequence(g - XSeries.x(), max(n_max, 1))
-    values = [aut.term(k).evaluate(x0) for k in range(1, n_max + 1)]
+    values = _autonomous_values(g - XSeries.x(), x0, n_max)
     rows = []
     for n, closed in enumerate(_closed_forms(x0, values, n_max)):
         _check_digits(closed, n, max_digits)

@@ -11,8 +11,9 @@ the flow coefficients A_n * 1/n!, the Fraction route of the flows
 coordinates by back substitution against beta, the series
 reciprocal in ordinary coordinates and Rota's recurrence on it,
 composition by the powers of the inner series, Lagrange inversion,
-the step-table apply of a shift-invariant series, and the Horner
-orbit.  The Taylor sum form of composition, which Horner's rule
+the step-table apply of a shift-invariant series, the Horner orbit,
+and the closed column of solve from the autonomous polynomials
+evaluated at x0.  The Taylor sum form of composition, which Horner's rule
 replaced in the package, follows them, and then the bivariate forms of
 the group law, the flow PDE and the delta flow equation, and the delta
 PDE identity in basic coordinates, which the package now evaluates at
@@ -350,6 +351,20 @@ def iterate_by_horner(g, x0, n):
     for _ in range(n):
         ys.append(g.evaluate(ys[-1]))
     return tuple(ys)
+
+
+def closed_column_by_autonomous(g, x0, n):
+    """The route solve took before the Taylor recursion at x0: each
+    A_k of autonomous_sequence(g - x, n) evaluated at x0 by Horner's
+    rule, and the column x0 + sum_k A_k(x0) C(m, k), m = 0 .. n,
+    summed from those values by solver._closed_forms.  Returns
+    (values, column)."""
+    from deltadyn import autonomous, solver
+    from deltadyn.series import XSeries
+
+    aut = autonomous.autonomous_sequence(g - XSeries.x(), max(n, 1))
+    values = [aut.term(k).evaluate(x0) for k in range(1, n + 1)]
+    return values, list(solver._closed_forms(x0, values, n))
 
 
 def taylor_sum_compose(f, w):

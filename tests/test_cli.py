@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from deltadyn import cli, scalars, solver
+from deltadyn import autonomous, cli, scalars, solver
 from deltadyn.cli import cli_main
 from deltadyn.deltaflow import connection_matrix
 from deltadyn.scalars import format_scalar
@@ -529,6 +529,48 @@ def test_solve_refuses_a_gaussian_cubic_before_computing_past_the_cap(capsys, mo
         "error: the value at n = 11 has more than 100000 decimal digits (see --max-digits)\n"
     )
     assert len(calls) == 10
+
+
+DEGREE_8_QI = "poly:0,2/7+3/5*i,-22/7+1/3*i,13/11-5/3*i,-7/2+i,1/3-2/9*i,5/7+i,-3/11+1/2*i,2/13-3/7*i"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--map", "logistic:4", "--x0", "1/3", "--steps", "12"], 1),
+        (["--map", "cubic", "--x0", "2/7", "--steps", "8"], 1),
+        (["--map", "quadratic:1/2", "--x0", "1/3-2/5*i", "--steps", "8", "--field", "Qi"], 1),
+        # from the fixed point 0 the orbit and the closed column stay
+        # 0, but the autonomous polynomials of this map would reach
+        # degree 7 * 255 + 1 with long Gaussian coefficients
+        (["--map", DEGREE_8_QI, "--x0", "0", "--steps", "256", "--field", "Qi"], 0),
+    ],
+)
+def test_solve_builds_no_autonomous_sequence(capsys, monkeypatch, argv, code):
+    def unused(*args):
+        raise AssertionError("solve built an autonomous sequence")
+
+    monkeypatch.setattr(solver, "autonomous_sequence", unused)
+    monkeypatch.setattr(autonomous, "autonomous_sequence", unused)
+    monkeypatch.setattr(autonomous, "_numerators", unused)
+    got, out = run_cli(capsys, "solve", *argv)
+    assert got == code
+    assert len(out.splitlines()) == int(argv[argv.index("--steps") + 1]) + 2
+
+
+def test_a_cold_solve_loads_no_points():
+    # the Taylor recursion solve runs lives in series, so a solve
+    # request, over Q(i) too, never loads the point certification
+    code = (
+        "import sys; from deltadyn.cli import cli_main; "
+        "cli_main(['solve', '--map', 'quadratic:1/2', '--x0', '1/3-2/5*i', '--steps', '6', '--field', 'Qi']); "
+        "print('deltadyn.points' in sys.modules)"
+    )
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize(

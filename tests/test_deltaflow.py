@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltadyn import points, verifysuite
+from deltadyn import points, series, verifysuite
 from deltadyn.autonomous import (
     autonomous_sequence,
     classical_flow,
@@ -143,7 +143,7 @@ def test_the_delta_ode_check_shares_the_flow_and_f_of_phi_over_the_operators(mon
     # of the transported equation for all six operators at once, which
     # computes F(u) once per point, not once per point and operator
     certified, composites = [], []
-    certify, composite = points._certify, points._hurwitz_composite
+    certify, composite = points._certify, series._hurwitz_composite
 
     def spying_certify(at, *args):
         seen = []
@@ -160,7 +160,7 @@ def test_the_delta_ode_check_shares_the_flow_and_f_of_phi_over_the_operators(mon
         return composite(*args)
 
     monkeypatch.setattr(points, "_certify", spying_certify)
-    monkeypatch.setattr(points, "_hurwitz_composite", spying_composite)
+    monkeypatch.setattr(series, "_hurwitz_composite", spying_composite)
     assert verifysuite._check_delta_ode(8, 12) == 0
     # the basic form reads a further row set, the A_m'; the batch does not
     assert [len(seen[0]) for seen in certified] == [3, 2] * len(verifysuite._corpus_generators())

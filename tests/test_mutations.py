@@ -79,7 +79,7 @@ MUTATIONS = {
     "series._mul_lanes": _returned(lambda lanes: lanes[0]),
     "umbral._int_apply": _returned(lambda lanes: lanes[0]),
     "series._hurwitz_reciprocal": _returned(lambda out: out[0][0]),
-    "points._hurwitz_composite": _yielded,
+    "series._hurwitz_composite": _yielded,
     "autonomous._numerators": _returned(lambda out: out[2]),
     "scalars.to_lanes": _returned(lambda lanes: lanes[1]),
 }
@@ -159,16 +159,20 @@ CASES = {
         ],
     ),
     # the right sides of the point checks, against the rows of the
-    # autonomous recursion
-    "points._hurwitz_composite": (
+    # autonomous recursion, and the A_k(x0) of the solver's closed
+    # form, against iteration and the factored logistic flow
+    "series._hurwitz_composite": (
         "autonomous",
         [
             ("autonomous", "flow-pde"),
             ("autonomous", "flow-group-law"),
             ("deltaflow", "delta-ode"),
+            ("solver", "affine-oracle"),
+            ("solver", "factored-vs-direct"),
         ],
     ),
-    # the rows of A_n; the solver compares closed forms with iteration
+    # the rows of A_n; the factored logistic flow is built from them,
+    # the direct closed form it is compared with is not
     "autonomous._numerators": (
         "autonomous",
         [
@@ -177,7 +181,7 @@ CASES = {
             ("autonomous", "flow-pde"),
             ("autonomous", "flow-group-law"),
             ("solver", "logistic-fixed-points"),
-            ("solver", "affine-oracle"),
+            ("solver", "factored-vs-direct"),
         ],
     ),
     # the integer form of every list of scalars

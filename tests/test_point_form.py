@@ -18,9 +18,9 @@ from hypothesis import given, settings, strategies as st
 from deltadyn import autonomous, deltaflow, points
 from deltadyn.autonomous import AutonomousSequence, group_law_residuals, pde_residual
 from deltadyn.deltaflow import delta_pde_identity_residuals, verify_delta_ode
-from deltadyn.points import _Degree, _Gaussian, _points
+from deltadyn.points import _Degree, _points
 from deltadyn.scalars import GaussianRational
-from deltadyn.series import XSeries
+from deltadyn.series import XSeries, _Gaussian
 from deltadyn.umbral import (
     DeltaOp,
     abel,

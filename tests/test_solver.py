@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from deltadyn.scalars import GaussianRational, I, digits_over, format_scalar
+from deltadyn.scalars import GaussianRational, I, digits_over, format_scalar, parse_scalar
 from deltadyn.series import XSeries
 from deltadyn.solver import (
     backward_relation_check,
@@ -21,11 +21,10 @@ from deltadyn.solver import (
     solve_quadratic_map,
 )
 from deltadyn import solver
-from deltadyn.autonomous import AutonomousSequence
 from deltadyn.deltaflow import delta_flow
 from deltadyn.umbral import backward, forward
 
-from oracle_utils import iterate_by_horner
+from oracle_utils import closed_column_by_autonomous, iterate_by_horner
 from strategies import SCALARS, polys
 
 X = XSeries.x()
@@ -173,27 +172,21 @@ def test_iterate_table_reports_both_routes():
 
 # --- logistic ----------------------------------------------------------------
 
-class CountingXSeries(XSeries):
-    __slots__ = ()
-    evaluations = []
-
-    def evaluate(self, value):
-        self.evaluations.append(self)
-        return super().evaluate(value)
-
-
 def test_iterate_table_evaluates_each_autonomous_term_once(monkeypatch):
-    real = solver.autonomous_sequence
+    # one Taylor recursion at x0 yields each A_k(x0) once, and every
+    # row shares them
+    yielded = []
+    real = solver._hurwitz_composite
 
-    def counting(f, order):
-        aut = real(f, order)
-        return AutonomousSequence(aut.generator, tuple(CountingXSeries(t.coeffs) for t in aut.terms))
+    def counting(*args):
+        for value in real(*args):
+            yielded.append(value)
+            yield value
 
-    monkeypatch.setattr(solver, "autonomous_sequence", counting)
-    CountingXSeries.evaluations.clear()
+    monkeypatch.setattr(solver, "_hurwitz_composite", counting)
     g, x0 = logistic_map(F(5, 2)), F(1, 7)
     table = solver.iterate_table(g, x0, 9)
-    assert len(CountingXSeries.evaluations) == 9
+    assert len(yielded) == 9
     monkeypatch.undo()
     assert [row[1] for row in table.rows] == [solve_forward(g, x0, n) for n in range(10)]
     assert [row[2] for row in table.rows] == list(iterate(g, x0, 9))
@@ -268,10 +261,11 @@ def test_the_gcd_of_a_step_divides_the_proven_factor(G, C, a, b):
 
 
 def test_iterate_table_refuses_before_building_autonomous_terms(monkeypatch):
-    def unused(f, order):
-        raise AssertionError("autonomous terms built for a refused orbit")
+    def unused(*args):
+        raise AssertionError("autonomous terms computed for a refused orbit")
 
     monkeypatch.setattr(solver, "autonomous_sequence", unused)
+    monkeypatch.setattr(solver, "_hurwitz_composite", unused)
     with pytest.raises(solver.DigitLimitError, match="n = 3 has more than 3 decimal"):
         iterate_table(logistic_map(F(4)), F(1, 3), 40, max_digits=3)
 
@@ -294,6 +288,48 @@ def test_closed_forms_match_the_binomial_sum(case):
     want = [_closed_by_binomials(x0, values, n) for n in range(len(values) + 1)]
     assert got == want
     assert [format_scalar(c) for c in got] == [format_scalar(c) for c in want]
+
+
+# A degree-8 map over Q(i) whose autonomous polynomials at 256 steps
+# are too large to build within the CLI's time cap; 0 is a fixed point.
+DEGREE_8 = XSeries([parse_scalar(c, "Qi") for c in (
+    "0", "2/7+3/5*i", "-22/7+1/3*i", "13/11-5/3*i", "-7/2+i",
+    "1/3-2/9*i", "5/7+i", "-3/11+1/2*i", "2/13-3/7*i",
+)])
+
+
+@st.composite
+def closed_column_cases(draw):
+    """(g, x0, n): g of degree up to 8 over Z, Q or Q(i), x0 of any
+    field, and n up to 64, lower for a high degree, so that the
+    oracle's autonomous polynomials stay small."""
+    g = draw(st.sampled_from(["Z", "Q", "Qi"]).flatmap(lambda field: polys(SCALARS[field], max_size=9)))
+    return g, draw(INITIAL), draw(st.integers(0, 64 // max(g.degree - 1, 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(closed_column_cases())
+@example((X, F(1, 3), 12))  # g = x: f = 0, every A_k the zero polynomial
+@example((XSeries((1, 1)), GaussianRational(F(1, 2), 1), 12))  # shift: f = 1
+@example((XSeries((F(1, 3), F(5, 2))), F(1, 7), 20))  # affine f
+@example((XSeries((3, -2, 0, 1)), -2, 16))  # f in Z[x] at an integer x0
+@example((XSeries((F(1, 4), 0, 1)), F(1, 2), 40))  # the fixed point of x^2 + 1/4
+@example((DEGREE_8, GaussianRational(0), 32))  # a fixed point of degree 8
+@example((DEGREE_8, F(1, 3), 8))
+def test_the_closed_column_matches_the_autonomous_polynomials(case):
+    # A_k(x0) by the Taylor recursion at x0 against A_k built and
+    # evaluated by Horner's rule: equal values of identical types, the
+    # int 0 for a zero polynomial included, in every row
+    g, x0, n = case
+    want_values, want = closed_column_by_autonomous(g, x0, n)
+    got_values = solver._autonomous_values(g - X, x0, n)
+    got = list(solver._closed_forms(x0, got_values, n))
+    assert got_values == want_values
+    assert [type(v) for v in got_values] == [type(v) for v in want_values]
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+    closed = solve_forward(g, x0, n)
+    assert closed == want[-1] and type(closed) is type(want[-1])
 
 
 def test_logistic_fixed_points_exact():
