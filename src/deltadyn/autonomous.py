@@ -197,18 +197,13 @@ def semiflow(f, order):
 
 
 def flow_factorize(factors, order):
-    """x plus the ring product of the semiflows of the factors.
-
-    Folding with aut_mul pulls the generators back to their product, so
-    the result agrees with classical_flow of the full product.
-    """
+    """x plus the ring product of the semiflows of the factors: the
+    product is the pullback (aut_mul), so this is classical_flow of the
+    product of the factors, built once."""
     factors = list(factors)
     if not factors:
         raise ValueError("empty factor list")
-    acc = autonomous_sequence(factors[0], order)
-    for g in factors[1:]:
-        acc = aut_mul(acc, autonomous_sequence(g, order))
-    return flow_from_autonomous(acc)
+    return classical_flow(math.prod(factors[1:], start=factors[0]), order)
 
 
 # ---------------------------------------------------------------------------

@@ -253,18 +253,11 @@ def linear_semiflow_terms(a, b, Q, order):
     return Flow(coeffs, basic_sequence_from_delta(Q, order), False, gen)
 
 
-def _monomial_semiflow(a, k, Q, order):
-    """Semiflow of a*x^k assembled through ring products of linears."""
-    piece = linear_semiflow_terms(a, 0, Q, order)
-    for _ in range(k - 1):
-        piece = rhoq_mul(piece, rho_q(XSeries.x(), Q, order))
-    return piece
-
-
 def monomial_power_identity(a, k, Q, order):
     """Residual of the power closed form for the generator a*x^k, k >= 2.
 
-    The k-fold ring product of semiflows matches the umbral image of
+    The semiflow of a*x^k, the k-fold ring product of the semiflows of
+    a*x and x, matches the umbral image of
     x (1 - a(k-1) x^(k-1) t)^(-1/(k-1)) - x, expanded through the
     binomial series; the residual vanishes through t-order N.
     """
@@ -272,7 +265,7 @@ def monomial_power_identity(a, k, Q, order):
         raise ValueError("power identity needs k >= 2")
     if order == 0:
         return TSeries.zero(0)
-    lhs = _monomial_semiflow(a, k, Q, order).to_tseries()
+    lhs = rho_q(XSeries.monomial(a, k), Q, order).to_tseries()
 
     r = Fraction(-1, k - 1)
     scale = -(a * (k - 1))
@@ -289,9 +282,11 @@ def monomial_power_identity(a, k, Q, order):
 def poly_flow_sum(f, Q, order):
     """Semiflow of a polynomial f assembled monomial by monomial.
 
-    Each power a_k x^k contributes its ring power (the constant term
-    directly); the pieces are folded with the transported sum,
-    exercising the H_n route end to end.  Equals rho_q(f) exactly.
+    Each term a_k x^k contributes its semiflow: linear_semiflow_terms
+    for k <= 1, else the ring power, rho_q of a_k x times x^(k-1) (a
+    product of generators, so its zeros are in the field of a_k).  The
+    pieces are folded with the transported sum, exercising the H_n
+    route end to end.  Equals rho_q(f) exactly.
     """
     pieces = []
     for k in range(f.degree + 1):
@@ -300,8 +295,10 @@ def poly_flow_sum(f, Q, order):
             continue
         if k == 0:
             pieces.append(linear_semiflow_terms(0, c, Q, order))
+        elif k == 1:
+            pieces.append(linear_semiflow_terms(c, 0, Q, order))
         else:
-            pieces.append(_monomial_semiflow(c, k, Q, order))
+            pieces.append(rho_q(XSeries((0, c)) * XSeries.monomial(1, k - 1), Q, order))
     if not pieces:
         return rho_q(XSeries.zero(), Q, order)
     acc = pieces[0]
@@ -313,21 +310,24 @@ def poly_flow_sum(f, Q, order):
 def poly_flow_product(factors, Q, order):
     """Semiflow of a product of affine factors (a_k x + b_k), a_k != 0.
 
-    Ring product of the affine semiflows; equals rho_q of the expanded
-    product.
+    A lone factor keeps its closed form linear_semiflow_terms.  The
+    ring product of several is the pullback (rhoq_mul), built once as
+    rho_q of their product; for the logistic map at mu = 4, -x (4x - 3):
+
+    >>> from deltadyn.umbral import forward
+    >>> Q = forward(6)
+    >>> poly_flow_product([(-1, 0), (4, -3)], Q, 6) == rho_q(XSeries((0, 3, -4)), Q, 6)
+    True
     """
     factors = list(factors)
     if not factors:
         raise ValueError("empty factor list")
-    pieces = []
-    for a, b in factors:
-        if a == 0:
-            raise ValueError("factors must have a nonzero linear coefficient")
-        pieces.append(linear_semiflow_terms(a, b, Q, order))
-    acc = pieces[0]
-    for piece in pieces[1:]:
-        acc = rhoq_mul(acc, piece)
-    return acc
+    if any(a == 0 for a, _ in factors):
+        raise ValueError("factors must have a nonzero linear coefficient")
+    if len(factors) == 1:
+        return linear_semiflow_terms(*factors[0], Q, order)
+    gens = [XSeries((b, a)) for a, b in factors]
+    return rho_q(math.prod(gens[1:], start=gens[0]), Q, order)
 
 
 # ---------------------------------------------------------------------------

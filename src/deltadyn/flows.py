@@ -15,7 +15,7 @@ run one power of x at a time: to monomials by the triangular matrix of
 the basis, back by that of its umbral inverse.  One holder, _TermRows,
 keeps the terms of a Flow or an AutonomousSequence and their integer
 rows, each made from the other on first read by _rows_to_terms and
-_terms_to_rows, the helpers BasicSequence.expand uses too.
+_terms_to_rows.
 taylor_compose gives f(W) for a polynomial f and a Flow or TSeries W
 by Horner's rule.
 """
@@ -229,8 +229,8 @@ class Flow(_TermRows):
     def to_monomial(self):
         """Expand the basis polynomials; lossless (triangular, unit-free).
 
-        Runs the integer core of BasicSequence.expand on the rows, with
-        a zero row for q_0, and keeps the result as rows.
+        Runs BasicSequence._expand_rows on the rows, with a zero row
+        for q_0, and keeps the result as rows.
         """
         if self.basis is None:
             return self

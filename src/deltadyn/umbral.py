@@ -49,14 +49,12 @@ deltaflow.verify_delta_ode, and each step of Rota's recurrence is one
 such apply (of the Hurwitz weights of 1/p') followed by a product with t.
 BasicSequence.expand maps coordinates over (q_n) to monomial ones
 through the triangular matrix beta(k, n), kept by output power k with
-column n (BasicSequence._int_rows).  Its integer core,
-BasicSequence._expand_rows, takes integer rows with one denominator
-each and returns rows over their common denominator times that of beta.
-flows.Flow.to_monomial runs the core on the rows of a flow, and
-Flow.to_basic runs it with the basis of the umbral inverse; expand, for
-the umbral operators, reads its scalars into rows and its results out
-of them with the helpers of the one holder of terms and rows
-(flows._TermRows), dividing once per output coefficient.
+column n (BasicSequence._int_rows): for the umbral operators it is
+_lanes_apply of that matrix, read and divided as the operators apply.
+BasicSequence._expand_rows runs the same product on integer rows with
+one denominator each and returns rows over their common denominator
+times that of beta: flows.Flow.to_monomial runs it on the rows of a
+flow, and Flow.to_basic with the basis of the umbral inverse.
 
 Basic sequences compose umbrally (substitute one family into the
 monomial expansion of another) and form a group; the attached
@@ -68,7 +66,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .flows import TSeries, _rows_to_terms, _terms_to_rows, _TermRows
+from .flows import TSeries, _rows_to_terms, _TermRows
 from .scalars import _kind, _kinds, from_lanes, to_lanes
 from .series import XSeries, _hurwitz_reciprocal, invert_scalar, seq_compose
 
@@ -423,31 +421,31 @@ class BasicSequence(_TermRows):
         """Monomial coefficients of sum_n coeffs[n] q_n(t), index = power.
 
         coeffs holds scalars, or XSeries (and then so does the result).
-        _expand_rows runs between the terms-to-rows helpers of Flow
-        (flows._terms_to_rows and _rows_to_terms), with one division
-        per output coefficient.  Every output coefficient, zeros
-        included, has the one type of the field of the basis and coeffs
-        together: int over Z, Fraction over Q, GaussianRational over
-        Q(i).
+        It is _lanes_apply of the matrix of beta, as the operators
+        apply, with one division per output coefficient.  Every output
+        coefficient, zeros included, has the one type of the field of
+        the basis and coeffs together: int over Z, Fraction over Q,
+        GaussianRational over Q(i).
         """
+        if len(coeffs) > self.depth + 1:
+            raise ValueError("basis index out of range")
         series = any(isinstance(c, XSeries) for c in coeffs)
         lists = [c.coeffs for c in coeffs] if series else [(c,) for c in coeffs]
-        kind, rows = self._expand_rows(*_terms_to_rows(lists))
+        out = _lanes_apply(self._int_rows, lists)
         # a scalar row has one entry, which beta(k, k) != 0 reaches
-        return list(_rows_to_terms(kind, rows, XSeries if series else lambda values: values[0]))
+        return [XSeries(v) for v in out] if series else [v[0] for v in out]
 
     def _expand_rows(self, kind, rows):
-        """The integer core of expand on an integer form (kind, rows) as
-        in AutonomousSequence.numerators, rows[n] the coordinate on q_n.
+        """expand on an integer form (kind, rows) as in
+        AutonomousSequence.numerators, rows[n] the coordinate on q_n.
 
         Returns the integer form (kind, out) of the monomial
         coefficients, out[k] for t^k, over the one denominator
         lcm(den) * db, db that of beta (d^N N! db for a delta flow,
         whose rows are over d^n n!); kind is that of the basis and the
-        rows together: _int_apply_rows with the matrix of beta.
+        rows together: _int_apply_rows with the matrix of beta.  Its
+        callers, the conversions of a Flow, keep rows within the depth.
         """
-        if len(rows) > self.depth + 1:
-            raise ValueError("basis index out of range")
         return _int_apply_rows(self._int_rows, kind, rows)
 
     def __eq__(self, other):

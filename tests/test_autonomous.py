@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -18,7 +19,7 @@ from deltadyn.autonomous import (
     pde_residual,
     semiflow,
 )
-from deltadyn.scalars import I
+from deltadyn.scalars import GaussianRational, I
 from deltadyn.series import XSeries
 
 X = XSeries.x()
@@ -180,8 +181,58 @@ def test_flow_factorize():
     assert logistic.coeffs == classical_flow(XSeries((0, 1, -1)), 8).coeffs
     affine = flow_factorize([XSeries((1, 1)), XSeries((3, 2))], 8)
     assert affine.coeffs == classical_flow(XSeries((3, 5, 2)), 8).coeffs
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty factor list"):
         flow_factorize([], 5)
+
+
+def _spy_numerators(monkeypatch):
+    """Count the calls of the autonomous kernel, one per sequence built."""
+    calls = []
+    real = autonomous._numerators
+
+    def spy(f, order):
+        calls.append(f)
+        return real(f, order)
+
+    monkeypatch.setattr(autonomous, "_numerators", spy)
+    return calls
+
+
+def test_flow_factorize_builds_one_autonomous_sequence(monkeypatch):
+    # the product is the pullback to the product of the generators, so
+    # the flow of that product is the one sequence built
+    calls = _spy_numerators(monkeypatch)
+    factors = [X, XSeries((1, -1)), XSeries((Fraction(1, 2), 3))]
+    flow = flow_factorize(factors, 8)
+    assert calls == [X * XSeries((1, -1)) * XSeries((Fraction(1, 2), 3))]
+    assert flow == classical_flow(calls[0], 8)
+
+
+FACTOR_SCALARS = {
+    "Z": lambda rng: rng.randint(-3, 3),
+    "Q": lambda rng: Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+    "Qi": lambda rng: GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-2, 2)),
+}
+
+
+def _types(flow):
+    """The type of every coefficient of a flow and of its generator."""
+    return [[type(c) for c in p.coeffs] for p in flow.coeffs + (flow.generator,)]
+
+
+@pytest.mark.parametrize("field", sorted(FACTOR_SCALARS))
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_flow_factorize_is_the_classical_flow_of_the_product(field, count):
+    scalar, rng = FACTOR_SCALARS[field], random.Random(count)
+    for order in range(13):
+        factors = [XSeries([scalar(rng) for _ in range(rng.randint(1, 3))]) for _ in range(count)]
+        product = functools.reduce(lambda p, g: p * g, factors)
+        if order == 0:
+            with pytest.raises(ValueError, match="order must be >= 1"):
+                flow_factorize(factors, order)
+            continue
+        flow, want = flow_factorize(factors, order), classical_flow(product, order)
+        assert flow == want and _types(flow) == _types(want)
 
 
 # --- flow properties --------------------------------------------------------

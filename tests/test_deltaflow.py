@@ -1,10 +1,12 @@
+import functools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltadyn import points, series, verifysuite
+from deltadyn import autonomous, points, series, verifysuite
 from deltadyn.autonomous import (
     autonomous_sequence,
     classical_flow,
@@ -403,8 +405,9 @@ def test_monomial_power_identity_builtins():
 
 
 def test_monomial_power_identity_requires_k2():
-    with pytest.raises(ValueError):
-        monomial_power_identity(1, 1, forward(12), 6)
+    for order in (6, 0):
+        with pytest.raises(ValueError, match="power identity needs k >= 2"):
+            monomial_power_identity(1, 1, forward(12), order)
 
 
 def test_monomial_power_identity_trivial_order():
@@ -423,6 +426,9 @@ def test_poly_flow_sum():
     assert both.coeffs == rho_q(X + X * X, Q, 8).coeffs
     cubic = poly_flow_sum(XSeries((2, -1, 0, 5)), Q, 8)
     assert cubic.coeffs == rho_q(XSeries((2, -1, 0, 5)), Q, 8).coeffs
+    # a ring power's generator is a product, with zeros of its field
+    logistic = poly_flow_sum(XSeries((0, Fraction(3), Fraction(-4))), Q, 8)
+    assert [type(c) for c in logistic.generator.coeffs] == [Fraction] * 3
 
 
 def test_poly_flow_product_single_factor():
@@ -449,10 +455,85 @@ def test_poly_flow_product_gaussian_quadratic():
 
 
 def test_poly_flow_product_rejects_constant_factor():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="factors must have a nonzero linear coefficient"):
         poly_flow_product([(0, 1)], forward(12), 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="factors must have a nonzero linear coefficient"):
+        poly_flow_product([(1, 0), (0, 1)], forward(12), 6)
+    with pytest.raises(ValueError, match="empty factor list"):
         poly_flow_product([], forward(12), 6)
+
+
+def _spy_numerators(monkeypatch):
+    """Count the calls of the autonomous kernel, one per sequence built."""
+    calls = []
+    real = autonomous._numerators
+
+    def spy(f, order):
+        calls.append(f)
+        return real(f, order)
+
+    monkeypatch.setattr(autonomous, "_numerators", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [(1, Fraction(1, 2)), (Fraction(-2, 3), 1), (3, Fraction(1, 5))],
+        [(1, GaussianRational(Fraction(1, 2), -1)), (GaussianRational(0, 2), 1), (-1, 3)],
+    ],
+    ids=["Q", "Qi"],
+)
+def test_poly_flow_product_builds_one_autonomous_sequence(monkeypatch, factors):
+    calls = _spy_numerators(monkeypatch)
+    Q = forward(12)
+    psi = poly_flow_product(factors, Q, 8)
+    product = functools.reduce(lambda p, g: p * g, [XSeries((b, a)) for a, b in factors])
+    assert calls == [product]
+    assert psi == rho_q(product, Q, 8)
+
+
+def test_monomial_power_identity_builds_one_autonomous_sequence(monkeypatch):
+    calls = _spy_numerators(monkeypatch)
+    assert monomial_power_identity(Fraction(1, 2), 3, forward(12), 8).is_zero
+    assert calls == [XSeries.monomial(Fraction(1, 2), 3)]
+
+
+AFFINE_SCALARS = {
+    "Z": lambda rng: rng.randint(-3, 3),
+    "Q": lambda rng: Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+    "Qi": lambda rng: GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-2, 2)),
+}
+
+
+def _types(flow):
+    """The type of every coefficient of a flow and of its generator."""
+    return [[type(c) for c in p.coeffs] for p in flow.coeffs + (flow.generator,)]
+
+
+@pytest.mark.parametrize("field", sorted(AFFINE_SCALARS))
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_poly_flow_product_is_rho_q_of_the_product(field, count):
+    # one factor keeps the closed form linear_semiflow_terms; more give
+    # rho_q of the product of the generators, equal and of equal types
+    scalar, rng = AFFINE_SCALARS[field], random.Random(count)
+    for order in range(13):
+        Q = rng.choice([forward(12), touchard(12), abel(Fraction(2, 3), 12)])
+        factors = []
+        while len(factors) < count:
+            a, b = scalar(rng), scalar(rng)
+            if a != 0:
+                factors.append((a, b))
+        if count == 1:
+            psi, want = poly_flow_product(factors, Q, order), linear_semiflow_terms(*factors[0], Q, order)
+        elif order == 0:
+            with pytest.raises(ValueError, match="order must be >= 1"):
+                poly_flow_product(factors, Q, order)
+            continue
+        else:
+            product = functools.reduce(lambda p, g: p * g, [XSeries((b, a)) for a, b in factors])
+            psi, want = poly_flow_product(factors, Q, order), rho_q(product, Q, order)
+        assert psi == want and _types(psi) == _types(want)
 
 
 # --- composition group ---------------------------------------------------------
