@@ -22,6 +22,7 @@ abel_scaling_check for the exact coefficient identities tying the
 forward, backward and Abel flows together.
 """
 
+import functools
 import json
 from fractions import Fraction
 from importlib import resources
@@ -435,11 +436,25 @@ def abel_scaling_check(alpha, a, f, order):
 # ---------------------------------------------------------------------------
 # the fixed corpus of test maps
 
-def load_corpus():
-    """The corpus of difference maps shipped with the package."""
+@functools.cache
+def _corpus():
+    """The parsed corpus by name, read once per process."""
     text = resources.files("deltadyn").joinpath("corpus.json").read_text()
-    entries = json.loads(text)["maps"]
-    return [_parse_entry(e) for e in entries]
+    return {e["name"]: _parse_entry(e) for e in json.loads(text)["maps"]}
+
+
+def _copy_entry(entry):
+    # the maps and scalars are immutable; the dicts are not
+    return dict(entry, params=dict(entry["params"]))
+
+
+def load_corpus():
+    """The corpus of difference maps shipped with the package.
+
+    corpus.json is read and parsed once per process; each call returns
+    a fresh list of fresh dicts, so a caller may change them freely.
+    """
+    return [_copy_entry(e) for e in _corpus().values()]
 
 
 def _parse_entry(entry):
@@ -465,7 +480,8 @@ def _parse_entry(entry):
 
 
 def corpus_map(name):
-    for entry in load_corpus():
-        if entry["name"] == name:
-            return entry
-    raise KeyError("no corpus map named %r" % name)
+    """The entry of load_corpus named name, as a fresh dict."""
+    entry = _corpus().get(name)
+    if entry is None:
+        raise KeyError("no corpus map named %r" % name)
+    return _copy_entry(entry)

@@ -137,15 +137,20 @@ class DeltaOp(_Record):
 
     coeffs[k] multiplies the k-th derivative; p0 must vanish and p1
     must be invertible.  The series is stored through a finite order,
-    which bounds the polynomial degree the operator can act on.  The
-    tag is descriptive only and does not take part in equality; kinds,
-    the field of each nonzero coefficient (scalars._kinds), does, so
-    equal series of two fields do not share a cached basis.
+    as a tuple, which bounds the polynomial degree the operator can act
+    on.  The tag is descriptive only and does not take part in
+    equality; kinds, the field of each nonzero coefficient
+    (scalars._kinds), does, so equal series of two fields do not share
+    a cached basis.  The hash is computed once, here: the basis cache
+    hashes its operator on every lookup, and the hash of a Fraction
+    takes a modular inverse.  It is a number's hash, so it holds in
+    another process after pickling too.
     """
 
     _fields = ("coeffs", "kinds")
 
     def __init__(self, coeffs, tag="custom"):
+        coeffs = tuple(coeffs)
         vars(self).update(coeffs=coeffs, tag=tag, kinds=_kinds([c if c != 0 else 0 for c in coeffs]))
         if len(coeffs) < 2:
             raise ValueError("delta operator needs at least order 1")
@@ -153,6 +158,10 @@ class DeltaOp(_Record):
             raise ValueError("delta operator must annihilate constants (p0 = 0)")
         if coeffs[1] == 0:
             raise ValueError("delta operator needs p1 != 0")
+        vars(self)["_hash"] = hash(self._key())
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def order(self):
@@ -330,8 +339,16 @@ _SERIES = {
 OPERATOR_NAMES = tuple(_SERIES)
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def operator(name, order=DEFAULT_DEPTH, alpha=1):
-    """The built-in operator called name; alpha is read by abel only."""
+    """The built-in operator called name; alpha is read by abel only.
+
+    Memoised per process with the bound of the basis cache, so a
+    request that names an operator again gets the same DeltaOp, its
+    hash and step table already made.  The memo is typed: a
+    GaussianRational alpha equals and hashes as the Fraction of the
+    same value, but gives abel a series over Q(i), of other kinds.
+    """
     if name not in _SERIES:
         raise ValueError("unknown operator %r" % name)
     p = _SERIES[name]

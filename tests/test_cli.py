@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deltadyn import autonomous, cli, scalars, solver
 from deltadyn.cli import cli_main
@@ -686,3 +689,63 @@ def test_basis_alpha_that_is_not_rational_is_an_input_error(capsys, alpha):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: not a rational: %r\n" % alpha
+
+
+# --- process-level caches ----------------------------------------------------------
+
+ALPHAS = {"Q": ["1", "2/3", "-3/2"], "Qi": ["1", "2/3", "-3/2", "1+0*i", "2/3+0*i", "-3/2+0*i"]}
+SCALAR_TEXTS = {"Q": ["0", "1", "-1", "1/2", "-2/3"], "Qi": ["0", "1", "-1", "1/2", "i", "1/2-i"]}
+# a few orders, so that requests of a session share operators and bases
+ORDERS = (1, 2, 5, 12)
+CORPUS_NAMES = ["double", "shift", "logistic-2", "logistic-5/2", "logistic-4", "quadratic-1/2", "cubic"]
+
+
+@st.composite
+def _requests(draw):
+    field = draw(st.sampled_from(["Q", "Qi"]))
+    command = draw(st.sampled_from(["flow", "solve", "basis"]))
+    scalar = st.sampled_from(SCALAR_TEXTS[field])
+    if command == "flow":
+        f = ",".join(draw(st.lists(scalar, min_size=1, max_size=3)))
+        return [
+            "flow", "--f=" + f, "--op", draw(st.sampled_from(OPERATOR_NAMES)),
+            "--alpha=" + draw(st.sampled_from(ALPHAS[field])), "--order", str(draw(st.sampled_from(ORDERS))),
+            "--field", field, "--format", draw(st.sampled_from(["json", "csv"])),
+        ]
+    if command == "solve":
+        spec = draw(st.one_of(st.sampled_from(CORPUS_NAMES), scalar.map("logistic:{}".format)))
+        return [
+            "solve", "--map", spec, "--x0=" + draw(scalar), "--steps", str(draw(st.integers(0, 6))),
+            "--field", field, "--format", draw(st.sampled_from(["json", "csv"])),
+        ]
+    # basis reads alpha over Q whatever the field of the other requests
+    return [
+        "basis", "--op", draw(st.sampled_from(OPERATOR_NAMES)), "--alpha=" + draw(st.sampled_from(ALPHAS["Q"])),
+        "--depth", str(draw(st.sampled_from((0,) + ORDERS))), "--format", draw(st.sampled_from(["json", "csv"])),
+    ]
+
+
+def _answer(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _clear_process_caches():
+    operator.cache_clear()
+    basic_sequence_from_delta.cache_clear()
+    solver._corpus.cache_clear()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_requests(), min_size=1, max_size=6))
+def test_an_answer_does_not_depend_on_the_requests_before_it(session):
+    # the operator memo, the basis cache and the corpus are kept for the
+    # whole process; a request answers as it would in a fresh one
+    in_session = [_answer(argv) for argv in session]
+    alone = []
+    for argv in session:
+        _clear_process_caches()
+        alone.append(_answer(argv))
+    assert in_session == alone

@@ -7,7 +7,10 @@ compared fields; prints a fixed repr; refuses assignment and deletion
 with AttributeError; and survives copy.copy and a pickle round trip."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,7 +18,7 @@ import pytest
 from deltadyn.numeric import ClosedFormReport, NumericConfig
 from deltadyn.scalars import GaussianRational
 from deltadyn.solver import IterateTable
-from deltadyn.umbral import DeltaOp, UmbralOperator, basic_sequence_from_delta, backward, forward
+from deltadyn.umbral import DeltaOp, UmbralOperator, abel, basic_sequence_from_delta, backward, forward
 
 COEFFS = (0, Fraction(1), Fraction(-1, 2), Fraction(1, 3))
 REPORT = ("abel", 0.5, 0.1, 1.25, 1.5, 0.25, 64)
@@ -152,6 +155,33 @@ def test_delta_op_caches_its_steps_on_a_copy_too():
     assert op._int_steps is steps
     assert copy.copy(op)._int_steps == steps
     assert pickle.loads(pickle.dumps(DeltaOp(COEFFS)))._int_steps == steps
+
+
+@pytest.mark.parametrize(
+    "coeffs", [COEFFS, tuple(GaussianRational(c, c) for c in COEFFS)], ids=["Q", "Qi"]
+)
+def test_delta_op_hash_survives_pickle_and_deepcopy(coeffs):
+    # DeltaOp keeps the hash it computed when it was built
+    op = DeltaOp(coeffs)
+    for clone in (pickle.loads(pickle.dumps(op)), copy.deepcopy(op)):
+        assert clone == op and hash(clone) == hash(op) == hash((op.coeffs, op.kinds))
+
+
+def test_delta_op_hash_holds_in_another_process():
+    # pickled under another hash seed, it still hashes as its fields do here
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONHASHSEED="12345")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import pickle, sys\n"
+        "from deltadyn.scalars import GaussianRational\n"
+        "from deltadyn.umbral import abel\n"
+        "sys.stdout.write(pickle.dumps(abel(GaussianRational(2, -3), 8)).hex())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    op = pickle.loads(bytes.fromhex(proc.stdout))
+    built = DeltaOp(abel(GaussianRational(2, -3), 8).coeffs)
+    assert op == built and hash(op) == hash(built) == hash((op.coeffs, op.kinds))
 
 
 def test_numeric_records_construction():

@@ -21,6 +21,7 @@ from deltadyn.solver import (
     solve_quadratic_map,
 )
 from deltadyn import solver
+from deltadyn.cli import cli_main
 from deltadyn.deltaflow import delta_flow
 from deltadyn.umbral import backward, forward
 
@@ -452,5 +453,38 @@ def test_corpus_contents():
     quad = corpus_map("quadratic-1/2")
     assert quad["field"] == "Qi"
     assert quad["g"].coefficient(0) == GaussianRational(F(1, 2))
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="^\"no corpus map named 'nope'\"$"):
         corpus_map("nope")
+
+
+def test_the_corpus_returns_fresh_entries():
+    # corpus.json is parsed once; what a caller gets is its own to change
+    want = load_corpus()
+    first = load_corpus()
+    first[2]["params"]["mu"] = "7"
+    first[2].clear()
+    first.clear()
+    entry = corpus_map("logistic-2")
+    entry["params"].clear()
+    entry["name"] = "x"
+    assert load_corpus() == want
+    assert corpus_map("logistic-2") == want[2]
+    assert want[2]["params"] == {"mu": "2"} and want[2]["g"] == logistic_map(2)
+
+
+def test_a_repeated_named_map_parses_no_corpus_entry(capsys, monkeypatch):
+    calls = []
+    real = solver._parse_entry
+
+    def spy(entry):
+        calls.append(entry["name"])
+        return real(entry)
+
+    monkeypatch.setattr(solver, "_parse_entry", spy)
+    argv = ["solve", "--map", "logistic-2", "--x0", "3/7", "--steps", "11"]
+    cli_main(argv)
+    first = capsys.readouterr()
+    calls.clear()
+    cli_main(argv)
+    assert capsys.readouterr() == first
+    assert calls == []

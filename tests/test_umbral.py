@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltadyn import series
+from deltadyn.cli import cli_main
 from deltadyn.deltaflow import connection_matrix, delta_flow, matrix_product, verify_delta_ode
 from deltadyn.flows import TSeries
 from deltadyn.scalars import GaussianRational, parse_scalar
@@ -340,6 +341,71 @@ def test_the_inverse_series_is_read_off_the_basis(monkeypatch, Q):
     # the spy sees the products of the composition that checks pinv
     assert seq_compose(Q.coeffs, pinv, 8) == (0, 1) + (0,) * 7
     assert calls
+
+
+def test_the_operator_memo_is_bounded_and_typed():
+    assert operator.cache_parameters() == {"maxsize": 64, "typed": True}
+    assert forward(12) is operator("forward", 12) is forward(12)
+
+
+def test_the_operator_memo_tells_the_fields_of_alpha_apart():
+    # GaussianRational(2/3) == Fraction(2/3) and the two hash equal, but
+    # they give abel series over Q(i) and over Q
+    gaussian = operator("abel", 6, GaussianRational(Fraction(2, 3)))
+    rational = operator("abel", 6, Fraction(2, 3))
+    assert gaussian is not rational
+    assert (gaussian.kinds, rational.kinds) == ((126, 126), (126, 0))
+    assert operator("abel", 6, Fraction(2, 3)) is rational
+    assert operator("abel", 6, GaussianRational(Fraction(2, 3))) is gaussian
+    polys = basic_sequence_from_delta(gaussian, 6).polys
+    assert {type(c) for q in polys[1:] for c in q.coeffs} == {GaussianRational}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flow", "--f=1/3,1", "--op", "forward", "--order", "12"],
+        ["flow", "--f=0,1,-i", "--op", "abel", "--alpha=-3/2", "--order", "8", "--field", "Qi"],
+    ],
+    ids=["forward-Q", "abel-Qi"],
+)
+def test_a_repeated_flow_request_builds_and_hashes_no_operator(argv, capsys, monkeypatch):
+    # the second request gets the memoised operator, whose hash was
+    # computed when it was built, and finds its basis by identity
+    calls = []
+    init, key = DeltaOp.__init__, DeltaOp._key
+
+    def spy_init(self, *args, **kwargs):
+        calls.append("__init__")
+        init(self, *args, **kwargs)
+
+    def spy_key(self):
+        calls.append("_key")
+        return key(self)
+
+    monkeypatch.setattr(DeltaOp, "__init__", spy_init)
+    monkeypatch.setattr(DeltaOp, "_key", spy_key)
+    assert cli_main(argv) == 0
+    first = capsys.readouterr()
+    calls.clear()
+    assert cli_main(argv) == 0
+    assert capsys.readouterr() == first
+    assert calls == []
+
+
+def test_a_gaussian_abel_flow_after_a_rational_one_prints_as_in_a_fresh_process(capsys):
+    argv = ["flow", "--f=0,1,-1", "--op", "abel", "--alpha=2/3", "--order", "6", "--format", "csv"]
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    assert cli_main(argv + ["--field", "Qi"]) == 0
+    out = capsys.readouterr().out
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "deltadyn.cli"] + argv + ["--field", "Qi"], env=env, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", out)
 
 
 def test_equal_operators_of_two_fields_do_not_share_a_cached_basis():
