@@ -12,13 +12,15 @@ Subcommands:
              Lambert W grid; exit 0 iff every sample is within
              tolerance.
 
-All output is deterministic: fixed orderings, no timestamps.  An
-integer option outside its range, a numcheck tolerance that is not a
-finite number > 0, a solve value with more digits than --max-digits,
-and a flow or basis coefficient whose numerator or denominator has
-more digits than CPython's limit on int-to-str conversion (4300 by
-default) are usage errors (exit code 2).  The last is refused before
-any work when one printed entry with a closed form is too long:
+All output is deterministic: fixed orderings, no timestamps.  Each
+command returns its exit code, JSON object and CSV lines, and cli_main
+writes the one --format asks for, a line at a time; a CSV table is a
+header of the JSON keys and a line per JSON row.  An integer option
+outside its range, a numcheck tolerance that is not a finite number
+> 0, a solve value with more digits than --max-digits, and a flow or
+basis coefficient whose numerator or denominator has more digits than
+CPython's limit on int-to-str conversion (4300 by default) are usage
+errors (exit code 2).  The last is refused before any work when one printed entry with a closed form is too long:
 beta(1, depth) = (-depth alpha)^(depth-1) of an Abel basis, and the
 top coefficient c^N prod_(n<N) (n(m-1)+1) / N! of basic row N of a
 flow whose generator has degree m >= 1 and top coefficient c.  Bit
@@ -29,13 +31,16 @@ alpha of `flow --op abel` is checked only there, after the basis is
 built.  A reader closing stdout early gives a quiet exit with code
 141.  The upper caps on --steps, --order, --depth and
 --max-digits keep the slowest run measured at a cap under 20 s on a
-2-CPU machine.  A solve refuses a value before
-computing it when a lower bound on its denominator already passes
---max-digits (see solver.iterate), and computes no closed column
-for a refused orbit: a cubic map over Q(i) at --steps 48 refuses at
-n = 11 in under 1 s, where computing that value took 4 s.  The closed
-column comes from the Taylor recursion at x0 and builds no
-autonomous polynomial (see solver.solve_forward).
+2-CPU machine.  A solve refuses a value before computing it when a
+lower bound on its denominator already passes --max-digits (see
+solver.iterate).  --mode iterate computes no closed column.  --mode
+closed and --mode both run the orbit first and compute no closed
+column for a refused orbit: a cubic map over Q(i) at --steps 48
+refuses at n = 11 in under 1 s, where computing that value took 4 s.
+So --mode closed is refused for an orbit value it does not print
+too, since nothing else bounds the work of its closed column: the
+Taylor recursion at x0 (see solver._closed_column) runs all --steps
+before a row is checked.
 """
 
 import argparse
@@ -63,6 +68,7 @@ from .series import XSeries
 from .solver import (
     DigitLimitError,
     corpus_map,
+    iterate,
     iterate_table,
     logistic_map,
     quadratic_map,
@@ -131,50 +137,47 @@ def _positive_finite(text):
     return value
 
 
-def _emit(text):
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+def _csv(rows):
+    """The CSV lines of a list of dicts: a header of the keys of the
+    first, then the values of each.  A generator, so that the lines of
+    a long orbit are joined one at a time."""
+    yield ",".join(rows[0])
+    for row in rows:
+        yield ",".join(str(v) for v in row.values())
 
 
 def _cmd_solve(args):
     g = _parse_map(args.map, args.field)
     x0 = parse_scalar(args.x0, args.field)
-    table = iterate_table(g, x0, args.steps, args.max_digits)
+    if args.mode == "iterate":
+        # the orbit alone: no closed column is computed
+        table = [(n, None, y, False) for n, y in enumerate(iterate(g, x0, args.steps, args.max_digits))]
+        code = 0
+    else:
+        # the orbit first, also for --mode closed, where it bounds the
+        # work of the closed column (see the module docstring)
+        both = iterate_table(g, x0, args.steps, args.max_digits)
+        table, code = both.rows, int(args.mode == "both" and not both.all_equal)
     # Every value is within --max-digits, so CPython's own limit on
     # int-to-str conversion is lifted for this formatting alone.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return _format_solve(args, table)
+        rows = []
+        for n, closed, iterated, equal in table:
+            row = {"n": n}
+            if args.mode != "iterate":
+                row["closed"] = format_scalar(closed)
+            if args.mode != "closed":
+                # an equal row prints one value twice, so format it once
+                same = args.mode == "both" and equal
+                row["iterated"] = row["closed"] if same else format_scalar(iterated)
+            if args.mode == "both":
+                row["equal"] = equal
+            rows.append(row)
     finally:
         sys.set_int_max_str_digits(limit)
-
-
-def _format_solve(args, table):
-    rows = []
-    for n, closed, iterated, equal in table.rows:
-        row = {"n": n}
-        if args.mode in ("closed", "both"):
-            row["closed"] = format_scalar(closed)
-        if args.mode in ("iterate", "both"):
-            # an equal row prints one value twice, so format it once
-            same = args.mode == "both" and equal
-            row["iterated"] = row["closed"] if same else format_scalar(iterated)
-        if args.mode == "both":
-            row["equal"] = equal
-        rows.append(row)
-    if args.format == "json":
-        _emit(json.dumps({"map": args.map, "x0": args.x0, "rows": rows}))
-    else:
-        # one line at a time, since an orbit can print megabytes; the
-        # table always has its row n = 0
-        sys.stdout.write(",".join(rows[0]) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(str(v) for v in row.values()) + "\n")
-    if args.mode == "both" and not table.all_equal:
-        return 1
-    return 0
+    return code, {"map": args.map, "x0": args.x0, "rows": rows}, _csv(rows)
 
 
 def _cmd_flow(args):
@@ -208,15 +211,12 @@ def _cmd_flow(args):
         "basic": basic,
         "monomial": mono,
     }
-    if args.format == "json":
-        _emit(json.dumps(payload))
-    else:
-        lines = []
-        for label, block in (("basic", basic), ("monomial", mono)):
-            for n, coeffs in enumerate(block):
-                lines.append(",".join([label, str(n)] + coeffs))
-        _emit("\n".join(lines))
-    return 0
+    lines = (
+        ",".join([label, str(n)] + coeffs)
+        for label, block in (("basic", basic), ("monomial", mono))
+        for n, coeffs in enumerate(block)
+    )
+    return 0, payload, lines
 
 
 def _flow_rows(flow):
@@ -273,24 +273,14 @@ def _cmd_basis(args):
     columns = _spelled(lambda row: format_lanes(*row), basic_sequence_from_delta(Q, D).numerators[1])
     matrix = [[col[k] if k < len(col) else "0" for col in columns] for k in range(D + 1)]
     payload = {"basis": args.op, "order": args.depth, "coeffs": matrix}
-    if args.format == "json":
-        _emit(json.dumps(payload))
-    else:
-        _emit("\n".join(",".join(row) for row in matrix))
-    return 0
+    return 0, payload, (",".join(row) for row in matrix)
 
 
 def _cmd_verify(args):
     results = run_checks(order=args.order, depth=args.depth, ops=args.ops)
     ok = all_pass(results)
-    if args.format == "json":
-        _emit(json.dumps({"order": args.order, "depth": args.depth, "all_pass": ok, "checks": results}))
-    else:
-        lines = ["group,name,pass,residual"]
-        for r in results:
-            lines.append("%s,%s,%s,%s" % (r["group"], r["name"], r["pass"], r["residual"]))
-        _emit("\n".join(lines))
-    return 0 if ok else 1
+    payload = {"order": args.order, "depth": args.depth, "all_pass": ok, "checks": results}
+    return 0 if ok else 1, payload, _csv(results)
 
 
 def _cmd_numcheck(args):
@@ -327,15 +317,8 @@ def _cmd_numcheck(args):
         "cells": rows,
         "all_pass": ok,
     }
-    if args.format == "json":
-        _emit(json.dumps(payload))
-    else:
-        lines = ["kind,a,t,deviation,status"]
-        for r in rows:
-            lines.append("%s,%s,%s,%s,%s" % (r["kind"], r["a"], r["t"], r["deviation"], r["status"]))
-        lines.append("lambert,max_residual=%s,pass=%s" % ("%.3e" % worst_w, lambert_ok))
-        _emit("\n".join(lines))
-    return 0 if ok else 1
+    lambert = "lambert,max_residual=%s,pass=%s" % (payload["lambert_max_residual"], lambert_ok)
+    return 0 if ok else 1, payload, [*_csv(rows), lambert]
 
 
 # A negative scalar or list of scalars: a minus sign, then a digit or i.
@@ -413,7 +396,7 @@ def cli_main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code, payload, lines = args.fn(args)
     except DigitLimitError as exc:
         sys.stderr.write("error: %s (see --max-digits)\n" % exc)
         return 2
@@ -423,6 +406,13 @@ def cli_main(argv=None):
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
+    if args.format == "json":
+        lines = [json.dumps(payload)]
+    # one line at a time, since an orbit can print megabytes
+    for line in lines:
+        sys.stdout.write(line)
+        sys.stdout.write("\n")
+    return code
 
 
 def main():

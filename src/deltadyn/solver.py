@@ -307,35 +307,40 @@ def _autonomous_values(f, x0, n):
     return values
 
 
+def _closed_column(g, x0, n_max, max_digits=None):
+    """The list of x0 + sum_k A_k(x0) C(n, k), n = 0 .. n_max, each
+    A_k(x0) computed once (_autonomous_values).  With max_digits, the
+    rows are checked one at a time, and the first row past it raises
+    DigitLimitError before a later row is computed; the recursion for
+    the A_k(x0) has run all n_max steps by then."""
+    values = _autonomous_values(g - XSeries.x(), x0, n_max)
+    column = []
+    for n, closed in enumerate(_closed_forms(x0, values, n_max)):
+        _check_digits(closed, n, max_digits)
+        column.append(closed)
+    return column
+
+
 def solve_forward(g, x0, n):
     """Evaluate the forward closed form x0 + sum_k A_k(x0) C(n, k).
 
     The binomial coefficients vanish for k > n, so the sum is finite
-    and exact; the A_k(x0) come from the Taylor recursion at x0
-    (_autonomous_values).
+    and exact; it is the last row of _closed_column.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    *_, closed = _closed_forms(x0, _autonomous_values(g - XSeries.x(), x0, n), n)
-    return closed
+    return _closed_column(g, x0, n)[-1]
 
 
 def iterate_table(g, x0, n_max, max_digits=None):
-    """Closed form against the iteration oracle, row by row.
-
-    The orbit comes first, so that a refused orbit costs no closed
-    column; each A_k(x0) is then computed once, by the Taylor recursion
-    at x0 (_autonomous_values), and shared by every row.  With
-    max_digits, a value of either column past the cap raises
-    DigitLimitError (see iterate).
+    """Closed form against the iteration oracle, row by row: iterate,
+    then _closed_column, so that a refused orbit costs no closed column.
+    With max_digits, a value of either column past the cap raises
+    DigitLimitError.
     """
     orbit = iterate(g, x0, n_max, max_digits)
-    values = _autonomous_values(g - XSeries.x(), x0, n_max)
-    rows = []
-    for n, closed in enumerate(_closed_forms(x0, values, n_max)):
-        _check_digits(closed, n, max_digits)
-        rows.append((n, closed, orbit[n], closed == orbit[n]))
-    return IterateTable(tuple(rows))
+    closed = _closed_column(g, x0, n_max, max_digits)
+    return IterateTable(tuple((n, c, y, c == y) for n, (c, y) in enumerate(zip(closed, orbit))))
 
 
 def logistic_map(mu):

@@ -15,6 +15,7 @@ from deltadyn.cli import cli_main
 from deltadyn.deltaflow import connection_matrix
 from deltadyn.scalars import format_scalar
 from deltadyn.umbral import OPERATOR_NAMES, basic_sequence_from_delta, operator, stirling2
+from deltadyn.verifysuite import GROUPS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -199,6 +200,39 @@ def test_numcheck_csv_is_its_json_cell_by_cell(capsys):
         assert line.split(",", 4) == [str(v) for v in want]
     assert lines[-1] == "lambert,max_residual=%s,pass=True" % payload["lambert_max_residual"]
     assert payload["lambert_pass"] is True
+
+
+@pytest.mark.parametrize("mode", ["closed", "iterate", "both"])
+def test_solve_csv_is_its_json_row_by_row(capsys, mode):
+    keys = {"closed": ["n", "closed"], "iterate": ["n", "iterated"], "both": ["n", "closed", "iterated", "equal"]}[mode]
+    code, lines, payload = csv_and_json(
+        capsys, "solve", "--map", "logistic-4", "--x0", "1/3", "--steps", "5", "--mode", mode
+    )
+    assert code == (1 if mode == "both" else 0)
+    assert lines[0] == ",".join(keys)
+    assert len(lines) == 1 + len(payload["rows"]) == 7
+    for line, row in zip(lines[1:], payload["rows"]):
+        assert list(row) == keys
+        assert line.split(",") == [str(row[key]) for key in keys]
+
+
+def test_flow_csv_is_its_json_row_by_row(capsys):
+    code, lines, payload = csv_and_json(
+        capsys, "flow", "--f=1/2-i,0,3*i", "--op", "abel", "--alpha", "2/3", "--order", "5", "--field", "Qi"
+    )
+    assert code == 0
+    want = [
+        ",".join([label, str(n)] + coeffs)
+        for label in ("basic", "monomial")
+        for n, coeffs in enumerate(payload[label])
+    ]
+    assert lines == want and len(lines) == 12
+
+
+def test_basis_csv_is_its_json_row_by_row(capsys):
+    code, lines, payload = csv_and_json(capsys, "basis", "--op", "abel", "--alpha", "-3/2", "--depth", "6")
+    assert code == 0
+    assert lines == [",".join(row) for row in payload["coeffs"]] and len(lines) == 7
 
 
 @pytest.mark.parametrize(
@@ -534,6 +568,39 @@ def test_solve_refuses_a_gaussian_cubic_before_computing_past_the_cap(capsys, mo
     assert len(calls) == 10
 
 
+def test_solve_closed_mode_is_refused_by_its_orbit_before_the_closed_column(capsys, monkeypatch):
+    # the closed rows stay under the cap up to n = 166, and their
+    # recursion would take minutes; the orbit passes it at n = 6
+    computed = []
+    real = solver._autonomous_values
+    monkeypatch.setattr(solver, "_autonomous_values", lambda *args: computed.append(args) or real(*args))
+    code = cli_main(["solve", "--map", "cubic", "--x0", "1/" + "7" * 300, "--steps", "256", "--mode", "closed"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: the value at n = 6 has more than 100000 decimal digits (see --max-digits)\n"
+    assert computed == []
+
+
+@pytest.mark.parametrize(
+    "mode, calls",
+    [("closed", ["orbit", "closed"]), ("iterate", ["orbit"]), ("both", ["orbit", "closed"])],
+)
+def test_solve_computes_no_closed_column_for_mode_iterate(capsys, monkeypatch, mode, calls):
+    got = []
+    real_iterate, real_values = solver.iterate, solver._autonomous_values
+
+    def orbit(*args):
+        got.append("orbit")
+        return real_iterate(*args)
+
+    monkeypatch.setattr(solver, "iterate", orbit)
+    monkeypatch.setattr(cli, "iterate", orbit)
+    monkeypatch.setattr(solver, "_autonomous_values", lambda *args: got.append("closed") or real_values(*args))
+    code, out = run_cli(capsys, "solve", "--map", "logistic-4", "--x0", "1/3", "--steps", "4", "--mode", mode)
+    assert got == calls
+    assert (code, len(out.splitlines())) == (1 if mode == "both" else 0, 6)
+
+
 DEGREE_8_QI = "poly:0,2/7+3/5*i,-22/7+1/3*i,13/11-5/3*i,-7/2+i,1/3-2/9*i,5/7+i,-3/11+1/2*i,2/13-3/7*i"
 
 
@@ -749,3 +816,174 @@ def test_an_answer_does_not_depend_on_the_requests_before_it(session):
         _clear_process_caches()
         alone.append(_answer(argv))
     assert in_session == alone
+
+
+# --- the CLI contract ----------------------------------------------------------------
+
+# Scalars in both fields, with signs, long digit strings and i parts.
+_DIGITS = st.one_of(st.integers(0, 40).map(str), st.just("7" * 300))
+_NONZERO = st.one_of(st.integers(1, 40).map(str), st.just("7" * 300))
+_UNSIGNED = st.builds("{}{}".format, _DIGITS, st.one_of(st.just(""), _NONZERO.map("/{}".format)))
+_SIGNS = st.sampled_from(["", "-", "+"])
+_RATIONALS = st.builds("{}{}".format, _SIGNS, _UNSIGNED)
+_IMAGINARY = st.one_of(st.just("i"), _UNSIGNED.map("{}*i".format))
+_SCALARS = {
+    "Q": _RATIONALS,
+    "Qi": st.one_of(
+        _RATIONALS,
+        st.builds("{}{}{}".format, _RATIONALS, st.sampled_from("+-"), _IMAGINARY),
+        st.builds("{}{}".format, _SIGNS, _IMAGINARY),
+    ),
+}
+# Zero denominators, an integer past CPython's 4300-digit limit on
+# reading one, bad spellings, and an i part over Q.
+_BAD_SCALARS = {
+    "Qi": st.one_of(
+        st.builds("{}/0".format, _RATIONALS),
+        st.builds("1+{}/0*i".format, _DIGITS),
+        st.sampled_from(["7" * 5000, "1/" + "7" * 5000, "", "x", "1/", "1.5", "i*i", "--1", "-x"]),
+    ),
+}
+_BAD_SCALARS["Q"] = st.one_of(_BAD_SCALARS["Qi"], st.sampled_from(["i", "-1/2+3*i"]))
+
+
+def _lists(scalars):
+    return st.lists(scalars, min_size=1, max_size=5).map(",".join)
+
+
+def _ints(low, high, small):
+    """An integer option from its lowest value up to small, which keeps
+    the work short, and its values just past either end, high the cap."""
+    return st.integers(low, small).map(str), st.sampled_from([str(low - 1), str(high + 1), "x", "1.5", ""])
+
+
+def _choices(*names):
+    return st.sampled_from(names), st.just("bogus")
+
+
+def _grammar(command, field):
+    """Each option of command as (good values, bad values); a value None
+    leaves the option out, which is good for an option whose default is
+    cheap and bad for a required one."""
+    good, bad = _SCALARS[field], _BAD_SCALARS[field]
+    fmt = _choices("json", "csv")
+    if command == "solve":
+        return {
+            "--map": (
+                st.one_of(
+                    st.sampled_from(CORPUS_NAMES),
+                    st.builds("{}:{}".format, st.sampled_from(["logistic", "quadratic"]), good),
+                    _lists(good).map("poly:{}".format),
+                ),
+                st.one_of(
+                    st.sampled_from([None, "nosuch", "bogus:1"]),
+                    st.builds("{}:{}".format, st.sampled_from(["logistic", "quadratic", "poly"]), bad),
+                ),
+            ),
+            "--x0": (good, st.one_of(st.none(), bad)),
+            "--steps": _ints(0, cli.MAX_STEPS, 8),
+            # at and past both ends of the range
+            "--max-digits": (
+                st.sampled_from([None, "1", "2", "40", str(cli.MAX_DIGITS)]),
+                st.sampled_from(["0", str(cli.MAX_DIGITS + 1)]),
+            ),
+            "--field": (st.just(field), st.just("R")),
+            "--mode": _choices("closed", "iterate", "both"),
+            "--format": fmt,
+        }
+    if command == "flow":
+        return {
+            "--f": (_lists(good), st.one_of(st.none(), bad, st.builds("{},{}".format, _lists(good), bad))),
+            "--op": _choices(*OPERATOR_NAMES),
+            "--alpha": (good, bad),
+            "--order": _ints(1, cli.MAX_FLOW_ORDER, 8),
+            "--field": (st.just(field), st.just("R")),
+            "--format": fmt,
+        }
+    if command == "basis":
+        return {
+            "--op": (st.sampled_from(OPERATOR_NAMES), st.sampled_from([None, "bogus"])),
+            "--alpha": (st.one_of(st.none(), _RATIONALS), _BAD_SCALARS["Q"]),
+            "--depth": _ints(0, cli.MAX_BASIS_DEPTH, 12),
+            "--format": fmt,
+        }
+    if command == "verify":
+        # the suite runs only at its lowest order and depth, one group
+        return {
+            "--order": (st.just("1"), st.sampled_from(["0", str(cli.MAX_VERIFY_ORDER + 1)])),
+            "--depth": (st.just("3"), st.sampled_from(["2", str(cli.MAX_VERIFY_DEPTH + 1)])),
+            "--ops": _choices(*GROUPS),
+            "--format": fmt,
+        }
+    return {
+        "--tolerance": (
+            st.sampled_from([None, "1e-9", "1e300", "5e-324"]),
+            st.sampled_from(["1e-400", "0", "-1e-9", "inf", "nan", "x"]),
+        ),
+        "--depth": _ints(1, cli.MAX_NUMCHECK_DEPTH, 8),
+        "--format": fmt,
+    }
+
+
+_DEFAULT_FORMAT = {"solve": "csv", "flow": "json", "basis": "json", "verify": "json", "numcheck": "json"}
+
+
+@st.composite
+def _argvs(draw):
+    """argv of one command with its options in grammar, but for at most
+    one option given a bad value; each value either after "=" or as a
+    separate argument."""
+    command = draw(st.sampled_from(sorted(_DEFAULT_FORMAT)))
+    options = _grammar(command, draw(st.sampled_from(["Q", "Qi"])))
+    broken = draw(st.one_of(st.none(), st.sampled_from(list(options))))
+    argv = [command]
+    for option, (good, bad) in options.items():
+        value = draw(bad if option == broken else good)
+        if value is not None:
+            argv += [option + "=" + value] if draw(st.booleans()) else [option, value]
+    return argv
+
+
+def _format_of(argv):
+    formats = [
+        arg.split("=", 1)[1] if "=" in arg else argv[i + 1]
+        for i, arg in enumerate(argv)
+        if arg.startswith("--format")
+    ]
+    return formats[-1] if formats else _DEFAULT_FORMAT[argv[0]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argvs())
+def test_every_request_keeps_the_cli_contract(argv):
+    # exit 0, 1 or 2; an error is one "error:" line, or argparse's usage
+    # and error lines, with nothing on stdout; an answer parses as the
+    # format asked for, and comes with an empty stderr
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert out or err
+    assert "Traceback" not in err
+    if err:
+        lines = err.splitlines()
+        assert out == ""
+        if lines[0].startswith("usage: deltadyn " + argv[0]):
+            assert code == 2 and (": error: " in lines[-1])
+        else:
+            assert code in (1, 2) and len(lines) == 1 and lines[0].startswith("error: ")
+        return
+    assert out.endswith("\n")
+    if _format_of(argv) == "json":
+        json.loads(out)
+    else:
+        # no value holds a comma or a quote, so every row of a table
+        # has the commas of its header
+        lines = out.splitlines()
+        assert all(lines) and '"' not in out
+        if argv[0] in ("solve", "verify"):
+            assert len({line.count(",") for line in lines}) == 1
