@@ -241,7 +241,7 @@ def group_law_residuals(f, order):
     from .series import _hurwitz_composite
 
     N = order
-    aut = autonomous_sequence(f, N)
+    rows = autonomous_sequence(f, N).numerators[1]
     d, F, kind = _integral(f)
 
     def at(F, u):
@@ -259,4 +259,4 @@ def group_law_residuals(f, order):
     scales = [
         Fraction(1, d ** (i + j) * fact(i) * fact(j)) for i in range(N + 1) for j in range(N + 1 - i)
     ]
-    return _certify(at, F, d, aut, scales, [kind] * len(scales))
+    return _certify(at, F, scales, [kind] * len(scales), rows)

@@ -183,7 +183,7 @@ def _delta_ode_residuals(f, pairs, order):
             for m in (beta, steps)
         )
         ops.append((beta, steps, dq, db, max(basis_kind, q_kind)))
-    aut = autonomous_sequence(f, N)
+    rows = autonomous_sequence(f, N).numerators[1]
     d, F, kind = _integral(f)
     lhs_scale = [fact(N) // fact(n) * d ** (N - n) for n in range(N + 1)]
     rhs_scale = [fact(N) // fact(m) * d ** (N - 1 - m) for m in range(N)]
@@ -205,7 +205,7 @@ def _delta_ode_residuals(f, pairs, order):
     for _, _, dq, db, op_kind in ops:
         scales += [Fraction(1, dq * db * d ** N * fact(N))] * N
         kinds += [max(kind, op_kind)] * N
-    residuals = _certify(at, F, d, aut, scales, kinds)
+    residuals = _certify(at, F, scales, kinds, rows)
     return [TSeries(residuals[i * N : (i + 1) * N], N - 1) for i in range(len(ops))]
 
 
@@ -220,11 +220,11 @@ def delta_pde_identity_residuals(f, order):
     """
     from .points import _certify, _integral
 
-    aut = autonomous_sequence(f, order)
+    rows = autonomous_sequence(f, order).numerators[1]
     d, F, kind = _integral(f)
     drows = [
         (den,) + tuple(v and [j * c for j, c in enumerate(v)][1:] for v in (re, im))
-        for den, re, im in aut.numerators[1][: order - 1]
+        for den, re, im in rows[: order - 1]
     ]
 
     def at(F, u, du):
@@ -232,7 +232,7 @@ def delta_pde_identity_residuals(f, order):
         return [v - fx * w for v, w in zip(u[1:], [1] + du[1:])]
 
     scales = [Fraction(1, d ** (m + 1) * math.factorial(m)) for m in range(order)]
-    return _certify(at, F, d, aut, scales, [kind] * order, drows)
+    return _certify(at, F, scales, [kind] * order, rows, drows)
 
 
 # ---------------------------------------------------------------------------

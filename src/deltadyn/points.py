@@ -11,14 +11,16 @@ P_n(x0) of autonomous_sequence.  f(Phi) is then a chain of binomial
 convolutions (series._hurwitz_composite) with no division (Keigher, "On
 the ring of Hurwitz series", Comm. Algebra 25, 1997), and the form in
 basic coordinates needs only F(x0) and a further row set, the A_n' at x0.
+Every row set is read as autonomous_sequence gives it: row n is the
+integer numerator of a polynomial over d^n, read at x0 by Horner, with
+its denominator left unread.
 
 _certify runs a check first on degrees, to bound the degree D of every
 residual by the actual degrees of f and of the rows, and then at the
 D + 1 points 0, 1, -1, 2, ...: a nonzero polynomial of degree <= D has
 at most D roots, so residuals zero at all of them are identically zero.
 Nonzero residuals are interpolated back exactly.  Values run on ints,
-on series._Gaussian (two ints) where an imaginary part occurs, and on
-Fractions only for a sequence given by its terms.
+and on series._Gaussian (two ints) where an imaginary part occurs.
 """
 
 from fractions import Fraction
@@ -71,20 +73,22 @@ def _points(count):
     return [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(count)]
 
 
-def _flow_at(rows, d, x):
-    """u_0 = x and u_n = d^n A_n(x) for the numerator rows of A_n: the
-    Hurwitz coefficients at x of the flow of F = d f, integers for the
-    rows that autonomous_sequence builds."""
-    u = [x]
-    scale = 1
-    for den, re, im in rows:
-        scale *= d
-        v = _horner(re, x) if im is None else _Gaussian(_horner(re, x), _horner(im, x))
-        if den != scale:
-            q = Fraction(scale, den)
-            v = v * (q.numerator if q.denominator == 1 else q)
-        u.append(v)
-    return u
+def _flow_at(rows, x):
+    """u_0 = x and u_n = P_n(x), by Horner, for the rows (d^n, P_n) of
+    the flow of f = F/d: the Hurwitz coefficients at x of the flow of F.
+    The rows must be over d^n, as autonomous_sequence gives them; the
+    denominators are not read.
+
+    x' = x^2 has the flow x/(1 - tx) = sum x^(n+1) t^n, so at x = 2:
+
+    >>> from deltadyn.autonomous import autonomous_sequence
+    >>> _flow_at(autonomous_sequence(XSeries((0, 0, 1)), 5).numerators[1], 2)
+    [2, 4, 16, 96, 768, 7680]
+    """
+    return [x] + [
+        _horner(re, x) if im is None else _Gaussian(_horner(re, x), _horner(im, x))
+        for _, re, im in rows
+    ]
 
 
 def _flow_degrees(rows):
@@ -127,34 +131,30 @@ def _interpolate(xs, ys, scale, kind):
     return XSeries([GaussianRational(r * scale, i * scale) for r, i in zip(re, im)])
 
 
-def _certify(at, F, d, aut, scales, kinds, *more):
+def _certify(at, F, scales, kinds, *row_sets):
     """The residual polynomials of a flow identity, from integer points.
 
     at(F, u, *v) lists the numerators of the residuals at one point from
-    the point values F of the integral generator F = d f, the Hurwitz
-    coefficients u of its flow there (_flow_at of aut's numerator rows)
-    and those v of each row set in more, read alike; residual r is the
-    polynomial in x whose value at the point is scales[r] times entry r.
+    the point values F of the integral generator F = d f and the values
+    _flow_at gives there for each row set: u of the first, the rows of
+    the flow of f, and v of each further one, read alike.  Row n of
+    every row set must be over d^n, as autonomous_sequence gives it.
+    Residual r is the polynomial in x whose value at the point is
+    scales[r] times entry r.
 
     at runs first on degrees (_Degree): the actual degrees of F's
     coefficients and of the rows give a bound D on the degree of every
-    residual, and a sequence of unexpected degree widens D with it.  A
+    residual, and a row of unexpected degree widens D with it.  A
     nonzero polynomial of degree <= D has at most D roots, so residuals
     that vanish at the D + 1 points 0, 1, -1, 2, ... are identically
     zero, and they are returned as zero XSeries.  Otherwise each
     residual is interpolated back exactly from its D + 1 values, with
-    coefficients of the kind kinds[r], or aut's if larger (see
-    _interpolate).
+    coefficients of the kind kinds[r] (see _interpolate).
     """
-    aut_kind, rows = aut.numerators
-    row_sets = (rows, *more)
     bounds = at([_Degree(0) if c else 0 for c in F], *map(_flow_degrees, row_sets))
     D = max((b.d for b in bounds if b), default=0)
     xs = _points(D + 1)
-    values = [at(F, *(_flow_at(r, d, x) for r in row_sets)) for x in xs]
+    values = [at(F, *(_flow_at(rows, x) for rows in row_sets)) for x in xs]
     if not any(any(v) for v in values):
         return [XSeries.zero()] * len(bounds)
-    return [
-        _interpolate(xs, ys, s, max(kind, aut_kind))
-        for ys, s, kind in zip(zip(*values), scales, kinds)
-    ]
+    return [_interpolate(xs, ys, s, kind) for ys, s, kind in zip(zip(*values), scales, kinds)]

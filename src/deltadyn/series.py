@@ -184,8 +184,7 @@ def _hurwitz_reciprocal(a, order):
 
 class _Gaussian:
     """A Gaussian integer re + im*i as a point value of a Hurwitz
-    recursion (the parts are rational only for a sequence given by its
-    terms)."""
+    recursion; its other operand is an int or a _Gaussian."""
 
     __slots__ = ("re", "im")
 
@@ -195,7 +194,7 @@ class _Gaussian:
     def __add__(self, o):
         if type(o) is _Gaussian:
             return _Gaussian(self.re + o.re, self.im + o.im)
-        if isinstance(o, (int, Fraction)):
+        if isinstance(o, int):
             return _Gaussian(self.re + o, self.im)
         return NotImplemented
 
@@ -213,7 +212,7 @@ class _Gaussian:
     def __mul__(self, o):
         if type(o) is _Gaussian:
             return _Gaussian(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-        if isinstance(o, (int, Fraction)):
+        if isinstance(o, int):
             return _Gaussian(self.re * o, self.im * o)
         return NotImplemented
 

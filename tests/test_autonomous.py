@@ -265,9 +265,12 @@ def test_group_law_detects_a_wrong_autonomous_term(monkeypatch):
     real = autonomous.autonomous_sequence
 
     def perturbed(f, order):
-        aut = real(f, order)
-        terms = aut.terms[:-1] + (aut.terms[-1] + XSeries.one(),)
-        return AutonomousSequence(aut.generator, terms)
+        # 1 more in the numerator P_N of the last row (d^N, P_N), which
+        # stays over d^N as the kernel gives it
+        kind, rows = real(f, order).numerators
+        den, re, im = rows[-1]
+        rows = rows[:-1] + ((den, [re[0] + 1, *re[1:]], im),)
+        return AutonomousSequence._from_numerators((kind, rows), f)
 
     monkeypatch.setattr(autonomous, "autonomous_sequence", perturbed)
     residuals = group_law_residuals(XSeries((0, 1, -1)), 6)

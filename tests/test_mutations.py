@@ -22,7 +22,7 @@ import pytest
 import deltadyn
 from deltadyn.deltaflow import delta_pde_identity_residuals
 from deltadyn.points import _Degree
-from deltadyn.umbral import basic_sequence_from_delta
+from deltadyn.umbral import basic_sequence_from_delta, operator
 from deltadyn.verifysuite import _corpus_generators, run_checks
 
 MODULES = [importlib.import_module("deltadyn." + m.name) for m in pkgutil.iter_modules(deltadyn.__path__)]
@@ -99,11 +99,14 @@ def _mutate(monkeypatch, kernel):
 
 @pytest.fixture
 def fresh_bases():
-    # a basis built under a mutation must not outlive it, nor one built
-    # before it hide the mutation
+    # a basis or a memoised operator (its _int_steps) built under a
+    # mutation must not outlive it, nor one built before it hide the
+    # mutation
     basic_sequence_from_delta.cache_clear()
+    operator.cache_clear()
     yield
     basic_sequence_from_delta.cache_clear()
+    operator.cache_clear()
 
 
 # kernel -> (its own layer's group, the checks that catch it)

@@ -4,7 +4,8 @@ group_law_residuals, pde_residual, verify_delta_ode and
 delta_pde_identity_residuals evaluate their residuals at D + 1 integer
 points; the oracles in oracle_utils expand the same identities as
 series in t (and s) with polynomial coefficients, or on the terms A_n.  The two must return equal residuals, zero or
-nonzero, including on autonomous sequences with a wrong term.
+nonzero, including on autonomous sequences whose last row has a wrong
+numerator.
 """
 
 import contextlib
@@ -18,8 +19,9 @@ from hypothesis import given, settings, strategies as st
 from deltadyn import autonomous, deltaflow, points
 from deltadyn.autonomous import AutonomousSequence, group_law_residuals, pde_residual
 from deltadyn.deltaflow import delta_pde_identity_residuals, verify_delta_ode
+from deltadyn.flows import _rows_to_terms
 from deltadyn.points import _Degree, _points
-from deltadyn.scalars import GaussianRational
+from deltadyn.scalars import GaussianRational, to_lanes
 from deltadyn.series import XSeries, _Gaussian
 from deltadyn.umbral import (
     DeltaOp,
@@ -30,7 +32,7 @@ from deltadyn.umbral import (
     forward,
     touchard,
 )
-from deltadyn.verifysuite import _max_abs
+from deltadyn.verifysuite import _max_abs, run_checks
 
 from oracle_utils import (
     delta_ode_by_series,
@@ -55,15 +57,19 @@ def operators(draw, scalars, order):
 def cases(draw, mutation=False):
     """(f, N, Q, basis): f of degree <= 3, an order N <= 6, a random
     delta operator Q of order N, and Q's basis or another operator's,
-    all over Q or all over Q(i); with mutation, also a nonzero scalar
-    of the same field."""
+    all over Q or all over Q(i); with mutation, also a nonzero integer
+    of f's own ring: Z[i] if f has a GaussianRational coefficient, else
+    Z."""
     scalars = draw(FIELDS)
     f = draw(polys(scalars, max_size=4))
     N = draw(st.integers(1, 6))
     Q = draw(operators(scalars, N))
     other = draw(st.one_of(st.none(), operators(scalars, N)))
     case = (f, N, Q, None if other is None else basic_sequence_from_delta(other, N))
-    return case + (draw(scalars.filter(lambda c: c != 0)),) if mutation else case
+    if not mutation:
+        return case
+    gaussian = any(type(c) is GaussianRational for c in f.coeffs)
+    return case + (draw((GAUSSIAN_INTEGERS if gaussian else INTS).filter(lambda c: c != 0)),)
 
 
 def _assert_same(got, want):
@@ -97,15 +103,25 @@ def _vanishing(c, count):
 
 @contextlib.contextmanager
 def _mutated(perturbation):
-    """autonomous_sequence with perturbation added to its last term (or
-    applied to it, for a function), installed where the package and the
-    oracles read it."""
+    """autonomous_sequence with the integral polynomial perturbation
+    added to the numerator P_N of its last term A_N = P_N / d^N (or a
+    function applied to P_N), installed where the package and the
+    oracles read it.  The rows stay over d^n, as the kernel gives them,
+    and the terms are read off them, A_1 included: at N = 1 the wrong
+    row is A_1's, which the terms otherwise take from the generator."""
     real = autonomous.autonomous_sequence
-    change = perturbation if callable(perturbation) else lambda term: term + perturbation
+    change = perturbation if callable(perturbation) else lambda P: P + perturbation
 
     def perturbed(g, order):
-        aut = real(g, order)
-        return AutonomousSequence(aut.generator, aut.terms[:-1] + (change(aut.terms[-1]),))
+        kind, rows = real(g, order).numerators
+        den, re, im = rows[-1]
+        (P,) = _rows_to_terms(kind, [(1, re, im)])
+        one, re, im, _ = to_lanes(change(P).coeffs)
+        assert one == 1, "the perturbation must be integral"
+        rows = rows[:-1] + ((den, re, im),)
+        aut = AutonomousSequence(g, _rows_to_terms(kind, rows))
+        aut._numerators = (kind, rows)
+        return aut
 
     with mock.patch.object(autonomous, "autonomous_sequence", perturbed):
         with mock.patch.object(deltaflow, "autonomous_sequence", perturbed):
@@ -118,8 +134,8 @@ def test_point_form_reports_a_wrong_term_like_the_bivariate_form(case, extra):
     # extra = 0: a perturbation of degree D vanishing at the first D
     # points, which only point D + 1 sees; extra > 0: a term of higher
     # degree than the formula allows, which must widen the point set.
-    # c is in the field of f, so the wrong term keeps the one type of
-    # its field, as every kernel output does.
+    # c is an integer of f's ring, so the wrong row stays over d^N and
+    # in f's field, as every row of the kernel does.
     f, N, Q, basis, c = case
     D = _formula_degree(f, N)
     with _mutated(_vanishing(c, D + extra)):
@@ -140,10 +156,10 @@ def test_point_form_reports_a_wrong_term_like_the_bivariate_form(case, extra):
 def test_only_the_last_point_sees_a_perturbation_vanishing_at_the_others(f):
     N = 6
     D = _formula_degree(f, N)
-    p = _vanishing(Fraction(5, 7), D)
+    p = _vanishing(5, D)
     xs = _points(D + 1)
     assert all(p.evaluate(x) == 0 for x in xs[:-1]) and p.evaluate(xs[-1]) != 0
-    with _mutated(p):
+    with _mutated(p):  # d = 1, so p is added to A_N itself
         wrong = group_law_residuals(f, N)
         assert wrong == group_law_by_series(f, N)
         # residual (1, N-1) is A_N/(N-1)! less the unperturbed value
@@ -154,10 +170,11 @@ def test_only_the_last_point_sees_a_perturbation_vanishing_at_the_others(f):
 
 @pytest.mark.parametrize("f", [XSeries((0, 1, -1)), XSeries((GaussianRational(0, 1), 0, 1, 2))])
 def test_a_wrong_term_of_lower_degree_is_recovered_exactly(f):
-    # A_N without its top coefficient: the residuals keep the degree of
-    # the right side, which only the degree recursion through f sees
+    # A_N = P_N (d = 1) without its top coefficient: the residuals keep
+    # the degree of the right side, which only the degree recursion
+    # through f sees
     N = 6
-    with _mutated(lambda term: XSeries(term.coeffs[:-1])):
+    with _mutated(lambda P: XSeries(P.coeffs[:-1])):
         group = group_law_residuals(f, N)
         assert group == group_law_by_series(f, N)
         pde = pde_residual(f, N)
@@ -220,19 +237,21 @@ def _is_integral(value):
     return type(value) is int
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from((INTS, GAUSSIAN_INTEGERS)).flatmap(lambda s: polys(s, max_size=4)),
+    st.sampled_from((INTS, GAUSSIAN_INTEGERS, RATIONALS, GAUSSIANS)).flatmap(
+        lambda s: polys(s, max_size=4)
+    ),
     st.integers(1, 8),
     st.sampled_from((derivative, forward, backward, touchard)),
 )
 def test_an_integral_generator_gives_integral_point_values(f, N, make_q):
-    # over Z and Z[i] the Hurwitz coefficients of the flow at an integer
-    # point are the integers P_n(x0), and the rows of the A_n' give
-    # integers too: every value _certify passes to an identity's at (F,
-    # u and any further row set), and every residual numerator at
-    # returns over an operator with integer Hurwitz weights, is one,
-    # with no division on the way
+    # for f = F/d over Z, Q, Z[i] or Q(i), with F integral, the Hurwitz
+    # coefficients at an integer point of the flow of F are the integers
+    # P_n(x0), and the rows of the A_n' give integers too: every value
+    # _certify passes to an identity's at (F, u and any further row
+    # set), and every residual numerator at returns over an operator
+    # with integer Hurwitz weights, is one, with no division on the way
     calls = []
     real = points._certify
 
@@ -257,3 +276,29 @@ def test_an_integral_generator_gives_integral_point_values(f, N, make_q):
         assert type(degrees[1][0]) is _Degree and at_points
         for values in at_points:
             assert all(_is_integral(v) for row_set in values for v in row_set)
+
+
+def test_the_verify_checks_certify_rows_over_d_to_the_n(monkeypatch):
+    # _flow_at reads no denominator, so row n of every row set that a
+    # check of the autonomous and deltaflow groups certifies must be
+    # over d^n, d that of F = d f, which _integral gives just before
+    ds, certified = [], []
+    real_integral, real_certify = points._integral, points._certify
+
+    def integral(f):
+        out = real_integral(f)
+        ds.append(out[0])
+        return out
+
+    def certify(at, F, scales, kinds, *row_sets):
+        certified.append((ds[-1], [[den for den, _, _ in rows] for rows in row_sets]))
+        return real_certify(at, F, scales, kinds, *row_sets)
+
+    monkeypatch.setattr(points, "_integral", integral)
+    monkeypatch.setattr(points, "_certify", certify)
+    for group in ("autonomous", "deltaflow"):
+        assert all(row["pass"] for row in run_checks(8, 12, group))
+    assert any(d > 1 for d, _ in certified)
+    for d, row_sets in certified:
+        for dens in row_sets:
+            assert dens == [d**n for n in range(1, len(dens) + 1)]
