@@ -38,9 +38,13 @@ closed and --mode both run the orbit first and compute no closed
 column for a refused orbit: a cubic map over Q(i) at --steps 48
 refuses at n = 11 in under 1 s, where computing that value took 4 s.
 So --mode closed is refused for an orbit value it does not print
-too, since nothing else bounds the work of its closed column: the
-Taylor recursion at x0 (see solver._closed_column) runs all --steps
-before a row is checked.
+too.  Its closed column stops the Taylor recursion at x0 at the first
+row past --max-digits (see solver._closed_column), but the rows of a
+nonlinear map can stay under the cap for far more steps than the
+recursion runs in the time the caps allow: a cubic from 1/S, S of 300
+sevens, passes it at n = 167, after more than a minute, and its orbit
+at n = 6.  Until the column has a work bound of its own, the orbit is
+that bound.
 """
 
 import argparse
@@ -351,8 +355,8 @@ def _build_parser():
     p.add_argument("--steps", type=_int_between(0, MAX_STEPS), default=8)
     p.add_argument(
         "--max-digits", type=_int_between(1, MAX_DIGITS), default=MAX_DIGITS,
-        help="largest number of decimal digits of a printed numerator or denominator; "
-        "a longer value is a usage error (exit 2)",
+        help="largest number of decimal digits of every numerator and denominator a column "
+        "computes, the orbit's included in closed mode; a longer value is a usage error (exit 2)",
     )
     p.add_argument("--field", choices=("Q", "Qi"), default="Q")
     p.add_argument("--mode", choices=("closed", "iterate", "both"), default="both")

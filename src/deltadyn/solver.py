@@ -12,7 +12,10 @@ which terminates for integer n.  The values A_k(x0) are the Hurwitz
 coefficients at x0 of the flow of phi' = f(phi), and they come from
 its Taylor recursion u_(k+1) = f(u)_k on integers (or Gaussian
 integers), the Hurwitz-ring kernel series._hurwitz_composite, with no
-autonomous polynomial built.  The closed form reproduces affine
+autonomous polynomial built.  _closed_column streams the rows
+n = 0, 1, ... from that recursion, one step a row, each summed on
+integers and divided once, so a digit cap stops the recursion at the
+first row past it.  The closed form reproduces affine
 maps and every polynomial fixed point exactly; for nonlinear maps away
 from fixed points the umbral solution and the pointwise orbit are
 different objects (the flow equation holds in the transported ring,
@@ -26,6 +29,7 @@ import functools
 import json
 from fractions import Fraction
 from importlib import resources
+from itertools import accumulate
 from math import gcd
 
 from .autonomous import aut_scale, autonomous_sequence, flow_from_autonomous
@@ -252,73 +256,52 @@ def _qi_orbit(Gr, Gi, C, ar, ai, b, bits):
         yield GaussianRational(re, im)
 
 
-def _closed_forms(x0, values, n_max):
-    """Yield x0 + sum_(k <= n) values[k-1] C(n, k) for n = 0 .. n_max,
-    values[k-1] = A_k(x0).
-
-    Each row is summed on integer lanes over one common denominator,
-    with C(n, k) stepped along Pascal's rule and the zero values
-    skipped, and divided out once, in the field of x0 and the values
-    (see scalars.to_lanes).
-    """
-    den, re, im, kind = to_lanes([x0] + list(values[:n_max]))
-    terms = [k for k, r in enumerate(re) if r or (im and im[k])]
-    binom = [1] + [0] * n_max  # C(n, k) for k = 0 .. n_max
-    for n in range(n_max + 1):
-        for k in range(n, 0, -1):
-            binom[k] += binom[k - 1]
-        r = sum(re[k] * binom[k] for k in terms)
-        i = sum(im[k] * binom[k] for k in terms) if im else 0
-        yield from_lanes(r, i, den, kind)
-
-
-def _autonomous_values(f, x0, n):
-    """A_1(x0) .. A_n(x0) for the autonomous polynomials A_k of f, by
-    the Taylor recursion at x0; no polynomial is built.
+def _closed_column(g, x0, n_max, max_digits=None):
+    """Yield x0 + sum_k A_k(x0) C(n, k) for n = 0 .. n_max.
 
     A_k(x0) is the Hurwitz coefficient u_k at x0 of the flow of
-    phi' = f(phi), and u_(k+1) = f(u)_k (series._hurwitz_composite).
-    With f = F/d of degree m >= 1 and x0 = a/b over the least common
-    denominator b, b f(y/b) = G(y)/c for G_j = F_j b^(m-j) and
-    c = d b^(m-1), so b phi(c t) is the flow of G from a.  Its Hurwitz
-    coefficients v_k are integers, or Gaussian integers over Q(i), and
-    A_k(x0) = v_k / (b c^k), one division each.
+    phi' = f(phi), f = g - x, and u_(k+1) = f(u)_k
+    (series._hurwitz_composite); no autonomous polynomial is built.
+    With f = F/d of degree m >= 1 (a constant or zero f is taken as of
+    degree 1, so c = d) and x0 = a/b over the least common denominator
+    b, b f(y/b) = G(y)/c for G_j = F_j b^(m-j) and c = d b^(m-1), so
+    b phi(c t) is the flow of G from a.  Its Hurwitz coefficients v_k
+    are integers, or Gaussian integers over Q(i), with v_0 = a and
+    A_k(x0) = v_k / (b c^k).
 
-    Each value has the type Horner's rule at x0 gives A_k: the field of
-    f and x0 together, and the int 0 for the zero polynomial, that is
-    for every A_k of f = 0 and for A_2, A_3, ... of a constant f.
+    Row n is therefore E_n / (b c^n) for E_n = sum_k C(n, k) c^(n-k) v_k,
+    the last entry of the diagonal e_0 = v_n, e_(j+1) = c e*_j + e_j,
+    where e* is the diagonal of row n - 1: by induction
+    e_j = sum_i C(j, i) c^i v_(n-i).  Each row is divided out once, in
+    the field of x0 and A_1 .. A_(n_max) together (see
+    scalars.to_lanes): that of x0 alone for n_max = 0 or f = 0.  Row n
+    reads v_0 .. v_n only: with max_digits, the first row past it
+    raises DigitLimitError before the next v_k is computed.
     """
-    if f.degree < 1:
-        return [f.evaluate(x0)] * min(n, 1) + [0] * (n - 1)
-    d, fr, fi, kind = to_lanes(f.coeffs)
+    d, fr, fi, kind = to_lanes((g - XSeries.x()).coeffs)
     b, (ar,), ai, x0_kind = to_lanes([x0])
+    kind = max(kind, x0_kind) if n_max else x0_kind
+    gaussian = fi is not None or ai is not None
+    pad = [0] * (2 - len(fr))  # a constant or zero f, as of degree 1
+    fi = (fi or [0] * len(fr)) + pad
+    fr = fr + pad
     m = len(fr) - 1
-    G = [_lane(r * b ** (m - j), fi[j] * b ** (m - j) if fi else 0) for j, r in enumerate(fr)]
     c = d * b ** (m - 1)
+    G = [_lane(r * b ** (m - j), i * b ** (m - j)) for j, (r, i) in enumerate(zip(fr, fi))]
     psi = [[_lane(ar, ai[0] if ai else 0)]]
-    for value in _hurwitz_composite(G, psi, [1] * n):
-        psi.append(value)
-    kind = max(kind, x0_kind)
-    values, den = [], b
-    for (v,) in psi[1:]:
-        den *= c
-        re, im = (v.re, v.im) if type(v) is _Gaussian else (v, 0)
-        values.append(from_lanes(re, im, den, kind))
-    return values
-
-
-def _closed_column(g, x0, n_max, max_digits=None):
-    """The list of x0 + sum_k A_k(x0) C(n, k), n = 0 .. n_max, each
-    A_k(x0) computed once (_autonomous_values).  With max_digits, the
-    rows are checked one at a time, and the first row past it raises
-    DigitLimitError before a later row is computed; the recursion for
-    the A_k(x0) has run all n_max steps by then."""
-    values = _autonomous_values(g - XSeries.x(), x0, n_max)
-    column = []
-    for n, closed in enumerate(_closed_forms(x0, values, n_max)):
-        _check_digits(closed, n, max_digits)
-        column.append(closed)
-    return column
+    values = _hurwitz_composite(G, psi, [1] * n_max)
+    re, im, den = [], [], b
+    for n in range(n_max + 1):
+        if n:
+            psi.append(next(values))
+            den *= c
+        (v,) = psi[n]
+        vr, vi = (v.re, v.im) if type(v) is _Gaussian else (v, 0)
+        re = list(accumulate(map(c.__mul__, re), initial=vr))
+        im = list(accumulate(map(c.__mul__, im), initial=vi)) if gaussian else [0]
+        row = from_lanes(re[-1], im[-1], den, kind)
+        _check_digits(row, n, max_digits)
+        yield row
 
 
 def solve_forward(g, x0, n):
@@ -329,7 +312,8 @@ def solve_forward(g, x0, n):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _closed_column(g, x0, n)[-1]
+    *_, closed = _closed_column(g, x0, n)
+    return closed
 
 
 def iterate_table(g, x0, n_max, max_digits=None):

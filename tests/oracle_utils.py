@@ -13,8 +13,9 @@ reciprocal in ordinary coordinates and Rota's recurrence on it,
 composition by the powers of the inner series, Lagrange inversion,
 the step-table apply of a shift-invariant series, the Horner orbit,
 and the closed column of solve from the autonomous polynomials
-evaluated at x0.  The Taylor sum form of composition, which Horner's rule
-replaced in the package, follows them, and then the bivariate forms of
+evaluated at x0, summed on integer lanes by Pascal's rule.  The Taylor
+sum form of composition, which Horner's rule replaced in the package,
+follows them, and then the bivariate forms of
 the group law, the flow PDE and the delta flow equation, and the delta
 PDE identity in basic coordinates, which the package now evaluates at
 integer points.  These read autonomous_sequence, classical_flow and
@@ -353,18 +354,40 @@ def iterate_by_horner(g, x0, n):
     return tuple(ys)
 
 
+def _closed_forms(x0, values, n_max):
+    """Yield x0 + sum_(k <= n) values[k-1] C(n, k) for n = 0 .. n_max,
+    values[k-1] = A_k(x0).
+
+    Each row is summed on integer lanes over one common denominator,
+    with C(n, k) stepped along Pascal's rule and the zero values
+    skipped, and divided out once, in the field of x0 and the values
+    (see scalars.to_lanes).
+    """
+    from deltadyn.scalars import from_lanes, to_lanes
+
+    den, re, im, kind = to_lanes([x0] + list(values[:n_max]))
+    terms = [k for k, r in enumerate(re) if r or (im and im[k])]
+    binom = [1] + [0] * n_max  # C(n, k) for k = 0 .. n_max
+    for n in range(n_max + 1):
+        for k in range(n, 0, -1):
+            binom[k] += binom[k - 1]
+        r = sum(re[k] * binom[k] for k in terms)
+        i = sum(im[k] * binom[k] for k in terms) if im else 0
+        yield from_lanes(r, i, den, kind)
+
+
 def closed_column_by_autonomous(g, x0, n):
     """The route solve took before the Taylor recursion at x0: each
     A_k of autonomous_sequence(g - x, n) evaluated at x0 by Horner's
     rule, and the column x0 + sum_k A_k(x0) C(m, k), m = 0 .. n,
-    summed from those values by solver._closed_forms.  Returns
-    (values, column)."""
-    from deltadyn import autonomous, solver
+    summed from those values by _closed_forms, the package's summation
+    before its closed column streamed.  Returns (values, column)."""
+    from deltadyn import autonomous
     from deltadyn.series import XSeries
 
     aut = autonomous.autonomous_sequence(g - XSeries.x(), max(n, 1))
     values = [aut.term(k).evaluate(x0) for k in range(1, n + 1)]
-    return values, list(solver._closed_forms(x0, values, n))
+    return values, list(_closed_forms(x0, values, n))
 
 
 def taylor_sum_compose(f, w):

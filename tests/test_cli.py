@@ -570,10 +570,11 @@ def test_solve_refuses_a_gaussian_cubic_before_computing_past_the_cap(capsys, mo
 
 def test_solve_closed_mode_is_refused_by_its_orbit_before_the_closed_column(capsys, monkeypatch):
     # the closed rows stay under the cap up to n = 166, and their
-    # recursion would take minutes; the orbit passes it at n = 6
+    # recursion takes more than a minute to reach n = 167; the orbit
+    # passes the cap at n = 6
     computed = []
-    real = solver._autonomous_values
-    monkeypatch.setattr(solver, "_autonomous_values", lambda *args: computed.append(args) or real(*args))
+    real = solver._hurwitz_composite
+    monkeypatch.setattr(solver, "_hurwitz_composite", lambda *args: computed.append(args) or real(*args))
     code = cli_main(["solve", "--map", "cubic", "--x0", "1/" + "7" * 300, "--steps", "256", "--mode", "closed"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
@@ -587,7 +588,7 @@ def test_solve_closed_mode_is_refused_by_its_orbit_before_the_closed_column(caps
 )
 def test_solve_computes_no_closed_column_for_mode_iterate(capsys, monkeypatch, mode, calls):
     got = []
-    real_iterate, real_values = solver.iterate, solver._autonomous_values
+    real_iterate, real_values = solver.iterate, solver._hurwitz_composite
 
     def orbit(*args):
         got.append("orbit")
@@ -595,7 +596,7 @@ def test_solve_computes_no_closed_column_for_mode_iterate(capsys, monkeypatch, m
 
     monkeypatch.setattr(solver, "iterate", orbit)
     monkeypatch.setattr(cli, "iterate", orbit)
-    monkeypatch.setattr(solver, "_autonomous_values", lambda *args: got.append("closed") or real_values(*args))
+    monkeypatch.setattr(solver, "_hurwitz_composite", lambda *args: got.append("closed") or real_values(*args))
     code, out = run_cli(capsys, "solve", "--map", "logistic-4", "--x0", "1/3", "--steps", "4", "--mode", mode)
     assert got == calls
     assert (code, len(out.splitlines())) == (1 if mode == "both" else 0, 6)

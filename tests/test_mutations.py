@@ -194,7 +194,6 @@ CASES = {
             ("core", "compositional-inverse-roundtrip"),
             ("solver", "backward-relation"),
             ("solver", "abel-scaling"),
-            ("solver", "affine-oracle"),
             ("solver", "factored-vs-direct"),
         ],
     ),

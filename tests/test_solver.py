@@ -25,7 +25,7 @@ from deltadyn.cli import cli_main
 from deltadyn.deltaflow import delta_flow
 from deltadyn.umbral import backward, forward
 
-from oracle_utils import closed_column_by_autonomous, iterate_by_horner
+from oracle_utils import _closed_forms, closed_column_by_autonomous, iterate_by_horner
 from strategies import SCALARS, polys
 
 X = XSeries.x()
@@ -193,6 +193,23 @@ def test_iterate_table_evaluates_each_autonomous_term_once(monkeypatch):
     assert [row[2] for row in table.rows] == list(iterate(g, x0, 9))
 
 
+def test_the_closed_column_draws_no_value_past_its_first_long_row(monkeypatch):
+    # row n reads A_1(x0) .. A_n(x0) only, so the recursion stops at
+    # the first row past the cap instead of running all n_max steps
+    yielded = []
+    real = solver._hurwitz_composite
+
+    def counting(*args):
+        for value in real(*args):
+            yielded.append(value)
+            yield value
+
+    monkeypatch.setattr(solver, "_hurwitz_composite", counting)
+    with pytest.raises(solver.DigitLimitError, match="^the value at n = 42 has more than 60 decimal digits$"):
+        list(solver._closed_column(logistic_map(F(4)), F(1, 3), 200, max_digits=60))
+    assert 0 < len(yielded) <= 42
+
+
 def test_iterate_stops_at_the_digit_cap():
     # y_n of 4 y (1 - y) from 1/3 has a denominator of 3^(2^n): 4 digits at n = 3
     assert len(iterate(logistic_map(F(4)), F(1, 3), 2, max_digits=3)) == 3
@@ -285,7 +302,7 @@ def _closed_by_binomials(x0, values, n):
 ))
 def test_closed_forms_match_the_binomial_sum(case):
     x0, values = case
-    got = list(solver._closed_forms(x0, values, len(values)))
+    got = list(_closed_forms(x0, values, len(values)))
     want = [_closed_by_binomials(x0, values, n) for n in range(len(values) + 1)]
     assert got == want
     assert [format_scalar(c) for c in got] == [format_scalar(c) for c in want]
@@ -317,18 +334,22 @@ def closed_column_cases(draw):
 @example((XSeries((F(1, 4), 0, 1)), F(1, 2), 40))  # the fixed point of x^2 + 1/4
 @example((DEGREE_8, GaussianRational(0), 32))  # a fixed point of degree 8
 @example((DEGREE_8, F(1, 3), 8))
+@example((XSeries((F(1, 2), F(3, 2))), 2, 0))  # row 0 has the type of x0 alone
 def test_the_closed_column_matches_the_autonomous_polynomials(case):
-    # A_k(x0) by the Taylor recursion at x0 against A_k built and
-    # evaluated by Horner's rule: equal values of identical types, the
-    # int 0 for a zero polynomial included, in every row
+    # the column streamed from the Taylor recursion at x0 against the
+    # A_k built, evaluated by Horner's rule and summed on lanes: equal
+    # rows of identical types, whose forward differences at 0 are the
+    # A_k(x0)
     g, x0, n = case
     want_values, want = closed_column_by_autonomous(g, x0, n)
-    got_values = solver._autonomous_values(g - X, x0, n)
-    got = list(solver._closed_forms(x0, got_values, n))
-    assert got_values == want_values
-    assert [type(v) for v in got_values] == [type(v) for v in want_values]
+    got = list(solver._closed_column(g, x0, n))
     assert got == want
     assert [type(c) for c in got] == [type(c) for c in want]
+    diffs, values = got, []
+    while len(diffs) > 1:
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        values.append(diffs[0])
+    assert values == want_values
     closed = solve_forward(g, x0, n)
     assert closed == want[-1] and type(closed) is type(want[-1])
 
