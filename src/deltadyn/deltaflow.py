@@ -42,10 +42,12 @@ from .autonomous import (
     h_sequence,
 )
 from .flows import Flow, TSeries
+from .scalars import _combine, _quotients
 from .series import XSeries, _horner, rational_binomial
 from .umbral import (
     UmbralOperator,
     _int_apply,
+    _int_matrix,
     _is_gaussian,
     basic_sequence_from_delta,
     derivative,
@@ -156,8 +158,9 @@ def _delta_ode_residuals(f, pairs, order):
     (BasicSequence._int_rows) and the step matrix of Q over its
     denominator dq (DeltaOp._int_steps), both sides times dq db d^N N!
     are products of those matrices and point values by
-    umbral._int_apply; a Gaussian matrix is first made point values, so
-    that no value, a points._Degree included, is split into lanes.  The
+    umbral._int_apply, the two sides as the two lanes of one walk over
+    beta; a Gaussian matrix is first made point values, so that no
+    value, a points._Degree included, is split into lanes.  The
     residuals of every pair are computed at the same integer points by
     one points._certify, with the largest degree bound of the batch:
     more points interpolate to the same polynomials, each with the
@@ -193,12 +196,12 @@ def _delta_ode_residuals(f, pairs, order):
         # F(u), a series in t alone
         lhs = [0] + [c * s for c, s in zip(u[1:], lhs_scale[1:])]
         F_u = _hurwitz_composite(F, [[c] for c in u], [1] * N)
-        rhs = [value * s for (value,), s in zip(F_u, rhs_scale)]
+        rhs = [value * s for (value,), s in zip(F_u, rhs_scale)] + [0]
         out = []
         for beta, steps, dq, _, _ in ops:
-            W, _ = _int_apply(beta, lhs)
-            R, _ = _int_apply(beta, [dq * v for v in rhs])
-            out += [q - r for q, r in zip(_int_apply(steps, W)[0], R)]
+            # one walk over beta: both sides are the two lanes of a call
+            W, R = _int_apply(beta, lhs, [dq * v for v in rhs])
+            out += [q - r for q, r in zip(_int_apply(steps, W)[0], R[:N])]
         return out
 
     scales, kinds = [], []
@@ -401,17 +404,47 @@ def delta_representation_residuals(df):
     """Check Phi_Q = sum_n [Q^n Phi_Q at t=0] q_n(t) / n!.
 
     Reapplies Q to the monomial form n times, reads the value at t = 0
-    and compares against the stored coefficients.  Returns the list of
-    differences (base term first).
+    and compares it against n! times the stored coefficients.  Returns
+    the list of differences (base term first), XSeries in x.
+
+    It runs on integer rows.  With S the step matrix of Q over dq
+    (DeltaOp._int_steps) and M the monomial rows over their common
+    denominator D, as a matrix from t-power to x-power, the value at
+    t = 0 of Q^n Phi_Q is M r_n over D dq^n, r_n = row 0 of S^n, so
+    that r_n is S^T r_(n-1), from r_0 = (1, 0, ..., 0): two
+    umbral._int_apply products per n, and one division per nonzero
+    residual entry.  The t^0 term of the monomial form is the base
+    term itself, so the first difference is zero.
     """
-    Q = df.basis.operator
-    w = df.to_tseries()
-    values = []
-    for _ in range(df.order + 1):
-        values.append(w.coefficient(0))
-        w = Q.apply_tseries(w)
-    base = XSeries.x() if df.has_base else XSeries.zero()
-    residuals = [values[0] - base]
-    for n in range(1, df.order + 1):
-        residuals.append(values[n] * Fraction(1, math.factorial(n)) - df.coeffs[n - 1])
+    N = df.order
+    if df.basis.operator.order < N:
+        raise ValueError("operator order too small for this t-order")
+    dq, q_kind, steps = df.basis.operator._int_steps
+    kind, mono = df.to_monomial().numerators
+    D = math.lcm(*[den for den, _, _ in mono])
+    width = max((len(re) for _, re, _ in mono), default=0)
+    M = _int_matrix(
+        [(m, D // den * re[i], D // den * im[i] if im else 0)
+         for m, (den, re, im) in enumerate(mono, 1) if i < len(re)]
+        for i in range(width)
+    )
+    size = max(N + 1, width)
+    ST = [[] for _ in range(size)]  # S^T through t-power N
+    for m, row in enumerate(steps[: N + 1]):
+        for entry in row:
+            if entry[0] > N:
+                break
+            ST[entry[0]].append((m,) + entry[1:])
+    kind = max(kind, q_kind, 1)
+    _, coeffs = df.numerators
+    r, ri = [1] + [0] * (size - 1), None
+    den, fact = D, 1
+    residuals = [XSeries.zero()]
+    for n, (cden, cre, cim) in enumerate(coeffs, 1):
+        r, ri = _int_apply(ST, r, ri)
+        vr, vi = _int_apply(M, r, ri)
+        den, fact = den * dq, fact * n
+        scale = fact * den
+        vr, vi = _combine(vr, cden, cre, scale), _combine(vi, cden, cim, scale)
+        residuals.append(XSeries(_quotients(vr, vi, scale * cden, kind)))
     return residuals

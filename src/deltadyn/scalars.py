@@ -221,6 +221,28 @@ def from_lanes(re, im, den, kind):
     return re // den
 
 
+def _combine(a, sa, b, sb):
+    """a sa - b sb entrywise for two lanes of integers, the shorter one
+    read as padded with zeros, and None as a lane of zeros."""
+    a, b = a or (), b or ()
+    if len(a) != len(b):
+        size = max(len(a), len(b))
+        a, b = [*a, *[0] * (size - len(a))], [*b, *[0] * (size - len(b))]
+    return [x * sa - y * sb for x, y in zip(a, b)]
+
+
+def _quotients(re, im, den, kind):
+    """The scalars (re[k] + im[k]*i) / den of two integer lanes, in the
+    field of kind (from_lanes), im None or shorter where it is zero:
+    one division per nonzero entry, and the zero of the field for the
+    others."""
+    zero = _ZEROS[kind]
+    if not any(re) and not (im and any(im)):
+        return [zero] * len(re)
+    im = list(im or ()) + [0] * (len(re) - len(im or ()))
+    return [from_lanes(x, y, den, kind) if x or y else zero for x, y in zip(re, im)]
+
+
 def _lowest_terms(num, den):
     """Fraction(num, den) for coprime num and den > 0, built without
     the gcd that the constructor takes."""

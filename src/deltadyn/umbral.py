@@ -212,15 +212,20 @@ def _int_apply(matrix, re, im=None):
     many entries as the lane; im is None for a real lane, and in the
     result when the lane and the matrix are both real.
 
-    A real matrix runs acc = acc + v[j] * x from the int 0 on each lane,
-    so v may hold the point values of deltaflow.verify_delta_ode.  A
-    Gaussian one takes three real products per term: with s1, s2 and s3
-    the sums of x re, y im and (x + y)(re + im), entry i is
-    s1 - s2 + (s3 - s1 - s2)*i.  The step matrix of the forward
-    difference, whose Hurwitz weights are all 1, takes t^2 to 1 + 2t:
+    A real matrix runs acc = acc + v[j] * x from the int 0, so v may
+    hold the point values of deltaflow.verify_delta_ode, and takes the
+    two lanes in one walk over each row, M re and M im with one
+    accumulator each: any two lanes of values, which that check gives
+    as the two sides of its equation.  A Gaussian matrix takes three
+    real products per term: with s1, s2 and s3 the sums of x re, y im
+    and (x + y)(re + im), entry i is s1 - s2 + (s3 - s1 - s2)*i.  The
+    step matrix of the forward difference, whose Hurwitz weights are
+    all 1, takes t^2 to 1 + 2t:
 
     >>> _int_apply([[(1, 1), (2, 1)], [(2, 2)], []], [0, 0, 1])
     ([1, 2, 0], None)
+    >>> _int_apply([[(1, 1), (2, 1)], [(2, 2)], []], [0, 0, 1], [0, 1, 0])
+    ([1, 2, 0], [1, 0, 0])
     >>> _int_apply([[(1, 1, 0, 1), (2, 1, 0, 1)], [(2, 2, 0, 2)], []], [0, 0, 1])
     ([1, 2, 0], [0, 0, 0])
     """
@@ -241,19 +246,27 @@ def _int_apply(matrix, re, im=None):
             out_re.append(s1 - s2)
             out_im.append(s3 - s1 - s2)
         return out_re, out_im
-
-    def sums(v):
-        out = []
+    out_re = []
+    if im is None:
         for row in rows:
             acc = 0
             for j, x in row:
                 if j >= size:
                     break
-                acc = acc + v[j] * x
-            out.append(acc)
-        return out
-
-    return sums(re), None if im is None else sums(im)
+                acc = acc + re[j] * x
+            out_re.append(acc)
+        return out_re, None
+    out_im = []
+    for row in rows:
+        acc = acc_im = 0
+        for j, x in row:
+            if j >= size:
+                break
+            acc = acc + re[j] * x
+            acc_im = acc_im + im[j] * x
+        out_re.append(acc)
+        out_im.append(acc_im)
+    return out_re, out_im
 
 
 def _int_apply_rows(matrix, kind, rows):
@@ -628,13 +641,37 @@ def first_expansion(T, Q, depth):
 
     T is any shift-invariant operator given as a derivative series.
     Reconstructing sum_k c_k Q^k / k! recovers T through the shared
-    order (see expansion_to_delta_series).
+    order (see expansion_to_delta_series).  The coefficients are
+    _first_expansion over the basis of Q.
     """
-    basis = basic_sequence_from_delta(Q, depth)
+    return _first_expansion(T, basic_sequence_from_delta(Q, depth))
+
+
+def _first_expansion(T, basis):
+    """[T q_k](0) for the polynomials q_k of a basis, on its integer rows.
+
+    With h_j = j! T_j the Hurwitz weights of T, the t^0 coefficient of
+    T q_k is sum_j h_j beta(j, k): one dot product of the lanes of the
+    weights with the integer row of q_k, and one division.  It is the
+    int 0 where T q_k is the zero polynomial, no weight reaching the
+    degree of q_k, and otherwise in the field of the row and the
+    nonzero weights together, as apply_delta_series gives it.
+    """
+    kind, rows = basis.numerators
+    weights = [math.factorial(j) * c for j, c in enumerate(T[: len(rows)])]
+    dt, hr, hi, _ = to_lanes(weights)
+    hi = hi or ()
+    kind = max(kind, _kind([h for h in weights if h != 0]))
+    low = next((j for j, h in enumerate(weights) if h != 0), None)
     out = []
-    for k in range(depth + 1):
-        image = apply_delta_series(T, basis.poly(k))
-        out.append(image.coefficient(0))
+    for den, re, im in rows:
+        if low is None or low >= len(re):
+            out.append(0)
+            continue
+        im = im or ()
+        r = sum(h * x for h, x in zip(hr, re)) - sum(h * y for h, y in zip(hi, im))
+        i = sum(h * x for h, x in zip(hi, re)) + sum(h * y for h, y in zip(hr, im))
+        out.append(from_lanes(r, i, dt * den, kind))
     return tuple(out)
 
 

@@ -12,6 +12,17 @@ rather than drop the tail of the longer one.
 Checks are grouped by area so the CLI can run a subset; the sampling
 inside is seeded and the ordering fixed, making two runs byte
 identical.
+
+Two kinds of check share the suite.  An identity of the production
+rows reads the integer rows that the package computes with and divides
+once per nonzero residual entry: basic-set-axioms and binomial-type
+(_basic_axioms, _binomial_type), first-expansion
+(umbral._first_expansion), delta-representation, and the point checks
+delta-ode, flow-group-law and flow-pde (points).  An independent
+oracle stays in field arithmetic, which is what makes it independent
+of the integer route it watches: recurrence-oracle, stirling-bases,
+abel-closed-form, connection-flow, and taylor-chain-rule, which checks
+the Fraction series layer itself.
 """
 
 import functools
@@ -48,7 +59,7 @@ from .deltaflow import (
     rhoq_unit,
 )
 from .flows import TSeries, taylor_compose
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _combine, _quotients
 from .series import (
     XSeries,
     compositional_inverse,
@@ -67,6 +78,7 @@ from .solver import (
     solve_logistic,
 )
 from .umbral import (
+    _int_apply,
     abel,
     backward,
     basic_sequence_by_recurrence,
@@ -99,18 +111,24 @@ def _abs_scalar(v):
     return abs(Fraction(v))
 
 
+# the size of a residual with no nonzero scalar
+_ZERO = Fraction(0)
+
+
 def _max_abs(residual):
     """Largest size of a scalar inside nested residual containers: the
-    absolute value of a rational, the norm |z|^2 of a Gaussian one."""
+    absolute value of a rational, the norm |z|^2 of a Gaussian one.
+    Exact zeros and empty containers are skipped; with nothing else
+    left the size is _ZERO."""
     if isinstance(residual, XSeries):
-        vals = [_abs_scalar(c) for c in residual.coeffs]
+        vals = [_abs_scalar(c) for c in residual.coeffs if c]
     elif isinstance(residual, TSeries):
         vals = [_max_abs(c) for c in residual.coeffs]
     elif isinstance(residual, (list, tuple)):
-        vals = [_max_abs(r) for r in residual]
+        vals = [_max_abs(r) for r in residual if r]
     else:
         vals = [_abs_scalar(residual)]
-    return max(vals, default=Fraction(0))
+    return max(vals, default=_ZERO)
 
 
 def _check(group, name):
@@ -123,7 +141,7 @@ def _check(group, name):
     def register(gen):
         @functools.wraps(gen)
         def check(order, depth):
-            return max(map(_max_abs, gen(order, depth)), default=Fraction(0))
+            return max([size for size in map(_max_abs, gen(order, depth)) if size], default=_ZERO)
 
         _CHECKS.append((group, name, check))
         return check
@@ -261,15 +279,34 @@ def _check_factorize(order, depth):
 # ---------------------------------------------------------------------------
 # umbral
 
+def _basic_axioms(basis):
+    """Residuals of the basic-set axioms of a basis and its operator Q:
+    the lane of q_0 - 1, the values q_n(0) for n >= 1, then the lane of
+    Q q_n - n q_(n-1) for each n >= 1.
+
+    They are read off the integer rows (den, re, im) of the basis
+    (BasicSequence.numerators), and Q applies by its step matrix over
+    dq (DeltaOp._int_steps): the last is Q q_n den_(n-1) less
+    n q_(n-1) den_n dq, over den_n dq den_(n-1).
+    """
+    dq, q_kind, steps = basis.operator._int_steps
+    kind, rows = basis.numerators
+    kind = max(kind, q_kind)
+    den, re, im = rows[0]
+    yield _quotients(_combine(re, 1, [1], den), im, den, kind)
+    yield [_quotients(re[:1], im, den, kind)[0] if re else 0 for den, re, im in rows[1:]]
+    for n in range(1, len(rows)):
+        (pden, pre, pim), (den, re, im) = rows[n - 1], rows[n]
+        qr, qi = _int_apply(steps, re, im)
+        scale = n * den * dq
+        qi = _combine(qi, pden, pim, scale) if qi or pim else None
+        yield _quotients(_combine(qr, pden, pre, scale), qi, den * dq * pden, kind)
+
+
 @_check("umbral", "basic-set-axioms")
 def _check_basic_axioms(order, depth):
     for Q in _builtin_ops(depth):
-        basis = basic_sequence_from_delta(Q, depth)
-        yield basis.poly(0) - 1
-        for n in range(1, depth + 1):
-            qn = basis.poly(n)
-            yield qn.evaluate(0)
-            yield Q.apply_tpoly(qn) - n * basis.poly(n - 1)
+        yield from _basic_axioms(basic_sequence_from_delta(Q, depth))
 
 
 @_check("umbral", "recurrence-oracle")
@@ -287,11 +324,35 @@ def _binomial_type(basis, top):
     Hurwitz coefficients n! [u^n] of pinv(u)^i / i!, so the basis is of
     binomial type through top exactly when row 0 is (1, 0, ..., 0) and
     (i+1) row_(i+1) = row_i * row_1 in the Hurwitz ring for i < top.
+    Both are read off B = beta db, the integer matrix of the basis
+    (BasicSequence._int_rows), on re and im lanes: row 0 less db over
+    db, and (i+1) B(i+1, n) db less sum_k C(n, k) B(i, k) B(1, n-k)
+    over db^2, the sum over the nonzero entries of rows i and 1.
     """
-    rows = [[basis.beta(i, n) for n in range(top + 1)] for i in range(top + 1)]
-    yield _diffs(rows[0], [1] + [0] * top)
+    db, kind, matrix = basis._int_rows
+    size = top + 1
+    rows = [[(e[0], e[1], e[2] if len(e) == 4 else 0) for e in row if e[0] < size] for row in matrix[:size]]
+
+    def lanes(i, scale):
+        re, im = [0] * size, [0] * size
+        for n, x, y in rows[i]:
+            re[n], im[n] = x * scale, y * scale
+        return re, im
+
+    re, im = lanes(0, 1)
+    re[0] -= db
+    yield _quotients(re, im, db, kind)
     for i in range(top):
-        yield _diffs([(i + 1) * b for b in rows[i + 1]], hurwitz_product(rows[i], rows[1]))
+        re, im = lanes(i + 1, (i + 1) * db)
+        for k, x, y in rows[i]:
+            for m, u, v in rows[1]:
+                n = k + m
+                if n > top:
+                    break
+                c = comb(n, k)
+                re[n] -= c * (x * u - y * v)
+                im[n] -= c * (x * v + y * u)
+        yield _quotients(re, im, db * db, kind)
 
 
 @_check("umbral", "binomial-type")

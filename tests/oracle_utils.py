@@ -20,7 +20,10 @@ the group law, the flow PDE and the delta flow equation, and the delta
 PDE identity in basic coordinates, which the package now evaluates at
 integer points.  These read autonomous_sequence, classical_flow and
 delta_flow through their modules, so a test that replaces one of them
-there changes the oracle and the package alike.
+there changes the oracle and the package alike.  The last section keeps
+the field-arithmetic forms of four umbral identities that verify now
+reads off the integer rows of a basis: binomial type, the basic-set
+axioms, the first expansion and the delta representation.
 """
 
 import math
@@ -506,3 +509,61 @@ def delta_pde_identity_by_series(f, order):
 
     A = (XSeries.x(),) + autonomous.autonomous_sequence(f, order).terms
     return [(A[m + 1] - f * A[m].derivative()) * Fraction(1, math.factorial(m)) for m in range(order)]
+
+
+# ---------------------------------------------------------------------------
+# the umbral identities in field arithmetic, on the scalars of a basis
+
+def binomial_type_by_fractions(basis, top):
+    """The rows of verifysuite._binomial_type from the scalars beta(i, n):
+    row 0 less (1, 0, ..., 0), then (i+1) row_(i+1) less the product
+    row_i * row_1 of the Hurwitz ring, series.hurwitz_product."""
+    from deltadyn.series import hurwitz_product
+
+    rows = [[basis.beta(i, n) for n in range(top + 1)] for i in range(top + 1)]
+    yield [b - int(n == 0) for n, b in enumerate(rows[0])]
+    for i in range(top):
+        yield [(i + 1) * b - h for b, h in zip(rows[i + 1], hurwitz_product(rows[i], rows[1]))]
+
+
+def basic_axioms_by_fractions(basis):
+    """The residuals of verifysuite._basic_axioms from the polynomials of
+    a basis, Q its operator applied by apply_by_step_table: the
+    coefficients of q_0 - 1, the values q_n(0) for n >= 1, then those of
+    Q q_n - n q_(n-1) for each n >= 1, each list as long as the longer
+    of its sides."""
+    Q, q = basis.operator, basis.polys
+    yield padd(list(q[0].coeffs), [-1])
+    yield [qn.evaluate(0) for qn in q[1:]]
+    for n in range(1, len(q)):
+        image = apply_by_step_table(Q.coeffs, list(q[n].coeffs), 0)
+        yield padd(image, [-n * c for c in q[n - 1].coeffs])
+
+
+def first_expansion_by_fractions(T, basis):
+    """[T q_k](0) for each polynomial q_k of a basis: entry 0 of the
+    apply of T by apply_by_step_table, and 0 for the zero polynomial."""
+    out = []
+    for q in basis.polys:
+        image = apply_by_step_table(T, list(q.coeffs), 0)
+        out.append(image[0] if image else 0)
+    return tuple(out)
+
+
+def delta_representation_by_fractions(df):
+    """The residuals of deltaflow.delta_representation_residuals on the
+    monomial TSeries of a flow over a basis: Q applied in t n times by
+    apply_by_step_table, the value at t = 0 divided by n!, less
+    coefficient n; the first residual is the t^0 term less the base."""
+    from deltadyn.series import XSeries
+
+    Q = df.basis.operator
+    w = list(df.to_tseries().coeffs)
+    values = []
+    for _ in range(df.order + 1):
+        values.append(w[0])
+        w = apply_by_step_table(Q.coeffs, w, XSeries.zero())
+    base = XSeries.x() if df.has_base else XSeries.zero()
+    return [values[0] - base] + [
+        values[n] * Fraction(1, math.factorial(n)) - df.coeffs[n - 1] for n in range(1, df.order + 1)
+    ]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from deltadyn.scalars import GaussianRational
 from deltadyn.series import XSeries
 from deltadyn.umbral import (
+    BasicSequence,
     DeltaOp,
     abel,
     backward,
@@ -67,6 +68,17 @@ def bases(draw):
         return umbral_compose(a, b)
     alpha = draw(GAUSSIANS.filter(lambda c: c != 0))
     return basic_sequence_from_delta(abel(alpha, DEPTH), DEPTH)
+
+
+@st.composite
+def perturbed(draw, basis, low=0):
+    """basis with the entry beta(k, n), low <= k <= n, changed by a scalar
+    of Q or Q(i), which may be 0."""
+    n = draw(st.integers(low, basis.depth))
+    k = draw(st.integers(low, n))
+    polys = list(basis.polys)
+    polys[n] = polys[n] + XSeries.monomial(draw(st.one_of(RATIONALS, GAUSSIANS)), k)
+    return BasicSequence(basis.operator, tuple(polys))
 
 
 @st.composite

@@ -48,8 +48,8 @@ from deltadyn.umbral import (
     touchard,
 )
 
-from oracle_utils import delta_ode_by_series
-from strategies import GAUSSIANS, RATIONALS, builtin_ops, delta_series, generators, polys
+from oracle_utils import delta_ode_by_series, delta_representation_by_fractions
+from strategies import GAUSSIANS, RATIONALS, builtin_ops, delta_series, generators, perturbed, polys
 
 X = XSeries.x()
 N = 10
@@ -625,6 +625,25 @@ def test_delta_representation():
     for Q in builtin_ops():
         df = delta_flow(XSeries((0, 1, -1)), Q, 8)
         assert all(r.is_zero for r in delta_representation_residuals(df))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([RATIONALS, GAUSSIANS]).flatmap(lambda s: delta_series(s, max_depth=6)).filter(lambda c: c[1]),
+    generators().filter(lambda f: not f.is_zero),
+    st.booleans(),
+    st.data(),
+)
+def test_delta_representation_matches_its_fraction_form(case, f, has_base, data):
+    # over Q and Q(i), for the flow over Q's own basis with an entry
+    # beta(k, n) moved, k >= 1: the identity cannot see the constant
+    # terms, which Q takes to 0
+    Q, depth = case
+    basis = data.draw(perturbed(basic_sequence_from_delta(Q, depth), low=1))
+    df = delta_flow(f, Q, depth, basis)
+    if not has_base:
+        df = df.minus_base()
+    assert delta_representation_residuals(df) == delta_representation_by_fractions(df)
 
 
 def test_forward_operator_application_matches_literal_shift():

@@ -37,21 +37,25 @@ from deltadyn.umbral import (
     umbral_compose,
     umbral_inverse,
 )
-from deltadyn.verifysuite import _binomial_type
+from deltadyn.umbral import _first_expansion
+from deltadyn.verifysuite import _CHECKS, _basic_axioms, _binomial_type
 
 from oracle_utils import (
     abel_poly,
+    basic_axioms_by_fractions,
+    binomial_type_by_fractions,
     bivariate_add,
     bivariate_of_shift,
     bivariate_product,
     compositional_inverse_by_field_loop,
     expand_by_field_loop,
     falling_factorial,
+    first_expansion_by_fractions,
     rising_factorial,
     stirling2_by_enumeration,
     unsigned_stirling1_by_enumeration,
 )
-from strategies import GAUSSIANS, RATIONALS, bases, delta_series
+from strategies import GAUSSIANS, RATIONALS, bases, delta_series, perturbed
 
 DEPTH = 10
 
@@ -491,6 +495,50 @@ def test_binomial_type_residual_sees_each_wrong_beta():
             seen = any(d != 0 for d in hurwitz_residuals(wrong, top))
             assert seen == ((k, n) != (1, top))
             assert seen == (not all(bivariate_binomial(wrong, m) for m in range(top + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bases(), st.data())
+def test_the_integer_row_identities_match_their_fraction_forms(basis, data):
+    # binomial type, the basic-set axioms and the first expansion, read
+    # off the integer rows, against their field-arithmetic forms
+    wrong = data.draw(perturbed(basis))
+    top = wrong.depth
+    assert list(_binomial_type(wrong, top)) == list(binomial_type_by_fractions(wrong, top))
+    assert list(_basic_axioms(wrong)) == list(basic_axioms_by_fractions(wrong))
+    a = data.draw(st.one_of(RATIONALS, GAUSSIANS))
+    for T in (shift_operator(a, top), wrong.operator.coeffs, (0, 0) + wrong.operator.coeffs[2:]):
+        assert _first_expansion(T, wrong) == first_expansion_by_fractions(T, wrong)
+
+
+SPIED = [("umbral", "basic-set-axioms"), ("umbral", "binomial-type"), ("umbral", "first-expansion"),
+         ("deltaflow", "delta-representation")]
+
+
+def test_the_integer_row_checks_read_no_basis_as_scalars(monkeypatch):
+    # the four checks read a basis only by its integer rows: no Hurwitz
+    # product of scalars, no apply of a series to an XSeries, no
+    # Fraction view of a basis
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def spied(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return spied
+
+    from deltadyn import umbral, verifysuite
+
+    for module, name in ((series, "hurwitz_product"), (verifysuite, "hurwitz_product"),
+                         (umbral, "apply_delta_series")):
+        monkeypatch.setattr(module, name, spy(module, name))
+    monkeypatch.setattr(BasicSequence, "_read_terms", spy(BasicSequence, "_read_terms"))
+    checks = {(group, name): check for group, name, check in _CHECKS}
+    assert [str(checks[key](8, 12)) for key in SPIED] == ["0"] * 4
+    assert calls == []
 
 
 # --- applying operators ------------------------------------------------------
