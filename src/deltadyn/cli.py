@@ -12,6 +12,9 @@ Subcommands:
              Lambert W grid; exit 0 iff every sample is within
              tolerance.
 
+A request builds only the argparse parser of the command it names;
+help, a missing command and an unknown command build all five.
+
 All output is deterministic: fixed orderings, no timestamps.  Each
 command returns its exit code, JSON object and CSV lines, and cli_main
 writes the one --format asks for, a line at a time; a CSV table is a
@@ -341,15 +344,7 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-@functools.cache
-def _build_parser():
-    parser = _Parser(
-        prog="deltadyn",
-        description="Exact flows for derivative and difference type dynamical systems.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="closed form vs. iteration of a difference map")
+def _add_solve(p):
     p.add_argument("--map", required=True, help="corpus name, logistic:MU, quadratic:C or poly:c0,c1,...")
     p.add_argument("--x0", required=True, help="initial value (exact rational string)")
     p.add_argument("--steps", type=_int_between(0, MAX_STEPS), default=8)
@@ -363,7 +358,8 @@ def _build_parser():
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(fn=_cmd_solve)
 
-    p = sub.add_parser("flow", help="coefficients of a delta flow")
+
+def _add_flow(p):
     p.add_argument("--f", required=True, help="generator coefficients c0,c1,...")
     p.add_argument("--op", choices=OPERATOR_NAMES, default="forward")
     p.add_argument("--alpha", default="1")
@@ -372,14 +368,16 @@ def _build_parser():
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_flow)
 
-    p = sub.add_parser("basis", help="beta matrix of a basic sequence")
+
+def _add_basis(p):
     p.add_argument("--op", choices=OPERATOR_NAMES, required=True)
     p.add_argument("--alpha", default="1")
     p.add_argument("--depth", type=_int_between(0, MAX_BASIS_DEPTH), default=16)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_basis)
 
-    p = sub.add_parser("verify", help="run the exact invariant suite")
+
+def _add_verify(p):
     p.add_argument("--order", type=_int_between(1, MAX_VERIFY_ORDER), default=10)
     # the shift-invariance check applies Q to a cubic
     p.add_argument("--depth", type=_int_between(3, MAX_VERIFY_DEPTH), default=16)
@@ -387,18 +385,46 @@ def _build_parser():
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("numcheck", help="float checks of the closed forms")
+
+def _add_numcheck(p):
     p.add_argument("--tolerance", type=_positive_finite, default=1e-9)
     p.add_argument("--depth", type=_int_between(1, MAX_NUMCHECK_DEPTH), default=64)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_numcheck)
 
+
+# Each command: its help line and the function that adds its arguments.
+_COMMANDS = {
+    "solve": ("closed form vs. iteration of a difference map", _add_solve),
+    "flow": ("coefficients of a delta flow", _add_flow),
+    "basis": ("beta matrix of a basic sequence", _add_basis),
+    "verify": ("run the exact invariant suite", _add_verify),
+    "numcheck": ("float checks of the closed forms", _add_numcheck),
+}
+
+
+@functools.cache
+def _build_parser(command=None):
+    """The parser of one command, or of every command for None."""
+    parser = _Parser(
+        prog="deltadyn",
+        description="Exact flows for derivative and difference type dynamical systems.",
+    )
+    # The parser of one command still names every command in the usage
+    # line of an unrecognized-argument error.  The full parser keeps no
+    # metavar, so that a missing command is named "command".
+    metavar = None if command is None else "{%s}" % ",".join(_COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        text, add = _COMMANDS[name]
+        add(sub.add_parser(name, help=text))
     return parser
 
 
 def cli_main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         code, payload, lines = args.fn(args)
     except DigitLimitError as exc:

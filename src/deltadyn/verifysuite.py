@@ -68,13 +68,13 @@ from .series import (
     seq_compose,
 )
 from .solver import (
+    _closed_column,
     abel_scaling_check,
     backward_relation_check,
     iterate,
     load_corpus,
     logistic_factors,
     logistic_map,
-    solve_forward,
     solve_logistic,
 )
 from .umbral import (
@@ -550,16 +550,15 @@ def _check_fixed_points(order, depth):
 def _check_affine_oracle(order, depth):
     for g in (XSeries((0, 2)), XSeries((1, 1))):
         for x0 in (Fraction(1, 3), Fraction(1, 5), Fraction(0)):
-            closed = [solve_forward(g, x0, n) for n in range(11)]
-            yield _diffs(closed, iterate(g, x0, 10))
+            yield _diffs(_closed_column(g, x0, 10), iterate(g, x0, 10))
 
 
 @_check("solver", "factored-vs-direct")
 def _check_factored_route(order, depth):
     mu, x0 = Fraction(4), Fraction(1, 3)
     g = logistic_map(mu)
-    for n in range(0, 8):
-        yield solve_logistic(mu, x0, n) - solve_forward(g, x0, n)
+    for n, closed in enumerate(_closed_column(g, x0, 7)):
+        yield solve_logistic(mu, x0, n) - closed
 
 
 def run_checks(order=10, depth=16, ops="all"):

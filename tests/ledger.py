@@ -10,7 +10,10 @@ that mutation.  The argv are:
   seeds 1 and 2, as generated, with --format json and with --format
   csv, and each solve also in --mode closed, iterate and both under
   either format;
-* verify --format json at the defaults, (8, 12), (10, 16) and (20, 32).
+* verify --format json at the defaults, (8, 12), (10, 16) and (20, 32);
+* USAGE, the help and usage errors of argparse, kept under a key of
+  their own: argparse wraps its text to the terminal width, so every
+  argv is digested with COLUMNS=80.
 
 tests/test_ledger.py replays the stored argv and mutations against it.
 A change that moves an output regenerates the ledger, from the root of
@@ -44,13 +47,49 @@ SEEDS = (1, 2)
 FORMATS = ("json", "csv")
 MODES = ("closed", "iterate", "both")
 VERIFY_SIZES = ((), (8, 12), (10, 16), (20, 32))
+COMMANDS = ("solve", "flow", "basis", "verify", "numcheck")
+SOLVE = ["solve", "--map", "double", "--x0", "1"]
+# Help, a missing or unknown command, and for each command a missing
+# option, a bad choice, an int out of range or not an int, and an
+# unrecognized argument.
+USAGE = (
+    [[], ["bogus"], ["-h"], ["-h", "basis"]]
+    + [[cmd, "-h"] for cmd in COMMANDS]
+    + [
+        ["solve", "--x0", "1"],
+        SOLVE + ["--mode", "bogus"],
+        SOLVE + ["--steps", "257"],
+        SOLVE + ["--bogus", "-1/3"],
+        ["flow"],
+        ["flow", "--f", "0,1", "--op", "bogus"],
+        ["flow", "--f", "0,1", "--order", "0"],
+        ["flow", "--f", "0,1", "extra"],
+        ["basis"],
+        ["basis", "--op", "bogus"],
+        ["basis", "--op", "forward", "--depth", "257"],
+        ["basis", "--op", "forward", "--depth", "abc"],
+        ["basis", "--op", "forward", "extra"],
+        ["verify", "--ops", "bogus"],
+        ["verify", "--depth", "2"],
+        ["verify", "--bogus"],
+        ["numcheck", "--format", "xml"],
+        ["numcheck", "--depth", "129"],
+        ["numcheck", "--tolerance", "0"],
+        ["numcheck", "extra"],
+    ]
+)
 
 
 def digest(argv):
-    """SHA-256 of the stdout, stderr and exit code of cli_main(argv)."""
+    """SHA-256 of the stdout, stderr and exit code of cli_main(argv), or
+    of the code of the SystemExit argparse raises, at COLUMNS=80."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(list(argv))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "80")
+        try:
+            code = cli_main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return hashlib.sha256(json.dumps([code, out.getvalue(), err.getvalue()]).encode()).hexdigest()
 
 
@@ -100,6 +139,7 @@ def build():
             for kernel in MUTATIONS
             for check, residual in residuals(kernel).items()
         ],
+        "usage": [{"argv": argv, "sha256": digest(argv)} for argv in USAGE],
     }
 
 
@@ -112,10 +152,11 @@ def write(ledger):
     """One entry a line, so that a diff of the file names what moved."""
     with open(PATH, "w") as fh:
         fh.write("{\n")
-        for i, key in enumerate(("requests", "residuals")):
+        keys = ("requests", "residuals", "usage")
+        for key in keys:
             fh.write('"%s": [\n' % key)
             fh.write(",\n".join(json.dumps(entry) for entry in ledger[key]))
-            fh.write("\n]%s\n" % ("," if i == 0 else ""))
+            fh.write("\n]%s\n" % ("," if key != keys[-1] else ""))
         fh.write("}\n")
 
 
@@ -124,8 +165,14 @@ def main():
     ledger = build()
     write(ledger)
     print(
-        "%d requests and %d residuals in %.1f s -> %s"
-        % (len(ledger["requests"]), len(ledger["residuals"]), time.perf_counter() - start, PATH)
+        "%d requests, %d residuals and %d usage argv in %.1f s -> %s"
+        % (
+            len(ledger["requests"]),
+            len(ledger["residuals"]),
+            len(ledger["usage"]),
+            time.perf_counter() - start,
+            PATH,
+        )
     )
 
 

@@ -710,6 +710,40 @@ def test_numcheck_tolerance_must_be_finite_and_positive(capsys, tolerance):
 
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
+    assert cli._build_parser("basis") is cli._build_parser("basis")
+    assert cli._build_parser("basis") is not cli._build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [(["basis", "--op", "forward", "--depth", "3"], 2), ([], 6), (["-h"], 6), (["bogus"], 6)],
+    ids=["basis", "no-command", "help", "unknown-command"],
+)
+def test_a_request_builds_only_the_parser_of_its_command(monkeypatch, capsys, argv, built):
+    # the main parser and the subparser the request names; help, a
+    # missing and an unknown command build all five subparsers
+    init, calls = cli._Parser.__init__, []
+
+    def spy(self, *args, **kwargs):
+        calls.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", spy)
+    cli._build_parser.cache_clear()
+    try:
+        with contextlib.suppress(SystemExit):
+            cli_main(argv)
+    finally:
+        cli._build_parser.cache_clear()
+    assert len(calls) == built
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = "from deltadyn import cli; print(cli._build_parser.cache_info().currsize)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == ["0"]
 
 
 @pytest.mark.parametrize("depth", [0, 1, 16, 96])

@@ -21,6 +21,12 @@ def test_every_request_prints_what_the_ledger_holds(command):
     assert moved == []
 
 
+def test_every_help_and_usage_error_prints_what_the_ledger_holds():
+    moved = [" ".join(e["argv"]) for e in LEDGER["usage"] if ledger.digest(e["argv"]) != e["sha256"]]
+    assert [e["argv"] for e in LEDGER["usage"]] == ledger.USAGE
+    assert moved == []
+
+
 @pytest.mark.parametrize("kernel", list(MUTATIONS))
 def test_every_residual_under_a_mutation_is_what_the_ledger_holds(kernel):
     want = {e["check"]: e["residual"] for e in LEDGER["residuals"] if e["kernel"] == kernel}
